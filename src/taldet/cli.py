@@ -1,14 +1,18 @@
 """Command-line entry points: synth / train / eval / infer / gradcheck.
 
-Config files are plain `key = value` lines; any TrainConfig or model field
-given on the command line overrides the file.
+Config files are plain `key = value` lines. The keys are the fields of
+ModelConfig and TrainConfig plus the infer settings in INFER_SETTINGS; an
+unknown key or a value of the wrong type is a validation error. Flags given
+on the command line override the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,15 @@ from .training import (NumericalAbort, TrainConfig, fit, load_into_model)
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+# infer-only settings and their types; an unset one keeps the default of
+# decode() / soft_nms(), or POST_NMS_KEEP
+INFER_SETTINGS = {"score_threshold": float, "pre_nms_topk": int,
+                  "sigma": float, "post_nms_keep": int}
+POST_NMS_KEEP = 200
+# every accepted settings key and its type
+SETTING_TYPES = {**typing.get_type_hints(ModelConfig),
+                 **typing.get_type_hints(TrainConfig), **INFER_SETTINGS}
 
 
 def parse_config_file(path) -> dict:
@@ -54,6 +67,20 @@ def _coerce(val: str):
     return val
 
 
+def _check_setting(key: str, value):
+    if key not in SETTING_TYPES:
+        raise ValidationError(f"unknown setting {key!r}; accepted: "
+                              f"{', '.join(sorted(SETTING_TYPES))}")
+    want = SETTING_TYPES[key]
+    accepted = (int, float) if want is float else want
+    # bool is a subclass of int, so it is told apart first
+    if isinstance(value, bool) != (want is bool) or \
+            not isinstance(value, accepted):
+        raise ValidationError(f"setting {key} = {value!r} is not "
+                              f"{want.__name__}")
+    return want(value)
+
+
 def gather_settings(args) -> dict:
     settings = {}
     if args.config:
@@ -67,7 +94,14 @@ def gather_settings(args) -> dict:
         "strict_positive_only": args.strict_eq3,
     }
     settings.update({k: v for k, v in overrides.items() if v is not None})
-    return settings
+    return {k: _check_setting(k, v) for k, v in settings.items()}
+
+
+def config_from(cls, settings: dict):
+    """An instance of dataclass `cls` from the settings naming its fields;
+    the rest of its fields keep their defaults."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in settings.items() if k in names})
 
 
 def load_dataset(data_dir):
@@ -79,24 +113,19 @@ def load_dataset(data_dir):
 
 
 def build_model_and_samples(records, feats, settings):
-    any_feat = next(iter(feats.values()))
-    num_classes = settings.get(
-        "num_classes",
-        1 + max((s.class_id for r in records for s in r.segments), default=0))
-    model_cfg = ModelConfig(
-        feature_dim=any_feat.shape[-1],
-        num_classes=int(num_classes),
-        K=int(settings.get("K", 6)),
-        group_layers=int(settings.get("group_layers", 8)),
-        group_heads=int(settings.get("group_heads", 8)),
-        temporal_heads=int(settings.get("temporal_heads", 4)),
-        window_size=int(settings.get("window_size", 9)),
-        num_standard_layers=int(settings.get("num_standard_layers", 2)),
-        num_strided_layers=int(settings.get("num_strided_layers", 5)),
-        alpha=int(settings.get("alpha", 2)),
-        use_subject_tokens=bool(settings.get("use_subject_tokens", True)),
-    )
-    rng = np.random.default_rng(int(settings.get("seed", 0)))
+    """The model (D from the features; classes from the settings, else from
+    the annotations) and one pooled sample per record."""
+    D = next(iter(feats.values())).shape[-1]
+    from_data = {
+        "feature_dim": D,
+        "num_classes": 1 + max((s.class_id for r in records
+                                for s in r.segments), default=0),
+    }
+    model_cfg = config_from(ModelConfig, from_data | settings)
+    if model_cfg.feature_dim != D:
+        raise ValidationError(f"feature_dim = {model_cfg.feature_dim} but "
+                              f"the features have D = {D}")
+    rng = np.random.default_rng(settings.get("seed", TrainConfig.seed))
     model = SubjectPriorDetector(model_cfg, rng)
     samples = []
     for r in records:
@@ -119,17 +148,7 @@ def cmd_train(args):
     settings = gather_settings(args)
     records, feats = load_dataset(args.data)
     model, samples = build_model_and_samples(records, feats, settings)
-    train_cfg = TrainConfig(
-        lr_init=float(settings.get("lr_init", 1e-4)),
-        epochs=int(settings.get("epochs", 35)),
-        warmup_epochs=int(settings.get("warmup_epochs", 5)),
-        batch_size=int(settings.get("batch_size", 2)),
-        ema_decay=float(settings.get("ema_decay", 0.999)),
-        lam=float(settings.get("lam", 1.0)),
-        weight_decay=float(settings.get("weight_decay", 0.0)),
-        strict_positive_only=bool(settings.get("strict_positive_only", False)),
-        seed=int(settings.get("seed", 0)),
-    )
+    train_cfg = config_from(TrainConfig, settings)
     segs = {r.id: r.segments for r in records}
     result = fit(model, samples, segs, train_cfg, out_dir=args.out)
     print(f"final loss {result.loss_log[-1]['mean_loss']:.6f}; "
@@ -143,15 +162,15 @@ def cmd_infer(args):
     model, samples = build_model_and_samples(records, feats, settings)
     load_into_model(model, read_checkpoint(args.checkpoint),
                     use_ema=args.ema)
+    decode_kw = {k: settings[k] for k in ("score_threshold", "pre_nms_topk")
+                 if k in settings}
+    nms_kw = {k: settings[k] for k in ("sigma",) if k in settings}
+    keep = settings.get("post_nms_keep", POST_NMS_KEEP)
     dets = {}
-    keep = int(settings.get("post_nms_keep", 200))
     for r, sample in zip(records, samples):
         outs, strides = model(sample)
-        cands = decode(outs, sample.meta, strides,
-                       score_threshold=float(settings.get("score_threshold", 0.001)),
-                       pre_nms_topk=int(settings.get("pre_nms_topk", 2000)))
-        dets[r.id] = soft_nms(cands,
-                              sigma=float(settings.get("sigma", 0.5)))[:keep]
+        cands = decode(outs, sample.meta, strides, **decode_kw)
+        dets[r.id] = soft_nms(cands, **nms_kw)[:keep]
     out_path = Path(args.out) / "detections.jsonl"
     Path(args.out).mkdir(parents=True, exist_ok=True)
     write_detections(out_path, dets)

@@ -11,13 +11,14 @@ import numpy as np
 from .autograd import Tensor, concat
 from .heads import DetectionHeads, HeadOutput
 from .nn import Module
-from .spatial_attention import AttentionConfig, GroupAggregator
-from .subjects import VideoMeta, global_average, token_pool_matrix
-from .temporal_pyramid import PyramidBuilder, PyramidConfig
+from .spatial_attention import GroupAggregator
+from .subjects import VideoMeta, token_pool_matrix
+from .temporal_pyramid import PyramidBuilder
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Every model setting; the FFN width of each attention block is 4 * D."""
     feature_dim: int
     num_classes: int
     K: int = 6
@@ -30,6 +31,18 @@ class ModelConfig:
     alpha: int = 2
     head_layers: int = 4
     use_subject_tokens: bool = True
+
+    def __post_init__(self):
+        if min(self.feature_dim, self.group_heads, self.temporal_heads) < 1 \
+                or self.group_layers < 0:
+            raise ValueError("feature_dim and head counts must be positive")
+        for heads in ("group_heads", "temporal_heads"):
+            if self.feature_dim % getattr(self, heads) != 0:
+                raise ValueError(f"{heads} must divide feature_dim")
+        if self.window_size % 2 == 0 or self.window_size < 1:
+            raise ValueError("window_size must be odd and >= 1")
+        if self.alpha < 1:
+            raise ValueError("alpha must be >= 1")
 
     @property
     def pyramid_height(self) -> int:
@@ -75,17 +88,10 @@ def prepare_sample(video_id: str, features, boxes_per_snippet,
 class SubjectPriorDetector(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
-        d = cfg.feature_dim
-        self.aggregator = GroupAggregator(
-            AttentionConfig(embed_dim=d, num_heads=cfg.group_heads,
-                            num_layers=cfg.group_layers), rng)
-        self.pyramid = PyramidBuilder(
-            PyramidConfig(embed_dim=d, num_heads=cfg.temporal_heads,
-                          window_size=cfg.window_size,
-                          num_standard_layers=cfg.num_standard_layers,
-                          num_strided_layers=cfg.num_strided_layers,
-                          alpha=cfg.alpha), rng)
-        self.heads = DetectionHeads(rng, d, cfg.num_classes, cfg.head_layers)
+        self.aggregator = GroupAggregator(cfg, rng)
+        self.pyramid = PyramidBuilder(cfg, rng)
+        self.heads = DetectionHeads(rng, cfg.feature_dim, cfg.num_classes,
+                                    cfg.head_layers)
 
     def snippet_representation(self, sample: VideoSample) -> Tensor:
         """[T, D] sequence: aggregated group tokens, or plain global averages
@@ -104,11 +110,3 @@ class SubjectPriorDetector(Module):
         return self.heads(pyr), strides
 
     __call__ = forward
-
-    def level_shapes(self, T: int) -> list[tuple[int, int]]:
-        shapes, stride = [(T, 1)], 1
-        for _ in range(self.cfg.num_strided_layers):
-            T = -(-T // self.cfg.alpha)
-            stride *= self.cfg.alpha
-            shapes.append((T, stride))
-        return shapes

@@ -89,7 +89,7 @@ class MultiHeadSelfAttention(Module):
     disallowed pairs receive exactly zero weight.
     """
 
-    def __init__(self, rng, dim, num_heads, name="mhsa"):
+    def __init__(self, rng, dim, num_heads, name="attn"):
         if dim % num_heads != 0:
             raise DimensionError("embed dim must be divisible by num_heads")
         self.dim = dim
@@ -132,17 +132,17 @@ class MultiHeadSelfAttention(Module):
 
 
 class PreNormBlock(Module):
-    """z -> z + MHSA(LN(z)); then h -> h + FFN(LN(h)).
+    """z -> z + MHSA(LN(z)); then h -> h + FFN(LN(h)), FFN width 4 * dim.
 
     `row_mask` (0/1 over positions) re-zeroes masked rows after each residual
     add so padded/invalid slots stay exactly zero through the stack.
     """
 
-    def __init__(self, rng, dim, num_heads, ffn_hidden, name="block"):
+    def __init__(self, rng, dim, num_heads, name="block"):
         self.ln1 = LayerNorm(dim)
         self.attn = MultiHeadSelfAttention(rng, dim, num_heads, name + ".attn")
         self.ln2 = LayerNorm(dim)
-        self.ffn = FeedForward(rng, dim, ffn_hidden, name + ".ffn")
+        self.ffn = FeedForward(rng, dim, 4 * dim, name + ".ffn")
 
     def __call__(self, z, allowed=None, row_mask=None):
         h = self.attn(self.ln1(z), allowed) + z

@@ -8,82 +8,39 @@ residual, so garbage in those slots can never reach the group token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autograd import Tensor, concat
+from .autograd import Tensor
 from .nn import Module, PreNormBlock
-from .subjects import TokenSet
 
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    embed_dim: int
-    num_heads: int = 8
-    ffn_hidden: int | None = None   # defaults to 4 * embed_dim
-    num_layers: int = 8
-
-    def __post_init__(self):
-        if self.embed_dim % self.num_heads != 0:
-            raise ValueError("embed_dim must be divisible by num_heads")
-        if self.embed_dim <= 0 or self.num_heads <= 0 or self.num_layers < 0:
-            raise ValueError("AttentionConfig fields must be positive")
-
-    @property
-    def hidden(self) -> int:
-        return self.ffn_hidden if self.ffn_hidden is not None else 4 * self.embed_dim
-
-
-def _attention_masks(valid: np.ndarray):
-    """(allowed, row_mask) from a [..., K+1] slot-validity mask where the last
-    slot (group token) is always valid."""
-    n = valid.shape[-1]
-    allowed = np.broadcast_to(valid[..., None, :],
-                              valid.shape[:-1] + (n, n)).copy()
-    row_mask = valid.astype(np.float64)[..., None]
-    return allowed, row_mask
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 class GroupAggregator(Module):
-    """L1 stacked pre-norm attention blocks; reads row K of the final Z."""
+    """L1 stacked pre-norm attention blocks; reads the group slot of the
+    final Z."""
 
-    def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
-        self.cfg = cfg
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.blocks = [
-            PreNormBlock(rng, cfg.embed_dim, cfg.num_heads, cfg.hidden,
+            PreNormBlock(rng, cfg.feature_dim, cfg.group_heads,
                          name=f"spatial.{i}")
-            for i in range(cfg.num_layers)
+            for i in range(cfg.group_layers)
         ]
-
-    def run_stack(self, z: Tensor, valid: np.ndarray) -> Tensor:
-        """Apply all blocks to z[..., K+1, D] with per-slot validity."""
-        allowed, row_mask = _attention_masks(valid)
-        for block in self.blocks:
-            z = block(z, allowed=allowed, row_mask=row_mask)
-        return z
 
     def __call__(self, tokens_with_group: Tensor, valid_tokens: np.ndarray) -> Tensor:
         """tokens_with_group: [..., K+1, D], group slot last; returns the
         aggregated group vector(s) [..., D]."""
-        full_valid = np.concatenate(
+        valid = np.concatenate(
             [valid_tokens, np.ones(valid_tokens.shape[:-1] + (1,), dtype=bool)],
             axis=-1)
-        z = self.run_stack(tokens_with_group, full_valid)
+        n = valid.shape[-1]
+        # every slot attends to the valid slots only; invalid rows stay zero
+        allowed = np.broadcast_to(valid[..., None, :], valid.shape[:-1] + (n, n))
+        row_mask = valid.astype(np.float64)[..., None]
+        z = tokens_with_group
+        for block in self.blocks:
+            z = block(z, allowed=allowed, row_mask=row_mask)
         return z[..., -1, :]
-
-
-def mhsa(z: Tensor, valid: np.ndarray, block_or_attn) -> Tensor:
-    """Single masked attention application (no residual); invalid rows are
-    exact zeros in the output."""
-    allowed, row_mask = _attention_masks(np.asarray(valid, dtype=bool))
-    out = block_or_attn(z, allowed)
-    return out * row_mask
-
-
-def aggregate_group(tokens: TokenSet, snippet_global_avg: Tensor,
-                    aggregator: GroupAggregator) -> Tensor:
-    """Build Z^0 = [p_1..p_K, g^0] for one snippet and run the stack."""
-    g0 = snippet_global_avg.reshape(1, -1)
-    z0 = concat([tokens.individual, g0], axis=0)
-    return aggregator(z0, tokens.valid)

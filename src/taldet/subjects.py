@@ -8,11 +8,9 @@ mask them out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .autograd import Tensor
 
 
 @dataclass(frozen=True)
@@ -57,14 +55,6 @@ class SubjectBox:
     @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-
-@dataclass
-class TokenSet:
-    """K pooled subject vectors + a group slot + validity mask."""
-    individual: Tensor          # [K, D]
-    valid: np.ndarray           # bool [K]
-    group: Tensor | None = field(default=None)
 
 
 def _clip_box(box: SubjectBox, meta: VideoMeta) -> SubjectBox | None:
@@ -141,49 +131,16 @@ def _roi_weights(box: SubjectBox, meta: VideoMeta,
     return cell.reshape(b_h * b_w, H * W)
 
 
-def roi_align(f: Tensor, box: SubjectBox, meta: VideoMeta,
-              bins: tuple[int, int] = (7, 7)) -> Tensor:
-    """Crop-and-pool `f[H, W, D]` over `box` into a [b_h, b_w, D] grid.
+def token_pool_matrix(boxes: list[SubjectBox], meta: VideoMeta, K: int,
+                      bins: tuple[int, int] = (7, 7)) -> tuple[np.ndarray, np.ndarray]:
+    """[K, H*W] pooling matrix and validity mask for one snippet.
 
-    Exactly linear in f, so gradients flow through a fixed weight matrix.
+    tokens = matrix @ f.reshape(H*W, D): row k is the mean over the RoI bins
+    of the k-th ranked box, so pooling is exactly linear in the features.
+    Unfilled slots are zero rows with valid=False.
     """
     if bins[0] < 1 or bins[1] < 1:
         raise ValueError("bins must be >= (1, 1)")
-    box = _clip_box(box, meta)
-    if box is None:
-        raise ValueError("box does not intersect the frame")
-    H, W = meta.feature_height, meta.feature_width
-    weights = Tensor(_roi_weights(box, meta, bins))
-    flat = f.reshape(H * W, meta.feature_dim)
-    return (weights @ flat).reshape(bins[0], bins[1], meta.feature_dim)
-
-
-def extract_tokens(f: Tensor, boxes: list[SubjectBox], meta: VideoMeta,
-                   K: int, bins: tuple[int, int] = (7, 7)) -> TokenSet:
-    """One token per ranked box (spatial mean of its RoI grid); unfilled slots
-    are exact zero vectors with valid=False."""
-    ranked = rank_subjects(boxes, meta, K) if boxes else []
-    D = meta.feature_dim
-    valid = np.zeros(K, dtype=bool)
-    rows = []
-    for k in range(K):
-        if k < len(ranked):
-            pooled = roi_align(f, ranked[k], meta, bins)
-            rows.append(pooled.reshape(bins[0] * bins[1], D).mean(axis=0))
-            valid[k] = True
-        else:
-            rows.append(Tensor(np.zeros(D)))
-    from .autograd import stack
-    return TokenSet(individual=stack(rows, axis=0), valid=valid)
-
-
-def token_pool_matrix(boxes: list[SubjectBox], meta: VideoMeta, K: int,
-                      bins: tuple[int, int] = (7, 7)) -> tuple[np.ndarray, np.ndarray]:
-    """Precomputed [K, H*W] pooling matrix and validity mask.
-
-    tokens = matrix @ f.reshape(H*W, D); used by the trainer to avoid
-    rebuilding RoI weights when the feature grid is a fixed input.
-    """
     ranked = rank_subjects(boxes, meta, K) if boxes else []
     HW = meta.feature_height * meta.feature_width
     mat = np.zeros((K, HW))
@@ -193,8 +150,3 @@ def token_pool_matrix(boxes: list[SubjectBox], meta: VideoMeta, K: int,
         valid[k] = True
     return mat, valid
 
-
-def global_average(f: Tensor, meta: VideoMeta) -> Tensor:
-    """Spatial mean over the whole grid (the group-token initializer)."""
-    return f.reshape(meta.feature_height * meta.feature_width,
-                     meta.feature_dim).mean(axis=0)

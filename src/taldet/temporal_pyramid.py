@@ -10,36 +10,15 @@ attention at constant length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autograd import InvalidMaskError, Tensor
 from .nn import ConvLayer, DepthwiseDownsample, Module, PreNormBlock
 
-
-@dataclass(frozen=True)
-class PyramidConfig:
-    embed_dim: int
-    num_heads: int = 4
-    window_size: int = 9
-    num_standard_layers: int = 2
-    num_strided_layers: int = 5
-    alpha: int = 2
-    ffn_hidden: int | None = None
-
-    def __post_init__(self):
-        if self.window_size % 2 == 0 or self.window_size < 1:
-            raise ValueError("window_size must be odd and >= 1")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-
-    @property
-    def pyramid_height(self) -> int:
-        return 1 + self.num_strided_layers
-
-    @property
-    def hidden(self) -> int:
-        return self.ffn_hidden if self.ffn_hidden is not None else 4 * self.embed_dim
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 @dataclass
@@ -73,24 +52,14 @@ def band_mask(T: int, window_size: int, pad_mask: np.ndarray | None = None) -> n
     return allowed
 
 
-def windowed_mhsa(x: Tensor, pad_mask: np.ndarray | None,
-                  attn, window_size: int) -> Tensor:
-    """Local attention: identical math to full attention under a band mask."""
-    T = x.shape[0]
-    out = attn(x, allowed=band_mask(T, window_size, pad_mask))
-    if pad_mask is not None:
-        out = out * np.asarray(pad_mask, dtype=np.float64)[:, None]
-    return out
-
-
 class TemporalLayer(Module):
     """Pre-norm windowed attention block plus optional strided down-sampling."""
 
-    def __init__(self, rng, cfg: PyramidConfig, alpha: int, name="temporal"):
-        self.block = PreNormBlock(rng, cfg.embed_dim, cfg.num_heads,
-                                  cfg.hidden, name=name)
+    def __init__(self, rng, cfg: ModelConfig, alpha: int, name="temporal"):
+        self.block = PreNormBlock(rng, cfg.feature_dim, cfg.temporal_heads,
+                                  name=name)
         self.alpha = alpha
-        self.down = DepthwiseDownsample(rng, cfg.embed_dim, alpha, name + ".down")
+        self.down = DepthwiseDownsample(rng, cfg.feature_dim, alpha, name + ".down")
         self.window_size = cfg.window_size
 
     def __call__(self, x: Tensor, pad_mask: np.ndarray | None):
@@ -113,12 +82,10 @@ class TemporalLayer(Module):
 class PyramidBuilder(Module):
     """Mapping convolutions + stride-1 blocks + strided blocks -> pyramid."""
 
-    def __init__(self, cfg: PyramidConfig, rng: np.random.Generator,
-                 in_dim: int | None = None):
-        d = cfg.embed_dim
-        in_dim = in_dim if in_dim is not None else d
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+        d = cfg.feature_dim
         self.cfg = cfg
-        self.map1 = ConvLayer(rng, 3, in_dim, d, "map1")
+        self.map1 = ConvLayer(rng, 3, d, d, "map1")
         self.map2 = ConvLayer(rng, 3, d, d, "map2")
         self.standard = [TemporalLayer(rng, cfg, alpha=1, name=f"std.{i}")
                          for i in range(cfg.num_standard_layers)]

@@ -28,12 +28,11 @@ from taldet.dataio import (SyntheticSpec, generate_synthetic,
 from taldet.heads import (GroundTruthSegment, HeadOutput, LevelOutput,
                           focal_loss, giou_values)
 from taldet.metrics import average_precision, evaluate
-from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
+from taldet.model import (ModelConfig, SubjectPriorDetector, VideoSample,
+                          prepare_sample)
 from taldet.postprocess import ActionSegment, decode, soft_nms, temporal_iou
-from taldet.spatial_attention import AttentionConfig, GroupAggregator, aggregate_group
-from taldet.subjects import SubjectBox, TokenSet
-from taldet.temporal_pyramid import (PyramidBuilder, PyramidConfig,
-                                     expected_level_lengths)
+from taldet.subjects import SubjectBox, VideoMeta
+from taldet.temporal_pyramid import PyramidBuilder, expected_level_lengths
 from taldet.training import TrainConfig, fit
 
 
@@ -57,31 +56,35 @@ def test_criterion_1_gradient_suite(capfd):
 
 
 def test_criterion_2_group_aggregation_invariants(capfd):
-    D, K = 16, 5
-    agg = GroupAggregator(AttentionConfig(embed_dim=D, num_heads=4,
-                                          num_layers=2),
-                          np.random.default_rng(0))
+    D, K, T = 16, 5, 3
+    model = SubjectPriorDetector(
+        ModelConfig(feature_dim=D, num_classes=2, K=K, group_heads=4,
+                    group_layers=2),
+        np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    tokens = rng.normal(size=(K, D))
-    valid = np.array([True] * K)
-    g0 = Tensor(rng.normal(size=D))
+    meta = VideoMeta(64, 64, 16.0, T, 4, 4, D, 4)
+    feats = rng.normal(size=(T, 4, 4, D))
+    # K boxes of distinct areas fill every slot; three leave two slots empty
+    boxes = [SubjectBox(0, 0, 12 + 8 * k, 10 + 9 * k, 0.9) for k in range(K)]
+    full = prepare_sample("full", feats, [boxes] * T, meta, K)
+    part = prepare_sample("part", feats, [boxes[:3]] * T, meta, K)
 
-    def run(tk, vd):
-        return aggregate_group(TokenSet(Tensor(tk), vd), g0, agg).data
+    def run(sample, tokens, valid):
+        return model.snippet_representation(VideoSample(
+            sample.video_id, Tensor(tokens), valid, sample.global_avg,
+            sample.meta)).data
 
-    base = run(tokens, valid)
+    base = run(full, full.tokens.data, full.valid)
     perm_drift = 0.0
     for _ in range(50):
         p = rng.permutation(K)
-        perm_drift = max(perm_drift, np.abs(run(tokens[p], valid[p]) - base).max())
+        out = run(full, full.tokens.data[:, p], full.valid[:, p])
+        perm_drift = max(perm_drift, np.abs(out - base).max())
 
-    masked_valid = np.array([True, False, True, False, True])
-    clean = tokens.copy()
-    clean[~masked_valid] = 0.0
-    ref = run(clean, masked_valid)
-    garbage = clean.copy()
-    garbage[~masked_valid] = rng.normal(size=(2, D)) * 1e6
-    mask_drift = np.abs(run(garbage, masked_valid) - ref).max()
+    ref = run(part, part.tokens.data, part.valid)
+    garbage = part.tokens.data.copy()
+    garbage[~part.valid] = rng.normal(size=(T * 2, D)) * 1e6
+    mask_drift = np.abs(run(part, garbage, part.valid) - ref).max()
 
     ok = perm_drift <= 1e-9 and mask_drift <= 1e-12
     report(capfd, 2, ok, f"permutation drift {perm_drift:.2e} (<=1e-9), "
@@ -90,8 +93,9 @@ def test_criterion_2_group_aggregation_invariants(capfd):
 
 def test_criterion_3_pyramid_shape_law(capfd):
     D = 8
-    cfg = PyramidConfig(embed_dim=D, num_heads=2, window_size=9,
-                        num_standard_layers=2, num_strided_layers=5, alpha=2)
+    cfg = ModelConfig(feature_dim=D, num_classes=1, temporal_heads=2,
+                      window_size=9, num_standard_layers=2,
+                      num_strided_layers=5, alpha=2)
     builder = PyramidBuilder(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     mismatches = 0
@@ -101,8 +105,9 @@ def test_criterion_3_pyramid_shape_law(capfd):
         if got != expected_level_lengths(T, 2, cfg.pyramid_height):
             mismatches += 1
 
-    flat_cfg = PyramidConfig(embed_dim=D, num_heads=2, window_size=9,
-                             num_standard_layers=2, num_strided_layers=5, alpha=1)
+    flat_cfg = ModelConfig(feature_dim=D, num_classes=1, temporal_heads=2,
+                           window_size=9, num_standard_layers=2,
+                           num_strided_layers=5, alpha=1)
     flat = PyramidBuilder(flat_cfg, np.random.default_rng(2))
     pyr = flat(Tensor(rng.normal(size=(40, D))))
     flat_ok = all(lv.features.shape[0] == 40 for lv in pyr.levels)
@@ -175,7 +180,6 @@ def test_criterion_4_oracle_equivalence(capfd):
     logits = rng.normal(size=(6, 2))
     offs = rng.uniform(0.0, 3.0, size=(6, 2))
     outs = HeadOutput([LevelOutput(Tensor(logits), Tensor(offs))])
-    from taldet.subjects import VideoMeta
     meta = VideoMeta(64, 64, 16.0, 6, 4, 4, 8, 4)
     got = decode(outs, meta, [1], score_threshold=0.3)
     expected = []

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from taldet import cli
 from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _coerce,
                         main, parse_config_file)
+from taldet.model import ModelConfig
+from taldet.training import FitResult
 
 
 class TestConfigParsing:
@@ -26,7 +29,7 @@ class TestConfigParsing:
         assert _coerce("name") == "name"
 
 
-SMALL = ("seed = 0\nk = 2\ngroup_layers = 1\ngroup_heads = 2\n"
+SMALL = ("seed = 0\nK = 2\ngroup_layers = 1\ngroup_heads = 2\n"
          "temporal_heads = 2\nwindow_size = 3\nnum_standard_layers = 1\n"
          "num_strided_layers = 2\nepochs = 3\nwarmup_epochs = 1\n"
          "lr_init = 0.001\nbatch_size = 2\n")
@@ -101,6 +104,56 @@ class TestPipeline:
         bad.write_bytes(b"garbage")
         rc = main(["infer", "--data", str(data), "--config", str(cfg),
                    "--checkpoint", str(bad), "--out", str(tmp / "o")])
+        assert rc == EXIT_VALIDATION
+
+
+class TestSettings:
+    def test_unknown_key_exits_2(self, dataset, capsys):
+        tmp, data, cfg = dataset
+        cfg.write_text(SMALL + "windw_size = 5\n")
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert "'windw_size'" in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
+    def test_wrong_type_exits_2(self, dataset):
+        tmp, data, cfg = dataset
+        cfg.write_text(SMALL + "use_subject_tokens = 1\n")
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+
+    def test_every_key_reaches_the_built_configs(self, dataset, monkeypatch):
+        tmp, data, cfg = dataset
+        cfg.write_text(SMALL + "head_layers = 1\ngrad_clip = 0.5\n")
+        seen = {}
+
+        def fake_fit(model, samples, segs, train_cfg, out_dir=None):
+            seen["model"], seen["train"] = model.cfg, train_cfg
+            return FitResult([{"mean_loss": 0.0}])
+
+        monkeypatch.setattr(cli, "fit", fake_fit)
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
+        assert rc == EXIT_OK
+        assert seen["model"].head_layers == 1
+        assert seen["model"].K == 2
+        assert seen["model"].feature_dim == 16
+        assert seen["train"].grad_clip == 0.5
+        assert seen["train"].epochs == 3
+
+    @pytest.mark.parametrize("bad", [{"window_size": 4}, {"alpha": 0},
+                                     {"group_heads": 3},
+                                     {"temporal_heads": 5}])
+    def test_bad_model_config_rejected(self, dataset, bad):
+        with pytest.raises(ValueError):
+            ModelConfig(feature_dim=16, num_classes=2, **bad)
+        tmp, data, cfg = dataset
+        (key, value), = bad.items()
+        cfg.write_text(SMALL + f"{key} = {value}\n")
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
 
 

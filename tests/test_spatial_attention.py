@@ -1,11 +1,9 @@
 import numpy as np
-import pytest
 
 from taldet.autograd import Parameter, Tensor, concat, grad_check
+from taldet.model import ModelConfig
 from taldet.nn import MultiHeadSelfAttention, PreNormBlock
-from taldet.spatial_attention import (AttentionConfig, GroupAggregator,
-                                      aggregate_group, mhsa)
-from taldet.subjects import TokenSet
+from taldet.spatial_attention import GroupAggregator
 
 D = 8
 
@@ -19,6 +17,11 @@ def np_softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def column_mask(valid):
+    """allowed[i, j] = valid[j]: every slot attends to the valid slots."""
+    return np.broadcast_to(valid, (len(valid), len(valid)))
+
+
 def dense_attention_oracle(attn, z, valid):
     """Single-head reference: explicit score matrix with column masking."""
     q = z @ attn.wq.w.data + attn.wq.b.data
@@ -27,16 +30,14 @@ def dense_attention_oracle(attn, z, valid):
     scores = q @ k.T / np.sqrt(attn.head_dim)
     scores[:, ~valid] = -np.inf
     out = np_softmax(scores) @ v
-    out = out @ attn.wo.w.data + attn.wo.b.data
-    out[~valid] = 0.0
-    return out
+    return out @ attn.wo.w.data + attn.wo.b.data
 
 
 class TestMhsa:
     def test_single_group_token_attends_itself(self):
         attn = make_attn()
         z = Tensor(np.random.default_rng(1).normal(size=(1, D)))
-        out = mhsa(z, np.array([True]), attn)
+        out = attn(z, column_mask(np.array([True])))
         v = z.data @ attn.wv.w.data + attn.wv.b.data
         expected = v @ attn.wo.w.data + attn.wo.b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -48,16 +49,15 @@ class TestMhsa:
         valid = np.array([False, False, False, True])
         z1 = np.concatenate([np.zeros((3, D)), g])
         z2 = np.concatenate([rng.normal(size=(3, D)), g])
-        out1 = mhsa(Tensor(z1), valid, attn).data
-        out2 = mhsa(Tensor(z2), valid, attn).data
+        out1 = attn(Tensor(z1), column_mask(valid)).data
+        out2 = attn(Tensor(z2), column_mask(valid)).data
         np.testing.assert_array_equal(out1[-1], out2[-1])
-        np.testing.assert_array_equal(out1[:3], 0.0)
 
     def test_matches_dense_oracle(self):
         attn = make_attn(seed=3)
         z = np.random.default_rng(4).normal(size=(4, D))
         valid = np.array([True, True, True, True])
-        out = mhsa(Tensor(z), valid, attn).data
+        out = attn(Tensor(z), column_mask(valid)).data
         np.testing.assert_allclose(out, dense_attention_oracle(attn, z, valid),
                                    atol=1e-12)
 
@@ -65,7 +65,7 @@ class TestMhsa:
         attn = make_attn(seed=5)
         z = np.random.default_rng(6).normal(size=(4, D))
         valid = np.array([True, False, True, True])
-        out = mhsa(Tensor(z), valid, attn).data
+        out = attn(Tensor(z), column_mask(valid)).data
         np.testing.assert_allclose(out, dense_attention_oracle(attn, z, valid),
                                    atol=1e-12)
 
@@ -73,7 +73,7 @@ class TestMhsa:
 class TestLayer:
     def test_zero_output_weights_residual_identity(self):
         rng = np.random.default_rng(7)
-        block = PreNormBlock(rng, D, 2, 16)
+        block = PreNormBlock(rng, D, 2)
         block.attn.wo.w.data[:] = 0.0
         block.attn.wo.b.data[:] = 0.0
         block.ffn.fc2.w.data[:] = 0.0
@@ -84,106 +84,108 @@ class TestLayer:
 
     def test_single_token_composes_attention_and_ffn(self):
         rng = np.random.default_rng(8)
-        block = PreNormBlock(rng, D, 2, 16)
+        block = PreNormBlock(rng, D, 2)
         z = Tensor(rng.normal(size=(1, D)))
-        valid = np.array([True])
-        h = mhsa(block.ln1(z), valid, block.attn) + z
+        h = block.attn(block.ln1(z), np.ones((1, 1), dtype=bool)) + z
         expected = (block.ffn(block.ln2(h)) + h).data
         out = block(z, allowed=np.ones((1, 1), dtype=bool))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_invalid_positions_stay_exactly_zero(self):
         rng = np.random.default_rng(9)
-        block = PreNormBlock(rng, D, 2, 16)
+        block = PreNormBlock(rng, D, 2)
         valid = np.array([True, False, True])
         z = rng.normal(size=(3, D))
         z[1] = 0.0
-        allowed = np.broadcast_to(valid, (3, 3))
-        out = block(Tensor(z), allowed=allowed,
+        out = block(Tensor(z), allowed=column_mask(valid),
                     row_mask=valid.astype(float)[:, None])
         np.testing.assert_array_equal(out.data[1], 0.0)
 
 
 def build_aggregator(num_layers=2, seed=0):
-    cfg = AttentionConfig(embed_dim=D, num_heads=2, num_layers=num_layers)
+    cfg = ModelConfig(feature_dim=D, num_classes=1, group_heads=2,
+                      group_layers=num_layers)
     return GroupAggregator(cfg, np.random.default_rng(seed))
 
 
 def run_group(agg, tokens, valid, g0):
-    ts = TokenSet(individual=Tensor(tokens), valid=valid)
-    return aggregate_group(ts, Tensor(g0), agg).data
+    """Group vectors of a batch: tokens [B, K, D], valid [B, K], g0 [B, D]."""
+    z0 = concat([Tensor(tokens), Tensor(g0[:, None, :])], axis=1)
+    return agg(z0, valid).data
 
 
 class TestAggregateGroup:
     def test_zero_layers_returns_global_average(self):
         agg = build_aggregator(num_layers=0)
         rng = np.random.default_rng(1)
-        g0 = rng.normal(size=D)
-        out = run_group(agg, rng.normal(size=(3, D)),
-                        np.array([True] * 3), g0)
+        g0 = rng.normal(size=(2, D))
+        out = run_group(agg, rng.normal(size=(2, 3, D)),
+                        np.ones((2, 3), dtype=bool), g0)
         np.testing.assert_array_equal(out, g0)
 
     def test_all_invalid_depends_only_on_g0(self):
         agg = build_aggregator()
         rng = np.random.default_rng(2)
-        g0 = rng.normal(size=D)
-        valid = np.zeros(3, dtype=bool)
-        out1 = run_group(agg, np.zeros((3, D)), valid, g0)
-        out2 = run_group(agg, rng.normal(size=(3, D)) * 100, valid, g0)
+        g0 = rng.normal(size=(2, D))
+        valid = np.zeros((2, 3), dtype=bool)
+        out1 = run_group(agg, np.zeros((2, 3, D)), valid, g0)
+        out2 = run_group(agg, rng.normal(size=(2, 3, D)) * 100, valid, g0)
         np.testing.assert_array_equal(out1, out2)
 
     def test_matches_layer_unrolling_oracle(self):
         agg = build_aggregator(num_layers=2, seed=3)
         rng = np.random.default_rng(4)
-        tokens = rng.normal(size=(3, D))
-        valid = np.array([True, True, True])
-        g0 = rng.normal(size=D)
+        tokens = rng.normal(size=(2, 3, D))
+        valid = np.array([[True, True, True], [True, False, True]])
+        tokens[~valid] = 0.0
+        g0 = rng.normal(size=(2, D))
         out = run_group(agg, tokens, valid, g0)
 
-        z = Tensor(np.concatenate([tokens, g0[None]]))
-        full_valid = np.array([True] * 4)
-        allowed = np.broadcast_to(full_valid, (4, 4))
-        row = full_valid.astype(float)[:, None]
-        for block in agg.blocks:
-            z = block(z, allowed=allowed, row_mask=row)
-        np.testing.assert_allclose(out, z.data[-1], atol=1e-12)
+        for t in range(2):
+            slots = np.append(valid[t], True)
+            z = Tensor(np.concatenate([tokens[t], g0[t][None]]))
+            for block in agg.blocks:
+                z = block(z, allowed=column_mask(slots),
+                          row_mask=slots.astype(float)[:, None])
+            np.testing.assert_allclose(out[t], z.data[-1], atol=1e-12)
 
     def test_permutation_invariance(self):
         agg = build_aggregator(seed=5)
         rng = np.random.default_rng(6)
         tokens = rng.normal(size=(4, D))
-        valid = np.array([True] * 4)
+        valid = np.ones(4, dtype=bool)
         g0 = rng.normal(size=D)
-        base = run_group(agg, tokens, valid, g0)
-        for _ in range(50):
-            perm = rng.permutation(4)
-            out = run_group(agg, tokens[perm], valid[perm], g0)
-            assert np.abs(out - base).max() <= 1e-9
+        perms = np.array([np.arange(4)] + [rng.permutation(4)
+                                           for _ in range(50)])
+        out = run_group(agg, tokens[perms], valid[perms],
+                        np.tile(g0, (len(perms), 1)))
+        assert np.abs(out[1:] - out[0]).max() <= 1e-9
 
     def test_masking_soundness_garbage_under_mask(self):
         agg = build_aggregator(seed=7)
         rng = np.random.default_rng(8)
-        tokens = rng.normal(size=(4, D))
-        valid = np.array([True, False, True, False])
+        tokens = rng.normal(size=(2, 4, D))
+        valid = np.array([[True, False, True, False],
+                          [False, True, True, True]])
         tokens[~valid] = 0.0
-        g0 = rng.normal(size=D)
+        g0 = rng.normal(size=(2, D))
         base = run_group(agg, tokens, valid, g0)
         garbage = tokens.copy()
-        garbage[~valid] = rng.normal(size=(2, D)) * 1e6
+        garbage[~valid] = rng.normal(size=(3, D)) * 1e6
         out = run_group(agg, garbage, valid, g0)
         assert np.abs(out - base).max() <= 1e-12
 
     def test_gradient_through_stack(self):
         agg = build_aggregator(num_layers=1, seed=9)
         rng = np.random.default_rng(10)
-        tokens = Parameter(rng.normal(size=(3, D)), "tokens")
-        g0 = Parameter(rng.normal(size=D), "g0")
-        valid = np.array([True, True, False])
-        tokens.data[2] = 0.0
-        coeff = rng.normal(size=D)
+        tokens = Parameter(rng.normal(size=(2, 3, D)), "tokens")
+        g0 = Parameter(rng.normal(size=(2, D)), "g0")
+        valid = np.array([[True, True, False], [True, False, False]])
+        tokens.data[~valid] = 0.0
+        coeff = rng.normal(size=(2, D))
 
         def loss():
-            z0 = concat([tokens, g0.reshape(1, D)], axis=0)
+            z0 = concat([tokens, g0.reshape(2, 1, D)], axis=1)
             return (agg(z0, valid) * coeff).sum()
 
         params = [tokens, g0] + agg.parameters()
@@ -197,8 +199,8 @@ class TestAggregateGroup:
         valid = rng.random((T, K)) > 0.3
         tokens[~valid] = 0.0
         g0 = rng.normal(size=(T, D))
-        z0 = concat([Tensor(tokens), Tensor(g0[:, None, :])], axis=1)
-        batched = agg(z0, valid).data
+        batched = run_group(agg, tokens, valid, g0)
         for t in range(T):
-            single = run_group(agg, tokens[t], valid[t], g0[t])
-            np.testing.assert_allclose(batched[t], single, atol=1e-12)
+            single = run_group(agg, tokens[t:t + 1], valid[t:t + 1],
+                               g0[t:t + 1])
+            np.testing.assert_allclose(batched[t], single[0], atol=1e-12)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from taldet.autograd import Parameter, Tensor, grad_check
-from taldet.subjects import (SubjectBox, VideoMeta, extract_tokens,
-                             global_average, rank_subjects, roi_align)
+from taldet.autograd import Parameter, grad_check
+from taldet.model import prepare_sample
+from taldet.subjects import (SubjectBox, VideoMeta, rank_subjects,
+                             token_pool_matrix)
 
 META = VideoMeta(frame_width=64, frame_height=64, fps=15.0, num_snippets=4,
                  feature_height=4, feature_width=4, feature_dim=3,
@@ -64,19 +65,57 @@ class TestRankSubjects:
         assert out == full[:K]
 
 
+def pool(features, boxes, meta=META, K=1, bins=(7, 7)):
+    """Tokens [K, D] and validity of one [H, W, D] snippet, pooled the way
+    prepare_sample pools every snippet."""
+    mat, valid = token_pool_matrix(boxes, meta, K, bins)
+    H, W, D = features.shape
+    return mat @ features.reshape(H * W, D), valid
+
+
+def every_snippet(boxes, meta=META):
+    return [boxes] * meta.num_snippets
+
+
+def bilinear_token_oracle(f, box, meta=META, bins=(7, 7), samples=2):
+    """Mean over the box of (bins * samples)^2 bilinear samples at regular
+    interior points, cell values at cell centers, clamped at the border."""
+    H, W = f.shape[:2]
+    sy, sx = H / meta.frame_height, W / meta.frame_width
+    ny, nx = bins[0] * samples, bins[1] * samples
+    total = np.zeros(f.shape[-1])
+    for i in range(ny):
+        y = box.y1 * sy + (box.y2 - box.y1) * sy * (i + 0.5) / ny
+        py = min(max(y - 0.5, 0.0), H - 1.0)
+        y0 = min(int(py), H - 2)
+        for j in range(nx):
+            x = box.x1 * sx + (box.x2 - box.x1) * sx * (j + 0.5) / nx
+            px = min(max(x - 0.5, 0.0), W - 1.0)
+            x0 = min(int(px), W - 2)
+            dy, dx = py - y0, px - x0
+            total += ((1 - dy) * (1 - dx) * f[y0, x0] + (1 - dy) * dx * f[y0, x0 + 1]
+                      + dy * (1 - dx) * f[y0 + 1, x0] + dy * dx * f[y0 + 1, x0 + 1])
+    return total / (ny * nx)
+
+
 class TestRoiAlign:
+    """The RoI weights behind token_pool_matrix."""
+
     def test_constant_field(self):
-        f = Tensor(np.full((4, 4, 3), 2.5))
-        out = roi_align(f, SubjectBox(5, 5, 40, 60), META, bins=(7, 7))
-        np.testing.assert_allclose(out.data, 2.5, atol=1e-12)
+        f = np.full((4, 4, 3), 2.5)
+        tokens, _ = pool(f, [SubjectBox(5, 5, 40, 60)])
+        np.testing.assert_allclose(tokens, 2.5, atol=1e-12)
 
     def test_full_frame_single_bin_hand_samples(self):
         meta = VideoMeta(64, 64, 15.0, 1, 2, 2, 1, 4)
         grid = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-        out = roi_align(Tensor(grid), SubjectBox(0, 0, 64, 64), meta, bins=(1, 1))
+        mat, valid = token_pool_matrix([SubjectBox(0, 0, 64, 64)], meta, 1,
+                                       bins=(1, 1))
         # the 2x2 samples of the single bin land exactly on the cell centers
-        assert out.shape == (1, 1, 1)
-        np.testing.assert_allclose(out.data[0, 0, 0], grid.mean(), atol=1e-12)
+        assert valid.tolist() == [True]
+        np.testing.assert_allclose(mat, 0.25, atol=1e-12)
+        tokens, _ = pool(grid, [SubjectBox(0, 0, 64, 64)], meta, bins=(1, 1))
+        np.testing.assert_allclose(tokens[0, 0], grid.mean(), atol=1e-12)
 
     def test_left_half_box_equals_cell_mean(self):
         # field constant along columns: symmetric vertical samples make the
@@ -85,85 +124,94 @@ class TestRoiAlign:
         rows = rng.normal(size=(4, 1, 3))
         f = np.broadcast_to(rows, (4, 4, 3)).copy()
         box = SubjectBox(0, 0, 32, 64)  # left half of the 64px frame
-        out = roi_align(Tensor(f), box, META, bins=(7, 7))
-        pooled = out.data.mean(axis=(0, 1))
-        np.testing.assert_allclose(pooled, f[:, :2].mean(axis=(0, 1)), atol=1e-9)
+        tokens, _ = pool(f, [box])
+        np.testing.assert_allclose(tokens[0], f[:, :2].mean(axis=(0, 1)),
+                                   atol=1e-9)
 
     def test_linearity_in_features(self):
         rng = np.random.default_rng(2)
-        f1, f2 = rng.normal(size=(2, 4, 4, 3))
-        box = SubjectBox(3, 7, 50, 61)
+        f1, f2 = rng.normal(size=(2, 4, 4, 4, 3))
+        boxes = every_snippet([SubjectBox(3, 7, 50, 61), SubjectBox(0, 0, 20, 9)])
         a, b = 1.7, -0.4
-        lhs = roi_align(Tensor(a * f1 + b * f2), box, META).data
-        rhs = (a * roi_align(Tensor(f1), box, META).data
-               + b * roi_align(Tensor(f2), box, META).data)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+        def tokens(f):
+            return prepare_sample("v", f, boxes, META, K=3).tokens.data
+
+        np.testing.assert_allclose(tokens(a * f1 + b * f2),
+                                   a * tokens(f1) + b * tokens(f2), atol=1e-9)
 
     def test_degenerate_mapped_box_clamps(self):
         # sub-pixel box maps to ~zero feature extent; widened to one cell
-        f = Tensor(np.random.default_rng(3).normal(size=(4, 4, 3)))
         tiny = SubjectBox(20.0, 20.0, 20.0 + 1e-12, 20.0 + 1e-12)
-        out = roi_align(f, tiny, META)
-        assert np.isfinite(out.data).all()
+        mat, valid = token_pool_matrix([tiny], META, 1)
+        assert valid.tolist() == [True]
+        assert np.isfinite(mat).all()
+        np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
     def test_bad_bins_rejected(self):
-        f = Tensor(np.zeros((4, 4, 3)))
         with pytest.raises(ValueError):
-            roi_align(f, SubjectBox(0, 0, 10, 10), META, bins=(0, 1))
+            token_pool_matrix([SubjectBox(0, 0, 10, 10)], META, 1, bins=(0, 1))
 
 
 class TestExtractTokens:
+    """Token pooling through prepare_sample."""
+
     def test_zero_boxes(self):
-        f = Tensor(np.random.default_rng(4).normal(size=(4, 4, 3)))
-        tokens = extract_tokens(f, [], META, K=4)
-        assert not tokens.valid.any()
-        np.testing.assert_array_equal(tokens.individual.data, 0.0)
+        f = np.random.default_rng(4).normal(size=(4, 4, 4, 3))
+        sample = prepare_sample("v", f, every_snippet([]), META, K=4)
+        assert not sample.valid.any()
+        np.testing.assert_array_equal(sample.tokens.data, 0.0)
 
     def test_one_box_constant_field(self):
-        f = Tensor(np.full((4, 4, 3), 1.25))
-        tokens = extract_tokens(f, [SubjectBox(0, 0, 30, 30)], META, K=3)
-        assert list(tokens.valid) == [True, False, False]
-        np.testing.assert_allclose(tokens.individual.data[0], 1.25, atol=1e-12)
-        np.testing.assert_array_equal(tokens.individual.data[1:], 0.0)
+        f = np.full((4, 4, 4, 3), 1.25)
+        sample = prepare_sample("v", f, every_snippet([SubjectBox(0, 0, 30, 30)]),
+                                META, K=3)
+        assert sample.valid.tolist() == [[True, False, False]] * 4
+        np.testing.assert_allclose(sample.tokens.data[:, 0], 1.25, atol=1e-12)
+        np.testing.assert_array_equal(sample.tokens.data[:, 1:], 0.0)
 
     def test_tokens_match_mean_pool_oracle(self):
         rng = np.random.default_rng(5)
-        f = rng.normal(size=(4, 4, 3))
-        boxes = random_boxes(rng, 3)
-        tokens = extract_tokens(Tensor(f), boxes, META, K=4)
-        ranked = rank_subjects(boxes, META, 4)
-        for k, box in enumerate(ranked):
-            grid = roi_align(Tensor(f), box, META).data
-            np.testing.assert_allclose(tokens.individual.data[k],
-                                       grid.mean(axis=(0, 1)), atol=1e-12)
+        f = rng.normal(size=(4, 4, 4, 3))
+        boxes = [random_boxes(rng, 3) for _ in range(4)]
+        sample = prepare_sample("v", f, boxes, META, K=4)
+        for t in range(4):
+            ranked = rank_subjects(boxes[t], META, 4)
+            for k, box in enumerate(ranked):
+                np.testing.assert_allclose(sample.tokens.data[t, k],
+                                           bilinear_token_oracle(f[t], box),
+                                           atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_valid_mask_matches_box_count(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(0, 7))
-        boxes = random_boxes(rng, n)
-        tokens = extract_tokens(Tensor(rng.normal(size=(4, 4, 3))), boxes,
+        counts = rng.integers(0, 7, size=4)
+        boxes = [random_boxes(rng, int(n)) for n in counts]
+        sample = prepare_sample("v", rng.normal(size=(4, 4, 4, 3)), boxes,
                                 META, K=5)
-        expected = np.arange(5) < min(n, 5)
-        np.testing.assert_array_equal(tokens.valid, expected)
-        assert np.all(tokens.individual.data[~tokens.valid] == 0.0)
+        expected = np.arange(5)[None, :] < np.minimum(counts, 5)[:, None]
+        np.testing.assert_array_equal(sample.valid, expected)
+        assert np.all(sample.tokens.data[~sample.valid] == 0.0)
 
     def test_gradient_through_feature_grid(self):
         rng = np.random.default_rng(6)
-        f = Parameter(rng.normal(size=(4, 4, 3)), "f")
-        boxes = random_boxes(rng, 2)
-        coeff = rng.normal(size=(4, 3))
+        f = Parameter(rng.normal(size=(4, 4, 4, 3)), "f")
+        boxes = [random_boxes(rng, 2) for _ in range(4)]
+        coeff = rng.normal(size=(4, 4, 3))
+        g_coeff = rng.normal(size=(4, 3))
 
         def loss():
-            tokens = extract_tokens(f, boxes, META, K=4)
-            return (tokens.individual * coeff).sum()
+            sample = prepare_sample("v", f, boxes, META, K=4)
+            return ((sample.tokens * coeff).sum()
+                    + (sample.global_avg * g_coeff).sum())
 
         assert grad_check(loss, [f], h=1e-5, max_coords=16) < 1e-6
 
 
 def test_global_average():
     rng = np.random.default_rng(7)
-    f = rng.normal(size=(4, 4, 3))
-    np.testing.assert_allclose(global_average(Tensor(f), META).data,
-                               f.mean(axis=(0, 1)), atol=1e-12)
+    f = rng.normal(size=(4, 4, 4, 3))
+    sample = prepare_sample("v", f, every_snippet([]), META, K=2)
+    np.testing.assert_allclose(sample.global_avg.data, f.mean(axis=(1, 2)),
+                               atol=1e-12)

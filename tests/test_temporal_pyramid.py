@@ -3,27 +3,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import InvalidMaskError, Parameter, Tensor, grad_check
+from taldet.model import ModelConfig
 from taldet.nn import MultiHeadSelfAttention
-from taldet.temporal_pyramid import (PyramidBuilder, PyramidConfig,
-                                     TemporalLayer, band_mask,
-                                     expected_level_lengths, windowed_mhsa)
+from taldet.temporal_pyramid import (PyramidBuilder, TemporalLayer, band_mask,
+                                     expected_level_lengths)
 
 D = 8
 
 
 def small_cfg(**kw):
-    defaults = dict(embed_dim=D, num_heads=2, window_size=3,
-                    num_standard_layers=1, num_strided_layers=2, alpha=2)
+    defaults = dict(feature_dim=D, num_classes=1, temporal_heads=2,
+                    window_size=3, num_standard_layers=1,
+                    num_strided_layers=2, alpha=2)
     defaults.update(kw)
-    return PyramidConfig(**defaults)
+    return ModelConfig(**defaults)
 
 
 class TestWindowedMhsa:
+    """Attention under band_mask, as TemporalLayer applies it."""
+
     def test_window_covering_everything_equals_full_attention(self):
         rng = np.random.default_rng(0)
         attn = MultiHeadSelfAttention(rng, D, 2)
         x = Tensor(rng.normal(size=(5, D)))
-        windowed = windowed_mhsa(x, None, attn, window_size=2 * 5 - 1)
+        windowed = attn(x, allowed=band_mask(5, 2 * 5 - 1))
         full = attn(x, allowed=np.ones((5, 5), dtype=bool))
         np.testing.assert_allclose(windowed.data, full.data, atol=1e-12)
 
@@ -31,7 +34,7 @@ class TestWindowedMhsa:
         rng = np.random.default_rng(1)
         attn = MultiHeadSelfAttention(rng, D, 1)
         x = rng.normal(size=(4, D))
-        out = windowed_mhsa(Tensor(x), None, attn, window_size=1).data
+        out = attn(Tensor(x), allowed=band_mask(4, 1)).data
         # softmax over one element is 1: output is the per-row V->O path
         v = x @ attn.wv.w.data + attn.wv.b.data
         expected = v @ attn.wo.w.data + attn.wo.b.data
@@ -39,12 +42,18 @@ class TestWindowedMhsa:
 
     def test_matches_banded_mask_oracle(self):
         rng = np.random.default_rng(2)
-        attn = MultiHeadSelfAttention(rng, D, 2)
+        layer = TemporalLayer(rng, small_cfg(window_size=3), alpha=1)
         x = Tensor(rng.normal(size=(5, D)))
         idx = np.arange(5)
         band = np.abs(idx[:, None] - idx[None, :]) <= 1
-        oracle = attn(x, allowed=band)
-        out = windowed_mhsa(x, None, attn, window_size=3)
+        np.testing.assert_array_equal(band_mask(5, 3), band)
+        pad = np.array([True, True, True, False, False])
+        padded_band = band & pad[None, :]
+        padded_band[4, 4] = True  # a row with no unpadded column keeps itself
+        np.testing.assert_array_equal(band_mask(5, 3, pad), padded_band)
+        out, _ = layer(x, pad)
+        oracle = layer.block(x, allowed=padded_band,
+                             row_mask=pad.astype(float)[:, None])
         np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
 
     def test_all_padded_raises(self):
@@ -82,16 +91,16 @@ class TestTemporalLayer:
 
 class TestBuildPyramid:
     def test_default_lengths_from_64(self):
-        cfg = PyramidConfig(embed_dim=D, num_heads=2, window_size=9,
-                            num_standard_layers=2, num_strided_layers=5, alpha=2)
+        cfg = small_cfg(window_size=9, num_standard_layers=2,
+                        num_strided_layers=5)
         builder = PyramidBuilder(cfg, np.random.default_rng(6))
         pyr = builder(Tensor(np.random.default_rng(7).normal(size=(64, D))))
         assert [lv.features.shape[0] for lv in pyr.levels] == [64, 32, 16, 8, 4, 2]
         assert [lv.stride for lv in pyr.levels] == [1, 2, 4, 8, 16, 32]
 
     def test_length_one_fixed_point(self):
-        cfg = PyramidConfig(embed_dim=D, num_heads=2, window_size=9,
-                            num_standard_layers=2, num_strided_layers=5, alpha=2)
+        cfg = small_cfg(window_size=9, num_standard_layers=2,
+                        num_strided_layers=5)
         builder = PyramidBuilder(cfg, np.random.default_rng(8))
         pyr = builder(Tensor(np.random.default_rng(9).normal(size=(1, D))))
         assert [lv.features.shape[0] for lv in pyr.levels] == [1] * 6
