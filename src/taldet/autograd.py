@@ -357,20 +357,6 @@ def pad_rows(x: Tensor, left: int, right: int) -> Tensor:
     return Tensor(out_data, True, (x,), backward)
 
 
-def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of `x` (axis 0) by an integer index array of any shape."""
-    out_data = x.data[idx]
-    if not x.requires_grad:
-        return Tensor(out_data)
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        x._accum(full)
-
-    return Tensor(out_data, True, (x,), backward)
-
-
 # -- composite primitives ----------------------------------------------------
 
 
@@ -456,7 +442,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ValueError(f"unknown padding {padding!r}")
     xp = pad_rows(x, left, right)
     idx = np.arange(T_out)[:, None] * stride + np.arange(k)[None, :]
-    windows = take_rows(xp, idx).reshape(T_out, k * d_in)
+    windows = xp[idx].reshape(T_out, k * d_in)
     return linear(windows, w.reshape(k * d_in, d_out), b)
 
 
@@ -464,7 +450,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, stride: int) -> Tensor:
     """Per-channel strided convolution, x[T, D] * w[k, D] -> [ceil(T/s), D].
 
     Pads on the right only, so output t always reads inputs starting at
-    t*stride regardless of total length (keeps right-padding inert).
+    t*stride.
     """
     T, d = x.shape
     k = w.shape[0]
@@ -472,7 +458,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, stride: int) -> Tensor:
     left, right = 0, max((T_out - 1) * stride + k - T, 0)
     xp = pad_rows(x, left, right)
     idx = np.arange(T_out)[:, None] * stride + np.arange(k)[None, :]
-    windows = take_rows(xp, idx)          # [T_out, k, D]
+    windows = xp[idx]                     # [T_out, k, D]
     return (windows * w).sum(axis=1)
 
 

@@ -68,20 +68,14 @@ def prepare_sample(video_id: str, features, boxes_per_snippet,
     """
     T = meta.num_snippets
     HW = meta.feature_height * meta.feature_width
-    is_tensor = isinstance(features, Tensor)
     mats = np.zeros((T, K, HW))
     valid = np.zeros((T, K), dtype=bool)
     for t in range(T):
         mats[t], valid[t] = token_pool_matrix(
             boxes_per_snippet[t], meta, K, bins)
-    if is_tensor:
-        flat = features.reshape(T, HW, meta.feature_dim)
-        tokens = Tensor(mats) @ flat
-        gavg = flat.mean(axis=1)
-    else:
-        flat = features.reshape(T, HW, meta.feature_dim)
-        tokens = Tensor(mats @ flat)
-        gavg = Tensor(flat.mean(axis=1))
+    flat = features.reshape(T, HW, meta.feature_dim)
+    tokens = Tensor(mats) @ flat
+    gavg = Tensor._lift(flat.mean(axis=1))
     return VideoSample(video_id, tokens, valid, gavg, meta)
 
 

@@ -84,15 +84,14 @@ class FeedForward(Module):
 class MultiHeadSelfAttention(Module):
     """Masked multi-head self-attention over the second-to-last axis.
 
-    Input z may be [N, D] or batched [B, N, D]. `allowed[i, j]` (broadcastable
-    over batch) permits position i to attend to position j; scores at
-    disallowed pairs receive exactly zero weight.
+    Input z is [..., N, D] with any leading shape. `allowed[..., i, j]`
+    (broadcastable over the leading axes) permits position i to attend to
+    position j; scores at disallowed pairs receive exactly zero weight.
     """
 
     def __init__(self, rng, dim, num_heads, name="attn"):
         if dim % num_heads != 0:
             raise DimensionError("embed dim must be divisible by num_heads")
-        self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
         self.wq = Linear(rng, dim, dim, name + ".q")
@@ -100,43 +99,24 @@ class MultiHeadSelfAttention(Module):
         self.wv = Linear(rng, dim, dim, name + ".v")
         self.wo = Linear(rng, dim, dim, name + ".o")
 
-    def _split(self, x: Tensor, batched: bool) -> Tensor:
-        n = x.shape[-2]
-        if batched:
-            b = x.shape[0]
-            return x.reshape(b, n, self.num_heads, self.head_dim).transpose((0, 2, 1, 3))
-        return x.reshape(n, self.num_heads, self.head_dim).transpose((1, 0, 2))
-
-    def _merge(self, x: Tensor, batched: bool) -> Tensor:
-        if batched:
-            b, _, n, _ = x.shape
-            return x.transpose((0, 2, 1, 3)).reshape(b, n, self.dim)
-        _, n, _ = x.shape
-        return x.transpose((1, 0, 2)).reshape(n, self.dim)
-
     def __call__(self, z: Tensor, allowed: np.ndarray | None = None) -> Tensor:
-        batched = z.data.ndim == 3
-        q = self._split(self.wq(z), batched)
-        k = self._split(self.wk(z), batched)
-        v = self._split(self.wv(z), batched)
-        scores = (q @ k.transpose((0, 1, 3, 2) if batched else (0, 2, 1))) \
+        r = z.data.ndim + 1  # rank once the heads axis is split off
+        # [..., N, H, d] <-> [..., H, N, d]; the swap is its own inverse
+        swap = (*range(r - 3), r - 2, r - 3, r - 1)
+        split = z.shape[:-1] + (self.num_heads, self.head_dim)
+        q, k, v = (proj(z).reshape(split).transpose(swap)
+                   for proj in (self.wq, self.wk, self.wv))
+        scores = (q @ k.transpose((*range(r - 2), r - 1, r - 2))) \
             * (1.0 / math.sqrt(self.head_dim))
-        mask = None
-        if allowed is not None:
-            allowed = np.asarray(allowed, dtype=bool)
-            # broadcast over the head axis (and batch axis when present)
-            mask = allowed[..., None, :, :] if batched and allowed.ndim == 3 \
-                else allowed
+        # broadcast over the heads axis
+        mask = None if allowed is None \
+            else np.asarray(allowed, dtype=bool)[..., None, :, :]
         attn = softmax(scores, mask=mask, axis=-1)
-        return self.wo(self._merge(attn @ v, batched))
+        return self.wo((attn @ v).transpose(swap).reshape(z.shape))
 
 
 class PreNormBlock(Module):
-    """z -> z + MHSA(LN(z)); then h -> h + FFN(LN(h)), FFN width 4 * dim.
-
-    `row_mask` (0/1 over positions) re-zeroes masked rows after each residual
-    add so padded/invalid slots stay exactly zero through the stack.
-    """
+    """z -> z + MHSA(LN(z)); then h -> h + FFN(LN(h)), FFN width 4 * dim."""
 
     def __init__(self, rng, dim, num_heads, name="block"):
         self.ln1 = LayerNorm(dim)
@@ -144,14 +124,9 @@ class PreNormBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.ffn = FeedForward(rng, dim, 4 * dim, name + ".ffn")
 
-    def __call__(self, z, allowed=None, row_mask=None):
+    def __call__(self, z, allowed=None):
         h = self.attn(self.ln1(z), allowed) + z
-        if row_mask is not None:
-            h = h * row_mask
-        h = self.ffn(self.ln2(h)) + h
-        if row_mask is not None:
-            h = h * row_mask
-        return h
+        return self.ffn(self.ln2(h)) + h
 
 
 class ConvLayer(Module):

@@ -1,9 +1,10 @@
 """Group-token aggregation over subject tokens via stacked masked attention.
 
 The K pooled subject vectors plus one group slot (initialized with the global
-spatial average) pass through L1 pre-norm attention blocks. Invalid subject
-slots are masked out of every attention score and re-zeroed after each
-residual, so garbage in those slots can never reach the group token.
+spatial average) pass through L1 pre-norm attention blocks. Every slot
+attends to the valid slots only: an invalid slot's column gets exactly zero
+softmax weight in every row, so whatever its own row holds never reaches the
+group token.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ class GroupAggregator(Module):
             [valid_tokens, np.ones(valid_tokens.shape[:-1] + (1,), dtype=bool)],
             axis=-1)
         n = valid.shape[-1]
-        # every slot attends to the valid slots only; invalid rows stay zero
         allowed = np.broadcast_to(valid[..., None, :], valid.shape[:-1] + (n, n))
-        row_mask = valid.astype(np.float64)[..., None]
         z = tokens_with_group
         for block in self.blocks:
-            z = block(z, allowed=allowed, row_mask=row_mask)
+            z = block(z, allowed)
         return z[..., -1, :]

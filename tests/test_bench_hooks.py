@@ -9,7 +9,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
-from taldet.model import ModelConfig  # noqa: E402
+from taldet import training  # noqa: E402
+from taldet.heads import GroundTruthSegment  # noqa: E402
+from taldet.model import (ModelConfig, SubjectPriorDetector,  # noqa: E402
+                          prepare_sample)
+from taldet.subjects import SubjectBox, VideoMeta  # noqa: E402
 from taldet.temporal_pyramid import PyramidBuilder  # noqa: E402
 
 
@@ -31,3 +35,30 @@ def test_temporal_layers_expose_span_names_and_window():
                      "temporal_pyramid.strided2"]
     assert all(layer.window_size == 5
                for layer in builder.standard + builder.strided)
+
+
+def test_traced_training_step_records_every_layer():
+    cfg = ModelConfig(feature_dim=8, num_classes=2, K=2, group_layers=1,
+                      group_heads=2, temporal_heads=2, window_size=3,
+                      num_standard_layers=1, num_strided_layers=2,
+                      head_layers=1)
+    rng = np.random.default_rng(0)
+    meta = VideoMeta(frame_width=64, frame_height=48, fps=8.0,
+                     num_snippets=12, feature_height=3, feature_width=4,
+                     feature_dim=8)
+    boxes = [[SubjectBox(4.0, 4.0, 40.0, 30.0)] for _ in range(12)]
+    sample = prepare_sample("v", rng.normal(size=(12, 3, 4, 8)), boxes, meta,
+                            cfg.K)
+    model = SubjectPriorDetector(cfg, rng)
+    gts = [GroundTruthSegment(1, 0.25, 0.75)]
+    t = tracer.Tracer()
+    with t.installed(tracer.layer_targets()):
+        training.video_loss(model, sample, gts,
+                            training.TrainConfig()).backward()
+    spans = {name for name, *_ in t.spans}
+    assert {"spatial_attention.aggregate", "temporal_pyramid.std0",
+            "temporal_pyramid.strided0", "heads.towers",
+            "autograd.backward"} <= spans
+    for key in ("temporal_pyramid.band_cells", "spatial_attention.tokens",
+                "autograd.nodes"):
+        assert t.counts[key] > 0, key

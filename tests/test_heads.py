@@ -17,7 +17,7 @@ def make_pyramid(lengths, dim=D, seed=0):
     stride = 1
     for T in lengths:
         levels.append(PyramidLevel(features=Tensor(rng.normal(size=(T, dim))),
-                                   stride=stride, valid_len=T))
+                                   stride=stride))
         stride *= 2
     return FeaturePyramid(levels=levels)
 
@@ -38,8 +38,8 @@ class TestDetectionHeads:
         heads = DetectionHeads(np.random.default_rng(1), D, num_classes=2)
         const = np.ones((5, D))
         pyr = FeaturePyramid(levels=[
-            PyramidLevel(Tensor(const), 1, 5),
-            PyramidLevel(Tensor(const.copy()), 2, 5)])
+            PyramidLevel(Tensor(const), 1),
+            PyramidLevel(Tensor(const.copy()), 2)])
         out = heads(pyr)
         np.testing.assert_array_equal(out.levels[0].class_logits.data,
                                       out.levels[1].class_logits.data)

@@ -69,6 +69,18 @@ class TestMhsa:
         np.testing.assert_allclose(out, dense_attention_oracle(attn, z, valid),
                                    atol=1e-12)
 
+    def test_unbatched_matches_batch_of_one(self):
+        attn = make_attn(seed=13, heads=2)
+        z = np.random.default_rng(14).normal(size=(5, D))
+        allowed = np.ones((5, 5), dtype=bool)
+        allowed[:, 1] = False
+        allowed[3, 4] = False
+        single = attn(Tensor(z), allowed).data
+        for mask in (allowed, allowed[None]):
+            batched = attn(Tensor(z[None]), mask).data
+            assert batched.shape == (1, 5, D)
+            assert np.abs(batched[0] - single).max() <= 1e-12
+
 
 class TestLayer:
     def test_zero_output_weights_residual_identity(self):
@@ -91,15 +103,17 @@ class TestLayer:
         out = block(z, allowed=np.ones((1, 1), dtype=bool))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_invalid_positions_stay_exactly_zero(self):
+    def test_valid_rows_ignore_garbage_in_invalid_rows(self):
         rng = np.random.default_rng(9)
         block = PreNormBlock(rng, D, 2)
-        valid = np.array([True, False, True])
-        z = rng.normal(size=(3, D))
-        z[1] = 0.0
-        out = block(Tensor(z), allowed=column_mask(valid),
-                    row_mask=valid.astype(float)[:, None])
-        np.testing.assert_array_equal(out.data[1], 0.0)
+        valid = np.array([True, False, True, False])
+        z = rng.normal(size=(4, D))
+        z[~valid] = 0.0
+        base = block(Tensor(z), allowed=column_mask(valid)).data
+        garbage = z.copy()
+        garbage[~valid] = rng.normal(size=(2, D)) * 1e6
+        out = block(Tensor(garbage), allowed=column_mask(valid)).data
+        np.testing.assert_array_equal(out[valid], base[valid])
 
 
 def build_aggregator(num_layers=2, seed=0):
@@ -145,8 +159,7 @@ class TestAggregateGroup:
             slots = np.append(valid[t], True)
             z = Tensor(np.concatenate([tokens[t], g0[t][None]]))
             for block in agg.blocks:
-                z = block(z, allowed=column_mask(slots),
-                          row_mask=slots.astype(float)[:, None])
+                z = block(z, allowed=column_mask(slots))
             np.testing.assert_allclose(out[t], z.data[-1], atol=1e-12)
 
     def test_permutation_invariance(self):

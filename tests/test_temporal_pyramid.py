@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from taldet.autograd import InvalidMaskError, Parameter, Tensor, grad_check
+from taldet.autograd import Parameter, Tensor, grad_check
 from taldet.model import ModelConfig
 from taldet.nn import MultiHeadSelfAttention
 from taldet.temporal_pyramid import (PyramidBuilder, TemporalLayer, band_mask,
@@ -47,18 +46,9 @@ class TestWindowedMhsa:
         idx = np.arange(5)
         band = np.abs(idx[:, None] - idx[None, :]) <= 1
         np.testing.assert_array_equal(band_mask(5, 3), band)
-        pad = np.array([True, True, True, False, False])
-        padded_band = band & pad[None, :]
-        padded_band[4, 4] = True  # a row with no unpadded column keeps itself
-        np.testing.assert_array_equal(band_mask(5, 3, pad), padded_band)
-        out, _ = layer(x, pad)
-        oracle = layer.block(x, allowed=padded_band,
-                             row_mask=pad.astype(float)[:, None])
+        out = layer(x)
+        oracle = layer.block(x, band)
         np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
-
-    def test_all_padded_raises(self):
-        with pytest.raises(InvalidMaskError):
-            band_mask(3, 3, np.zeros(3, dtype=bool))
 
 
 class TestTemporalLayer:
@@ -66,15 +56,14 @@ class TestTemporalLayer:
         rng = np.random.default_rng(3)
         layer = TemporalLayer(rng, small_cfg(), alpha=1)
         x = Tensor(rng.normal(size=(7, D)))
-        out, mask = layer(x, None)
+        out = layer(x)
         assert out.shape == (7, D)
-        assert mask.all()
 
     def test_alpha_two_halves_length(self):
         rng = np.random.default_rng(4)
         layer = TemporalLayer(rng, small_cfg(), alpha=2)
         x = Tensor(rng.normal(size=(64, D)))
-        out, _ = layer(x, None)
+        out = layer(x)
         assert out.shape == (32, D)
 
     def test_zero_weights_alpha_one_residual_identity(self):
@@ -85,7 +74,7 @@ class TestTemporalLayer:
         layer.block.ffn.fc2.w.data[:] = 0.0
         layer.block.ffn.fc2.b.data[:] = 0.0
         x = rng.normal(size=(6, D))
-        out, _ = layer(Tensor(x), None)
+        out = layer(Tensor(x))
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
@@ -121,30 +110,16 @@ class TestBuildPyramid:
         assert ([lv.features.shape[0] for lv in pyr.levels]
                 == expected_level_lengths(T, cfg.alpha, cfg.pyramid_height))
 
-    def test_padding_soundness(self):
-        cfg = small_cfg()
-        builder = PyramidBuilder(cfg, np.random.default_rng(14))
-        x = np.random.default_rng(15).normal(size=(10, D))
-        base = builder(Tensor(x))
-        padded_in = np.concatenate([x, np.zeros((3, D))])
-        mask = np.arange(13) < 10
-        padded = builder(Tensor(padded_in), pad_mask=mask)
-        for lv_base, lv_pad in zip(base.levels, padded.levels):
-            n = lv_base.valid_len
-            assert lv_pad.valid_len == n
-            np.testing.assert_allclose(lv_pad.features.data[:n],
-                                       lv_base.features.data[:n], atol=1e-9)
-
     def test_locality_with_zero_ffn_single_layer(self):
         rng = np.random.default_rng(16)
         layer = TemporalLayer(rng, small_cfg(window_size=3), alpha=1)
         layer.block.ffn.fc2.w.data[:] = 0.0
         layer.block.ffn.fc2.b.data[:] = 0.0
         x = rng.normal(size=(9, D))
-        base, _ = layer(Tensor(x), None)
+        base = layer(Tensor(x))
         bumped = x.copy()
         bumped[8] += 5.0
-        out, _ = layer(Tensor(bumped), None)
+        out = layer(Tensor(bumped))
         # positions farther than (window_size-1)/2 = 1 from the bump unchanged
         np.testing.assert_allclose(out.data[:7], base.data[:7], atol=1e-12)
         assert np.abs(out.data[7:] - base.data[7:]).max() > 1e-6
