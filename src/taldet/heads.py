@@ -139,8 +139,10 @@ def giou_values(pred: Tensor, target: np.ndarray) -> Tensor:
     """Per-pair generalized IoU loss for offsets sharing the anchor step.
 
     pred[..., 2] = (d_start, d_end) >= 0. Since both intervals contain the
-    anchor, the enclosing interval equals the union, so each value stays in
-    [0, 1] (the general bound is 2).
+    anchor, the enclosing interval equals the union (max + max, which keeps
+    the value exactly 0 for identical pairs): the GIoU penalty term
+    vanishes, the loss is 1 - IoU, and each value stays in [0, 1] (the
+    general bound is 2).
     """
     target = np.asarray(target, dtype=np.float64)
     ps, pe = pred[..., 0], pred[..., 1]
@@ -148,12 +150,7 @@ def giou_values(pred: Tensor, target: np.ndarray) -> Tensor:
     te = Tensor(target[..., 1])
     inter = minimum(ps, ts) + minimum(pe, te)
     enclose = maximum(ps, ts) + maximum(pe, te)
-    # both intervals contain the anchor, so their union spans max + max;
-    # computing it that way (rather than |P| + |G| - inter) keeps iou exactly
-    # 1 for identical pairs
-    union = enclose
-    iou = inter / union
-    return (1.0 - iou) + (enclose - union) / enclose
+    return 1.0 - inter / enclose
 
 
 def giou_loss_1d(pred: Tensor, target: np.ndarray) -> Tensor:
