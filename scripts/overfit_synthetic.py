@@ -42,8 +42,7 @@ def run(use_subject_tokens: bool, data_dir: Path, args) -> float:
     res = fit(model, samples, gts, tc)
     dets = {}
     for sample in samples:
-        outs, strides = model(sample)
-        cands = decode(outs, sample.meta, strides, score_threshold=0.1,
+        cands = decode(model(sample), sample.meta, score_threshold=0.1,
                        pre_nms_topk=200)
         dets[sample.video_id] = soft_nms(cands)[:100]
     score = evaluate(dets, gts, [0.5]).per_threshold_map[0.5]

@@ -255,13 +255,6 @@ class Tensor:
         return self._unary(np.maximum(self.data, 0.0),
                            lambda: (self.data > 0).astype(np.float64))
 
-    def exp(self):
-        out = np.exp(self.data)
-        return self._unary(out, lambda: out)
-
-    def log(self):
-        return self._unary(np.log(self.data), lambda: 1.0 / self.data)
-
     def sigmoid(self):
         out = _sigmoid(self.data)
         return self._unary(out, lambda: out * (1.0 - out))
@@ -310,21 +303,6 @@ def concat(tensors, axis=0):
     return Tensor(out_data, True, tuple(tensors), backward)
 
 
-def stack(tensors, axis=0):
-    tensors = [Tensor._lift(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    req = any(t.requires_grad for t in tensors)
-    if not req:
-        return Tensor(out_data)
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(np.take(g, i, axis=axis))
-
-    return Tensor(out_data, True, tuple(tensors), backward)
-
-
 def minimum(a, b):
     a, b = Tensor._lift(a), Tensor._lift(b)
     pick_a = a.data <= b.data
@@ -341,18 +319,18 @@ def maximum(a, b):
                      lambda g, x, y: g * ~pick_a)
 
 
-def pad_rows(x: Tensor, left: int, right: int) -> Tensor:
-    """Zero-pad along axis 0."""
-    if left == 0 and right == 0:
-        return x
-    widths = [(left, right)] + [(0, 0)] * (x.data.ndim - 1)
-    out_data = np.pad(x.data, widths)
+def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """x[idx] along axis 0, where the index len(x) reads a row of zeros."""
+    n = x.shape[0]
+    xz = np.concatenate([x.data, np.zeros((1,) + x.shape[1:])])
+    out_data = xz[idx]
     if not x.requires_grad:
         return Tensor(out_data)
-    T = x.shape[0]
 
     def backward(g):
-        x._accum(g[left:left + T])
+        full = np.zeros_like(xz)
+        np.add.at(full, idx, g)
+        x._accum(full[:n])
 
     return Tensor(out_data, True, (x,), backward)
 
@@ -405,44 +383,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return xc * inv * gamma + beta
 
 
-def _same_pad(T: int, k: int, stride: int) -> tuple[int, int]:
-    T_out = -(-T // stride)
-    total = max((T_out - 1) * stride + k - T, 0)
-    left = (total + 1) // 2  # left-biased when asymmetric
-    return left, total - left
-
-
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride: int = 1, padding: str = "same") -> Tensor:
-    """1-D convolution over axis 0 of x[T, D_in] with kernel w[k, D_in, D_out].
+           lengths=None) -> Tensor:
+    """Same-padded stride-1 convolution over axis 0 of x[A, D_in] with kernel
+    w[k, D_in, D_out], k odd.
 
-    Same padding yields T' = ceil(T/stride); valid padding requires T >= k.
+    x may hold several sequences back to back, `lengths` long (default: one
+    sequence of A rows); each is zero-padded on its own, so no window reads
+    across a boundary.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
-        raise DimensionError("conv1d expects x[T,Din], w[k,Din,Dout]")
-    T, d_in = x.shape
+        raise DimensionError("conv1d expects x[A,Din], w[k,Din,Dout]")
+    A, d_in = x.shape
     k, wd_in, d_out = w.shape
-    if T < 1:
+    if A < 1:
         raise DimensionError("conv1d: empty input")
     if d_in != wd_in:
         raise DimensionError(f"conv1d channel mismatch: {d_in} vs {wd_in}")
-    if stride < 1:
-        raise DimensionError("conv1d: stride must be >= 1")
-    if padding == "same":
-        if k % 2 == 0:
-            raise DimensionError("conv1d: same padding requires odd kernel")
-        left, right = _same_pad(T, k, stride)
-        T_out = -(-T // stride)
-    elif padding == "valid":
-        if T < k:
-            raise DimensionError("conv1d: input shorter than kernel")
-        left = right = 0
-        T_out = (T - k) // stride + 1
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    xp = pad_rows(x, left, right)
-    idx = np.arange(T_out)[:, None] * stride + np.arange(k)[None, :]
-    windows = xp[idx].reshape(T_out, k * d_in)
+    if k % 2 == 0:
+        raise DimensionError("conv1d: same padding requires odd kernel")
+    lengths = np.asarray([A] if lengths is None else lengths)
+    if lengths.sum() != A or (lengths < 1).any():
+        raise DimensionError("conv1d: lengths must be positive and sum to A")
+    ends = np.cumsum(lengths)
+    end = np.repeat(ends, lengths)[:, None]   # one past each row's sequence
+    start = np.repeat(ends - lengths, lengths)[:, None]
+    idx = np.arange(A)[:, None] + np.arange(k) - k // 2
+    idx = np.where((idx >= start) & (idx < end), idx, A)
+    windows = _gather_rows(x, idx).reshape(A, k * d_in)
     return linear(windows, w.reshape(k * d_in, d_out), b)
 
 
@@ -452,13 +420,9 @@ def depthwise_conv1d(x: Tensor, w: Tensor, stride: int) -> Tensor:
     Pads on the right only, so output t always reads inputs starting at
     t*stride.
     """
-    T, d = x.shape
-    k = w.shape[0]
-    T_out = -(-T // stride)
-    left, right = 0, max((T_out - 1) * stride + k - T, 0)
-    xp = pad_rows(x, left, right)
-    idx = np.arange(T_out)[:, None] * stride + np.arange(k)[None, :]
-    windows = xp[idx]                     # [T_out, k, D]
+    T = x.shape[0]
+    idx = np.arange(-(-T // stride))[:, None] * stride + np.arange(w.shape[0])
+    windows = _gather_rows(x, np.minimum(idx, T))   # [T_out, k, D]
     return (windows * w).sum(axis=1)
 
 

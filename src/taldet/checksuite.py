@@ -49,8 +49,7 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         x = Parameter(rng.normal(size=(6, 3)), "x")
         w = Parameter(rng.normal(size=(3, 3, 2)), "w")
         b = Parameter(rng.normal(size=2), "b")
-        stride = int(rng.integers(1, 3))
-        return lambda: (conv1d(x, w, b, stride=stride) ** 2.0).sum(), [x, w, b]
+        return lambda: (conv1d(x, w, b, [3, 1, 2]) ** 2.0).sum(), [x, w, b]
 
     def make_depthwise():
         x = Parameter(rng.normal(size=(7, 4)), "x")

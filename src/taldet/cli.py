@@ -158,6 +158,10 @@ def cmd_train(args):
 
 def cmd_infer(args):
     settings = gather_settings(args)
+    for key in ("pre_nms_topk", "post_nms_keep"):
+        if settings.get(key, 0) < 0:
+            raise ValidationError(f"setting {key} = {settings[key]} must be "
+                                  f">= 0")
     records, feats = load_dataset(args.data)
     model, samples = build_model_and_samples(records, feats, settings)
     load_into_model(model, read_checkpoint(args.checkpoint),
@@ -168,8 +172,7 @@ def cmd_infer(args):
     keep = settings.get("post_nms_keep", POST_NMS_KEEP)
     dets = {}
     for r, sample in zip(records, samples):
-        outs, strides = model(sample)
-        cands = decode(outs, sample.meta, strides, **decode_kw)
+        cands = decode(model(sample), sample.meta, **decode_kw)
         dets[r.id] = soft_nms(cands, **nms_kw)[:keep]
     out_path = Path(args.out) / "detections.jsonl"
     Path(args.out).mkdir(parents=True, exist_ok=True)

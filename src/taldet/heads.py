@@ -3,7 +3,9 @@
 Both heads are towers of four same-padded kernel-3 convolutions with ReLU,
 shared across pyramid levels, plus a 1x1 projection: C sigmoid logits for the
 classifier, two ReLU-clamped boundary offsets (start / end distance, in
-level-local steps) for the regressor.
+level-local steps) for the regressor. The levels run as one sequence of A
+steps, level after level, each convolution padded per level; targets, the
+loss and decoding work on that same anchor axis.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, maximum, minimum
+from .autograd import Tensor, concat, maximum, minimum
 from .nn import ConvLayer, Module
 from .temporal_pyramid import FeaturePyramid
 
@@ -32,32 +34,23 @@ class GroundTruthSegment:
 
 
 @dataclass
-class LevelTargets:
-    class_target: np.ndarray   # int [T_l]; == num_classes for background
-    d_start: np.ndarray        # float [T_l], level-local steps
+class Targets:
+    class_target: np.ndarray   # int [A]; == num_classes for background
+    d_start: np.ndarray        # float [A], level-local steps
     d_end: np.ndarray
-    inside: np.ndarray         # bool [T_l]
-
-
-@dataclass
-class TargetMap:
-    levels: list[LevelTargets]
-    num_classes: int
+    inside: np.ndarray         # bool [A]
 
     @property
     def num_positive(self) -> int:
-        return int(sum(lv.inside.sum() for lv in self.levels))
-
-
-@dataclass
-class LevelOutput:
-    class_logits: Tensor       # [T_l, C]
-    offsets: Tensor            # [T_l, 2], nonnegative
+        return int(self.inside.sum())
 
 
 @dataclass
 class HeadOutput:
-    levels: list[LevelOutput]
+    class_logits: Tensor       # [A, C]
+    offsets: Tensor            # [A, 2], nonnegative
+    step: np.ndarray           # int [A], index within its level
+    stride: np.ndarray         # int [A], snippets per step at its level
 
 
 class DetectionHeads(Module):
@@ -74,47 +67,40 @@ class DetectionHeads(Module):
     def __call__(self, pyr: FeaturePyramid) -> HeadOutput:
         if not pyr.levels:
             raise ValueError("empty pyramid")
-        outs = []
-        for level in pyr.levels:
-            c = r = level.features
-            for layer in self.cls_tower:
-                c = layer(c).relu()
-            for layer in self.reg_tower:
-                r = layer(r).relu()
-            outs.append(LevelOutput(class_logits=self.cls_out(c),
-                                    offsets=self.reg_out(r).relu()))
-        return HeadOutput(outs)
+        lengths = [lv.features.shape[0] for lv in pyr.levels]
+        c = r = concat([lv.features for lv in pyr.levels])
+        for layer in self.cls_tower:
+            c = layer(c, lengths).relu()
+        for layer in self.reg_tower:
+            r = layer(r, lengths).relu()
+        return HeadOutput(
+            class_logits=self.cls_out(c), offsets=self.reg_out(r).relu(),
+            step=np.concatenate([np.arange(n) for n in lengths]),
+            stride=np.repeat([lv.stride for lv in pyr.levels], lengths))
 
 
-def assign_targets(gts: list[GroundTruthSegment],
-                   pyr_shapes: list[tuple[int, int]],
-                   fps: float, snippet_stride: int,
-                   num_classes: int) -> TargetMap:
-    """Per-level step targets. `pyr_shapes` is [(T_l, stride_l), ...].
+def assign_targets(gts: list[GroundTruthSegment], step: np.ndarray,
+                   stride: np.ndarray, fps: float, snippet_stride: int,
+                   num_classes: int) -> Targets:
+    """Targets for anchors at `step` of levels with `stride` ([A] each).
 
     A step inside several segments takes the one with minimal duration
     (ties: earlier start, then input order).
     """
-    sec_per_snippet = snippet_stride / fps
-    order = sorted(range(len(gts)),
-                   key=lambda i: (gts[i].end - gts[i].start, gts[i].start, i))
-    levels = []
-    for T_l, stride_l in pyr_shapes:
-        unit = stride_l * sec_per_snippet
-        times = np.arange(T_l) * unit
-        cls = np.full(T_l, num_classes, dtype=int)
-        ds = np.zeros(T_l)
-        de = np.zeros(T_l)
-        inside = np.zeros(T_l, dtype=bool)
-        for i in order:
-            g = gts[i]
-            hit = (~inside) & (times >= g.start) & (times <= g.end)
-            cls[hit] = g.class_id
-            ds[hit] = (times[hit] - g.start) / unit
-            de[hit] = (g.end - times[hit]) / unit
-            inside |= hit
-        levels.append(LevelTargets(cls, ds, de, inside))
-    return TargetMap(levels, num_classes)
+    unit = stride * (snippet_stride / fps)
+    times = step * unit
+    A = len(times)
+    cls = np.full(A, num_classes, dtype=int)
+    ds = np.zeros(A)
+    de = np.zeros(A)
+    inside = np.zeros(A, dtype=bool)
+    for g in sorted(gts, key=lambda g: (g.end - g.start, g.start)):
+        hit = (~inside) & (times >= g.start) & (times <= g.end)
+        cls[hit] = g.class_id
+        ds[hit] = (times[hit] - g.start) / unit[hit]
+        de[hit] = (g.end - times[hit]) / unit[hit]
+        inside |= hit
+    return Targets(cls, ds, de, inside)
 
 
 def focal_loss(logits: Tensor, class_target: np.ndarray, inside: np.ndarray,
@@ -158,21 +144,13 @@ def giou_loss_1d(pred: Tensor, target: np.ndarray) -> Tensor:
     return giou_values(pred, target).sum()
 
 
-def total_loss(outs: HeadOutput, targets: TargetMap, lam: float = 1.0,
+def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
                strict_positive_only: bool = False) -> Tensor:
-    """Sum over levels and steps of (focal + lam * GIoU) / max(T+, 1),
-    with T+ counted globally across levels."""
-    norm = 1.0 / max(targets.num_positive, 1)
-    parts = []
-    for out, tgt in zip(outs.levels, targets.levels):
-        parts.append(focal_loss(out.class_logits, tgt.class_target, tgt.inside,
-                                strict_positive_only))
-        if tgt.inside.any():
-            pred_pos = out.offsets[tgt.inside.nonzero()[0]]
-            tgt_pos = np.stack([tgt.d_start[tgt.inside],
-                                tgt.d_end[tgt.inside]], axis=-1)
-            parts.append(lam * giou_loss_1d(pred_pos, tgt_pos))
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total * norm
+    """Sum over all steps of (focal + lam * GIoU) / max(T+, 1)."""
+    loss = focal_loss(outs.class_logits, targets.class_target, targets.inside,
+                      strict_positive_only)
+    if targets.inside.any():
+        pos = targets.inside.nonzero()[0]
+        tgt_pos = np.stack([targets.d_start[pos], targets.d_end[pos]], axis=-1)
+        loss = loss + lam * giou_loss_1d(outs.offsets[pos], tgt_pos)
+    return loss * (1.0 / max(targets.num_positive, 1))

@@ -26,12 +26,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    if not (a[0] < a[1] and b[0] < b[1]):
-        raise ValueError("degenerate segment")
-    return temporal_iou(a[0], a[1], b[0], b[1])
-
-
 def average_precision(dets: list[ActionSegment],
                       gts: list[tuple[float, float]], thr: float) -> float:
     """101-point interpolated AP with greedy highest-tIoU matching.

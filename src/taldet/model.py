@@ -97,10 +97,7 @@ class SubjectPriorDetector(Module):
         z0 = concat([sample.tokens, g0], axis=1)
         return self.aggregator(z0, sample.valid)
 
-    def forward(self, sample: VideoSample) -> tuple[HeadOutput, list[int]]:
-        g_seq = self.snippet_representation(sample)
-        pyr = self.pyramid(g_seq)
-        strides = [lv.stride for lv in pyr.levels]
-        return self.heads(pyr), strides
+    def forward(self, sample: VideoSample) -> HeadOutput:
+        return self.heads(self.pyramid(self.snippet_representation(sample)))
 
     __call__ = forward

@@ -132,13 +132,13 @@ class PreNormBlock(Module):
 class ConvLayer(Module):
     """conv1d with its own weights; kernel [k, D_in, D_out]."""
 
-    def __init__(self, rng, k, d_in, d_out, name="conv", bias=True):
+    def __init__(self, rng, k, d_in, d_out, name="conv"):
         self.w = Parameter(
             uniform_init(rng, (k, d_in, d_out), k * d_in, k * d_out), name + ".w")
-        self.b = Parameter(np.zeros(d_out), name + ".b") if bias else None
+        self.b = Parameter(np.zeros(d_out), name + ".b")
 
-    def __call__(self, x, stride=1, padding="same"):
-        return conv1d(x, self.w, self.b, stride=stride, padding=padding)
+    def __call__(self, x, lengths=None):
+        return conv1d(x, self.w, self.b, lengths)
 
 
 class DepthwiseDownsample(Module):

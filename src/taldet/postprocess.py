@@ -30,30 +30,23 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def decode(outs: HeadOutput, meta: VideoMeta, level_strides: list[int],
-           score_threshold: float = 0.001,
+def decode(outs: HeadOutput, meta: VideoMeta, score_threshold: float = 0.001,
            pre_nms_topk: int = 2000) -> list[ActionSegment]:
-    """Every (level, step, class) whose sigmoid score clears the threshold
-    becomes a candidate segment [(t - d_s) * u_l, (t + d_e) * u_l], clamped to
-    the video extent; the top `pre_nms_topk` by score survive."""
-    duration = meta.duration
-    candidates = []
-    for out, stride in zip(outs.levels, level_strides):
-        unit = stride * meta.seconds_per_snippet
-        scores = _sigmoid(out.class_logits.data)
-        offs = out.offsets.data
-        T_l, C = scores.shape
-        for t in range(T_l):
-            start = max((t - offs[t, 0]) * unit, 0.0)
-            end = min((t + offs[t, 1]) * unit, duration)
-            if not start < end:
-                continue
-            for c in range(C):
-                s = scores[t, c]
-                if s > score_threshold:
-                    candidates.append(ActionSegment(c, float(s), start, end))
-    candidates.sort(key=lambda a: (-a.score, a.start, a.class_id))
-    return candidates[:pre_nms_topk]
+    """Every (anchor, class) whose sigmoid score clears the threshold becomes
+    a candidate segment [(t - d_s) * u, (t + d_e) * u], with t the anchor's
+    step and u its level's seconds per step, clamped to the video extent;
+    the top `pre_nms_topk` by score survive (ties: earlier start, then lower
+    class, then anchor order)."""
+    unit = outs.stride * meta.seconds_per_snippet
+    scores = _sigmoid(outs.class_logits.data)
+    offs = outs.offsets.data
+    start = np.maximum((outs.step - offs[:, 0]) * unit, 0.0)
+    end = np.minimum((outs.step + offs[:, 1]) * unit, meta.duration)
+    anchor, cls = np.nonzero((start < end)[:, None] & (scores > score_threshold))
+    score = scores[anchor, cls]
+    order = np.lexsort((cls, start[anchor], -score))[:pre_nms_topk]
+    return [ActionSegment(int(cls[i]), float(score[i]), float(start[anchor[i]]),
+                          float(end[anchor[i]])) for i in order]
 
 
 def temporal_iou(a_start, a_end, b_start, b_end) -> float:
@@ -63,9 +56,10 @@ def temporal_iou(a_start, a_end, b_start, b_end) -> float:
 
 
 def soft_nms(segs: list[ActionSegment], sigma: float = 0.5,
-             min_score: float = 0.001, per_class: bool = True) -> list[ActionSegment]:
-    """Gaussian Soft-NMS: repeatedly pick the highest-scoring remaining
-    segment and decay the rest by exp(-tIoU^2 / sigma); drop below min_score.
+             min_score: float = 0.001) -> list[ActionSegment]:
+    """Gaussian Soft-NMS, per class: repeatedly pick the highest-scoring
+    remaining segment and decay the rest of its class by exp(-tIoU^2 / sigma);
+    drop below min_score.
 
     Boundaries never change; scores never increase. Ties select the earlier
     start, then the lower class id.
@@ -84,7 +78,7 @@ def soft_nms(segs: list[ActionSegment], sigma: float = 0.5,
         kept.append(ActionSegment(seg.class_id, score, seg.start, seg.end))
         updated = []
         for s, other in remaining:
-            if not per_class or other.class_id == seg.class_id:
+            if other.class_id == seg.class_id:
                 ov = temporal_iou(seg.start, seg.end, other.start, other.end)
                 s = s * math.exp(-(ov * ov) / sigma)
             if s >= min_score:

@@ -112,10 +112,8 @@ class FitResult:
 
 def video_loss(model: SubjectPriorDetector, sample: VideoSample,
                gts: list, cfg: TrainConfig):
-    outs, strides = model(sample)
-    shapes = [(o.class_logits.shape[0], s)
-              for o, s in zip(outs.levels, strides)]
-    targets = assign_targets(gts, shapes, sample.meta.fps,
+    outs = model(sample)
+    targets = assign_targets(gts, outs.step, outs.stride, sample.meta.fps,
                              sample.meta.snippet_stride,
                              model.cfg.num_classes)
     return total_loss(outs, targets, lam=cfg.lam,
@@ -124,7 +122,7 @@ def video_loss(model: SubjectPriorDetector, sample: VideoSample,
 
 def fit(model: SubjectPriorDetector, samples: list[VideoSample],
         segments_by_video: dict[str, list], cfg: TrainConfig,
-        out_dir=None, log_every: int = 1) -> FitResult:
+        out_dir=None) -> FitResult:
     """Deterministic training: fixed shuffle order per epoch, sequential
     per-video gradient accumulation within a batch, one Adam step per batch.
     """
@@ -165,12 +163,11 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
             ema_update(ema, params, cfg.ema_decay)
             epoch_losses.append(batch_loss)
             step += 1
-        if (epoch + 1) % log_every == 0 or epoch == cfg.epochs - 1:
-            result.loss_log.append({
-                "epoch": epoch,
-                "mean_loss": float(np.mean(epoch_losses)),
-                "lr": lr_schedule(step, total_steps, warmup_steps, cfg.lr_init),
-            })
+        result.loss_log.append({
+            "epoch": epoch,
+            "mean_loss": float(np.mean(epoch_losses)),
+            "lr": lr_schedule(step, total_steps, warmup_steps, cfg.lr_init),
+        })
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -25,8 +25,8 @@ from taldet.dataio import (SyntheticSpec, generate_synthetic,
                            read_annotations, read_checkpoint, read_detections,
                            read_features, write_annotations, write_checkpoint,
                            write_detections, write_features)
-from taldet.heads import (GroundTruthSegment, HeadOutput, LevelOutput,
-                          focal_loss, giou_values)
+from taldet.heads import (GroundTruthSegment, HeadOutput, focal_loss,
+                          giou_values)
 from taldet.metrics import average_precision, evaluate
 from taldet.model import (ModelConfig, SubjectPriorDetector, VideoSample,
                           prepare_sample)
@@ -177,20 +177,23 @@ def test_criterion_4_oracle_equivalence(capfd):
     ]
     ap_ok = all(abs(got - want) < 1e-12 for got, want in ap_fixtures)
 
-    logits = rng.normal(size=(6, 2))
-    offs = rng.uniform(0.0, 3.0, size=(6, 2))
-    outs = HeadOutput([LevelOutput(Tensor(logits), Tensor(offs))])
+    # two levels, strides 1 and 2, on one anchor axis
+    logits = rng.normal(size=(9, 2))
+    offs = rng.uniform(0.0, 3.0, size=(9, 2))
+    step = np.array([0, 1, 2, 3, 4, 5, 0, 1, 2])
+    stride = np.array([1] * 6 + [2] * 3)
+    outs = HeadOutput(Tensor(logits), Tensor(offs), step, stride)
     meta = VideoMeta(64, 64, 16.0, 6, 4, 4, 8, 4)
-    got = decode(outs, meta, [1], score_threshold=0.3)
+    got = decode(outs, meta, score_threshold=0.3)
     expected = []
-    unit = 4 / 16.0
-    for t in range(6):
-        start = max((t - offs[t, 0]) * unit, 0.0)
-        end = min((t + offs[t, 1]) * unit, meta.duration)
+    for a in range(9):
+        t, unit = step[a], stride[a] * 4 / 16.0
+        start = max((t - offs[a, 0]) * unit, 0.0)
+        end = min((t + offs[a, 1]) * unit, meta.duration)
         if not start < end:
             continue
         for c in range(2):
-            s = 1.0 / (1.0 + math.exp(-logits[t, c]))
+            s = 1.0 / (1.0 + math.exp(-logits[a, c]))
             if s > 0.3:
                 expected.append(ActionSegment(c, s, start, end))
     expected.sort(key=lambda a: (-a.score, a.start, a.class_id))
@@ -247,8 +250,7 @@ def _train_and_score(tmp_path, use_subject_tokens: bool) -> float:
     fit(model, samples, gts, tc)
     dets = {}
     for sample in samples:
-        outs, strides = model(sample)
-        cands = decode(outs, sample.meta, strides, score_threshold=0.1,
+        cands = decode(model(sample), sample.meta, score_threshold=0.1,
                        pre_nms_topk=200)
         dets[sample.video_id] = soft_nms(cands)[:100]
     return evaluate(dets, gts, [0.5]).per_threshold_map[0.5]

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import (DimensionError, InvalidMaskError, NonFiniteError,
-                             Parameter, Tensor, conv1d, grad_check, layer_norm,
-                             linear, softmax)
+                             Parameter, Tensor, conv1d, depthwise_conv1d,
+                             grad_check, layer_norm, linear, softmax)
 
 
 def test_tensor_rejects_non_finite():
@@ -113,11 +113,6 @@ class TestConv1d:
         w = Parameter(np.eye(3)[None], "w")  # k=1 identity channel map
         np.testing.assert_allclose(conv1d(x, w).data, x.data, atol=1e-15)
 
-    def test_stride_two_shape(self):
-        x = Tensor(np.random.default_rng(4).normal(size=(8, 2)))
-        w = Parameter(np.zeros((3, 2, 2)), "w")
-        assert conv1d(x, w, stride=2).shape == (4, 2)
-
     def test_matches_sliding_window_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 2))
@@ -130,16 +125,47 @@ class TestConv1d:
                 expected[t] += xp[t + j] @ w[j]
         assert np.abs(out - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("stride", [1, 2, 4])
-    def test_same_padding_shape_law(self, stride):
+    @pytest.mark.parametrize("num_sequences", [1, 2, 4])
+    def test_same_padding_shape_law(self, num_sequences):
         w = Parameter(np.zeros((3, 1, 1)), "w")
         for T in range(1, 65):
-            out = conv1d(Tensor(np.zeros((T, 1))), w, stride=stride)
-            assert out.shape[0] == -(-T // stride)
+            A = T * num_sequences
+            out = conv1d(Tensor(np.zeros((A, 1))), w,
+                         lengths=[T] * num_sequences)
+            assert out.shape[0] == A
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_packed_sequences_match_separate_convolutions(self, k):
+        # lengths below, at and above the kernel width, with a length-1 one
+        rng = np.random.default_rng(9)
+        lengths = [7, 1, 2, 5, 1]
+        x = rng.normal(size=(sum(lengths), 3))
+        w = Parameter(rng.normal(size=(k, 3, 4)), "w")
+        b = Parameter(rng.normal(size=4), "b")
+        packed = conv1d(Tensor(x), w, b, lengths).data
+        bounds = np.cumsum([0] + lengths)
+        separate = np.concatenate([conv1d(Tensor(x[lo:hi]), w, b).data
+                                   for lo, hi in zip(bounds, bounds[1:])])
+        assert np.abs(packed - separate).max() <= 1e-12
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [5, 0], [6, -1]])
+    def test_lengths_must_cover_the_input(self, lengths):
+        with pytest.raises(DimensionError):
+            conv1d(Tensor(np.zeros((5, 1))), Parameter(np.zeros((1, 1, 1)), "w"),
+                   lengths=lengths)
 
     def test_even_kernel_same_padding_rejected(self):
         with pytest.raises(DimensionError):
             conv1d(Tensor(np.zeros((4, 1))), Parameter(np.zeros((2, 1, 1)), "w"))
+
+    def test_depthwise_matches_right_padded_oracle(self):
+        rng = np.random.default_rng(11)
+        x, w = rng.normal(size=(7, 3)), rng.normal(size=(2, 3))
+        out = depthwise_conv1d(Tensor(x), Parameter(w, "w"), 2).data
+        xp = np.pad(x, ((0, 1), (0, 0)))
+        expected = np.stack([(xp[2 * t:2 * t + 2] * w).sum(axis=0)
+                             for t in range(4)])
+        assert np.abs(out - expected).max() < 1e-12
 
 
 class TestGradCheck:

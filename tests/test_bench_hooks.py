@@ -60,5 +60,5 @@ def test_traced_training_step_records_every_layer():
             "temporal_pyramid.strided0", "heads.towers",
             "autograd.backward"} <= spans
     for key in ("temporal_pyramid.band_cells", "spatial_attention.tokens",
-                "autograd.nodes"):
+                "autograd.nodes", "heads.positives"):
         assert t.counts[key] > 0, key

@@ -156,6 +156,20 @@ class TestSettings:
                    "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("key", ["pre_nms_topk", "post_nms_keep"])
+    def test_negative_infer_count_exits_2(self, dataset, capsys, key):
+        tmp, data, cfg = dataset
+        run = tmp / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(run)]) == EXIT_OK
+        cfg.write_text(SMALL + f"{key} = -1\n")
+        rc = main(["infer", "--data", str(data), "--config", str(cfg),
+                   "--checkpoint", str(run / "checkpoint.ptck"),
+                   "--out", str(tmp / "dets")])
+        assert rc == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (tmp / "dets").exists()
+
 
 class TestGradcheckCommand:
     def test_passes_and_prints_per_primitive(self, capsys):

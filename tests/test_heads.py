@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, Tensor, grad_check
 from taldet.heads import (DetectionHeads, GroundTruthSegment, HeadOutput,
-                          LevelOutput, assign_targets, focal_loss,
-                          giou_loss_1d, giou_values, total_loss)
+                          assign_targets, focal_loss, giou_loss_1d,
+                          giou_values, total_loss)
 from taldet.temporal_pyramid import FeaturePyramid, PyramidLevel
 
 D = 8
@@ -22,15 +22,34 @@ def make_pyramid(lengths, dim=D, seed=0):
     return FeaturePyramid(levels=levels)
 
 
+def anchors(shapes):
+    """The (step, stride) anchor arrays of levels [(T_l, stride_l), ...]."""
+    step = np.concatenate([np.arange(T) for T, _ in shapes])
+    stride = np.concatenate([np.full(T, s) for T, s in shapes])
+    return step, stride
+
+
+def graph_nodes(*roots):
+    """Tensor nodes reachable from `roots` through their parents."""
+    seen, stack = {id(r) for r in roots}, list(roots)
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
 class TestDetectionHeads:
     def test_output_shapes_and_nonnegative_offsets(self):
         heads = DetectionHeads(np.random.default_rng(0), D, num_classes=3)
         out = heads(make_pyramid([6, 3, 2]))
-        assert [lv.class_logits.shape for lv in out.levels] == \
-            [(6, 3), (3, 3), (2, 3)]
-        for lv in out.levels:
-            assert lv.offsets.shape[1] == 2
-            assert (lv.offsets.data >= 0.0).all()
+        assert out.class_logits.shape == (11, 3)
+        assert out.offsets.shape == (11, 2)
+        assert (out.offsets.data >= 0.0).all()
+        step, stride = anchors([(6, 1), (3, 2), (2, 4)])
+        np.testing.assert_array_equal(out.step, step)
+        np.testing.assert_array_equal(out.stride, stride)
 
     def test_towers_shared_across_levels(self):
         # a level of length 1 and a singleton slice of a longer level see the
@@ -41,8 +60,31 @@ class TestDetectionHeads:
             PyramidLevel(Tensor(const), 1),
             PyramidLevel(Tensor(const.copy()), 2)])
         out = heads(pyr)
-        np.testing.assert_array_equal(out.levels[0].class_logits.data,
-                                      out.levels[1].class_logits.data)
+        np.testing.assert_array_equal(out.class_logits.data[:5],
+                                      out.class_logits.data[5:])
+
+    def test_levels_run_together_equal_each_level_alone(self):
+        # a length-1 level next to longer ones: the per-level zero padding
+        # must keep every window inside its own level
+        heads = DetectionHeads(np.random.default_rng(3), D, num_classes=2)
+        pyr = make_pyramid([6, 1, 3, 1], seed=4)
+        out = heads(pyr)
+        lo = 0
+        for level in pyr.levels:
+            alone = heads(FeaturePyramid(levels=[level]))
+            hi = lo + level.features.shape[0]
+            for got, want in ((out.class_logits, alone.class_logits),
+                              (out.offsets, alone.offsets)):
+                assert np.abs(got.data[lo:hi] - want.data).max() <= 1e-12
+            lo = hi
+
+    def test_graph_size_independent_of_level_count(self):
+        heads = DetectionHeads(np.random.default_rng(5), D, num_classes=2)
+        counts = []
+        for lengths in ([8, 4], [32, 16, 8, 4, 2, 1]):
+            out = heads(make_pyramid(lengths))
+            counts.append(graph_nodes(out.class_logits, out.offsets))
+        assert counts[0] == counts[1]
 
     def test_empty_pyramid_rejected(self):
         heads = DetectionHeads(np.random.default_rng(2), D, num_classes=2)
@@ -56,8 +98,9 @@ class TestAssignTargets:
 
     def test_single_segment_single_level(self):
         gts = [GroundTruthSegment(1, 0.5, 1.5)]
-        tm = assign_targets(gts, [(8, 1)], self.FPS, self.STRIDE, num_classes=3)
-        lv = tm.levels[0]
+        tm = assign_targets(gts, *anchors([(8, 1)]), self.FPS, self.STRIDE,
+                            num_classes=3)
+        lv = tm
         # steps at times 0, .25, .5, ..., 1.75; inside are t=2..6
         np.testing.assert_array_equal(lv.inside,
                                       [False, False, True, True, True, True,
@@ -70,8 +113,9 @@ class TestAssignTargets:
     def test_minimal_duration_wins_overlap(self):
         long = GroundTruthSegment(0, 0.0, 2.0)
         short = GroundTruthSegment(1, 0.4, 0.6)
-        tm = assign_targets([long, short], [(9, 1)], self.FPS, self.STRIDE, 2)
-        lv = tm.levels[0]
+        tm = assign_targets([long, short], *anchors([(9, 1)]), self.FPS,
+                            self.STRIDE, 2)
+        lv = tm
         assert lv.class_target[2] == 1  # t=0.5 falls in both; shorter wins
         assert lv.class_target[1] == 0
         assert lv.class_target[4] == 0
@@ -79,24 +123,26 @@ class TestAssignTargets:
     def test_tie_earlier_start_wins(self):
         a = GroundTruthSegment(0, 0.0, 1.0)
         b = GroundTruthSegment(1, 0.25, 1.25)
-        tm = assign_targets([b, a], [(6, 1)], self.FPS, self.STRIDE, 2)
-        lv = tm.levels[0]
+        tm = assign_targets([b, a], *anchors([(6, 1)]), self.FPS, self.STRIDE,
+                            2)
+        lv = tm
         # equal durations: segment starting earlier claims the shared steps
         assert list(lv.class_target[1:5]) == [0, 0, 0, 0]
 
     def test_coarser_level_scales_offsets(self):
         gts = [GroundTruthSegment(0, 0.0, 2.0)]
-        tm = assign_targets(gts, [(8, 1), (4, 2)], self.FPS, self.STRIDE, 1)
-        fine, coarse = tm.levels
+        tm = assign_targets(gts, *anchors([(8, 1), (4, 2)]), self.FPS,
+                            self.STRIDE, 1)
+        coarse = slice(8, 12)
         # level-1 unit is 0.5s; t=1 (0.5s) has d_start=1, d_end=3
-        assert coarse.inside.all()
-        np.testing.assert_allclose(coarse.d_start, [0, 1, 2, 3])
-        np.testing.assert_allclose(coarse.d_end, [4, 3, 2, 1])
-        assert tm.num_positive == fine.inside.sum() + 4
+        assert tm.inside[coarse].all()
+        np.testing.assert_allclose(tm.d_start[coarse], [0, 1, 2, 3])
+        np.testing.assert_allclose(tm.d_end[coarse], [4, 3, 2, 1])
+        assert tm.num_positive == tm.inside[:8].sum() + 4
 
     def test_no_segments_all_background(self):
-        tm = assign_targets([], [(5, 1)], self.FPS, self.STRIDE, 2)
-        lv = tm.levels[0]
+        tm = assign_targets([], *anchors([(5, 1)]), self.FPS, self.STRIDE, 2)
+        lv = tm
         assert not lv.inside.any()
         assert (lv.class_target == 2).all()
 
@@ -192,31 +238,31 @@ class TestGiou:
 class TestTotalLoss:
     def _outputs(self, lengths, C, seed=0):
         rng = np.random.default_rng(seed)
-        return HeadOutput([
-            LevelOutput(class_logits=Tensor(rng.normal(size=(T, C))),
-                        offsets=Tensor(rng.uniform(0.1, 3.0, size=(T, 2))))
-            for T in lengths])
+        A = sum(lengths)
+        step, stride = anchors([(T, 2 ** i) for i, T in enumerate(lengths)])
+        return HeadOutput(class_logits=Tensor(rng.normal(size=(A, C))),
+                          offsets=Tensor(rng.uniform(0.1, 3.0, size=(A, 2))),
+                          step=step, stride=stride)
 
     def test_normalized_by_global_positive_count(self):
         gts = [GroundTruthSegment(0, 0.0, 1.0)]
-        shapes = [(8, 1), (4, 2)]
-        tm = assign_targets(gts, shapes, 16.0, 4, 1)
+        tm = assign_targets(gts, *anchors([(8, 1), (4, 2)]), 16.0, 4, 1)
         outs = self._outputs([8, 4], 1)
         loss = total_loss(outs, tm, lam=1.0)
-        # recompute with the pieces summed by hand
+        # recompute with the pieces summed by hand, level by level
         acc = 0.0
-        for out, tgt in zip(outs.levels, tm.levels):
-            acc += focal_loss(out.class_logits, tgt.class_target,
-                              tgt.inside).data
-            pos = tgt.inside.nonzero()[0]
-            t = np.stack([tgt.d_start[pos], tgt.d_end[pos]], axis=-1)
-            acc += giou_loss_1d(out.offsets[pos], t).data
+        for lv in (slice(0, 8), slice(8, 12)):
+            acc += focal_loss(outs.class_logits[lv], tm.class_target[lv],
+                              tm.inside[lv]).data
+            pos = lv.start + tm.inside[lv].nonzero()[0]
+            t = np.stack([tm.d_start[pos], tm.d_end[pos]], axis=-1)
+            acc += giou_loss_1d(outs.offsets[pos], t).data
         np.testing.assert_allclose(loss.data, acc / tm.num_positive,
                                    rtol=1e-12)
 
     def test_lambda_scales_regression_term(self):
         gts = [GroundTruthSegment(0, 0.0, 1.0)]
-        tm = assign_targets(gts, [(8, 1)], 16.0, 4, 1)
+        tm = assign_targets(gts, *anchors([(8, 1)]), 16.0, 4, 1)
         outs = self._outputs([8], 1, seed=1)
         l0 = total_loss(outs, tm, lam=0.0).data
         l1 = total_loss(outs, tm, lam=1.0).data
@@ -224,13 +270,12 @@ class TestTotalLoss:
         np.testing.assert_allclose(l2 - l1, l1 - l0, rtol=1e-9)
 
     def test_background_only_video(self):
-        tm = assign_targets([], [(6, 1)], 16.0, 4, 2)
+        tm = assign_targets([], *anchors([(6, 1)]), 16.0, 4, 2)
         outs = self._outputs([6], 2, seed=2)
         loss = total_loss(outs, tm)
         # normalizer clamps at 1; only focal background terms remain
-        expected = focal_loss(outs.levels[0].class_logits,
-                              tm.levels[0].class_target,
-                              tm.levels[0].inside).data
+        expected = focal_loss(outs.class_logits, tm.class_target,
+                              tm.inside).data
         np.testing.assert_allclose(loss.data, expected, rtol=1e-12)
 
     def test_gradient_through_heads(self):
@@ -238,7 +283,7 @@ class TestTotalLoss:
         heads = DetectionHeads(rng, D, num_classes=2, num_layers=1)
         pyr = make_pyramid([4, 2], seed=8)
         gts = [GroundTruthSegment(1, 0.0, 0.8)]
-        tm = assign_targets(gts, [(4, 1), (2, 2)], 16.0, 4, 2)
+        tm = assign_targets(gts, *anchors([(4, 1), (2, 2)]), 16.0, 4, 2)
 
         def loss():
             return total_loss(heads(pyr), tm)

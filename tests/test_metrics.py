@@ -1,29 +1,13 @@
 import numpy as np
-import pytest
 
 from taldet.heads import GroundTruthSegment
 from taldet.metrics import (ANET_GRID, THUMOS_GRID, average_precision,
-                            evaluate, tiou)
+                            evaluate)
 from taldet.postprocess import ActionSegment
 
 
 def det(score, start, end, cls=0):
     return ActionSegment(cls, score, start, end)
-
-
-class TestTiou:
-    def test_identical(self):
-        assert tiou((0.0, 2.0), (0.0, 2.0)) == 1.0
-
-    def test_half_contained(self):
-        np.testing.assert_allclose(tiou((0.0, 4.0), (0.0, 2.0)), 0.5)
-
-    def test_touching_is_zero(self):
-        assert tiou((0.0, 1.0), (1.0, 2.0)) == 0.0
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            tiou((2.0, 2.0), (0.0, 1.0))
 
 
 class TestAveragePrecisionFixtures:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Tensor
-from taldet.heads import HeadOutput, LevelOutput
+from taldet.heads import HeadOutput
 from taldet.postprocess import (ActionSegment, decode, soft_nms, temporal_iou)
 from taldet.subjects import VideoMeta
 
@@ -20,11 +20,15 @@ def logit(p):
     return math.log(p / (1.0 - p))
 
 
-def head_output(levels):
-    """levels: list of (logits [T,C], offsets [T,2]) numpy pairs."""
-    return HeadOutput([LevelOutput(Tensor(np.asarray(lg, dtype=float)),
-                                   Tensor(np.asarray(of, dtype=float)))
-                       for lg, of in levels])
+def head_output(levels, strides=(1,)):
+    """levels: list of (logits [T,C], offsets [T,2]) numpy pairs, one per
+    stride."""
+    lengths = [len(lg) for lg, _ in levels]
+    return HeadOutput(
+        class_logits=Tensor(np.concatenate([lg for lg, _ in levels])),
+        offsets=Tensor(np.concatenate([of for _, of in levels])),
+        step=np.concatenate([np.arange(T) for T in lengths]),
+        stride=np.repeat(strides, lengths))
 
 
 class TestActionSegment:
@@ -44,7 +48,7 @@ class TestDecode:
         lg[2, 0] = logit(0.9)
         offs = np.zeros((4, 2))
         offs[2] = [1.0, 1.0]
-        segs = decode(head_output([(lg, offs)]), meta(), [1],
+        segs = decode(head_output([(lg, offs)]), meta(),
                       score_threshold=0.5)
         # unit = stride * snippet_stride / fps = 0.25s
         assert len(segs) == 1
@@ -60,7 +64,7 @@ class TestDecode:
         for T in (8, 4):
             levels.append((rng.normal(size=(T, 3)),
                            rng.uniform(0.0, 3.0, size=(T, 2))))
-        out = decode(head_output(levels), m, strides, score_threshold=0.3,
+        out = decode(head_output(levels, strides), m, score_threshold=0.3,
                      pre_nms_topk=1000)
         expected = []
         for (lg, offs), stride in zip(levels, strides):
@@ -85,7 +89,7 @@ class TestDecode:
     def test_clamped_to_video_extent(self):
         lg = np.full((2, 1), logit(0.9))
         offs = np.full((2, 2), 100.0)
-        segs = decode(head_output([(lg, offs)]), meta(num_snippets=4), [1],
+        segs = decode(head_output([(lg, offs)]), meta(num_snippets=4),
                       score_threshold=0.5)
         d = meta(num_snippets=4).duration
         for s in segs:
@@ -94,14 +98,23 @@ class TestDecode:
     def test_topk_truncates_by_score(self):
         lg = np.array([[logit(0.6)], [logit(0.9)], [logit(0.7)]])
         offs = np.ones((3, 2))
-        segs = decode(head_output([(lg, offs)]), meta(), [1],
+        segs = decode(head_output([(lg, offs)]), meta(),
                       score_threshold=0.5, pre_nms_topk=2)
         assert [round(s.score, 6) for s in segs] == [0.9, 0.7]
+
+    def test_ties_earlier_start_then_lower_class_then_anchor(self):
+        # equal scores everywhere; anchors 0 and 1 start at 0, anchor 2 later
+        lg = np.full((3, 2), logit(0.9))
+        offs = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        segs = decode(head_output([(lg, offs)]), meta(), score_threshold=0.5)
+        assert [(s.class_id, s.start, s.end) for s in segs] == [
+            (0, 0.0, 0.25), (0, 0.0, 0.5), (1, 0.0, 0.25), (1, 0.0, 0.5),
+            (0, 0.25, 0.75), (1, 0.25, 0.75)]
 
     def test_degenerate_zero_length_skipped(self):
         # offsets 0 at t=0 give start == end == 0 -> no candidate
         lg = np.array([[logit(0.9)]])
-        segs = decode(head_output([(lg, np.zeros((1, 2)))]), meta(), [1],
+        segs = decode(head_output([(lg, np.zeros((1, 2)))]), meta(),
                       score_threshold=0.5)
         assert segs == []
 
@@ -116,8 +129,14 @@ class TestTemporalIou:
     def test_half(self):
         np.testing.assert_allclose(temporal_iou(0.0, 2.0, 1.0, 3.0), 1.0 / 3.0)
 
+    def test_half_contained(self):
+        np.testing.assert_allclose(temporal_iou(0.0, 4.0, 0.0, 2.0), 0.5)
 
-def brute_force_soft_nms(segs, sigma, min_score, per_class=True):
+    def test_touching_is_zero(self):
+        assert temporal_iou(0.0, 1.0, 1.0, 2.0) == 0.0
+
+
+def brute_force_soft_nms(segs, sigma, min_score):
     """Independent reference: list-based, recompute decay fully each round."""
     pool = [[s.score, s] for s in segs]
     kept = []
@@ -130,7 +149,7 @@ def brute_force_soft_nms(segs, sigma, min_score, per_class=True):
         nxt = []
         for e in pool:
             s, other = e
-            if not per_class or other.class_id == seg.class_id:
+            if other.class_id == seg.class_id:
                 ov = temporal_iou(seg.start, seg.end, other.start, other.end)
                 s *= math.exp(-(ov * ov) / sigma)
             if s >= min_score:
@@ -168,7 +187,7 @@ class TestSoftNms:
     def test_different_classes_untouched(self):
         a = ActionSegment(0, 0.9, 0.0, 1.0)
         b = ActionSegment(1, 0.8, 0.0, 1.0)
-        out = soft_nms([a, b], per_class=True)
+        out = soft_nms([a, b])
         assert out == [a, b]
 
     def test_scores_never_increase_boundaries_fixed(self):
