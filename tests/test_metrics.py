@@ -3,11 +3,19 @@ import numpy as np
 from taldet.heads import GroundTruthSegment
 from taldet.metrics import (ANET_GRID, THUMOS_GRID, average_precision,
                             evaluate)
-from taldet.postprocess import ActionSegment
+from taldet.postprocess import ActionSegment, temporal_iou
 
 
 def det(score, start, end, cls=0):
     return ActionSegment(cls, score, start, end)
+
+
+class TestTiou:
+    def test_identical(self):
+        # Metrics match detections through postprocess.temporal_iou; an
+        # identical interval is a full overlap and matches even at tIoU 1.0.
+        assert temporal_iou(0.0, 2.0, 0.0, 2.0) == 1.0
+        assert average_precision([det(0.9, 0.0, 2.0)], [(0.0, 2.0)], 1.0) == 1.0
 
 
 class TestAveragePrecisionFixtures:
