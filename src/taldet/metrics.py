@@ -1,7 +1,8 @@
-"""Temporal IoU, per-class average precision, and mAP over threshold grids."""
+"""Per-class average precision and mAP over tIoU threshold grids."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,41 +27,65 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _check_thresholds(thresholds) -> None:
+    """A tIoU threshold must lie in (0, 1]: at 0 every pair would match,
+    across videos too, and above 1 none could."""
+    bad = [t for t in thresholds if not 0.0 < t <= 1.0]
+    if bad:
+        raise ValueError(f"tIoU thresholds must lie in (0, 1], got {bad}")
+
+
+def _greedy_match(iou: np.ndarray, thr: float) -> np.ndarray:
+    """True-positive mask of the detections (rows of `iou`, in rank order)
+    against the ground truths (columns): each detection in turn takes the
+    unmatched ground truth of highest tIoU >= thr, the last one on ties."""
+    tp = np.zeros(iou.shape[0], dtype=bool)
+    ok = iou >= thr
+    free = np.ones(iou.shape[1], dtype=bool)
+    for r in ok.any(axis=1).nonzero()[0]:
+        cand = ok[r] & free
+        if cand.any():
+            row = np.where(cand, iou[r], -1.0)[::-1]
+            free[len(row) - 1 - row.argmax()] = False
+            tp[r] = True
+    return tp
+
+
+def _interpolated_ap(tp: np.ndarray, num_gt: int) -> float:
+    """101-point interpolated AP of a ranked true-positive vector: the mean
+    over recall points r in {0, 0.01, ..., 1} of the best precision at any
+    rank whose recall is >= r (0 if none is)."""
+    if num_gt == 0 or len(tp) == 0:
+        return 0.0
+    cum_tp = np.cumsum(tp)
+    precision = cum_tp / (np.arange(len(tp)) + 1)
+    recall = cum_tp / num_gt
+    # best precision from each rank on, and 0 past the last rank
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    # recall never decreases: the first rank at or above each recall point
+    first = np.searchsorted(recall, np.linspace(0.0, 1.0, 101))
+    # cumsum adds the points in sequence, as the definition does
+    return float(np.cumsum(best[first])[-1]) / 101.0
+
+
 def average_precision(dets: list[ActionSegment],
                       gts: list[tuple[float, float]], thr: float) -> float:
     """101-point interpolated AP with greedy highest-tIoU matching.
 
-    `dets` are one class's detections (possibly across videos if segments are
-    offset per video by the caller); `gts` that class's ground-truth spans.
+    `dets` are one class's detections in one video, `gts` that class's
+    ground-truth spans there; detections rank by score, then the earlier
+    start, then input order.
     """
-    if not gts:
+    _check_thresholds([thr])
+    if not gts or not dets:
         return 0.0
-    order = sorted(range(len(dets)),
-                   key=lambda i: (-dets[i].score, dets[i].start))
-    matched = [False] * len(gts)
-    tp = np.zeros(len(dets))
-    for rank, i in enumerate(order):
-        d = dets[i]
-        best, best_ov = -1, thr
-        for j, g in enumerate(gts):
-            if matched[j]:
-                continue
-            ov = temporal_iou(d.start, d.end, g[0], g[1])
-            if ov >= best_ov:
-                best, best_ov = j, ov
-        if best >= 0:
-            matched[best] = True
-            tp[rank] = 1.0
-    if len(dets) == 0:
-        return 0.0
-    cum_tp = np.cumsum(tp)
-    precision = cum_tp / (np.arange(len(dets)) + 1)
-    recall = cum_tp / len(gts)
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        mask = recall >= r
-        ap += precision[mask].max() if mask.any() else 0.0
-    return ap / 101.0
+    score = np.array([d.score for d in dets])
+    start = np.array([d.start for d in dets])
+    end = np.array([d.end for d in dets])
+    order = np.lexsort((start, -score))
+    g = np.array(gts, dtype=float)
+    iou = temporal_iou(start[order, None], end[order, None], g[:, 0], g[:, 1])
+    return _interpolated_ap(_greedy_match(iou, thr), len(gts))
 
 
 def evaluate(dets_by_video: dict[str, list[ActionSegment]],
@@ -69,32 +94,45 @@ def evaluate(dets_by_video: dict[str, list[ActionSegment]],
     """mAP at each threshold, averaged over classes present in ground truth.
 
     `gts_by_video` values are GroundTruthSegment-like objects with class_id,
-    start, end. Segments from different videos are shifted onto disjoint
-    timelines before matching so cross-video pairs can never overlap.
+    start, end. Each class's detections rank once over all videos: by score,
+    then video (in sorted id order), then start, then input order. Matching
+    runs within each video, on its [detections x ground truths] tIoU block,
+    so a detection can only match a ground truth of its own video and class.
     """
-    offset = 0.0
-    class_dets: dict[int, list[ActionSegment]] = {}
-    class_gts: dict[int, list[tuple[float, float]]] = {}
+    _check_thresholds(thresholds)
     videos = sorted(set(gts_by_video) | set(dets_by_video))
-    for vid in videos:
-        span = 0.0
-        for g in gts_by_video.get(vid, []):
-            class_gts.setdefault(g.class_id, []).append(
-                (g.start + offset, g.end + offset))
-            span = max(span, g.end)
-        for d in dets_by_video.get(vid, []):
-            class_dets.setdefault(d.class_id, []).append(
-                ActionSegment(d.class_id, d.score,
-                              d.start + offset, d.end + offset))
-            span = max(span, d.end)
-        offset += span + 1.0
-    classes = sorted(class_gts)
+    dets = [(v, d) for v, vid in enumerate(videos)
+            for d in dets_by_video.get(vid, [])]
+    video = np.array([v for v, _ in dets], dtype=int)
+    cls = np.array([d.class_id for _, d in dets], dtype=int)
+    score = np.array([d.score for _, d in dets])
+    start = np.array([d.start for _, d in dets])
+    end = np.array([d.end for _, d in dets])
+    rank = np.lexsort((start, video, -score))
+    tp = np.zeros((len(thresholds), len(dets)), dtype=bool)
+    for v, vid in enumerate(videos):
+        gts = gts_by_video.get(vid, [])
+        mine = rank[video[rank] == v]
+        if not gts or not mine.size:
+            continue
+        g_cls = np.array([g.class_id for g in gts])
+        iou = temporal_iou(start[mine, None], end[mine, None],
+                           np.array([g.start for g in gts]),
+                           np.array([g.end for g in gts]))
+        # thresholds are > 0, so a zeroed other-class pair never matches
+        iou = np.where(cls[mine, None] == g_cls, iou, 0.0)
+        for k, thr in enumerate(thresholds):
+            tp[k, mine] = _greedy_match(iou, thr)
+    gt_count = Counter(g.class_id for gts in gts_by_video.values()
+                       for g in gts)
+    classes = sorted(gt_count)
+    ranked = {c: rank[cls[rank] == c] for c in classes}
     per_class_ap = {}
     per_threshold = {}
-    for thr in thresholds:
+    for k, thr in enumerate(thresholds):
         aps = []
         for c in classes:
-            ap = average_precision(class_dets.get(c, []), class_gts[c], thr)
+            ap = _interpolated_ap(tp[k, ranked[c]], gt_count[c])
             per_class_ap[(c, thr)] = ap
             aps.append(ap)
         per_threshold[thr] = float(np.mean(aps)) if aps else 0.0

@@ -49,10 +49,43 @@ def decode(outs: HeadOutput, meta: VideoMeta, score_threshold: float = 0.001,
                           float(end[anchor[i]])) for i in order]
 
 
-def temporal_iou(a_start, a_end, b_start, b_end) -> float:
-    inter = max(0.0, min(a_end, b_end) - max(a_start, b_start))
+def temporal_iou(a_start, a_end, b_start, b_end):
+    """tIoU of [a_start, a_end] and [b_start, b_end], elementwise over
+    broadcast arrays or of two scalars; 0 where the union is not positive
+    (the overlap is then 0 too)."""
+    inter = np.maximum(0.0, np.minimum(a_end, b_end)
+                       - np.maximum(a_start, b_start))
     union = (a_end - a_start) + (b_end - b_start) - inter
-    return inter / union if union > 0 else 0.0
+    return inter / np.maximum(union, np.finfo(float).tiny)
+
+
+def _class_picks(score, start, end, sigma, min_score):
+    """Gaussian Soft-NMS within one class: the input positions picked, in
+    pick order, and their scores when picked. Each pick is the highest
+    score, then the earlier start, then the earlier input position; it
+    decays every candidate still alive by exp(-tIoU^2 / sigma) in one
+    vector pass, and those below min_score drop out."""
+    alive = (score >= min_score).nonzero()[0]
+    score, start, end = score[alive], start[alive], end[alive]
+    picks, kept = [], []
+    while alive.size:
+        top = score.max()
+        tied = (score == top).nonzero()[0]
+        i = tied[start[tied].argmin()] if tied.size > 1 else tied[0]
+        picks.append(alive[i])
+        kept.append(top)
+        ov = temporal_iou(start[i], end[i], start, end)
+        hit = ov.nonzero()[0]
+        # math.exp rather than np.exp, whose last bit can differ: exact ties
+        # between decayed scores then break as in the scalar definition
+        score[hit] *= np.fromiter(
+            map(math.exp, (-(ov[hit] * ov[hit]) / sigma).tolist()), float,
+            hit.size)
+        stay = score >= min_score
+        stay[i] = False
+        alive, score, start, end = (alive[stay], score[stay], start[stay],
+                                    end[stay])
+    return picks, kept
 
 
 def soft_nms(segs: list[ActionSegment], sigma: float = 0.5,
@@ -62,26 +95,27 @@ def soft_nms(segs: list[ActionSegment], sigma: float = 0.5,
     drop below min_score.
 
     Boundaries never change; scores never increase. Ties select the earlier
-    start, then the lower class id.
+    start, then the lower class id, then the earlier input position. Each
+    class runs on its own in O(N) memory. A pick's rivals only lose score,
+    so each class's picks already come in (-kept score, start) order, and
+    one stable sort on (-kept score, start, class) merges them into the
+    order of picking across all classes at once.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    remaining = [(s.score, s) for s in segs]
-    kept: list[ActionSegment] = []
-    while remaining:
-        best = min(range(len(remaining)),
-                   key=lambda i: (-remaining[i][0], remaining[i][1].start,
-                                  remaining[i][1].class_id))
-        score, seg = remaining.pop(best)
-        if score < min_score:
-            continue
-        kept.append(ActionSegment(seg.class_id, score, seg.start, seg.end))
-        updated = []
-        for s, other in remaining:
-            if other.class_id == seg.class_id:
-                ov = temporal_iou(seg.start, seg.end, other.start, other.end)
-                s = s * math.exp(-(ov * ov) / sigma)
-            if s >= min_score:
-                updated.append((s, other))
-        remaining = updated
-    return kept
+    cls = np.array([s.class_id for s in segs])
+    score = np.array([s.score for s in segs])
+    start = np.array([s.start for s in segs])
+    end = np.array([s.end for s in segs])
+    picks, kept = [], []
+    for c in set(cls.tolist()):
+        members = (cls == c).nonzero()[0]
+        p, k = _class_picks(score[members], start[members], end[members],
+                            sigma, min_score)
+        picks.extend(members[p])
+        kept.extend(k)
+    picks, kept = np.array(picks, dtype=int), np.array(kept)
+    order = np.lexsort((cls[picks], start[picks], -kept))
+    return [ActionSegment(segs[i].class_id, float(s), segs[i].start,
+                          segs[i].end)
+            for i, s in zip(picks[order], kept[order])]

@@ -9,7 +9,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
-from taldet import training  # noqa: E402
+from taldet import cli, training  # noqa: E402
 from taldet.heads import GroundTruthSegment  # noqa: E402
 from taldet.model import (ModelConfig, SubjectPriorDetector,  # noqa: E402
                           prepare_sample)
@@ -61,4 +61,28 @@ def test_traced_training_step_records_every_layer():
             "autograd.backward"} <= spans
     for key in ("temporal_pyramid.band_cells", "spatial_attention.tokens",
                 "autograd.nodes", "heads.positives"):
+        assert t.counts[key] > 0, key
+
+
+def test_traced_infer_and_eval_record_post_processing(tmp_path):
+    data, run = tmp_path / "data", tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K = 2\ngroup_layers = 1\ngroup_heads = 2\n"
+                   "temporal_heads = 2\nwindow_size = 3\n"
+                   "num_standard_layers = 1\nnum_strided_layers = 2\n"
+                   "epochs = 1\nwarmup_epochs = 0\n")
+    common = ["--data", str(data), "--config", str(cfg), "--out", str(run)]
+    assert cli.main(["synth", "--out", str(data), "--videos", "2"]) == 0
+    assert cli.main(["train", *common]) == 0
+    t = tracer.Tracer()
+    with t.installed(tracer.layer_targets()):
+        assert cli.main(["infer", "--checkpoint", str(run / "checkpoint.ptck"),
+                         *common]) == 0
+        assert cli.main(["eval", "--data", str(data), "--detections",
+                         str(run / "detections.jsonl")]) == 0
+    spans = {name for name, *_ in t.spans}
+    assert {"postprocess.decode", "postprocess.soft_nms",
+            "metrics.evaluate"} <= spans
+    for key in ("postprocess.candidates", "postprocess.kept",
+                "metrics.match_pairs"):
         assert t.counts[key] > 0, key

@@ -170,6 +170,18 @@ class TestSettings:
         assert key in capsys.readouterr().err
         assert not (tmp / "dets").exists()
 
+    @pytest.mark.parametrize("thr", ["0", "-0.5", "1.5"])
+    def test_threshold_outside_unit_interval_exits_2(self, dataset, capsys,
+                                                     thr):
+        tmp, data, _ = dataset
+        dets = tmp / "detections.jsonl"
+        dets.write_text("")
+        rc = main(["eval", "--data", str(data), "--detections", str(dets),
+                   "--thresholds", "0.5", thr, "--out", str(tmp / "ev")])
+        assert rc == EXIT_VALIDATION
+        assert "(0, 1]" in capsys.readouterr().err
+        assert not (tmp / "ev").exists()
+
 
 class TestGradcheckCommand:
     def test_passes_and_prints_per_primitive(self, capsys):

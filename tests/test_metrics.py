@@ -1,4 +1,8 @@
+import math
+
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from taldet.heads import GroundTruthSegment
 from taldet.metrics import (ANET_GRID, THUMOS_GRID, average_precision,
@@ -8,6 +12,86 @@ from taldet.postprocess import ActionSegment, temporal_iou
 
 def det(score, start, end, cls=0):
     return ActionSegment(cls, score, start, end)
+
+
+def loop_tiou(a_start, a_end, b_start, b_end):
+    inter = max(0.0, min(a_end, b_end) - max(a_start, b_start))
+    union = (a_end - a_start) + (b_end - b_start) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def loop_average_precision(dets, gts, thr):
+    """Slow reference: greedy matching by nested loops, 101 masked maxima."""
+    if not gts:
+        return 0.0
+    order = sorted(range(len(dets)),
+                   key=lambda i: (-dets[i].score, dets[i].start))
+    matched = [False] * len(gts)
+    tp = np.zeros(len(dets))
+    for rank, i in enumerate(order):
+        d = dets[i]
+        best, best_ov = -1, thr
+        for j, g in enumerate(gts):
+            if matched[j]:
+                continue
+            ov = loop_tiou(d.start, d.end, g[0], g[1])
+            if ov >= best_ov:
+                best, best_ov = j, ov
+        if best >= 0:
+            matched[best] = True
+            tp[rank] = 1.0
+    if len(dets) == 0:
+        return 0.0
+    cum_tp = np.cumsum(tp)
+    precision = cum_tp / (np.arange(len(dets)) + 1)
+    recall = cum_tp / len(gts)
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        mask = recall >= r
+        ap += precision[mask].max() if mask.any() else 0.0
+    return ap / 101.0
+
+
+def loop_evaluate(dets_by_video, gts_by_video, thresholds):
+    """Slow reference: per-class AP over all videos shifted onto one
+    timeline, each video one second past the previous one's last end."""
+    offset = 0.0
+    class_dets, class_gts = {}, {}
+    for vid in sorted(set(gts_by_video) | set(dets_by_video)):
+        span = 0.0
+        for g in gts_by_video.get(vid, []):
+            class_gts.setdefault(g.class_id, []).append(
+                (g.start + offset, g.end + offset))
+            span = max(span, g.end)
+        for d in dets_by_video.get(vid, []):
+            class_dets.setdefault(d.class_id, []).append(
+                ActionSegment(d.class_id, d.score,
+                              d.start + offset, d.end + offset))
+            span = max(span, d.end)
+        offset += span + 1.0
+    return {(c, thr): loop_average_precision(class_dets.get(c, []),
+                                             class_gts[c], thr)
+            for thr in thresholds for c in sorted(class_gts)}
+
+
+def integer_grid_eval_set(rng):
+    """Up to 5 videos, 3 classes, integer times (the reference's shifting
+    is then exact), scores on a 0.1 grid and duplicated segments, so that
+    scores and overlaps tie often."""
+    gts, dets = {}, {}
+    for v in range(int(rng.integers(1, 6))):
+        vid = f"v{v}"
+        if rng.random() < 0.8:
+            gts[vid] = [GroundTruthSegment(int(rng.integers(3)), float(a),
+                                           float(a + rng.integers(1, 6)))
+                        for a in rng.integers(0, 15, int(rng.integers(0, 6)))]
+        if rng.random() < 0.8:
+            segs = [det(float(rng.integers(1, 10)) / 10, float(a),
+                        float(a + rng.integers(1, 6)), int(rng.integers(3)))
+                    for a in rng.integers(0, 15, int(rng.integers(0, 25)))]
+            dets[vid] = segs + [segs[i] for i in
+                                rng.integers(0, len(segs), len(segs) // 4)]
+    return dets, gts
 
 
 class TestTiou:
@@ -84,6 +168,15 @@ class TestMatchingRules:
         ap = average_precision([det(0.9, 0.0, 2.0)], [(0.0, 1.0)], 0.5)
         assert ap == 1.0
 
+    def test_equal_overlap_takes_the_last_ground_truth(self):
+        # the first det overlaps both gts by 1/3 and takes the later-listed
+        # one; the second det only overlaps (0, 2), so it matches only when
+        # that gt is listed first
+        dets = [det(0.9, 1.0, 3.0), det(0.8, 0.0, 1.0)]
+        gts = [(0.0, 2.0), (2.0, 4.0)]
+        assert average_precision(dets, gts, 0.3) == 1.0
+        assert average_precision(dets, gts[::-1], 0.3) == 51.0 / 101.0
+
 
 class TestEvaluate:
     def gts(self, *segs):
@@ -105,7 +198,7 @@ class TestEvaluate:
 
     def test_cross_video_detections_cannot_match(self):
         # det in v2 has the same coordinates as the gt in v1 but must not
-        # count: timelines are offset to be disjoint
+        # count: matching runs within each video
         gts = {"v1": self.gts((0, 1.0, 2.0)), "v2": []}
         dets = {"v1": [], "v2": [det(0.9, 1.0, 2.0, 0)]}
         rep = evaluate(dets, gts, [0.5])
@@ -134,3 +227,49 @@ class TestEvaluate:
         assert THUMOS_GRID == [0.3, 0.4, 0.5, 0.6, 0.7]
         assert ANET_GRID[0] == 0.5 and ANET_GRID[-1] == 0.95
         assert len(ANET_GRID) == 10
+
+
+class TestThresholdRange:
+    @pytest.mark.parametrize("thr", [0.0, -0.1, 1.0 + 1e-9, 2.0, math.nan])
+    def test_outside_unit_interval_rejected(self, thr):
+        # at threshold 0 a detection in video b at 50-51 s would "match" a
+        # ground truth in video a at 0-1 s
+        gts = {"a": [GroundTruthSegment(0, 0.0, 1.0)], "b": []}
+        dets = {"b": [det(0.9, 50.0, 51.0)]}
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            evaluate(dets, gts, [0.5, thr])
+        with pytest.raises(ValueError):
+            average_precision([det(0.9, 0.0, 1.0)], [(0.0, 1.0)], thr)
+
+
+class TestPerVideoMatching:
+    def test_match_does_not_depend_on_where_the_video_sorts(self):
+        # tIoU 0.5 (0.5000000000000011 in float64) on the video's own times;
+        # shifted behind 40 videos of 3000 s it used to round below 0.5
+        gts = {"z": [GroundTruthSegment(0, 60.66, 66.77)]}
+        dets = {"z": [det(0.9, 60.66, 63.715)]}
+        assert evaluate(dets, gts, [0.5]).per_class_ap[(0, 0.5)] == 1.0
+        for i in range(40):
+            gts[f"a{i:02d}"] = [GroundTruthSegment(1, 0.0, 3000.0)]
+        assert evaluate(dets, gts, [0.5]).per_class_ap[(0, 0.5)] == 1.0
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_reference(self, seed):
+        dets, gts = integer_grid_eval_set(np.random.default_rng(seed))
+        thresholds = THUMOS_GRID + [1.0 / 3.0, 2.0 / 3.0, 1.0]
+        rep = evaluate(dets, gts, thresholds)
+        assert rep.per_class_ap == loop_evaluate(dets, gts, thresholds)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_single_video_average_precision_is_evaluate(self, seed):
+        dets, gts = integer_grid_eval_set(np.random.default_rng(seed))
+        vid = sorted(gts)[0] if gts else "v0"
+        one_gts = {vid: gts.get(vid, [])}
+        one_dets = {vid: dets.get(vid, [])}
+        rep = evaluate(one_dets, one_gts, [0.5])
+        for (c, thr), ap in rep.per_class_ap.items():
+            mine = [d for d in one_dets[vid] if d.class_id == c]
+            spans = [(g.start, g.end) for g in one_gts[vid] if g.class_id == c]
+            assert average_precision(mine, spans, thr) == ap

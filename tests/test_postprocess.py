@@ -168,6 +168,21 @@ def random_segments(rng, n, num_classes=3):
     return out
 
 
+def tie_heavy_segments(rng):
+    """Up to ~300 segments in 3 classes with scores on a 0.05 grid, starts
+    and lengths on a 0.5 s grid and some exact duplicates: equal scores,
+    equal starts and equal decays are common."""
+    out = []
+    for _ in range(int(rng.integers(0, 271))):
+        a = float(rng.integers(0, 40)) * 0.5
+        out.append(ActionSegment(int(rng.integers(3)),
+                                 float(rng.integers(1, 21)) * 0.05,
+                                 a, a + float(rng.integers(1, 9)) * 0.5))
+    if out:
+        out += [out[i] for i in rng.integers(0, len(out), len(out) // 10)]
+    return out
+
+
 class TestSoftNms:
     def test_empty(self):
         assert soft_nms([]) == []
@@ -213,3 +228,33 @@ class TestSoftNms:
         for a, b in zip(got, ref):
             assert (a.class_id, a.start, a.end) == (b.class_id, b.start, b.end)
             np.testing.assert_allclose(a.score, b.score, atol=1e-9)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_on_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        segs = tie_heavy_segments(rng)
+        got = soft_nms(segs, sigma=0.5, min_score=0.01)
+        ref = brute_force_soft_nms(segs, 0.5, 0.01)
+        assert [(a.class_id, a.start, a.end) for a in got] == \
+            [(b.class_id, b.start, b.end) for b in ref]
+        np.testing.assert_allclose([a.score for a in got],
+                                   [b.score for b in ref], atol=1e-9)
+
+    def test_full_tie_keeps_input_order(self):
+        # equal score, start and class: the earlier input is picked first
+        a = ActionSegment(0, 0.5, 0.0, 1.0)
+        b = ActionSegment(0, 0.5, 0.0, 3.0)
+        assert [s.end for s in soft_nms([a, b])] == [1.0, 3.0]
+        assert [s.end for s in soft_nms([b, a])] == [3.0, 1.0]
+
+    def test_scores_equal_the_scalar_definition_bit_for_bit(self):
+        # decays use math.exp, as the definition does: np.exp can differ in
+        # the last bit, and that reorders exact ties between decayed scores
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            segs = random_segments(rng, 60)
+            got = soft_nms(segs, sigma=0.5, min_score=0.001)
+            ref = brute_force_soft_nms(segs, 0.5, 0.001)
+            assert [(a.class_id, a.start, a.end, a.score) for a in got] == \
+                [(b.class_id, b.start, b.end, b.score) for b in ref]
