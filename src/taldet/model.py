@@ -12,7 +12,7 @@ from .autograd import Tensor, concat
 from .heads import DetectionHeads, HeadOutput
 from .nn import Module
 from .spatial_attention import GroupAggregator
-from .subjects import VideoMeta, token_pool_matrix
+from .subjects import VideoMeta, pool_matrices
 from .temporal_pyramid import PyramidBuilder
 
 
@@ -43,6 +43,8 @@ class ModelConfig:
             raise ValueError("window_size must be odd and >= 1")
         if self.alpha < 1:
             raise ValueError("alpha must be >= 1")
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
 
     @property
     def pyramid_height(self) -> int:
@@ -52,7 +54,8 @@ class ModelConfig:
 @dataclass
 class VideoSample:
     """Precomputed per-video inputs: pooled subject tokens and global
-    averages, both plain arrays unless gradients w.r.t. features are needed."""
+    averages, both Tensors that carry gradients to the features only when
+    the features are a Tensor."""
     video_id: str
     tokens: Tensor        # [T, K, D]
     valid: np.ndarray     # bool [T, K]
@@ -66,14 +69,8 @@ def prepare_sample(video_id: str, features, boxes_per_snippet,
     """Pool tokens for every snippet. `features` may be a numpy [T,H,W,D]
     array (training path, no feature gradients) or a Tensor (gradient checks).
     """
-    T = meta.num_snippets
-    HW = meta.feature_height * meta.feature_width
-    mats = np.zeros((T, K, HW))
-    valid = np.zeros((T, K), dtype=bool)
-    for t in range(T):
-        mats[t], valid[t] = token_pool_matrix(
-            boxes_per_snippet[t], meta, K, bins)
-    flat = features.reshape(T, HW, meta.feature_dim)
+    mats, valid = pool_matrices(boxes_per_snippet, meta, K, bins)
+    flat = features.reshape(mats.shape[0], -1, meta.feature_dim)
     tokens = Tensor(mats) @ flat
     gavg = Tensor._lift(flat.mean(axis=1))
     return VideoSample(video_id, tokens, valid, gavg, meta)

@@ -1,4 +1,4 @@
-"""Subject box ranking, RoI feature pooling, and token extraction.
+"""Subject box ranking and RoI feature pooling, one numpy pass per video.
 
 Boxes arrive in keyframe pixel coordinates; features are an H x W x D grid per
 snippet. The top-K boxes by frame-area ratio each become one pooled token; the
@@ -57,96 +57,65 @@ class SubjectBox:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
 
-def _clip_box(box: SubjectBox, meta: VideoMeta) -> SubjectBox | None:
-    x1 = max(box.x1, 0.0)
-    y1 = max(box.y1, 0.0)
-    x2 = min(box.x2, float(meta.frame_width))
-    y2 = min(box.y2, float(meta.frame_height))
-    if x1 >= x2 or y1 >= y2:
-        return None
-    return SubjectBox(x1, y1, x2, y2, box.confidence)
+SAMPLES = 2  # RoIAlign samples per bin along each axis
 
 
-def rank_subjects(boxes: list[SubjectBox], meta: VideoMeta, K: int) -> list[SubjectBox]:
-    """Top-K boxes by frame-area ratio; ties broken by confidence, then by
-    original position. Fully-outside boxes are dropped after clipping."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    frame_area = meta.frame_width * meta.frame_height
-    clipped = []
-    for i, b in enumerate(boxes):
-        cb = _clip_box(b, meta)
-        if cb is not None:
-            clipped.append((-(cb.area / frame_area), -cb.confidence, i, cb))
-    clipped.sort(key=lambda t: t[:3])
-    return [t[3] for t in clipped[:K]]
+def _mean_axis_weights(lo, hi, scale, bins, n):
+    """[boxes, n] mean bilinear weight of each of the n cells over the
+    bins * SAMPLES regular sample positions along one axis of each box."""
+    if n == 1:
+        return np.ones((len(lo), 1))
+    lo, hi = lo * scale, hi * scale
+    c = 0.5 * (lo + hi)
+    thin = hi - lo < 1e-9
+    lo, hi = np.where(thin, c - 0.5, lo), np.where(thin, c + 0.5, hi)
+    u = (np.arange(bins)[:, None]
+         + (np.arange(SAMPLES) + 0.5) / SAMPLES).reshape(-1)
+    pos = lo[:, None] + ((hi - lo) / bins)[:, None] * u
+    p = np.clip(pos - 0.5, 0.0, n - 1.0)
+    left = np.minimum(np.floor(p).astype(int), n - 2)
+    frac = (p - left)[..., None]
+    cells = np.arange(n)
+    return ((cells == left[..., None]) * (1.0 - frac)
+            + (cells == left[..., None] + 1) * frac).mean(axis=1)
 
 
-def _roi_weights(box: SubjectBox, meta: VideoMeta,
-                 bins: tuple[int, int], samples: int = 2) -> np.ndarray:
-    """Linear map from grid cells to bin averages, shape [b_h*b_w, H*W].
+def pool_matrices(boxes_per_snippet: list[list[SubjectBox]], meta: VideoMeta,
+                  K: int, bins: tuple[int, int] = (7, 7)
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """[T, K, H*W] pooling matrices and [T, K] validity for a whole video.
 
-    Each bin averages samples^2 bilinear samples taken at regular interior
-    points; cell values sit at cell centers and samples clamp at the border.
-    A box that collapses after mapping is widened to one cell extent.
+    tokens = mats @ f.reshape(T, H*W, D). Boxes are clipped to the frame and
+    dropped if empty; slot k of snippet t holds that snippet's k-th box by
+    frame-area ratio, ties broken by confidence, then by input order. Its row
+    is the mean of RoIAlign's bilinear samples (SAMPLES^2 per bin at regular
+    interior points, cell values at cell centers, clamped at the border),
+    which factors into the outer product of per-axis mean sample weights. A
+    box that collapses after mapping is widened to one cell extent. Unfilled
+    slots are zero rows with valid=False.
     """
-    H, W = meta.feature_height, meta.feature_width
-    sy = H / meta.frame_height
-    sx = W / meta.frame_width
-    y1, y2 = box.y1 * sy, box.y2 * sy
-    x1, x2 = box.x1 * sx, box.x2 * sx
-    if y2 - y1 < 1e-9:
-        c = 0.5 * (y1 + y2)
-        y1, y2 = c - 0.5, c + 0.5
-    if x2 - x1 < 1e-9:
-        c = 0.5 * (x1 + x2)
-        x1, x2 = c - 0.5, c + 0.5
-    b_h, b_w = bins
-    bh_ext = (y2 - y1) / b_h
-    bw_ext = (x2 - x1) / b_w
-    frac = (np.arange(samples) + 0.5) / samples
-    ys = (y1 + bh_ext * (np.arange(b_h)[:, None] + frac[None, :])).reshape(-1)
-    xs = (x1 + bw_ext * (np.arange(b_w)[:, None] + frac[None, :])).reshape(-1)
-
-    def axis_weights(pos, n):
-        # bilinear weights over cell centers (i + 0.5), clamped at borders
-        p = np.clip(pos - 0.5, 0.0, n - 1.0)
-        lo = np.minimum(np.floor(p).astype(int), n - 2) if n > 1 \
-            else np.zeros(len(p), dtype=int)
-        frac_p = p - lo
-        w = np.zeros((len(pos), n))
-        if n == 1:
-            w[:, 0] = 1.0
-        else:
-            w[np.arange(len(pos)), lo] = 1.0 - frac_p
-            w[np.arange(len(pos)), lo + 1] = frac_p
-        return w
-
-    wy = axis_weights(ys, H)     # [b_h*s, H]
-    wx = axis_weights(xs, W)     # [b_w*s, W]
-    wy = wy.reshape(b_h, samples, H)
-    wx = wx.reshape(b_w, samples, W)
-    # bin (i, j) averages the outer products of its sample weights
-    cell = np.einsum("iah,jbw->ijhw", wy, wx) / (samples * samples)
-    return cell.reshape(b_h * b_w, H * W)
-
-
-def token_pool_matrix(boxes: list[SubjectBox], meta: VideoMeta, K: int,
-                      bins: tuple[int, int] = (7, 7)) -> tuple[np.ndarray, np.ndarray]:
-    """[K, H*W] pooling matrix and validity mask for one snippet.
-
-    tokens = matrix @ f.reshape(H*W, D): row k is the mean over the RoI bins
-    of the k-th ranked box, so pooling is exactly linear in the features.
-    Unfilled slots are zero rows with valid=False.
-    """
-    if bins[0] < 1 or bins[1] < 1:
-        raise ValueError("bins must be >= (1, 1)")
-    ranked = rank_subjects(boxes, meta, K) if boxes else []
-    HW = meta.feature_height * meta.feature_width
-    mat = np.zeros((K, HW))
-    valid = np.zeros(K, dtype=bool)
-    for k, box in enumerate(ranked):
-        mat[k] = _roi_weights(box, meta, bins).mean(axis=0)
-        valid[k] = True
-    return mat, valid
-
+    if K < 1 or bins[0] < 1 or bins[1] < 1:
+        raise ValueError("K must be >= 1 and bins >= (1, 1)")
+    T, H, W = meta.num_snippets, meta.feature_height, meta.feature_width
+    snippet = np.repeat(np.arange(T), [len(bs) for bs in boxes_per_snippet])
+    b = np.array([(x.x1, x.y1, x.x2, x.y2, x.confidence)
+                  for bs in boxes_per_snippet for x in bs],
+                 dtype=float).reshape(-1, 5)
+    x1, y1 = np.maximum(b[:, 0], 0.0), np.maximum(b[:, 1], 0.0)
+    x2 = np.minimum(b[:, 2], float(meta.frame_width))
+    y2 = np.minimum(b[:, 3], float(meta.frame_height))
+    ratio = (x2 - x1) * (y2 - y1) / (meta.frame_width * meta.frame_height)
+    keep = np.flatnonzero((x1 < x2) & (y1 < y2))
+    order = keep[np.lexsort((keep, -b[keep, 4], -ratio[keep], snippet[keep]))]
+    t = snippet[order]
+    slot = np.arange(len(order)) - np.searchsorted(t, t)
+    order, t, slot = order[slot < K], t[slot < K], slot[slot < K]
+    wy = _mean_axis_weights(y1[order], y2[order], H / meta.frame_height,
+                            bins[0], H)
+    wx = _mean_axis_weights(x1[order], x2[order], W / meta.frame_width,
+                            bins[1], W)
+    mats = np.zeros((T, K, H * W))
+    valid = np.zeros((T, K), dtype=bool)
+    mats[t, slot] = (wy[:, :, None] * wx[:, None, :]).reshape(-1, H * W)
+    valid[t, slot] = True
+    return mats, valid

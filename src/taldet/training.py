@@ -151,11 +151,14 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
                 try:
                     loss = video_loss(model, sample, gts, cfg) * (1.0 / len(batch))
                 except NonFiniteError as e:
-                    grad_norms = {p.name: float(np.abs(p.grad).max())
-                                  for p in params if p.grad is not None}
+                    grads = sorted(((float(np.abs(p.grad).max()), name)
+                                    for name, p in model.named_parameters()
+                                    if p.grad is not None), reverse=True)
+                    largest = ", ".join(f"{name}={g:.3g}"
+                                        for g, name in grads[:3])
                     raise NumericalAbort(
                         f"non-finite loss at step {step} (lr={lr:.3g}): {e}; "
-                        f"largest grads: {sorted(grad_norms.values())[-3:]}")
+                        f"largest grads: {largest or 'none yet'}")
                 loss.backward()
                 batch_loss += float(loss.data)
             clip_global_norm(params, cfg.grad_clip)

@@ -76,6 +76,21 @@ class TestPipeline:
                   (run / "report.jsonl").read_text().splitlines()]
         assert "average_map" in report[-1]
 
+    def test_global_average_ablation_leg(self, dataset):
+        # the README's ablation recipe, leg without subject tokens
+        tmp, data, cfg = dataset
+        cfg.write_text(SMALL + "use_subject_tokens = false\n")
+        run = tmp / "global"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(run)]) == EXIT_OK
+        assert main(["infer", "--data", str(data), "--config", str(cfg),
+                     "--checkpoint", str(run / "checkpoint.ptck"),
+                     "--out", str(run)]) == EXIT_OK
+        assert main(["eval", "--data", str(data), "--detections",
+                     str(run / "detections.jsonl"), "--thresholds", "0.5",
+                     "--out", str(run)]) == EXIT_OK
+        assert (run / "report.jsonl").exists()
+
     def test_flag_overrides_config(self, dataset):
         tmp, data, cfg = dataset
         rc = main(["train", "--data", str(data), "--config", str(cfg),
@@ -155,6 +170,17 @@ class TestSettings:
         rc = main(["train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_k_below_one_exits_2(self, dataset, capsys, K):
+        with pytest.raises(ValueError, match="K"):
+            ModelConfig(feature_dim=16, num_classes=2, K=K)
+        tmp, data, cfg = dataset
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--k", str(K), "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert "K must be >= 1" in capsys.readouterr().err
+        assert not (tmp / "run").exists()
 
     @pytest.mark.parametrize("key", ["pre_nms_topk", "post_nms_keep"])
     def test_negative_infer_count_exits_2(self, dataset, capsys, key):

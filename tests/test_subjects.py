@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, grad_check
 from taldet.model import prepare_sample
-from taldet.subjects import (SubjectBox, VideoMeta, rank_subjects,
-                             token_pool_matrix)
+from taldet.subjects import SubjectBox, VideoMeta, pool_matrices
 
 META = VideoMeta(frame_width=64, frame_height=64, fps=15.0, num_snippets=4,
                  feature_height=4, feature_width=4, feature_dim=3,
@@ -23,58 +24,24 @@ def random_boxes(rng, n, meta=META):
     return out
 
 
-class TestRankSubjects:
-    def test_fewer_than_k_returns_all(self):
-        boxes = [SubjectBox(0, 0, 10, 10, 0.5), SubjectBox(0, 0, 32, 32, 0.4)]
-        out = rank_subjects(boxes, META, 6)
-        assert out == [boxes[1], boxes[0]]  # larger area first
-
-    def test_forced_order_by_area_ratio(self):
-        # area ratios 0.3, 0.1, 0.5 of a 64x64 frame
-        sides = [np.sqrt(r) * 64 for r in (0.3, 0.1, 0.5)]
-        boxes = [SubjectBox(0, 0, s, s) for s in sides]
-        out = rank_subjects(boxes, META, 2)
-        assert out == [boxes[2], boxes[0]]
-
-    def test_matches_full_sort_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            boxes = random_boxes(rng, 10)
-            out = rank_subjects(boxes, META, 6)
-            frame = META.frame_width * META.frame_height
-            oracle = sorted(
-                range(10),
-                key=lambda i: (-boxes[i].area / frame, -boxes[i].confidence, i))
-            assert out == [boxes[i] for i in oracle[:6]]
-
-    def test_empty_input(self):
-        assert rank_subjects([], META, 3) == []
-
-    def test_fully_outside_boxes_dropped(self):
-        inside = SubjectBox(0, 0, 8, 8)
-        outside = SubjectBox(100, 100, 200, 200)
-        assert rank_subjects([outside, inside], META, 6) == [inside]
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_output_is_prefix_of_stable_sort(self, seed, K):
-        rng = np.random.default_rng(seed)
-        boxes = random_boxes(rng, int(rng.integers(0, 12)))
-        out = rank_subjects(boxes, META, K)
-        full = rank_subjects(boxes, META, max(len(boxes), 1))
-        assert out == full[:K]
+def clip(box, meta=META):
+    """The box clipped to the frame, or None if nothing is left."""
+    x1, y1 = max(box.x1, 0.0), max(box.y1, 0.0)
+    x2 = min(box.x2, float(meta.frame_width))
+    y2 = min(box.y2, float(meta.frame_height))
+    if x1 >= x2 or y1 >= y2:
+        return None
+    return SubjectBox(x1, y1, x2, y2, box.confidence)
 
 
-def pool(features, boxes, meta=META, K=1, bins=(7, 7)):
-    """Tokens [K, D] and validity of one [H, W, D] snippet, pooled the way
-    prepare_sample pools every snippet."""
-    mat, valid = token_pool_matrix(boxes, meta, K, bins)
-    H, W, D = features.shape
-    return mat @ features.reshape(H * W, D), valid
-
-
-def every_snippet(boxes, meta=META):
-    return [boxes] * meta.num_snippets
+def sort_oracle(boxes, K, meta=META):
+    """Reference ranking: the clipped, non-empty boxes sorted by (-area
+    ratio, -confidence, input index), first K."""
+    frame = meta.frame_width * meta.frame_height
+    kept = [(i, c) for i, c in enumerate(clip(b, meta) for b in boxes)
+            if c is not None]
+    kept.sort(key=lambda ic: (-ic[1].area / frame, -ic[1].confidence, ic[0]))
+    return [c for _, c in kept[:K]]
 
 
 def bilinear_token_oracle(f, box, meta=META, bins=(7, 7), samples=2):
@@ -98,8 +65,91 @@ def bilinear_token_oracle(f, box, meta=META, bins=(7, 7), samples=2):
     return total / (ny * nx)
 
 
+def assert_slots(boxes_per_snippet, K, meta=META, bins=(7, 7), seed=11):
+    """Pool a video through prepare_sample on a random feature grid and check
+    every slot against the reference ranking and the bilinear oracle."""
+    T, H, W = meta.num_snippets, meta.feature_height, meta.feature_width
+    f = np.random.default_rng(seed).normal(size=(T, H, W, meta.feature_dim))
+    sample = prepare_sample("v", f, boxes_per_snippet, meta, K, bins)
+    for t in range(T):
+        ranked = sort_oracle(boxes_per_snippet[t], K, meta)
+        assert sample.valid[t].tolist() == [k < len(ranked) for k in range(K)]
+        for k, box in enumerate(ranked):
+            np.testing.assert_allclose(sample.tokens.data[t, k],
+                                       bilinear_token_oracle(f[t], box, meta,
+                                                             bins),
+                                       atol=1e-12)
+        np.testing.assert_array_equal(sample.tokens.data[t, len(ranked):], 0.0)
+
+
+def one_snippet(meta=META):
+    return dataclasses.replace(meta, num_snippets=1)
+
+
+class TestRankSubjects:
+    """Slot order: area ratio, then confidence, then input order."""
+
+    def test_fewer_than_k_returns_all(self):
+        boxes = [SubjectBox(0, 0, 10, 10, 0.5), SubjectBox(0, 0, 32, 32, 0.4)]
+        assert sort_oracle(boxes, 6) == [boxes[1], boxes[0]]  # larger first
+        assert_slots([boxes], 6, one_snippet())
+
+    def test_forced_order_by_area_ratio(self):
+        # area ratios 0.3, 0.1, 0.5 of a 64x64 frame
+        sides = [np.sqrt(r) * 64 for r in (0.3, 0.1, 0.5)]
+        boxes = [SubjectBox(0, 0, s, s) for s in sides]
+        assert sort_oracle(boxes, 2) == [boxes[2], boxes[0]]
+        assert_slots([boxes], 2, one_snippet())
+
+    def test_matches_full_sort_oracle(self):
+        # all snippets of a video are ranked in one pass
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            assert_slots([random_boxes(rng, int(rng.integers(0, 11)))
+                          for _ in range(META.num_snippets)], 6)
+
+    def test_empty_input(self):
+        mats, valid = pool_matrices([[]] * 4, META, 3)
+        assert mats.shape == (4, 3, 16)
+        assert not valid.any()
+        np.testing.assert_array_equal(mats, 0.0)
+
+    def test_fully_outside_boxes_dropped(self):
+        inside = SubjectBox(0, 0, 8, 8)
+        outside = SubjectBox(100, 100, 200, 200)
+        assert sort_oracle([outside, inside], 6) == [inside]
+        assert_slots([[outside, inside]], 6, one_snippet())
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_output_is_prefix_of_stable_sort(self, seed, K):
+        # boxes shifted partly or fully outside the frame are clipped first
+        rng = np.random.default_rng(seed)
+        boxes = [[dataclasses.replace(b, x1=b.x1 + dx, x2=b.x2 + dx)
+                  for b, dx in zip(random_boxes(rng, n),
+                                   rng.choice([0.0, -30.0, 70.0], size=n))]
+                 for n in rng.integers(0, 12, size=META.num_snippets)]
+        assert_slots(boxes, K, seed=seed)
+        full_K = max(K, *map(len, boxes))
+        mats, valid = pool_matrices(boxes, META, K)
+        full, full_valid = pool_matrices(boxes, META, full_K)
+        np.testing.assert_array_equal(valid, full_valid[:, :K])
+        np.testing.assert_array_equal(mats, full[:, :K])
+
+
+def pool(features, boxes, meta=META, K=1, bins=(7, 7)):
+    """Tokens [K, D] and validity of one [H, W, D] snippet."""
+    mats, valid = pool_matrices([boxes], one_snippet(meta), K, bins)
+    H, W, D = features.shape
+    return mats[0] @ features.reshape(H * W, D), valid[0]
+
+
+def every_snippet(boxes, meta=META):
+    return [boxes] * meta.num_snippets
+
+
 class TestRoiAlign:
-    """The RoI weights behind token_pool_matrix."""
+    """The RoI weights behind pool_matrices."""
 
     def test_constant_field(self):
         f = np.full((4, 4, 3), 2.5)
@@ -109,11 +159,11 @@ class TestRoiAlign:
     def test_full_frame_single_bin_hand_samples(self):
         meta = VideoMeta(64, 64, 15.0, 1, 2, 2, 1, 4)
         grid = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-        mat, valid = token_pool_matrix([SubjectBox(0, 0, 64, 64)], meta, 1,
-                                       bins=(1, 1))
+        mats, valid = pool_matrices([[SubjectBox(0, 0, 64, 64)]], meta, 1,
+                                    bins=(1, 1))
         # the 2x2 samples of the single bin land exactly on the cell centers
-        assert valid.tolist() == [True]
-        np.testing.assert_allclose(mat, 0.25, atol=1e-12)
+        assert valid.tolist() == [[True]]
+        np.testing.assert_allclose(mats, 0.25, atol=1e-12)
         tokens, _ = pool(grid, [SubjectBox(0, 0, 64, 64)], meta, bins=(1, 1))
         np.testing.assert_allclose(tokens[0, 0], grid.mean(), atol=1e-12)
 
@@ -143,14 +193,19 @@ class TestRoiAlign:
     def test_degenerate_mapped_box_clamps(self):
         # sub-pixel box maps to ~zero feature extent; widened to one cell
         tiny = SubjectBox(20.0, 20.0, 20.0 + 1e-12, 20.0 + 1e-12)
-        mat, valid = token_pool_matrix([tiny], META, 1)
-        assert valid.tolist() == [True]
-        assert np.isfinite(mat).all()
-        np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
+        mats, valid = pool_matrices([[tiny]], one_snippet(), 1)
+        assert valid.tolist() == [[True]]
+        assert np.isfinite(mats).all()
+        np.testing.assert_allclose(mats.sum(axis=2), 1.0, atol=1e-12)
 
     def test_bad_bins_rejected(self):
         with pytest.raises(ValueError):
-            token_pool_matrix([SubjectBox(0, 0, 10, 10)], META, 1, bins=(0, 1))
+            pool_matrices([[SubjectBox(0, 0, 10, 10)]], one_snippet(), 1,
+                          bins=(0, 1))
+
+    def test_bad_k_rejected(self):
+        with pytest.raises(ValueError, match="K"):
+            pool_matrices([[]], one_snippet(), 0)
 
 
 class TestExtractTokens:
@@ -172,15 +227,27 @@ class TestExtractTokens:
 
     def test_tokens_match_mean_pool_oracle(self):
         rng = np.random.default_rng(5)
-        f = rng.normal(size=(4, 4, 4, 3))
-        boxes = [random_boxes(rng, 3) for _ in range(4)]
-        sample = prepare_sample("v", f, boxes, META, K=4)
-        for t in range(4):
-            ranked = rank_subjects(boxes[t], META, 4)
-            for k, box in enumerate(ranked):
-                np.testing.assert_allclose(sample.tokens.data[t, k],
-                                           bilinear_token_oracle(f[t], box),
-                                           atol=1e-12)
+        assert_slots([random_boxes(rng, 3) for _ in range(4)], 4)
+        # single-row or single-column grids, non-square bins, and tie-heavy
+        # boxes: grid-aligned sizes give equal areas, confidences come from
+        # two values, and some boxes are repeated
+        for (H, W), bins in [((1, 5), (7, 7)), ((3, 1), (2, 5)),
+                             ((1, 1), (1, 1)), ((4, 6), (1, 1)),
+                             ((5, 3), (3, 1)), ((6, 4), (1, 4))]:
+            meta = VideoMeta(48, 32, 15.0, 3, H, W, 2)
+            boxes = []
+            for _ in range(3):
+                snippet = []
+                for _ in range(int(rng.integers(0, 7))):
+                    x1, y1 = 8 * rng.integers(0, 5), 8 * rng.integers(0, 3)
+                    w, h = 8 * rng.integers(1, 3, size=2)
+                    snippet.append(SubjectBox(x1, y1, x1 + w, y1 + h,
+                                              float(rng.choice([0.5, 0.9]))))
+                    if rng.uniform() < 0.3:
+                        snippet.append(snippet[-1])
+                boxes.append(snippet)
+            for K in (1, 3, 6):
+                assert_slots(boxes, K, meta, bins)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from taldet import training
 from taldet.autograd import Parameter
 from taldet.dataio import (SyntheticSpec, generate_synthetic,
                            read_annotations, read_checkpoint, read_features)
 from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
-from taldet.training import (Adam, TrainConfig, clip_global_norm, ema_update,
-                             fit, load_into_model, lr_schedule, video_loss)
+from taldet.training import (Adam, NumericalAbort, TrainConfig,
+                             clip_global_norm, ema_update, fit,
+                             load_into_model, lr_schedule, video_loss)
 
 
 class TestLrSchedule:
@@ -194,6 +196,32 @@ class TestFit:
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
             fit(model, [], {}, TrainConfig())
+
+    def test_non_finite_loss_names_parameter_paths(self, tmp_path,
+                                                   monkeypatch):
+        cfg, samples, gts = tiny_dataset(tmp_path / "d")
+        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+        calls = []
+
+        def poisoned(model, sample, gts, cfg):
+            # the second video of the first batch has infinite tokens, so
+            # the first one's gradients are there to report
+            calls.append(sample.video_id)
+            if len(calls) == 2:
+                sample.tokens.data[:] = np.inf
+            return video_loss(model, sample, gts, cfg)
+
+        monkeypatch.setattr(training, "video_loss", poisoned)
+        with pytest.raises(NumericalAbort) as info:
+            fit(model, samples, gts, TrainConfig(epochs=2, warmup_epochs=1))
+        listed = str(info.value).split("largest grads: ")[1].split(", ")
+        paths = dict(model.named_parameters())
+        values = []
+        for item in listed:
+            path, value = item.split("=")
+            assert "." in path and path in paths
+            values.append(float(value))
+        assert len(listed) == 3 and values == sorted(values, reverse=True)
 
     def test_video_loss_is_finite_scalar(self, tmp_path):
         cfg, samples, gts = tiny_dataset(tmp_path / "d", num_videos=1)
