@@ -62,9 +62,8 @@ SAMPLES = 2  # RoIAlign samples per bin along each axis
 
 def _mean_axis_weights(lo, hi, scale, bins, n):
     """[boxes, n] mean bilinear weight of each of the n cells over the
-    bins * SAMPLES regular sample positions along one axis of each box."""
-    if n == 1:
-        return np.ones((len(lo), 1))
+    bins * SAMPLES regular sample positions along one axis of each box.
+    On a one-cell axis (n == 1), `left` is -1 and every weight is 1."""
     lo, hi = lo * scale, hi * scale
     c = 0.5 * (lo + hi)
     thin = hi - lo < 1e-9

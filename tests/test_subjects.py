@@ -197,6 +197,10 @@ class TestRoiAlign:
         assert valid.tolist() == [[True]]
         assert np.isfinite(mats).all()
         np.testing.assert_allclose(mats.sum(axis=2), 1.0, atol=1e-12)
+        # one cell is 16 px here, so it pools like the 16 px box around it
+        cell, _ = pool_matrices([[SubjectBox(12.0, 12.0, 28.0, 28.0)]],
+                                one_snippet(), 1)
+        np.testing.assert_allclose(mats, cell, atol=1e-12)
 
     def test_bad_bins_rejected(self):
         with pytest.raises(ValueError):
