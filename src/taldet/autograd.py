@@ -4,6 +4,9 @@ Everything downstream (attention blocks, convolution towers, losses) is
 composed from the primitives here, so the finite-difference harness at the
 bottom of the file is the single source of truth for gradient correctness.
 Graphs are built explicitly per forward pass; there is no global tape.
+Tensors do not check finiteness: non-finite values are caught where numbers
+enter (dataio's file readers, the CLI settings) and where training consumes
+them (the loss and the global gradient norm in `training.fit`).
 """
 
 from __future__ import annotations
@@ -13,10 +16,6 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Shape or dimensionality precondition violated."""
-
-
-class NonFiniteError(ValueError):
-    """A tensor was created with NaN or Inf entries."""
 
 
 class InvalidMaskError(ValueError):
@@ -50,10 +49,7 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor created with non-finite entries")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -434,7 +430,8 @@ def grad_check(f, params, h: float = 1e-5, max_coords: int = 8,
     """Max relative error between analytic and central-difference gradients.
 
     `f` must rebuild its graph on every call and return a scalar Tensor.
-    Samples up to `max_coords` coordinates per parameter.
+    Samples up to `max_coords` coordinates per parameter. A non-finite
+    analytic gradient scores inf; a non-finite loss raises ProbeError.
     """
     rng = rng or np.random.default_rng(0)
     for p in params:
@@ -445,6 +442,8 @@ def grad_check(f, params, h: float = 1e-5, max_coords: int = 8,
     loss.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
                 for p in params]
+    if not all(np.isfinite(an).all() for an in analytic):
+        return np.inf   # max() below would drop a NaN error
 
     worst = 0.0
     for p, an in zip(params, analytic):
@@ -460,6 +459,8 @@ def grad_check(f, params, h: float = 1e-5, max_coords: int = 8,
             lo = float(f().data)
             flat[c] = orig
             fd = (hi - lo) / (2 * h)
+            if not np.isfinite(fd):
+                raise ProbeError("non-finite loss near probe point")
             err = abs(an.reshape(-1)[c] - fd) / max(1.0, abs(fd))
             worst = max(worst, err)
     return worst

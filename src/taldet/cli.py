@@ -2,8 +2,8 @@
 
 Config files are plain `key = value` lines. The keys are the fields of
 ModelConfig and TrainConfig plus the infer settings in INFER_SETTINGS; an
-unknown key or a value of the wrong type is a validation error. Flags given
-on the command line override the file.
+unknown key, a value of the wrong type or a non-finite float is a validation
+error. Flags given on the command line override the file.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -78,6 +79,8 @@ def _check_setting(key: str, value):
             not isinstance(value, accepted):
         raise ValidationError(f"setting {key} = {value!r} is not "
                               f"{want.__name__}")
+    if want is float and not math.isfinite(value):
+        raise ValidationError(f"setting {key} = {value!r} is not finite")
     return want(value)
 
 

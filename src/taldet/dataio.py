@@ -221,6 +221,8 @@ def read_checkpoint(path) -> list[tuple[str, np.ndarray]]:
             n = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
             off += 4 * n
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{path}: non-finite values in entry {name}")
             out.append((name, arr.reshape(shape).astype(np.float64)))
     except struct.error:
         raise FormatError(f"{path}: truncated checkpoint at offset {off}")

@@ -9,14 +9,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import NonFiniteError, Parameter
+from .autograd import Parameter
 from .dataio import write_checkpoint
 from .heads import assign_targets, total_loss
 from .model import SubjectPriorDetector, VideoSample
 
 
 class NumericalAbort(RuntimeError):
-    """Training hit a non-finite loss; carries step diagnostics."""
+    """Training hit a non-finite loss or gradient norm; carries step
+    diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,9 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
-    if norm > max_norm > 0:
+    # a non-finite norm leaves the gradients as they are, for the caller to
+    # report
+    if math.inf > norm > max_norm > 0:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
@@ -120,6 +123,20 @@ def video_loss(model: SubjectPriorDetector, sample: VideoSample,
                       strict_positive_only=cfg.strict_positive_only)
 
 
+def numerical_abort(what: str, step: int, lr: float,
+                    model: SubjectPriorDetector) -> NumericalAbort:
+    """The abort for a non-finite `what` at `step`, naming the three
+    parameters with the largest gradient entries by their path."""
+    grads = [(float(np.abs(p.grad).max()), name)
+             for name, p in model.named_parameters() if p.grad is not None]
+    # NaN does not sort, so it ranks as the largest
+    grads.sort(key=lambda t: math.inf if math.isnan(t[0]) else t[0],
+               reverse=True)
+    largest = ", ".join(f"{name}={g:.3g}" for g, name in grads[:3])
+    return NumericalAbort(f"{what} at step {step} (lr={lr:.3g}); "
+                          f"largest grads: {largest or 'none yet'}")
+
+
 def fit(model: SubjectPriorDetector, samples: list[VideoSample],
         segments_by_video: dict[str, list], cfg: TrainConfig,
         out_dir=None) -> FitResult:
@@ -148,20 +165,17 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
             for i in batch:
                 sample = samples[i]
                 gts = segments_by_video[sample.video_id]
-                try:
-                    loss = video_loss(model, sample, gts, cfg) * (1.0 / len(batch))
-                except NonFiniteError as e:
-                    grads = sorted(((float(np.abs(p.grad).max()), name)
-                                    for name, p in model.named_parameters()
-                                    if p.grad is not None), reverse=True)
-                    largest = ", ".join(f"{name}={g:.3g}"
-                                        for g, name in grads[:3])
-                    raise NumericalAbort(
-                        f"non-finite loss at step {step} (lr={lr:.3g}): {e}; "
-                        f"largest grads: {largest or 'none yet'}")
+                loss = video_loss(model, sample, gts, cfg) * (1.0 / len(batch))
+                if not np.isfinite(loss.data):
+                    raise numerical_abort(
+                        f"non-finite loss on video {sample.video_id}", step,
+                        lr, model)
                 loss.backward()
                 batch_loss += float(loss.data)
-            clip_global_norm(params, cfg.grad_clip)
+            norm = clip_global_norm(params, cfg.grad_clip)
+            if not math.isfinite(norm):
+                raise numerical_abort(f"non-finite gradient norm {norm}",
+                                      step, lr, model)
             opt.step(lr)
             ema_update(ema, params, cfg.ema_decay)
             epoch_losses.append(batch_loss)
@@ -188,13 +202,22 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
 def load_into_model(model: SubjectPriorDetector,
                     entries: list[tuple[str, np.ndarray]],
                     use_ema: bool = False) -> None:
+    """Copy the live (or, with `use_ema`, the `ema/`) weights into `model`.
+    Every parameter must be present with its shape, and every entry, with
+    or without its `ema/` prefix, must name a parameter."""
     prefix = "ema/" if use_ema else ""
     table = {name: arr for name, arr in entries
              if name.startswith(prefix) and (prefix or not name.startswith("ema/"))}
-    for name, p in model.named_parameters():
+    params = dict(model.named_parameters())
+    for name, p in params.items():
         key = prefix + name
         if key not in table:
             raise ValueError(f"checkpoint missing parameter {key}")
         if table[key].shape != p.data.shape:
             raise ValueError(f"shape mismatch for {key}")
-        p.data = table[key].copy()
+    for name, _ in entries:
+        if name.removeprefix("ema/") not in params:
+            raise ValueError(f"checkpoint entry {name} is not a parameter of "
+                             f"the model")
+    for name, p in params.items():
+        p.data = table[prefix + name].copy()

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from taldet import cli
 from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _coerce,
                         main, parse_config_file)
+from taldet.dataio import read_checkpoint, write_checkpoint
 from taldet.model import ModelConfig
 from taldet.training import FitResult
 
@@ -121,6 +123,36 @@ class TestPipeline:
                    "--checkpoint", str(bad), "--out", str(tmp / "o")])
         assert rc == EXIT_VALIDATION
 
+    def test_non_finite_checkpoint_names_the_entry(self, dataset, capsys):
+        tmp, data, cfg = dataset
+        run = tmp / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(run)]) == EXIT_OK
+        entries = read_checkpoint(run / "checkpoint.ptck")
+        name, arr = entries[3]
+        arr[...] = np.nan
+        write_checkpoint(run / "checkpoint.ptck", entries)
+        rc = main(["infer", "--data", str(data), "--config", str(cfg),
+                   "--checkpoint", str(run / "checkpoint.ptck"),
+                   "--out", str(tmp / "dets")])
+        assert rc == EXIT_VALIDATION
+        assert f"non-finite values in entry {name}" in capsys.readouterr().err
+        assert not (tmp / "dets").exists()
+
+    def test_checkpoint_with_extra_layers_exits_2(self, dataset, capsys):
+        # a checkpoint of two group layers does not load into a model of one
+        tmp, data, cfg = dataset
+        run = tmp / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--l1", "2", "--out", str(run)]) == EXIT_OK
+        rc = main(["infer", "--data", str(data), "--config", str(cfg),
+                   "--checkpoint", str(run / "checkpoint.ptck"),
+                   "--out", str(tmp / "dets")])
+        assert rc == EXIT_VALIDATION
+        assert ("checkpoint entry aggregator.blocks.1."
+                in capsys.readouterr().err)
+        assert not (tmp / "dets").exists()
+
 
 class TestSettings:
     def test_unknown_key_exits_2(self, dataset, capsys):
@@ -195,6 +227,24 @@ class TestSettings:
         assert rc == EXIT_VALIDATION
         assert key in capsys.readouterr().err
         assert not (tmp / "dets").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("infer", "sigma", "nan"), ("infer", "score_threshold", "nan"),
+        ("train", "lr_init", "inf")])
+    def test_non_finite_float_exits_2(self, dataset, capsys, command, key,
+                                      value):
+        tmp, data, cfg = dataset
+        cfg.write_text(SMALL + f"{key} = {value}\n")
+        argv = [command, "--data", str(data), "--config", str(cfg),
+                "--out", str(tmp / "run")]
+        if command == "infer":
+            # settings are checked before the checkpoint is read
+            argv += ["--checkpoint", str(tmp / "unread.ptck")]
+        rc = main(argv)
+        assert rc == EXIT_VALIDATION
+        assert (f"setting {key} = {value} is not finite"
+                in capsys.readouterr().err)
+        assert not (tmp / "run").exists()
 
     @pytest.mark.parametrize("thr", ["0", "-0.5", "1.5"])
     def test_threshold_outside_unit_interval_exits_2(self, dataset, capsys,

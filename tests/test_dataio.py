@@ -207,6 +207,14 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             read_checkpoint(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        p = tmp_path / "m.ptck"
+        write_checkpoint(p, [("layer.w", np.zeros(2)),
+                             ("layer.b", np.array([0.0, bad]))])
+        with pytest.raises(FormatError, match=r"m\.ptck.*layer\.b"):
+            read_checkpoint(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.ptck"
         p.write_bytes(b"NOPE" + b"\0" * 8)

@@ -91,6 +91,14 @@ class TestClipAndEma:
         clip_global_norm([p], 1.0)
         np.testing.assert_array_equal(p.grad, [0.3, 0.4])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_norm_leaves_gradients(self, bad):
+        # the abort message reports these gradients as they are
+        p = Parameter(np.zeros(2), "p")
+        p.grad = np.array([bad, 4.0])
+        assert not math.isfinite(clip_global_norm([p], 1.0))
+        np.testing.assert_array_equal(p.grad, [bad, 4.0])
+
     def test_ema_recurrence(self):
         p = Parameter(np.array([1.0]), "p")
         e = [np.array([0.0])]
@@ -190,6 +198,16 @@ class TestFit:
         with pytest.raises(ValueError, match="missing"):
             load_into_model(model, [("nope", np.zeros(1))])
 
+    def test_unexpected_entry_rejected_before_loading(self, tmp_path):
+        cfg, _, _ = tiny_dataset(tmp_path / "d", num_videos=1)
+        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        entries = [(name, w + 1.0) for name, w in before.items()]
+        with pytest.raises(ValueError, match="ema/extra.w is not a parameter"):
+            load_into_model(model, entries + [("ema/extra.w", np.zeros(1))])
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name])
+
     def test_empty_training_set_rejected(self):
         cfg = ModelConfig(feature_dim=4, num_classes=1, group_heads=2,
                           temporal_heads=2)
@@ -197,6 +215,7 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(model, [], {}, TrainConfig())
 
+    @np.errstate(invalid="ignore")
     def test_non_finite_loss_names_parameter_paths(self, tmp_path,
                                                    monkeypatch):
         cfg, samples, gts = tiny_dataset(tmp_path / "d")
@@ -222,6 +241,42 @@ class TestFit:
             assert "." in path and path in paths
             values.append(float(value))
         assert len(listed) == 3 and values == sorted(values, reverse=True)
+
+    @np.errstate(invalid="ignore")
+    def test_non_finite_loss_names_the_video(self, tmp_path):
+        cfg, samples, gts = tiny_dataset(tmp_path / "d", num_videos=1)
+        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+        samples[0].tokens.data[:] = np.inf
+        with pytest.raises(NumericalAbort) as info:
+            fit(model, samples, gts, TrainConfig(epochs=2, warmup_epochs=1))
+        assert str(info.value) == (
+            f"non-finite loss on video {samples[0].video_id} at step 0 "
+            f"(lr=0); largest grads: none yet")
+
+    @np.errstate(invalid="ignore", divide="ignore")
+    def test_nan_gradient_aborts_before_the_update(self, tmp_path,
+                                                   monkeypatch):
+        cfg, samples, gts = tiny_dataset(tmp_path / "d")
+        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        *_, (poisoned_name, poisoned_param) = model.named_parameters()
+
+        def poisoned(model, sample, gts, cfg):
+            # (p * 0) ** 0.5 adds 0 to the loss and NaN to p's gradient
+            return (video_loss(model, sample, gts, cfg)
+                    + ((poisoned_param * 0.0) ** 0.5).sum())
+
+        monkeypatch.setattr(training, "video_loss", poisoned)
+        with pytest.raises(NumericalAbort, match="gradient norm") as info:
+            fit(model, samples, gts,
+                TrainConfig(lr_init=1e-3, epochs=2, warmup_epochs=0),
+                out_dir=tmp_path / "out")
+        largest = str(info.value).split("largest grads: ")[1]
+        assert "." in poisoned_name
+        assert largest.startswith(f"{poisoned_name}=nan")
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name])
+        assert not (tmp_path / "out" / "checkpoint.ptck").exists()
 
     def test_video_loss_is_finite_scalar(self, tmp_path):
         cfg, samples, gts = tiny_dataset(tmp_path / "d", num_videos=1)
