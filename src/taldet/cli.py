@@ -1,15 +1,17 @@
 """Command-line entry points: synth / train / eval / infer / gradcheck.
 
 Config files are plain `key = value` lines. The keys are the fields of
-ModelConfig and TrainConfig plus the infer settings in INFER_SETTINGS; an
-unknown key, a value of the wrong type or a non-finite float is a validation
-error. Flags given on the command line override the file.
+ModelConfig, TrainConfig and InferConfig; an unknown key, a value of the
+wrong type or a non-finite float is a validation error. Each key is also a
+flag, `--key-with-dashes value`, which overrides the file and is checked the
+same way.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -25,21 +27,16 @@ from .dataio import (FormatError, SyntheticSpec, ValidationError,
                      read_detections, read_features, write_detections)
 from .metrics import THUMOS_GRID, evaluate
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
-from .postprocess import decode, soft_nms
+from .postprocess import InferConfig, decode, soft_nms
 from .training import (NumericalAbort, TrainConfig, fit, load_into_model)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# infer-only settings and their types; an unset one keeps the default of
-# decode() / soft_nms(), or POST_NMS_KEEP
-INFER_SETTINGS = {"score_threshold": float, "pre_nms_topk": int,
-                  "sigma": float, "post_nms_keep": int}
-POST_NMS_KEEP = 200
-# every accepted settings key and its type
-SETTING_TYPES = {**typing.get_type_hints(ModelConfig),
-                 **typing.get_type_hints(TrainConfig), **INFER_SETTINGS}
+# every accepted settings key and its type: the config dataclasses' fields
+SETTING_TYPES = {key: want for cls in (ModelConfig, TrainConfig, InferConfig)
+                 for key, want in typing.get_type_hints(cls).items()}
 
 
 def parse_config_file(path) -> dict:
@@ -85,19 +82,12 @@ def _check_setting(key: str, value):
 
 
 def gather_settings(args) -> dict:
-    settings = {}
-    if args.config:
-        settings.update({k: _coerce(v)
-                         for k, v in parse_config_file(args.config).items()})
-    overrides = {
-        "seed": args.seed, "K": args.k, "group_layers": args.l1,
-        "alpha": args.alpha, "lam": getattr(args, "lam", None),
-        "ema_decay": args.ema_decay, "epochs": args.epochs,
-        "warmup_epochs": args.warmup, "lr_init": args.lr,
-        "strict_positive_only": args.strict_eq3,
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    return {k: _check_setting(k, v) for k, v in settings.items()}
+    """The config file's settings, overridden by the flags given; every
+    value, from either, is coerced and checked the same way."""
+    settings = parse_config_file(args.config) if args.config else {}
+    settings.update({k: getattr(args, k) for k in SETTING_TYPES
+                     if getattr(args, k) is not None})
+    return {k: _check_setting(k, _coerce(v)) for k, v in settings.items()}
 
 
 def config_from(cls, settings: dict):
@@ -139,9 +129,8 @@ def build_model_and_samples(records, feats, settings):
 
 
 def cmd_synth(args):
-    spec = SyntheticSpec(seed=args.seed if args.seed is not None else 0,
-                         num_videos=args.videos, num_classes=args.classes,
-                         noise=args.noise)
+    spec = SyntheticSpec(seed=args.seed, num_videos=args.videos,
+                         num_classes=args.classes, noise=args.noise)
     generate_synthetic(spec, args.out)
     print(f"wrote {spec.num_videos} videos to {args.out}")
     return EXIT_OK
@@ -149,9 +138,9 @@ def cmd_synth(args):
 
 def cmd_train(args):
     settings = gather_settings(args)
+    train_cfg = config_from(TrainConfig, settings)
     records, feats = load_dataset(args.data)
     model, samples = build_model_and_samples(records, feats, settings)
-    train_cfg = config_from(TrainConfig, settings)
     segs = {r.id: r.segments for r in records}
     result = fit(model, samples, segs, train_cfg, out_dir=args.out)
     print(f"final loss {result.loss_log[-1]['mean_loss']:.6f}; "
@@ -161,22 +150,16 @@ def cmd_train(args):
 
 def cmd_infer(args):
     settings = gather_settings(args)
-    for key in ("pre_nms_topk", "post_nms_keep"):
-        if settings.get(key, 0) < 0:
-            raise ValidationError(f"setting {key} = {settings[key]} must be "
-                                  f">= 0")
+    cfg = config_from(InferConfig, settings)
     records, feats = load_dataset(args.data)
     model, samples = build_model_and_samples(records, feats, settings)
     load_into_model(model, read_checkpoint(args.checkpoint),
                     use_ema=args.ema)
-    decode_kw = {k: settings[k] for k in ("score_threshold", "pre_nms_topk")
-                 if k in settings}
-    nms_kw = {k: settings[k] for k in ("sigma",) if k in settings}
-    keep = settings.get("post_nms_keep", POST_NMS_KEEP)
     dets = {}
     for r, sample in zip(records, samples):
-        cands = decode(model(sample), sample.meta, **decode_kw)
-        dets[r.id] = soft_nms(cands, **nms_kw)[:keep]
+        cands = decode(model(sample), sample.meta, cfg.score_threshold,
+                       cfg.pre_nms_topk)
+        dets[r.id] = soft_nms(cands, cfg.sigma)[:cfg.post_nms_keep]
     out_path = Path(args.out) / "detections.jsonl"
     Path(args.out).mkdir(parents=True, exist_ok=True)
     write_detections(out_path, dets)
@@ -200,13 +183,13 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    prims = primitive_grad_checks(seed=args.seed or 0)
+    prims = primitive_grad_checks(seed=args.seed)
     ok = True
     for name, err in prims.items():
         status = "ok" if err < 1e-6 else "FAIL"
         ok &= err < 1e-6
         print(f"{name:<18} max rel err {err:.3e}  [{status}]")
-    e2e = end_to_end_grad_check(seed=args.seed or 0)
+    e2e = end_to_end_grad_check(seed=args.seed)
     status = "ok" if e2e < 1e-4 else "FAIL"
     ok &= e2e < 1e-4
     print(f"{'end_to_end_loss':<18} max rel err {e2e:.3e}  [{status}]")
@@ -214,26 +197,22 @@ def cmd_gradcheck(args):
 
 
 def _add_common(p):
+    """--config, --out, and one flag per setting; a flag's raw string goes
+    through the same checks as a config-file value."""
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="out")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l1", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--ema-decay", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--strict-eq3", type=lambda s: s.lower() == "true",
-                   default=None)
+    for key, want in SETTING_TYPES.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       metavar=want.__name__)
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="taldet")
     sub = ap.add_subparsers(dest="command", required=True)
+    # no abbreviations: a prefix such as --lr would be a hidden second name
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = add("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--videos", type=int, default=8)
@@ -241,30 +220,33 @@ def main(argv=None) -> int:
     p.add_argument("--noise", type=float, default=0.0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train on a dataset directory")
+    p = add("train", help="train on a dataset directory")
     p.add_argument("--data", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="decode detections from a checkpoint")
+    p = add("infer", help="decode detections from a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--ema", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("eval", help="score detections against annotations")
+    p = add("eval", help="score detections against annotations")
     p.add_argument("--data", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--thresholds", type=float, nargs="*", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
+    p = add("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, FormatError, ValueError, OSError) as e:

@@ -139,11 +139,6 @@ def giou_values(pred: Tensor, target: np.ndarray) -> Tensor:
     return 1.0 - inter / enclose
 
 
-def giou_loss_1d(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Summed generalized IoU loss; a single offset pair yields the scalar."""
-    return giou_values(pred, target).sum()
-
-
 def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
                strict_positive_only: bool = False) -> Tensor:
     """Sum over all steps of (focal + lam * GIoU) / max(T+, 1)."""
@@ -152,5 +147,5 @@ def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
     if targets.inside.any():
         pos = targets.inside.nonzero()[0]
         tgt_pos = np.stack([targets.d_start[pos], targets.d_end[pos]], axis=-1)
-        loss = loss + lam * giou_loss_1d(outs.offsets[pos], tgt_pos)
+        loss = loss + lam * giou_values(outs.offsets[pos], tgt_pos).sum()
     return loss * (1.0 / max(targets.num_positive, 1))

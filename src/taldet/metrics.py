@@ -27,14 +27,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _check_thresholds(thresholds) -> None:
-    """A tIoU threshold must lie in (0, 1]: at 0 every pair would match,
-    across videos too, and above 1 none could."""
-    bad = [t for t in thresholds if not 0.0 < t <= 1.0]
-    if bad:
-        raise ValueError(f"tIoU thresholds must lie in (0, 1], got {bad}")
-
-
 def _greedy_match(iou: np.ndarray, thr: float) -> np.ndarray:
     """True-positive mask of the detections (rows of `iou`, in rank order)
     against the ground truths (columns): each detection in turn takes the
@@ -55,8 +47,6 @@ def _interpolated_ap(tp: np.ndarray, num_gt: int) -> float:
     """101-point interpolated AP of a ranked true-positive vector: the mean
     over recall points r in {0, 0.01, ..., 1} of the best precision at any
     rank whose recall is >= r (0 if none is)."""
-    if num_gt == 0 or len(tp) == 0:
-        return 0.0
     cum_tp = np.cumsum(tp)
     precision = cum_tp / (np.arange(len(tp)) + 1)
     recall = cum_tp / num_gt
@@ -66,26 +56,6 @@ def _interpolated_ap(tp: np.ndarray, num_gt: int) -> float:
     first = np.searchsorted(recall, np.linspace(0.0, 1.0, 101))
     # cumsum adds the points in sequence, as the definition does
     return float(np.cumsum(best[first])[-1]) / 101.0
-
-
-def average_precision(dets: list[ActionSegment],
-                      gts: list[tuple[float, float]], thr: float) -> float:
-    """101-point interpolated AP with greedy highest-tIoU matching.
-
-    `dets` are one class's detections in one video, `gts` that class's
-    ground-truth spans there; detections rank by score, then the earlier
-    start, then input order.
-    """
-    _check_thresholds([thr])
-    if not gts or not dets:
-        return 0.0
-    score = np.array([d.score for d in dets])
-    start = np.array([d.start for d in dets])
-    end = np.array([d.end for d in dets])
-    order = np.lexsort((start, -score))
-    g = np.array(gts, dtype=float)
-    iou = temporal_iou(start[order, None], end[order, None], g[:, 0], g[:, 1])
-    return _interpolated_ap(_greedy_match(iou, thr), len(gts))
 
 
 def evaluate(dets_by_video: dict[str, list[ActionSegment]],
@@ -99,7 +69,11 @@ def evaluate(dets_by_video: dict[str, list[ActionSegment]],
     runs within each video, on its [detections x ground truths] tIoU block,
     so a detection can only match a ground truth of its own video and class.
     """
-    _check_thresholds(thresholds)
+    # a tIoU threshold must lie in (0, 1]: at 0 every pair would match,
+    # across videos too, and above 1 none could
+    bad = [t for t in thresholds if not 0.0 < t <= 1.0]
+    if bad:
+        raise ValueError(f"tIoU thresholds must lie in (0, 1], got {bad}")
     videos = sorted(set(gts_by_video) | set(dets_by_video))
     dets = [(v, d) for v, vid in enumerate(videos)
             for d in dets_by_video.get(vid, [])]

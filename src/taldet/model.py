@@ -18,7 +18,11 @@ from .temporal_pyramid import PyramidBuilder
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every model setting; the FFN width of each attention block is 4 * D."""
+    """Every model setting; the FFN width of each attention block is 4 * D.
+
+    In the paper's notation: K subject tokens per snippet, L1 SA-SAM layers
+    (`group_layers`) and the strided layers' down-sampling ratio alpha.
+    """
     feature_dim: int
     num_classes: int
     K: int = 6
@@ -33,18 +37,19 @@ class ModelConfig:
     use_subject_tokens: bool = True
 
     def __post_init__(self):
-        if min(self.feature_dim, self.group_heads, self.temporal_heads) < 1 \
-                or self.group_layers < 0:
-            raise ValueError("feature_dim and head counts must be positive")
+        for key in ("feature_dim", "group_heads", "temporal_heads", "K",
+                    "alpha"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("group_layers", "num_standard_layers",
+                    "num_strided_layers", "head_layers"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
         for heads in ("group_heads", "temporal_heads"):
             if self.feature_dim % getattr(self, heads) != 0:
                 raise ValueError(f"{heads} must divide feature_dim")
         if self.window_size % 2 == 0 or self.window_size < 1:
             raise ValueError("window_size must be odd and >= 1")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
 
     @property
     def pyramid_height(self) -> int:

@@ -26,12 +26,31 @@ class ActionSegment:
             raise ValueError("score must lie in [0, 1]")
 
 
+@dataclass(frozen=True)
+class InferConfig:
+    """Every infer setting: decode's score threshold and top-k, the
+    Soft-NMS sigma, and how many detections each video keeps after it."""
+    score_threshold: float = 0.001
+    pre_nms_topk: int = 2000
+    sigma: float = 0.5
+    post_nms_keep: int = 200
+
+    def __post_init__(self):
+        for key in ("pre_nms_topk", "post_nms_keep"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+
+
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def decode(outs: HeadOutput, meta: VideoMeta, score_threshold: float = 0.001,
-           pre_nms_topk: int = 2000) -> list[ActionSegment]:
+def decode(outs: HeadOutput, meta: VideoMeta,
+           score_threshold: float = InferConfig.score_threshold,
+           pre_nms_topk: int = InferConfig.pre_nms_topk
+           ) -> list[ActionSegment]:
     """Every (anchor, class) whose sigmoid score clears the threshold becomes
     a candidate segment [(t - d_s) * u, (t + d_e) * u], with t the anchor's
     step and u its level's seconds per step, clamped to the video extent;
@@ -88,7 +107,7 @@ def _class_picks(score, start, end, sigma, min_score):
     return picks, kept
 
 
-def soft_nms(segs: list[ActionSegment], sigma: float = 0.5,
+def soft_nms(segs: list[ActionSegment], sigma: float = InferConfig.sigma,
              min_score: float = 0.001) -> list[ActionSegment]:
     """Gaussian Soft-NMS, per class: repeatedly pick the highest-scoring
     remaining segment and decay the rest of its class by exp(-tIoU^2 / sigma);

@@ -22,6 +22,10 @@ class NumericalAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training setting. In the paper's notation, `lam` is the
+    weight lambda of the GIoU term and `strict_positive_only` restricts the
+    focal loss to steps inside an action, as Eq. 3 is written; a
+    `grad_clip` of 0 turns clipping off."""
     lr_init: float = 1e-4
     epochs: int = 35
     warmup_epochs: int = 5
@@ -36,8 +40,13 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError("warmup_epochs must be < epochs")
-        if self.batch_size < 1 or self.lr_init < 0:
-            raise ValueError("invalid training configuration")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        for key in ("lr_init", "lam", "grad_clip", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        if not 0 <= self.ema_decay <= 1:
+            raise ValueError("ema_decay must lie in [0, 1]")
 
 
 def lr_schedule(step: int, total_steps: int, warmup_steps: int,

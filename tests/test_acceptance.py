@@ -27,7 +27,7 @@ from taldet.dataio import (SyntheticSpec, generate_synthetic,
                            write_detections, write_features)
 from taldet.heads import (GroundTruthSegment, HeadOutput, focal_loss,
                           giou_values)
-from taldet.metrics import average_precision, evaluate
+from taldet.metrics import evaluate
 from taldet.model import (ModelConfig, SubjectPriorDetector, VideoSample,
                           prepare_sample)
 from taldet.postprocess import ActionSegment, decode, soft_nms, temporal_iou
@@ -163,17 +163,18 @@ def test_criterion_4_oracle_equivalence(capfd):
     def det(score, start, end):
         return ActionSegment(0, score, start, end)
 
+    def ap(dets, spans):
+        # one video, one class, at tIoU 0.5
+        gts = [GroundTruthSegment(0, s, e) for s, e in spans]
+        return evaluate({"v": dets}, {"v": gts}, [0.5]).per_threshold_map[0.5]
+
     ap_fixtures = [
-        (average_precision([det(0.9, 0.0, 1.0)], [(0.0, 1.0)], 0.5), 1.0),
-        (average_precision([det(0.9, 5.0, 6.0)], [(0.0, 1.0)], 0.5), 0.0),
-        (average_precision([det(0.9, 5.0, 6.0), det(0.8, 0.0, 1.0)],
-                           [(0.0, 1.0)], 0.5), 0.5),
-        (average_precision([det(0.9, 0.0, 1.0)],
-                           [(0.0, 1.0), (5.0, 6.0)], 0.5), 51.0 / 101.0),
-        (average_precision([det(0.9, 0.0, 1.0), det(0.8, 5.0, 6.0),
-                            det(0.7, 10.0, 11.0)],
-                           [(0.0, 1.0), (10.0, 11.0)], 0.5),
-         (51 + 50 * (2.0 / 3.0)) / 101),
+        (ap([det(0.9, 0.0, 1.0)], [(0.0, 1.0)]), 1.0),
+        (ap([det(0.9, 5.0, 6.0)], [(0.0, 1.0)]), 0.0),
+        (ap([det(0.9, 5.0, 6.0), det(0.8, 0.0, 1.0)], [(0.0, 1.0)]), 0.5),
+        (ap([det(0.9, 0.0, 1.0)], [(0.0, 1.0), (5.0, 6.0)]), 51.0 / 101.0),
+        (ap([det(0.9, 0.0, 1.0), det(0.8, 5.0, 6.0), det(0.7, 10.0, 11.0)],
+            [(0.0, 1.0), (10.0, 11.0)]), (51 + 50 * (2.0 / 3.0)) / 101),
     ]
     ap_ok = all(abs(got - want) < 1e-12 for got, want in ap_fixtures)
 

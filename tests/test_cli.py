@@ -1,14 +1,20 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from taldet import cli
-from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _coerce,
+from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                        SETTING_TYPES, _coerce, build_parser, gather_settings,
                         main, parse_config_file)
 from taldet.dataio import read_checkpoint, write_checkpoint
 from taldet.model import ModelConfig
-from taldet.training import FitResult
+from taldet.training import FitResult, TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfigParsing:
@@ -144,7 +150,7 @@ class TestPipeline:
         tmp, data, cfg = dataset
         run = tmp / "run"
         assert main(["train", "--data", str(data), "--config", str(cfg),
-                     "--l1", "2", "--out", str(run)]) == EXIT_OK
+                     "--group-layers", "2", "--out", str(run)]) == EXIT_OK
         rc = main(["infer", "--data", str(data), "--config", str(cfg),
                    "--checkpoint", str(run / "checkpoint.ptck"),
                    "--out", str(tmp / "dets")])
@@ -192,16 +198,35 @@ class TestSettings:
 
     @pytest.mark.parametrize("bad", [{"window_size": 4}, {"alpha": 0},
                                      {"group_heads": 3},
-                                     {"temporal_heads": 5}])
-    def test_bad_model_config_rejected(self, dataset, bad):
-        with pytest.raises(ValueError):
+                                     {"temporal_heads": 5},
+                                     {"num_standard_layers": -1},
+                                     {"num_strided_layers": -1},
+                                     {"head_layers": -1}])
+    def test_bad_model_config_rejected(self, dataset, capsys, bad):
+        (key, value), = bad.items()
+        with pytest.raises(ValueError, match=key):
             ModelConfig(feature_dim=16, num_classes=2, **bad)
         tmp, data, cfg = dataset
-        (key, value), = bad.items()
         cfg.write_text(SMALL + f"{key} = {value}\n")
         rc = main(["train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("ema_decay", -0.1), ("ema_decay", 1.5), ("grad_clip", -1.0),
+        ("weight_decay", -0.1), ("lam", -1.0), ("lr_init", -1.0),
+        ("batch_size", 0)])
+    def test_bad_train_config_rejected(self, dataset, capsys, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+        tmp, data, cfg = dataset
+        cfg.write_text(SMALL + f"{key} = {value}\n")
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not (tmp / "run").exists()
 
     @pytest.mark.parametrize("K", [0, -1])
     def test_k_below_one_exits_2(self, dataset, capsys, K):
@@ -209,23 +234,31 @@ class TestSettings:
             ModelConfig(feature_dim=16, num_classes=2, K=K)
         tmp, data, cfg = dataset
         rc = main(["train", "--data", str(data), "--config", str(cfg),
-                   "--k", str(K), "--out", str(tmp / "run")])
+                   "--K", str(K), "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
         assert "K must be >= 1" in capsys.readouterr().err
         assert not (tmp / "run").exists()
 
     @pytest.mark.parametrize("key", ["pre_nms_topk", "post_nms_keep"])
     def test_negative_infer_count_exits_2(self, dataset, capsys, key):
+        # settings are checked before the checkpoint is read
         tmp, data, cfg = dataset
-        run = tmp / "run"
-        assert main(["train", "--data", str(data), "--config", str(cfg),
-                     "--out", str(run)]) == EXIT_OK
         cfg.write_text(SMALL + f"{key} = -1\n")
         rc = main(["infer", "--data", str(data), "--config", str(cfg),
-                   "--checkpoint", str(run / "checkpoint.ptck"),
+                   "--checkpoint", str(tmp / "unread.ptck"),
                    "--out", str(tmp / "dets")])
         assert rc == EXIT_VALIDATION
-        assert key in capsys.readouterr().err
+        assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not (tmp / "dets").exists()
+
+    @pytest.mark.parametrize("sigma", ["0", "-0.5"])
+    def test_non_positive_sigma_exits_2(self, dataset, capsys, sigma):
+        tmp, data, cfg = dataset
+        rc = main(["infer", "--data", str(data), "--config", str(cfg),
+                   "--sigma", sigma, "--checkpoint", str(tmp / "unread.ptck"),
+                   "--out", str(tmp / "dets")])
+        assert rc == EXIT_VALIDATION
+        assert "sigma must be positive" in capsys.readouterr().err
         assert not (tmp / "dets").exists()
 
     @pytest.mark.parametrize("command, key, value", [
@@ -257,6 +290,75 @@ class TestSettings:
         assert rc == EXIT_VALIDATION
         assert "(0, 1]" in capsys.readouterr().err
         assert not (tmp / "ev").exists()
+
+
+# a valid value of each setting type, as it is written on the command line
+SAMPLE_VALUE = {int: "3", float: "0.25", bool: "true"}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("key", sorted(SETTING_TYPES))
+    def test_flag_equals_config_line(self, tmp_path, key):
+        value = SAMPLE_VALUE[SETTING_TYPES[key]]
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        parser = build_parser()
+        for command in (["train"], ["infer", "--checkpoint", "c.ptck"]):
+            argv = command + ["--data", "d"]
+            from_flag = parser.parse_args(
+                argv + ["--" + key.replace("_", "-"), value])
+            from_file = parser.parse_args(argv + ["--config", str(cfg)])
+            settings = gather_settings(from_flag)
+            assert settings == gather_settings(from_file)
+            assert settings == {key: SETTING_TYPES[key](_coerce(value))}
+
+    def test_help_lists_one_flag_per_setting(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--data", "--config", "--out"} | {
+            "--" + key.replace("_", "-") for key in SETTING_TYPES}
+
+    def test_bool_flag_is_checked_like_a_config_value(self, dataset, capsys):
+        tmp, data, cfg = dataset
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--strict-positive-only", "yes", "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert ("setting strict_positive_only = 'yes' is not bool"
+                in capsys.readouterr().err)
+        assert not (tmp / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--lr", "--k", "--l1", "--strict-eq3"])
+    def test_prefix_or_old_flag_is_rejected(self, dataset, capsys, flag):
+        tmp, data, cfg = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data), "--config", str(cfg),
+                  flag, "1", "--out", str(tmp / "run")])
+        assert exc.value.code == EXIT_VALIDATION
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
+    def test_readme_commands_parse(self):
+        """Every `taldet ...` command in README's code blocks, with its
+        backslash-continued lines joined, parses."""
+        commands, line, in_block = [], "", False
+        for raw in README.read_text().splitlines():
+            if raw.lstrip().startswith("```"):
+                in_block = not in_block
+                continue
+            if not in_block:
+                continue
+            line += raw.rstrip()
+            if line.endswith("\\"):
+                line = line[:-1] + " "
+                continue
+            if line.strip().startswith("taldet "):
+                commands.append(shlex.split(line)[1:])
+            line = ""
+        assert len(commands) >= 8
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
 
 class TestGradcheckCommand:

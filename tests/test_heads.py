@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, Tensor, grad_check
 from taldet.heads import (DetectionHeads, GroundTruthSegment, HeadOutput,
-                          assign_targets, focal_loss, giou_loss_1d,
-                          giou_values, total_loss)
+                          assign_targets, focal_loss, giou_values,
+                          total_loss)
 from taldet.temporal_pyramid import FeaturePyramid, PyramidLevel
 
 D = 8
@@ -201,19 +201,19 @@ class TestFocalLoss:
 class TestGiou:
     def test_perfect_match_zero(self):
         pred = Tensor(np.array([[1.5, 2.5]]))
-        out = giou_loss_1d(pred, np.array([[1.5, 2.5]]))
+        out = giou_values(pred, np.array([[1.5, 2.5]])).sum()
         assert out.data == 0.0
 
     def test_disjoint_sides_value_one(self):
         # (0,4) vs (4,0): intervals share only the anchor point
-        out = giou_loss_1d(Tensor(np.array([[0.0, 4.0]])),
-                           np.array([[4.0, 0.0]]))
+        out = giou_values(Tensor(np.array([[0.0, 4.0]])),
+                          np.array([[4.0, 0.0]])).sum()
         np.testing.assert_allclose(out.data, 1.0, atol=1e-12)
 
     def test_half_overlap(self):
         # pred [t-2, t+2], target [t-2, t+6]: inter 4, union 8, enclose 8
-        out = giou_loss_1d(Tensor(np.array([[2.0, 2.0]])),
-                           np.array([[2.0, 6.0]]))
+        out = giou_values(Tensor(np.array([[2.0, 2.0]])),
+                          np.array([[2.0, 6.0]])).sum()
         np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -231,7 +231,8 @@ class TestGiou:
         rng = np.random.default_rng(6)
         pred = Parameter(rng.uniform(0.5, 3.0, size=(4, 2)), "p")
         tgt = rng.uniform(0.5, 3.0, size=(4, 2))
-        err = grad_check(lambda: giou_loss_1d(pred, tgt), [pred], h=1e-6)
+        err = grad_check(lambda: giou_values(pred, tgt).sum(), [pred],
+                         h=1e-6)
         assert err < 1e-5
 
 
@@ -256,7 +257,7 @@ class TestTotalLoss:
                               tm.inside[lv]).data
             pos = lv.start + tm.inside[lv].nonzero()[0]
             t = np.stack([tm.d_start[pos], tm.d_end[pos]], axis=-1)
-            acc += giou_loss_1d(outs.offsets[pos], t).data
+            acc += giou_values(outs.offsets[pos], t).sum().data
         np.testing.assert_allclose(loss.data, acc / tm.num_positive,
                                    rtol=1e-12)
 

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.heads import GroundTruthSegment
-from taldet.metrics import (ANET_GRID, THUMOS_GRID, average_precision,
-                            evaluate)
+from taldet.metrics import ANET_GRID, THUMOS_GRID, evaluate
 from taldet.postprocess import ActionSegment, temporal_iou
 
 
 def det(score, start, end, cls=0):
     return ActionSegment(cls, score, start, end)
+
+
+def one_video_ap(dets, spans, thr):
+    """AP of class-0 `dets` against the ground-truth `spans` of one video,
+    through evaluate()."""
+    gts = [GroundTruthSegment(0, s, e) for s, e in spans]
+    return evaluate({"v": dets}, {"v": gts}, [thr]).per_threshold_map[thr]
 
 
 def loop_tiou(a_start, a_end, b_start, b_end):
@@ -99,24 +105,24 @@ class TestTiou:
         # Metrics match detections through postprocess.temporal_iou; an
         # identical interval is a full overlap and matches even at tIoU 1.0.
         assert temporal_iou(0.0, 2.0, 0.0, 2.0) == 1.0
-        assert average_precision([det(0.9, 0.0, 2.0)], [(0.0, 2.0)], 1.0) == 1.0
+        assert one_video_ap([det(0.9, 0.0, 2.0)], [(0.0, 2.0)], 1.0) == 1.0
 
 
 class TestAveragePrecisionFixtures:
     """Hand-computed 101-point interpolated AP values."""
 
     def test_perfect_single_detection(self):
-        ap = average_precision([det(0.9, 0.0, 1.0)], [(0.0, 1.0)], 0.5)
+        ap = one_video_ap([det(0.9, 0.0, 1.0)], [(0.0, 1.0)], 0.5)
         assert ap == 1.0
 
     def test_single_miss(self):
-        ap = average_precision([det(0.9, 5.0, 6.0)], [(0.0, 1.0)], 0.5)
+        ap = one_video_ap([det(0.9, 5.0, 6.0)], [(0.0, 1.0)], 0.5)
         assert ap == 0.0
 
     def test_false_then_true(self):
         # precision profile [0, 1/2], recall [0, 1] -> every point reads 1/2
         dets = [det(0.9, 5.0, 6.0), det(0.8, 0.0, 1.0)]
-        ap = average_precision(dets, [(0.0, 1.0)], 0.5)
+        ap = one_video_ap(dets, [(0.0, 1.0)], 0.5)
         np.testing.assert_allclose(ap, 0.5, atol=1e-12)
 
     def test_tp_fp_tp_two_gts(self):
@@ -124,28 +130,28 @@ class TestAveragePrecisionFixtures:
         # 51 recall points <= 0.5 interpolate to 1, the remaining 50 to 2/3
         dets = [det(0.9, 0.0, 1.0), det(0.8, 5.0, 6.0), det(0.7, 10.0, 11.0)]
         gts = [(0.0, 1.0), (10.0, 11.0)]
-        ap = average_precision(dets, gts, 0.5)
+        ap = one_video_ap(dets, gts, 0.5)
         np.testing.assert_allclose(ap, (51 + 50 * (2.0 / 3.0)) / 101,
                                    atol=1e-12)
 
     def test_half_recall(self):
         # one matching det for two gts: 51 of 101 points at precision 1
-        ap = average_precision([det(0.9, 0.0, 1.0)],
-                               [(0.0, 1.0), (5.0, 6.0)], 0.5)
+        ap = one_video_ap([det(0.9, 0.0, 1.0)], [(0.0, 1.0), (5.0, 6.0)],
+                          0.5)
         np.testing.assert_allclose(ap, 51.0 / 101.0, atol=1e-12)
 
     def test_duplicate_after_full_recall_free(self):
         # second det on the same gt is a FP, but recall is already 1 at
         # precision 1, so interpolation ignores it
         dets = [det(0.9, 0.0, 1.0), det(0.8, 0.0, 1.0)]
-        ap = average_precision(dets, [(0.0, 1.0)], 0.5)
+        ap = one_video_ap(dets, [(0.0, 1.0)], 0.5)
         assert ap == 1.0
 
     def test_no_ground_truth_is_zero(self):
-        assert average_precision([det(0.9, 0.0, 1.0)], [], 0.5) == 0.0
+        assert one_video_ap([det(0.9, 0.0, 1.0)], [], 0.5) == 0.0
 
     def test_no_detections_is_zero(self):
-        assert average_precision([], [(0.0, 1.0)], 0.5) == 0.0
+        assert one_video_ap([], [(0.0, 1.0)], 0.5) == 0.0
 
 
 class TestMatchingRules:
@@ -155,17 +161,17 @@ class TestMatchingRules:
         d1 = det(0.9, 0.0, 1.0)       # tIoU 1.0 with gt0, 0.5 with gt1 region
         d2 = det(0.8, 0.0, 2.0)       # only gt1 remains
         gts = [(0.0, 1.0), (0.0, 2.0)]
-        ap = average_precision([d1, d2], gts, 0.4)
+        ap = one_video_ap([d1, d2], gts, 0.4)
         assert ap == 1.0
 
     def test_each_gt_matched_once(self):
         dets = [det(0.9, 0.0, 1.0), det(0.8, 0.05, 1.05)]
-        ap = average_precision(dets, [(0.0, 1.0)], 0.5)
+        ap = one_video_ap(dets, [(0.0, 1.0)], 0.5)
         assert ap == 1.0  # duplicate becomes FP after full recall
 
     def test_threshold_boundary_inclusive(self):
         # tIoU exactly 0.5 counts as a match
-        ap = average_precision([det(0.9, 0.0, 2.0)], [(0.0, 1.0)], 0.5)
+        ap = one_video_ap([det(0.9, 0.0, 2.0)], [(0.0, 1.0)], 0.5)
         assert ap == 1.0
 
     def test_equal_overlap_takes_the_last_ground_truth(self):
@@ -174,8 +180,8 @@ class TestMatchingRules:
         # that gt is listed first
         dets = [det(0.9, 1.0, 3.0), det(0.8, 0.0, 1.0)]
         gts = [(0.0, 2.0), (2.0, 4.0)]
-        assert average_precision(dets, gts, 0.3) == 1.0
-        assert average_precision(dets, gts[::-1], 0.3) == 51.0 / 101.0
+        assert one_video_ap(dets, gts, 0.3) == 1.0
+        assert one_video_ap(dets, gts[::-1], 0.3) == 51.0 / 101.0
 
 
 class TestEvaluate:
@@ -238,8 +244,6 @@ class TestThresholdRange:
         dets = {"b": [det(0.9, 50.0, 51.0)]}
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             evaluate(dets, gts, [0.5, thr])
-        with pytest.raises(ValueError):
-            average_precision([det(0.9, 0.0, 1.0)], [(0.0, 1.0)], thr)
 
 
 class TestPerVideoMatching:
@@ -260,16 +264,3 @@ class TestPerVideoMatching:
         thresholds = THUMOS_GRID + [1.0 / 3.0, 2.0 / 3.0, 1.0]
         rep = evaluate(dets, gts, thresholds)
         assert rep.per_class_ap == loop_evaluate(dets, gts, thresholds)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_single_video_average_precision_is_evaluate(self, seed):
-        dets, gts = integer_grid_eval_set(np.random.default_rng(seed))
-        vid = sorted(gts)[0] if gts else "v0"
-        one_gts = {vid: gts.get(vid, [])}
-        one_dets = {vid: dets.get(vid, [])}
-        rep = evaluate(one_dets, one_gts, [0.5])
-        for (c, thr), ap in rep.per_class_ap.items():
-            mine = [d for d in one_dets[vid] if d.class_id == c]
-            spans = [(g.start, g.end) for g in one_gts[vid] if g.class_id == c]
-            assert average_precision(mine, spans, thr) == ap

@@ -91,6 +91,14 @@ class TestClipAndEma:
         clip_global_norm([p], 1.0)
         np.testing.assert_array_equal(p.grad, [0.3, 0.4])
 
+    def test_zero_max_norm_disables_clipping(self):
+        # grad_clip = 0 is a valid setting and means no clipping
+        assert TrainConfig(grad_clip=0.0).grad_clip == 0.0
+        p = Parameter(np.zeros(2), "p")
+        p.grad = np.array([30.0, 40.0])
+        assert clip_global_norm([p], 0.0) == 50.0
+        np.testing.assert_array_equal(p.grad, [30.0, 40.0])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_norm_leaves_gradients(self, bad):
         # the abort message reports these gradients as they are
