@@ -11,6 +11,8 @@ them (the loss and the global gradient norm in `training.fit`).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -19,7 +21,7 @@ class DimensionError(ValueError):
 
 
 class InvalidMaskError(ValueError):
-    """A softmax row had every entry masked out."""
+    """An attention row had no allowed position."""
 
 
 class ProbeError(RuntimeError):
@@ -192,17 +194,6 @@ class Tensor:
 
         return Tensor(out_data, True, (self,), backward)
 
-    def transpose(self, axes):
-        out_data = self.data.transpose(axes)
-        if not self.requires_grad:
-            return Tensor(out_data)
-        inv = np.argsort(axes)
-
-        def backward(g):
-            self._accum(g.transpose(inv))
-
-        return Tensor(out_data, True, (self,), backward)
-
     def __getitem__(self, key):
         out_data = self.data[key]
         if not self.requires_grad:
@@ -344,28 +335,43 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax; masked entries get weight exactly 0."""
-    xd = x.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), xd.shape)
-        if not mask.any(axis=axis).all():
-            raise InvalidMaskError("softmax row with no unmasked entries")
-        shifted = np.where(mask, xd, -np.inf)
-        mx = shifted.max(axis=axis, keepdims=True)
-        e = np.where(mask, np.exp(xd - mx), 0.0)
-    else:
-        mx = xd.max(axis=axis, keepdims=True)
-        e = np.exp(xd - mx)
-    y = e / e.sum(axis=axis, keepdims=True)
-    if not x.requires_grad:
-        return Tensor(y)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              allowed: np.ndarray) -> Tensor:
+    """Masked multi-head scaled dot-product attention as one node.
+
+    q, k, v are [..., N, D], each split into `heads` heads of D / heads
+    channels. `allowed[..., i, j]` (broadcastable over the leading axes) lets
+    position i attend to position j; disallowed pairs get weight exactly 0.
+    Returns [..., N, D], heads merged; backward keeps only the weights.
+    """
+    allowed = np.asarray(allowed, dtype=bool)
+    if not allowed.any(axis=-1).all():
+        raise InvalidMaskError("attention row with no allowed position")
+    shape = q.shape
+    split = shape[:-1] + (heads, shape[-1] // heads)
+    scale = 1.0 / math.sqrt(split[-1])
+    # [..., N, H, d] -> [..., H, N, d]; the same swap merges the heads again
+    qh, kh, vh = (t.data.reshape(split).swapaxes(-2, -3) for t in (q, k, v))
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
+    mask = allowed[..., None, :, :]   # broadcast over the heads axis
+    mx = np.where(mask, s, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(s - mx), 0.0)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out_data = (p @ vh).swapaxes(-2, -3).reshape(shape)
+    if not (q.requires_grad or k.requires_grad or v.requires_grad):
+        return Tensor(out_data)
 
     def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        x._accum(y * (g - inner))
+        gh = g.reshape(split).swapaxes(-2, -3)
+        gp = gh @ vh.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        for t, gt in ((q, gs @ kh),
+                      (k, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)),
+                      (v, p.swapaxes(-1, -2) @ gh)):
+            if t.requires_grad:
+                t._accum(gt.swapaxes(-2, -3).reshape(shape))
 
-    return Tensor(y, True, (x,), backward)
+    return Tensor(out_data, True, (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

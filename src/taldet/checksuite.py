@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (Parameter, Tensor, conv1d, depthwise_conv1d,
-                       grad_check, layer_norm, linear, softmax)
+from .autograd import (Parameter, attention, conv1d, depthwise_conv1d,
+                       grad_check, layer_norm, linear)
 from .heads import GroundTruthSegment
 from .model import ModelConfig, SubjectPriorDetector, VideoSample, prepare_sample
 from .subjects import SubjectBox, VideoMeta
@@ -31,12 +31,15 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         b = Parameter(rng.normal(size=2), "b")
         return lambda: (linear(x, w, b) ** 2.0).sum(), [x, w, b]
 
-    def make_softmax():
-        x = Parameter(rng.normal(size=(3, 5)), "x")
-        mask = rng.random((3, 5)) > 0.3
-        mask[:, 0] = True
-        c = rng.normal(size=(3, 5))
-        return lambda: (softmax(x, mask=mask) * c).sum(), [x]
+    def make_attention():
+        # 1, 2 or 4 heads over D = 4, a leading batch axis of 2, and
+        # random masks in which every row allows at least its diagonal
+        heads = int(rng.choice([1, 2, 4]))
+        q, k, v = (Parameter(rng.normal(size=(2, 3, 4)), n) for n in "qkv")
+        allowed = (rng.random((2, 3, 3)) > 0.4) | np.eye(3, dtype=bool)
+        c = rng.normal(size=(2, 3, 4))
+        return (lambda: (attention(q, k, v, heads, allowed) * c).sum(),
+                [q, k, v])
 
     def make_layer_norm():
         x = Parameter(rng.normal(size=(2, 6)), "x")
@@ -62,7 +65,7 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         return lambda: (x.relu() * c).sum(), [x]
 
     run("linear", make_linear)
-    run("softmax", make_softmax)
+    run("attention", make_attention)
     run("layer_norm", make_layer_norm)
     run("conv1d", make_conv)
     run("depthwise_conv1d", make_depthwise)

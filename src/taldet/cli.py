@@ -118,6 +118,12 @@ def build_model_and_samples(records, feats, settings):
     if model_cfg.feature_dim != D:
         raise ValidationError(f"feature_dim = {model_cfg.feature_dim} but "
                               f"the features have D = {D}")
+    for r in records:
+        for s in r.segments:
+            if s.class_id >= model_cfg.num_classes:
+                raise ValidationError(
+                    f"record {r.id}: class id {s.class_id} >= num_classes = "
+                    f"{model_cfg.num_classes}")
     rng = np.random.default_rng(settings.get("seed", TrainConfig.seed))
     model = SubjectPriorDetector(model_cfg, rng)
     samples = []
@@ -138,7 +144,8 @@ def cmd_synth(args):
 
 def cmd_train(args):
     settings = gather_settings(args)
-    train_cfg = config_from(TrainConfig, settings)
+    # train and infer read one config, so each command checks all of it
+    train_cfg, _ = (config_from(c, settings) for c in (TrainConfig, InferConfig))
     records, feats = load_dataset(args.data)
     model, samples = build_model_and_samples(records, feats, settings)
     segs = {r.id: r.segments for r in records}
@@ -150,7 +157,7 @@ def cmd_train(args):
 
 def cmd_infer(args):
     settings = gather_settings(args)
-    cfg = config_from(InferConfig, settings)
+    _, cfg = (config_from(c, settings) for c in (TrainConfig, InferConfig))
     records, feats = load_dataset(args.data)
     model, samples = build_model_and_samples(records, feats, settings)
     load_into_model(model, read_checkpoint(args.checkpoint),

@@ -150,6 +150,9 @@ def read_annotations(path) -> list[AnnotationRecord]:
                                    int(obj["snippet_stride"]),
                                    segments, boxes)
             for s in segments:
+                if s.class_id < 0:
+                    raise ValidationError(
+                        f"record {rid}: negative class id {s.class_id}")
                 if s.start < 0 or s.end > rec.duration + 1e-9:
                     raise ValidationError(
                         f"record {rid}: segment [{s.start}, {s.end}] outside "

@@ -54,7 +54,7 @@ class HeadOutput:
 
 
 class DetectionHeads(Module):
-    def __init__(self, rng, dim: int, num_classes: int, num_layers: int = 4):
+    def __init__(self, rng, dim: int, num_classes: int, num_layers: int):
         self.cls_tower = [ConvLayer(rng, 3, dim, dim, f"cls.{i}")
                           for i in range(num_layers)]
         self.reg_tower = [ConvLayer(rng, 3, dim, dim, f"reg.{i}")

@@ -37,8 +37,8 @@ class ModelConfig:
     use_subject_tokens: bool = True
 
     def __post_init__(self):
-        for key in ("feature_dim", "group_heads", "temporal_heads", "K",
-                    "alpha"):
+        for key in ("feature_dim", "num_classes", "group_heads",
+                    "temporal_heads", "K", "alpha"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         for key in ("group_layers", "num_standard_layers",

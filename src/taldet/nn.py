@@ -1,8 +1,7 @@
 """Parameter containers and the attention/convolution blocks built on autograd.
 
-The same masked multi-head attention core serves both the subject aggregation
-stack (mask = token validity) and the temporal pyramid (mask = locality band),
-so it lives here once.
+The same masked multi-head attention block serves both the subject aggregation
+stack (mask = token validity) and the temporal pyramid (mask = locality band).
 """
 
 from __future__ import annotations
@@ -11,8 +10,8 @@ import math
 
 import numpy as np
 
-from .autograd import (DimensionError, Parameter, Tensor, conv1d,
-                       depthwise_conv1d, layer_norm, linear, softmax)
+from .autograd import (DimensionError, Parameter, Tensor, attention, conv1d,
+                       depthwise_conv1d, layer_norm, linear)
 
 
 class Module:
@@ -82,37 +81,21 @@ class FeedForward(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Masked multi-head self-attention over the second-to-last axis.
-
-    Input z is [..., N, D] with any leading shape. `allowed[..., i, j]`
-    (broadcastable over the leading axes) permits position i to attend to
-    position j; scores at disallowed pairs receive exactly zero weight.
-    """
+    """Masked multi-head self-attention over axis -2 of z [..., N, D]: four
+    linears around `autograd.attention`, which reads the mask `allowed`."""
 
     def __init__(self, rng, dim, num_heads, name="attn"):
         if dim % num_heads != 0:
             raise DimensionError("embed dim must be divisible by num_heads")
         self.num_heads = num_heads
-        self.head_dim = dim // num_heads
         self.wq = Linear(rng, dim, dim, name + ".q")
         self.wk = Linear(rng, dim, dim, name + ".k")
         self.wv = Linear(rng, dim, dim, name + ".v")
         self.wo = Linear(rng, dim, dim, name + ".o")
 
-    def __call__(self, z: Tensor, allowed: np.ndarray | None = None) -> Tensor:
-        r = z.data.ndim + 1  # rank once the heads axis is split off
-        # [..., N, H, d] <-> [..., H, N, d]; the swap is its own inverse
-        swap = (*range(r - 3), r - 2, r - 3, r - 1)
-        split = z.shape[:-1] + (self.num_heads, self.head_dim)
-        q, k, v = (proj(z).reshape(split).transpose(swap)
-                   for proj in (self.wq, self.wk, self.wv))
-        scores = (q @ k.transpose((*range(r - 2), r - 1, r - 2))) \
-            * (1.0 / math.sqrt(self.head_dim))
-        # broadcast over the heads axis
-        mask = None if allowed is None \
-            else np.asarray(allowed, dtype=bool)[..., None, :, :]
-        attn = softmax(scores, mask=mask, axis=-1)
-        return self.wo((attn @ v).transpose(swap).reshape(z.shape))
+    def __call__(self, z: Tensor, allowed: np.ndarray) -> Tensor:
+        return self.wo(attention(self.wq(z), self.wk(z), self.wv(z),
+                                 self.num_heads, allowed))
 
 
 class PreNormBlock(Module):
@@ -124,7 +107,7 @@ class PreNormBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.ffn = FeedForward(rng, dim, 4 * dim, name + ".ffn")
 
-    def __call__(self, z, allowed=None):
+    def __call__(self, z, allowed):
         h = self.attn(self.ln1(z), allowed) + z
         return self.ffn(self.ln2(h)) + h
 

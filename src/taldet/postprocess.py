@@ -43,10 +43,6 @@ class InferConfig:
             raise ValueError("sigma must be positive")
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def decode(outs: HeadOutput, meta: VideoMeta,
            score_threshold: float = InferConfig.score_threshold,
            pre_nms_topk: int = InferConfig.pre_nms_topk
@@ -57,7 +53,7 @@ def decode(outs: HeadOutput, meta: VideoMeta,
     the top `pre_nms_topk` by score survive (ties: earlier start, then lower
     class, then anchor order)."""
     unit = outs.stride * meta.seconds_per_snippet
-    scores = _sigmoid(outs.class_logits.data)
+    scores = outs.class_logits.sigmoid().data
     offs = outs.offsets.data
     start = np.maximum((outs.step - offs[:, 0]) * unit, 0.0)
     end = np.minimum((outs.step + offs[:, 1]) * unit, meta.duration)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import (DimensionError, InvalidMaskError, Parameter,
-                             ProbeError, Tensor, conv1d, depthwise_conv1d,
-                             grad_check, layer_norm, linear, softmax)
+                             ProbeError, Tensor, attention, conv1d,
+                             depthwise_conv1d, grad_check, layer_norm, linear)
 
 
 class TestLinear:
@@ -37,35 +37,65 @@ class TestLinear:
             linear(Tensor(np.zeros((2, 3))), Parameter(np.zeros((4, 2)), "w"))
 
 
-class TestSoftmax:
-    def test_constant_row_is_uniform(self):
-        out = softmax(Tensor([[5.0, 5.0, 5.0]]))
-        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
+def per_head_oracle(q, k, v, heads, allowed):
+    """Attention one head and one leading index at a time, in plain numpy."""
+    lead, (N, D) = q.shape[:-2], q.shape[-2:]
+    d = D // heads
+    allowed = np.broadcast_to(allowed, lead + (N, N))
+    out = np.zeros(q.shape)
+    for idx in np.ndindex(lead):
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            s = q[idx][:, cols] @ k[idx][:, cols].T / np.sqrt(d)
+            s[~allowed[idx]] = -np.inf
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            out[idx][:, cols] = e / e.sum(axis=-1, keepdims=True) @ v[idx][:, cols]
+    return out
 
-    def test_single_unmasked_entry(self):
-        out = softmax(Tensor([[0.0, 99.0]]), mask=np.array([[True, False]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
 
-    def test_matches_direct_exponential_oracle(self):
-        x = np.array([1.0, 2.0, 3.0])
-        out = softmax(Tensor(x)).data
-        expected = np.exp(x) / np.exp(x).sum()
-        assert np.abs(out - expected).max() < 1e-12
+class TestAttention:
+    def test_equal_scores_average_the_v_rows(self):
+        v = np.random.default_rng(0).normal(size=(3, 4))
+        zeros = Tensor(np.zeros((3, 4)))
+        out = attention(zeros, zeros, Tensor(v), 2, np.ones((3, 3), bool))
+        np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (3, 1)),
+                                   atol=1e-15)
 
-    def test_all_masked_row_raises(self):
+    def test_single_allowed_position_returns_its_v_row(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (Tensor(rng.normal(size=(2, 4)) * 10) for _ in range(3))
+        allowed = np.array([[False, True], [True, False]])
+        out = attention(q, k, v, 2, allowed)
+        np.testing.assert_array_equal(out.data, v.data[::-1])
+
+    def test_matches_per_head_loop_oracle(self):
+        rng = np.random.default_rng(2)
+        for heads in (1, 2, 4):
+            for lead in ((), (3,)):
+                q, k, v = (rng.normal(size=lead + (5, 8)) for _ in range(3))
+                allowed = (rng.random(lead + (5, 5)) > 0.5) | np.eye(5, dtype=bool)
+                out = attention(Tensor(q), Tensor(k), Tensor(v), heads,
+                                allowed).data
+                expected = per_head_oracle(q, k, v, heads, allowed)
+                assert np.abs(out - expected).max() <= 1e-12, (heads, lead)
+
+    def test_row_with_no_allowed_position_raises(self):
+        x = Tensor(np.ones((2, 2)))
         with pytest.raises(InvalidMaskError):
-            softmax(Tensor([[1.0, 2.0]]), mask=np.array([[False, False]]))
+            attention(x, x, x, 1, np.array([[True, False], [False, False]]))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_rows_sum_to_one_and_masked_exactly_zero(self, seed):
+    def test_garbage_in_disallowed_v_rows_leaves_output_unchanged(self, seed):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(4, 6)) * 10
-        mask = rng.random((4, 6)) > 0.4
-        mask[:, 0] = True
-        y = softmax(Tensor(x), mask=mask).data
-        assert np.all(y[~mask] == 0.0)
-        np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-9)
+        q, k, v = (rng.normal(size=(2, 6, 4)) * 10 for _ in range(3))
+        valid = rng.random((2, 6)) > 0.4
+        valid[:, 0] = True
+        allowed = np.broadcast_to(valid[:, None, :], (2, 6, 6))
+        base = attention(Tensor(q), Tensor(k), Tensor(v), 2, allowed).data
+        v[~valid] = rng.normal(size=v[~valid].shape) * 1e6
+        out = attention(Tensor(q), Tensor(k), Tensor(v), 2, allowed).data
+        np.testing.assert_array_equal(out, base)
 
 
 class TestLayerNorm:
@@ -169,12 +199,16 @@ class TestGradCheck:
         err = grad_check(lambda: linear(x, w).sum(), [x, w], h=1e-5)
         assert err < 1e-6
 
-    def test_softmax_sum_is_constant(self):
+    def test_attention_with_constant_v_has_no_qk_gradient(self):
+        # every output row is the one v row, whatever the weights are
         rng = np.random.default_rng(7)
-        x = Parameter(rng.normal(size=(2, 5)), "x")
-        err = grad_check(lambda: softmax(x).sum(), [x], h=1e-5)
+        q, k = (Parameter(rng.normal(size=(3, 4)), n) for n in "qk")
+        v = Parameter(np.tile(rng.normal(size=4), (3, 1)), "v")
+        allowed = np.tril(np.ones((3, 3), bool))
+        err = grad_check(lambda: attention(q, k, v, 2, allowed).sum(),
+                         [q, k, v], h=1e-5)
         assert err < 1e-6
-        assert np.abs(x.grad).max() < 1e-9
+        assert np.abs(q.grad).max() < 1e-9 and np.abs(k.grad).max() < 1e-9
 
     def test_primitive_suite_many_probes(self):
         from taldet.checksuite import primitive_grad_checks

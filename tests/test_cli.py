@@ -239,6 +239,61 @@ class TestSettings:
         assert "K must be >= 1" in capsys.readouterr().err
         assert not (tmp / "run").exists()
 
+    def test_num_classes_below_one_exits_2(self, dataset, capsys):
+        with pytest.raises(ValueError, match="num_classes"):
+            ModelConfig(feature_dim=16, num_classes=0)
+        tmp, data, cfg = dataset
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--num-classes", "0", "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert "num_classes must be >= 1" in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_class_id_beyond_num_classes_exits_2(self, dataset, capsys,
+                                                 command):
+        # the seed-5 set annotates classes 0 and 1
+        tmp, data, cfg = dataset
+        argv = [command, "--data", str(data), "--config", str(cfg),
+                "--num-classes", "1", "--out", str(tmp / "run")]
+        if command == "infer":
+            argv += ["--checkpoint", str(tmp / "unread.ptck")]
+        rc = main(argv)
+        assert rc == EXIT_VALIDATION
+        assert re.search(r"record \S+: class id 1 >= num_classes = 1",
+                         capsys.readouterr().err)
+        assert not (tmp / "run").exists()
+
+    def test_negative_class_id_exits_2(self, dataset, capsys):
+        tmp, data, cfg = dataset
+        ann = data / "annotations.jsonl"
+        objs = [json.loads(line) for line in ann.read_text().splitlines()]
+        objs[0]["segments"][0][0] = -1
+        ann.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert (f"record {objs[0]['id']}: negative class id -1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--sigma", "0"], "sigma must be positive"),
+        ("infer", ["--ema-decay", "2", "--epochs", "0"],
+         "warmup_epochs must be < epochs")], ids=["train", "infer"])
+    def test_each_command_checks_the_whole_config(self, dataset, capsys,
+                                                  command, flags, message):
+        # train and infer read one config: a setting only the other command
+        # uses is still checked, before any data file is read
+        tmp, data, cfg = dataset
+        argv = [command, "--data", str(tmp / "unread"), "--config", str(cfg),
+                *flags, "--out", str(tmp / "run")]
+        if command == "infer":
+            argv += ["--checkpoint", str(tmp / "unread.ptck")]
+        rc = main(argv)
+        assert rc == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
     @pytest.mark.parametrize("key", ["pre_nms_topk", "post_nms_keep"])
     def test_negative_infer_count_exits_2(self, dataset, capsys, key):
         # settings are checked before the checkpoint is read
@@ -366,7 +421,7 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--seed", "0"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
-        for name in ("linear", "softmax", "layer_norm", "conv1d",
+        for name in ("linear", "attention", "layer_norm", "conv1d",
                      "end_to_end_loss"):
             assert name in out
         assert "FAIL" not in out

@@ -137,6 +137,14 @@ class TestAnnotations:
         with pytest.raises(ValidationError, match="outside"):
             read_annotations(p)
 
+    def test_negative_class_id_rejected(self, tmp_path):
+        p = tmp_path / "ann.jsonl"
+        rec = sample_record("neg")
+        rec.segments = [GroundTruthSegment(-1, 0.0, 0.5)]
+        write_annotations(p, [rec])
+        with pytest.raises(ValidationError, match="record neg: negative"):
+            read_annotations(p)
+
     def test_invalid_json_line(self, tmp_path):
         p = tmp_path / "ann.jsonl"
         p.write_text("{not json\n")

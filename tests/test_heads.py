@@ -42,7 +42,8 @@ def graph_nodes(*roots):
 
 class TestDetectionHeads:
     def test_output_shapes_and_nonnegative_offsets(self):
-        heads = DetectionHeads(np.random.default_rng(0), D, num_classes=3)
+        heads = DetectionHeads(np.random.default_rng(0), D, num_classes=3,
+                                num_layers=4)
         out = heads(make_pyramid([6, 3, 2]))
         assert out.class_logits.shape == (11, 3)
         assert out.offsets.shape == (11, 2)
@@ -54,7 +55,8 @@ class TestDetectionHeads:
     def test_towers_shared_across_levels(self):
         # a level of length 1 and a singleton slice of a longer level see the
         # same weights: constant input gives identical per-step outputs
-        heads = DetectionHeads(np.random.default_rng(1), D, num_classes=2)
+        heads = DetectionHeads(np.random.default_rng(1), D, num_classes=2,
+                                num_layers=4)
         const = np.ones((5, D))
         pyr = FeaturePyramid(levels=[
             PyramidLevel(Tensor(const), 1),
@@ -66,7 +68,8 @@ class TestDetectionHeads:
     def test_levels_run_together_equal_each_level_alone(self):
         # a length-1 level next to longer ones: the per-level zero padding
         # must keep every window inside its own level
-        heads = DetectionHeads(np.random.default_rng(3), D, num_classes=2)
+        heads = DetectionHeads(np.random.default_rng(3), D, num_classes=2,
+                                num_layers=4)
         pyr = make_pyramid([6, 1, 3, 1], seed=4)
         out = heads(pyr)
         lo = 0
@@ -79,7 +82,8 @@ class TestDetectionHeads:
             lo = hi
 
     def test_graph_size_independent_of_level_count(self):
-        heads = DetectionHeads(np.random.default_rng(5), D, num_classes=2)
+        heads = DetectionHeads(np.random.default_rng(5), D, num_classes=2,
+                                num_layers=4)
         counts = []
         for lengths in ([8, 4], [32, 16, 8, 4, 2, 1]):
             out = heads(make_pyramid(lengths))
@@ -87,7 +91,8 @@ class TestDetectionHeads:
         assert counts[0] == counts[1]
 
     def test_empty_pyramid_rejected(self):
-        heads = DetectionHeads(np.random.default_rng(2), D, num_classes=2)
+        heads = DetectionHeads(np.random.default_rng(2), D, num_classes=2,
+                                num_layers=4)
         with pytest.raises(ValueError):
             heads(FeaturePyramid(levels=[]))
 

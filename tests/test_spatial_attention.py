@@ -27,7 +27,7 @@ def dense_attention_oracle(attn, z, valid):
     q = z @ attn.wq.w.data + attn.wq.b.data
     k = z @ attn.wk.w.data + attn.wk.b.data
     v = z @ attn.wv.w.data + attn.wv.b.data
-    scores = q @ k.T / np.sqrt(attn.head_dim)
+    scores = q @ k.T / np.sqrt(D // attn.num_heads)
     scores[:, ~valid] = -np.inf
     out = np_softmax(scores) @ v
     return out @ attn.wo.w.data + attn.wo.b.data
@@ -80,6 +80,22 @@ class TestMhsa:
             batched = attn(Tensor(z[None]), mask).data
             assert batched.shape == (1, 5, D)
             assert np.abs(batched[0] - single).max() <= 1e-12
+
+
+    def test_one_call_adds_nine_graph_nodes(self):
+        # four linears of two nodes (matmul, bias add) each, plus attention
+        attn = make_attn(seed=15, heads=2)
+        z = Parameter(np.random.default_rng(16).normal(size=(3, 5, D)), "z")
+        out = attn(z, np.ones((5, 5), dtype=bool))
+        seen, stack, ops = {id(out)}, [out], 0
+        while stack:
+            node = stack.pop()
+            ops += bool(node._parents)
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert ops == 9
 
 
 class TestLayer:
