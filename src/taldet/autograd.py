@@ -264,9 +264,6 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
         self.name = name
 
-    def zero_grad(self):
-        self.grad = None
-
 
 # -- n-ary structural ops ---------------------------------------------------
 

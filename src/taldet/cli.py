@@ -162,6 +162,9 @@ def cmd_infer(args):
     model, samples = build_model_and_samples(records, feats, settings)
     load_into_model(model, read_checkpoint(args.checkpoint),
                     use_ema=args.ema)
+    # no parameter requires a gradient, so the forward builds no graph
+    for p in model.parameters():
+        p.requires_grad = False
     dets = {}
     for r, sample in zip(records, samples):
         cands = decode(model(sample), sample.meta, cfg.score_threshold,

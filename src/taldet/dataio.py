@@ -89,7 +89,11 @@ class AnnotationRecord:
         return len(self.boxes)
 
     def meta(self, feature_shape) -> VideoMeta:
-        _, H, W, D = feature_shape
+        T, H, W, D = feature_shape
+        if T != self.num_snippets:
+            raise ValidationError(
+                f"record {self.id}: {self.num_snippets} box lists but "
+                f"{T} feature snippets")
         return VideoMeta(self.frame_width, self.frame_height, self.fps,
                          self.num_snippets, H, W, D, self.snippet_stride)
 
@@ -142,13 +146,26 @@ def read_annotations(path) -> list[AnnotationRecord]:
                             for c, s, e in obj["segments"]]
             except ValueError as e:
                 raise ValidationError(f"record {rid}: {e}")
-            boxes = [[SubjectBox(*map(float, b)) for b in snippet]
-                     for snippet in obj["boxes"]]
+            try:
+                # exactly five numbers per box: x1, y1, x2, y2, confidence
+                boxes = [[SubjectBox(float(x1), float(y1), float(x2),
+                                     float(y2), float(conf))
+                          for x1, y1, x2, y2, conf in snippet]
+                         for snippet in obj["boxes"]]
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"{path}:{lineno}: boxes: {e}")
             rec = AnnotationRecord(rid, float(obj["fps"]),
                                    int(obj["frame_width"]),
                                    int(obj["frame_height"]),
                                    int(obj["snippet_stride"]),
                                    segments, boxes)
+            # before `duration` divides by fps
+            for key in ("fps", "frame_width", "frame_height",
+                        "snippet_stride"):
+                if not getattr(rec, key) > 0:
+                    raise ValidationError(
+                        f"{path}:{lineno}: {key} = {getattr(rec, key)} is "
+                        f"not positive")
             for s in segments:
                 if s.class_id < 0:
                     raise ValidationError(

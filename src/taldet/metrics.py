@@ -10,7 +10,6 @@ import numpy as np
 from .postprocess import ActionSegment, temporal_iou
 
 THUMOS_GRID = [0.3, 0.4, 0.5, 0.6, 0.7]
-ANET_GRID = [round(0.5 + 0.05 * i, 2) for i in range(10)]
 
 
 @dataclass

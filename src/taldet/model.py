@@ -51,10 +51,6 @@ class ModelConfig:
         if self.window_size % 2 == 0 or self.window_size < 1:
             raise ValueError("window_size must be odd and >= 1")
 
-    @property
-    def pyramid_height(self) -> int:
-        return 1 + self.num_strided_layers
-
 
 @dataclass
 class VideoSample:

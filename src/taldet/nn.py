@@ -35,38 +35,29 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 
-def make_linear(rng, d_in, d_out, name):
-    w = Parameter(uniform_init(rng, (d_in, d_out), d_in, d_out), name + ".w")
-    b = Parameter(np.zeros(d_out), name + ".b")
-    return w, b
-
-
 class Linear(Module):
     def __init__(self, rng, d_in, d_out, name=""):
-        self.w, self.b = make_linear(rng, d_in, d_out, name)
+        self.w = Parameter(uniform_init(rng, (d_in, d_out), d_in, d_out),
+                           name + ".w")
+        self.b = Parameter(np.zeros(d_out), name + ".b")
 
     def __call__(self, x):
         return linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, eps=1e-5):
+    def __init__(self, dim):
         self.gamma = Parameter(np.ones(dim), "ln.gamma")
         self.beta = Parameter(np.zeros(dim), "ln.beta")
-        self.eps = eps
 
     def __call__(self, x):
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class FeedForward(Module):

@@ -78,10 +78,3 @@ class PyramidBuilder(Module):
             levels.append(PyramidLevel(x, stride=stride))
         return FeaturePyramid(levels)
 
-
-def expected_level_lengths(T: int, alpha: int, num_levels: int) -> list[int]:
-    """The ceil recurrence the pyramid must satisfy."""
-    out = [T]
-    for _ in range(num_levels - 1):
-        out.append(-(-out[-1] // alpha))
-    return out

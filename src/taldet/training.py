@@ -61,59 +61,70 @@ def lr_schedule(step: int, total_steps: int, warmup_steps: int,
     return lr_init * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-class Adam:
-    """Reference Adam update with bias correction."""
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Parameter], beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.0):
+
+class FlatParameters:
+    """The parameters moved into one float64 weight buffer `data` and one
+    gradient buffer `grad` (after FSDP's FlatParameter, arXiv 2304.11277):
+    each Parameter's `.data` and `.grad` are views of its slice, so backward
+    adds into `grad` in place and a whole-model update is one vector op."""
+
+    def __init__(self, params: list[Parameter]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.data = np.concatenate([p.data.ravel() for p in params])
+        self.grad = np.zeros_like(self.data)
+        for p, data, grad in zip(params, self.views(self.data),
+                                 self.views(self.grad)):
+            p.data, p.grad = data, grad
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """`flat`, laid out like `data`, as one view per parameter."""
+        parts = np.split(flat, np.cumsum([p.data.size for p in self.params]))
+        return [a.reshape(p.data.shape) for a, p in zip(parts, self.params)]
+
+
+class Adam:
+    """Adam with bias correction, in place on the weight buffer `data`; the
+    step works in place so that few model-sized temporaries are alive."""
+
+    def __init__(self, data: np.ndarray, grad: np.ndarray, weight_decay=0.0):
+        self.data, self.grad = data, grad
         self.weight_decay = weight_decay
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = np.zeros_like(data)
+        self.v = np.zeros_like(data)
         self.t = 0
 
     def step(self, lr: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = self.grad
+        if self.weight_decay:
+            g = g + self.weight_decay * self.data
+        self.m *= BETA1
+        self.m += (1 - BETA1) * g
+        self.v *= BETA2
+        self.v += (1 - BETA2) * g * g
+        denom = np.sqrt(self.v / (1 - BETA2 ** self.t)) + EPS
+        update = self.m / (1 - BETA1 ** self.t)
+        update *= lr
+        update /= denom
+        self.data -= update
 
 
-def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
-    # a non-finite norm leaves the gradients as they are, for the caller to
-    # report
+def clip_global_norm(flat: FlatParameters, max_norm: float) -> float:
+    """The global gradient L2 norm, before clipping it to `max_norm` > 0; a
+    non-finite norm clips nothing, for the caller to report."""
+    # summed per parameter, in order: one sum over the whole buffer rounds
+    # the last bit differently, and clipping fires on most steps
+    norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in flat.params))
     if math.inf > norm > max_norm > 0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        flat.grad *= max_norm / norm
     return norm
 
 
-def ema_update(ema: list[np.ndarray], params: list[Parameter],
-               decay: float) -> None:
-    if len(ema) != len(params):
-        raise ValueError("parameter list mismatch")
-    for e, p in zip(ema, params):
-        if e.shape != p.data.shape:
-            raise ValueError("parameter shape mismatch")
-        e *= decay
-        e += (1 - decay) * p.data
+def ema_update(ema: np.ndarray, data: np.ndarray, decay: float) -> None:
+    ema *= decay
+    ema += (1 - decay) * data
 
 
 @dataclass
@@ -135,9 +146,9 @@ def video_loss(model: SubjectPriorDetector, sample: VideoSample,
 def numerical_abort(what: str, step: int, lr: float,
                     model: SubjectPriorDetector) -> NumericalAbort:
     """The abort for a non-finite `what` at `step`, naming the three
-    parameters with the largest gradient entries by their path."""
-    grads = [(float(np.abs(p.grad).max()), name)
-             for name, p in model.named_parameters() if p.grad is not None]
+    parameters with the largest nonzero gradient entries by their path."""
+    grads = [(g, name) for name, p in model.named_parameters()
+             if (g := float(np.abs(p.grad).max())) != 0]
     # NaN does not sort, so it ranks as the largest
     grads.sort(key=lambda t: math.inf if math.isnan(t[0]) else t[0],
                reverse=True)
@@ -154,9 +165,9 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
     """
     if not samples:
         raise ValueError("empty training set")
-    params = model.parameters()
-    opt = Adam(params, weight_decay=cfg.weight_decay)
-    ema = [p.data.copy() for p in params]
+    flat = FlatParameters(model.parameters())
+    opt = Adam(flat.data, flat.grad, weight_decay=cfg.weight_decay)
+    ema = flat.data.copy()
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -168,7 +179,7 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
         epoch_losses = []
         for b in range(steps_per_epoch):
             batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            model.zero_grad()
+            flat.grad.fill(0)
             lr = lr_schedule(step, total_steps, warmup_steps, cfg.lr_init)
             batch_loss = 0.0
             for i in batch:
@@ -181,12 +192,12 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
                         lr, model)
                 loss.backward()
                 batch_loss += float(loss.data)
-            norm = clip_global_norm(params, cfg.grad_clip)
+            norm = clip_global_norm(flat, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise numerical_abort(f"non-finite gradient norm {norm}",
                                       step, lr, model)
             opt.step(lr)
-            ema_update(ema, params, cfg.ema_decay)
+            ema_update(ema, flat.data, cfg.ema_decay)
             epoch_losses.append(batch_loss)
             step += 1
         result.loss_log.append({
@@ -199,7 +210,7 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
         out.mkdir(parents=True, exist_ok=True)
         named = [(name, p.data) for name, p in model.named_parameters()]
         named += [("ema/" + name, e) for (name, _), e in
-                  zip(model.named_parameters(), ema)]
+                  zip(model.named_parameters(), flat.views(ema))]
         result.checkpoint_path = out / "checkpoint.ptck"
         write_checkpoint(result.checkpoint_path, named)
         with open(out / "loss_log.jsonl", "w") as fh:

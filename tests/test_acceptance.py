@@ -32,7 +32,7 @@ from taldet.model import (ModelConfig, SubjectPriorDetector, VideoSample,
                           prepare_sample)
 from taldet.postprocess import ActionSegment, decode, soft_nms, temporal_iou
 from taldet.subjects import SubjectBox, VideoMeta
-from taldet.temporal_pyramid import PyramidBuilder, expected_level_lengths
+from taldet.temporal_pyramid import PyramidBuilder
 from taldet.training import TrainConfig, fit
 
 
@@ -102,7 +102,10 @@ def test_criterion_3_pyramid_shape_law(capfd):
     for T in range(1, 129):
         pyr = builder(Tensor(rng.normal(size=(T, D))))
         got = [lv.features.shape[0] for lv in pyr.levels]
-        if got != expected_level_lengths(T, 2, cfg.pyramid_height):
+        want = [T]   # each strided layer: T_{l+1} = ceil(T_l / alpha)
+        for _ in range(cfg.num_strided_layers):
+            want.append(-(-want[-1] // 2))
+        if got != want:
             mismatches += 1
 
     flat_cfg = ModelConfig(feature_dim=D, num_classes=1, temporal_heads=2,

@@ -37,7 +37,7 @@ def test_temporal_layers_expose_span_names_and_window():
                for layer in builder.standard + builder.strided)
 
 
-def test_traced_training_step_records_every_layer():
+def tiny_model_and_sample():
     cfg = ModelConfig(feature_dim=8, num_classes=2, K=2, group_layers=1,
                       group_heads=2, temporal_heads=2, window_size=3,
                       num_standard_layers=1, num_strided_layers=2,
@@ -49,7 +49,11 @@ def test_traced_training_step_records_every_layer():
     boxes = [[SubjectBox(4.0, 4.0, 40.0, 30.0)] for _ in range(12)]
     sample = prepare_sample("v", rng.normal(size=(12, 3, 4, 8)), boxes, meta,
                             cfg.K)
-    model = SubjectPriorDetector(cfg, rng)
+    return SubjectPriorDetector(cfg, rng), sample
+
+
+def test_traced_training_step_records_every_layer():
+    model, sample = tiny_model_and_sample()
     gts = [GroundTruthSegment(1, 0.25, 0.75)]
     t = tracer.Tracer()
     with t.installed(tracer.layer_targets()):
@@ -62,6 +66,20 @@ def test_traced_training_step_records_every_layer():
     for key in ("temporal_pyramid.band_cells", "spatial_attention.tokens",
                 "autograd.nodes", "heads.positives"):
         assert t.counts[key] > 0, key
+
+
+def test_traced_fit_records_the_optimizer():
+    # the benchmark's training.optimizer time is these three calls per step
+    model, sample = tiny_model_and_sample()
+    t = tracer.Tracer()
+    with t.installed(tracer.layer_targets()):
+        training.fit(model, [sample, sample],
+                     {"v": [GroundTruthSegment(1, 0.25, 0.75)]},
+                     training.TrainConfig(epochs=1, warmup_epochs=0,
+                                          batch_size=1))
+    names = [name for name, *_ in t.spans]
+    assert names.count("training.optimizer") == 2 * 3
+    assert names.count("training.video_loss") == 2
 
 
 def test_traced_infer_and_eval_record_post_processing(tmp_path):

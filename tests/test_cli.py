@@ -12,6 +12,7 @@ from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         main, parse_config_file)
 from taldet.dataio import read_checkpoint, write_checkpoint
 from taldet.model import ModelConfig
+from taldet.postprocess import decode
 from taldet.training import FitResult, TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -120,6 +121,50 @@ class TestPipeline:
         ann.write_text(json.dumps(obj) + "\n")
         rc = main(["train", "--data", str(data), "--config", str(cfg)])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("edit, message", [
+        # a four-number box used to load with confidence 1.0
+        (lambda o: o["boxes"][0][0].pop(), "annotations.jsonl:1: boxes: "),
+        (lambda o: o["boxes"][0].insert(0, 3.0),
+         "annotations.jsonl:1: boxes: "),
+        (lambda o: o.update(fps=0),
+         "annotations.jsonl:1: fps = 0.0 is not positive"),
+        (lambda o: o["boxes"].append(o["boxes"][-1]),
+         "record {id}: {more} box lists but {T} feature snippets"),
+    ], ids=["four-number-box", "bare-number-box", "zero-fps",
+            "box-list-count"])
+    def test_malformed_annotation_exits_2_naming_it(self, dataset, capsys,
+                                                   edit, message):
+        tmp, data, cfg = dataset
+        ann = data / "annotations.jsonl"
+        objs = [json.loads(line) for line in ann.read_text().splitlines()]
+        T = len(objs[0]["boxes"])
+        edit(objs[0])
+        ann.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert (message.format(id=objs[0]["id"], more=T + 1, T=T)
+                in capsys.readouterr().err)
+
+    def test_infer_forward_builds_no_graph(self, dataset, monkeypatch):
+        tmp, data, cfg = dataset
+        run = tmp / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(run)]) == EXIT_OK
+        outs = []
+
+        def spy(out, *args):
+            outs.append(out)
+            return decode(out, *args)
+
+        monkeypatch.setattr(cli, "decode", spy)
+        assert main(["infer", "--data", str(data), "--config", str(cfg),
+                     "--checkpoint", str(run / "checkpoint.ptck"),
+                     "--out", str(run)]) == EXIT_OK
+        assert len(outs) == 2
+        for out in outs:
+            assert out.class_logits._parents == () == out.offsets._parents
 
     def test_bad_checkpoint_is_validation_error(self, dataset):
         tmp, data, cfg = dataset

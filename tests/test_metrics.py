@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.heads import GroundTruthSegment
-from taldet.metrics import ANET_GRID, THUMOS_GRID, evaluate
+from taldet.metrics import THUMOS_GRID, evaluate
 from taldet.postprocess import ActionSegment, temporal_iou
 
 
@@ -231,8 +231,6 @@ class TestEvaluate:
 
     def test_grids(self):
         assert THUMOS_GRID == [0.3, 0.4, 0.5, 0.6, 0.7]
-        assert ANET_GRID[0] == 0.5 and ANET_GRID[-1] == 0.95
-        assert len(ANET_GRID) == 10
 
 
 class TestThresholdRange:

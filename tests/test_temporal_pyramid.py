@@ -4,10 +4,17 @@ from hypothesis import given, settings, strategies as st
 from taldet.autograd import Parameter, Tensor, grad_check
 from taldet.model import ModelConfig
 from taldet.nn import MultiHeadSelfAttention
-from taldet.temporal_pyramid import (PyramidBuilder, TemporalLayer, band_mask,
-                                     expected_level_lengths)
+from taldet.temporal_pyramid import PyramidBuilder, TemporalLayer, band_mask
 
 D = 8
+
+
+def expected_level_lengths(T: int, alpha: int, num_levels: int) -> list[int]:
+    """The ceil recurrence the pyramid must satisfy."""
+    out = [T]
+    for _ in range(num_levels - 1):
+        out.append(-(-out[-1] // alpha))
+    return out
 
 
 def small_cfg(**kw):
@@ -108,7 +115,8 @@ class TestBuildPyramid:
         builder = PyramidBuilder(cfg, np.random.default_rng(12))
         pyr = builder(Tensor(np.random.default_rng(13).normal(size=(T, D))))
         assert ([lv.features.shape[0] for lv in pyr.levels]
-                == expected_level_lengths(T, cfg.alpha, cfg.pyramid_height))
+                == expected_level_lengths(T, cfg.alpha,
+                                          1 + cfg.num_strided_layers))
 
     def test_locality_with_zero_ffn_single_layer(self):
         rng = np.random.default_rng(16)

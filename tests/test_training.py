@@ -8,8 +8,8 @@ from taldet.autograd import Parameter
 from taldet.dataio import (SyntheticSpec, generate_synthetic,
                            read_annotations, read_checkpoint, read_features)
 from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
-from taldet.training import (Adam, NumericalAbort, TrainConfig,
-                             clip_global_norm, ema_update, fit,
+from taldet.training import (Adam, FlatParameters, NumericalAbort,
+                             TrainConfig, clip_global_norm, ema_update, fit,
                              load_into_model, lr_schedule, video_loss)
 
 
@@ -42,83 +42,201 @@ class TestLrSchedule:
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         # with bias correction, |update| = lr * g / (|g| + eps) ~ lr
-        p = Parameter(np.array([1.0]), "p")
-        p.grad = np.array([0.5])
-        opt = Adam([p])
-        opt.step(0.1)
-        np.testing.assert_allclose(p.data, 1.0 - 0.1, atol=1e-8)
+        data = np.array([1.0])
+        Adam(data, np.array([0.5])).step(0.1)
+        np.testing.assert_allclose(data, 1.0 - 0.1, atol=1e-8)
 
     def test_matches_reference_recurrence(self):
         rng = np.random.default_rng(0)
-        p = Parameter(rng.normal(size=(3,)), "p")
-        ref = p.data.copy()
+        data, grad = rng.normal(size=(3,)), np.zeros(3)
+        ref = data.copy()
         m = np.zeros(3)
         v = np.zeros(3)
-        opt = Adam([p])
+        opt = Adam(data, grad)
         for t in range(1, 6):
             g = rng.normal(size=3)
-            p.grad = g.copy()
+            grad[:] = g
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mh = m / (1 - 0.9 ** t)
             vh = v / (1 - 0.999 ** t)
             ref = ref - 0.01 * mh / (np.sqrt(vh) + 1e-8)
             opt.step(0.01)
-            np.testing.assert_allclose(p.data, ref, atol=1e-12)
+            np.testing.assert_allclose(data, ref, atol=1e-12)
 
     def test_weight_decay_shifts_gradient(self):
-        p1 = Parameter(np.array([2.0]), "a")
-        p2 = Parameter(np.array([2.0]), "b")
-        p1.grad = np.array([0.0])
-        p2.grad = np.array([0.0])
-        Adam([p1], weight_decay=0.0).step(0.1)
-        Adam([p2], weight_decay=0.1).step(0.1)
-        assert p1.data[0] == 2.0
-        assert p2.data[0] < 2.0
+        d1, d2 = np.array([2.0]), np.array([2.0])
+        Adam(d1, np.array([0.0]), weight_decay=0.0).step(0.1)
+        Adam(d2, np.array([0.0]), weight_decay=0.1).step(0.1)
+        assert d1[0] == 2.0
+        assert d2[0] < 2.0
+
+
+def flat_with_grads(*grads) -> FlatParameters:
+    """A store of one zero parameter per gradient, holding those gradients."""
+    flat = FlatParameters([Parameter(np.zeros(len(g)), "p") for g in grads])
+    flat.grad[:] = np.concatenate(grads)
+    return flat
 
 
 class TestClipAndEma:
     def test_clip_rescales_to_max_norm(self):
-        p = Parameter(np.zeros(4), "p")
-        p.grad = np.array([3.0, 4.0, 0.0, 0.0])
-        norm = clip_global_norm([p], 1.0)
+        flat = flat_with_grads([3.0], [4.0, 0.0, 0.0])
+        norm = clip_global_norm(flat, 1.0)
         assert norm == 5.0
-        np.testing.assert_allclose(np.linalg.norm(p.grad), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(flat.grad), 1.0, atol=1e-12)
+        np.testing.assert_allclose(flat.params[1].grad, [0.8, 0.0, 0.0])
 
     def test_small_gradients_untouched(self):
-        p = Parameter(np.zeros(2), "p")
-        p.grad = np.array([0.3, 0.4])
-        clip_global_norm([p], 1.0)
-        np.testing.assert_array_equal(p.grad, [0.3, 0.4])
+        flat = flat_with_grads([0.3, 0.4])
+        clip_global_norm(flat, 1.0)
+        np.testing.assert_array_equal(flat.grad, [0.3, 0.4])
 
     def test_zero_max_norm_disables_clipping(self):
         # grad_clip = 0 is a valid setting and means no clipping
         assert TrainConfig(grad_clip=0.0).grad_clip == 0.0
-        p = Parameter(np.zeros(2), "p")
-        p.grad = np.array([30.0, 40.0])
-        assert clip_global_norm([p], 0.0) == 50.0
-        np.testing.assert_array_equal(p.grad, [30.0, 40.0])
+        flat = flat_with_grads([30.0, 40.0])
+        assert clip_global_norm(flat, 0.0) == 50.0
+        np.testing.assert_array_equal(flat.grad, [30.0, 40.0])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_norm_leaves_gradients(self, bad):
         # the abort message reports these gradients as they are
-        p = Parameter(np.zeros(2), "p")
-        p.grad = np.array([bad, 4.0])
-        assert not math.isfinite(clip_global_norm([p], 1.0))
-        np.testing.assert_array_equal(p.grad, [bad, 4.0])
+        flat = flat_with_grads([bad, 4.0])
+        assert not math.isfinite(clip_global_norm(flat, 1.0))
+        np.testing.assert_array_equal(flat.grad, [bad, 4.0])
 
     def test_ema_recurrence(self):
-        p = Parameter(np.array([1.0]), "p")
-        e = [np.array([0.0])]
-        ema_update(e, [p], 0.9)
-        np.testing.assert_allclose(e[0], [0.1])
-        ema_update(e, [p], 0.9)
-        np.testing.assert_allclose(e[0], [0.19])
+        e = np.array([0.0])
+        ema_update(e, np.array([1.0]), 0.9)
+        np.testing.assert_allclose(e, [0.1])
+        ema_update(e, np.array([1.0]), 0.9)
+        np.testing.assert_allclose(e, [0.19])
 
-    def test_ema_shape_mismatch_rejected(self):
-        p = Parameter(np.zeros(2), "p")
-        with pytest.raises(ValueError):
-            ema_update([np.zeros(3)], [p], 0.9)
+
+# The per-parameter Adam, clipping and EMA that the flat store replaced: the
+# oracle the flat updates must match bit for bit.
+
+class ReferenceAdam:
+    def __init__(self, params, weight_decay):
+        self.params = params
+        self.weight_decay = weight_decay
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+        self.t = 0
+
+    def step(self, lr):
+        self.t += 1
+        b1, b2 = 0.9, 0.999
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def reference_clip_global_norm(params, max_norm):
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            total += float((p.grad * p.grad).sum())
+    norm = math.sqrt(total)
+    if math.inf > norm > max_norm > 0:
+        scale = max_norm / norm
+        for p in params:
+            if p.grad is not None:
+                p.grad *= scale
+    return norm
+
+
+def reference_ema_update(ema, params, decay):
+    for e, p in zip(ema, params):
+        e *= decay
+        e += (1 - decay) * p.data
+
+
+def reference_fit(model, samples, gts, cfg):
+    """fit's loop over separate per-parameter arrays; returns the EMA and
+    how many steps clipped."""
+    params = model.parameters()
+    opt = ReferenceAdam(params, cfg.weight_decay)
+    ema = [p.data.copy() for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
+    total, warmup = (n * steps_per_epoch
+                     for n in (cfg.epochs, cfg.warmup_epochs))
+    step = clipped = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(samples))
+        for b in range(steps_per_epoch):
+            batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            for p in params:
+                p.grad = None
+            lr = lr_schedule(step, total, warmup, cfg.lr_init)
+            for i in batch:
+                s = samples[i]
+                (video_loss(model, s, gts[s.video_id], cfg)
+                 * (1.0 / len(batch))).backward()
+            norm = reference_clip_global_norm(params, cfg.grad_clip)
+            clipped += norm > cfg.grad_clip
+            opt.step(lr)
+            reference_ema_update(ema, params, cfg.ema_decay)
+            step += 1
+    return ema, clipped
+
+
+class TestFlatParameters:
+    def test_views_share_the_buffers(self):
+        a = Parameter(np.arange(6.0).reshape(2, 3), "a")
+        b = Parameter(np.array([7.0]), "b")
+        flat = FlatParameters([a, b])
+        np.testing.assert_array_equal(flat.data, [0, 1, 2, 3, 4, 5, 7])
+        assert a.data.shape == (2, 3) and b.grad.shape == (1,)
+        flat.data += 1.0
+        assert a.data[1, 2] == 6.0 and b.data[0] == 8.0
+        np.testing.assert_array_equal(flat.views(flat.data)[0], a.data)
+
+    def test_backward_accumulates_into_the_gradient_buffer(self):
+        a = Parameter(np.array([1.0, 2.0]), "a")
+        flat = FlatParameters([a])
+        view = a.grad
+        for _ in range(2):
+            (a * a).sum().backward()
+        assert a.grad is view
+        np.testing.assert_array_equal(flat.grad, [4.0, 8.0])
+
+    def test_fit_matches_per_parameter_reference_bitwise(self, tmp_path,
+                                                        monkeypatch):
+        cfg, samples, gts = tiny_dataset(tmp_path / "d", num_videos=3)
+        # three videos in batches of two: steps of two videos and of one
+        tc = TrainConfig(lr_init=1e-2, epochs=3, warmup_epochs=1,
+                         batch_size=2, grad_clip=0.05, weight_decay=0.01,
+                         ema_decay=0.9, seed=4)
+        emas = []
+
+        def spy(ema, data, decay):
+            emas.append(ema)
+            ema_update(ema, data, decay)
+
+        monkeypatch.setattr(training, "ema_update", spy)
+        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+        fit(model, samples, gts, tc)
+        ref = SubjectPriorDetector(cfg, np.random.default_rng(0))
+        ref_ema, clipped = reference_fit(ref, samples, gts, tc)
+        assert clipped >= 4 and len(emas) == 6
+        for (name, p), q in zip(model.named_parameters(), ref.parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+            # a parameter no loss reaches keeps a gradient of zeros
+            q_grad = np.zeros_like(q.data) if q.grad is None else q.grad
+            assert p.grad.tobytes() == q_grad.tobytes(), name
+        assert emas[-1].tobytes() == np.concatenate(
+            [e.ravel() for e in ref_ema]).tobytes()
 
 
 class TestTrainConfig:
