@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode gradients.
 
-Everything downstream (attention blocks, convolution towers, losses) is
-composed from the primitives here, so the finite-difference harness at the
-bottom of the file is the single source of truth for gradient correctness.
+Everything downstream (attention blocks, convolution towers) is composed
+from the primitives here; the training loss is one node of the same kind in
+`heads`. The finite-difference harness at the bottom of the file is the
+single source of truth for gradient correctness.
 Graphs are built explicitly per forward pass; there is no global tape.
 Tensors do not check finiteness: non-finite values are caught where numbers
 enter (dataio's file readers, the CLI settings) and where training consumes
@@ -47,7 +48,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    # make numpy defer to our reflected operators (ndarray * Tensor etc.)
+    # numpy raises TypeError for ndarray * Tensor etc. instead of building an
+    # object array: a Tensor goes on the left of its operators
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
@@ -119,46 +121,9 @@ class Tensor:
         return self._binary(other, lambda a, b: a + b,
                             lambda g, a, b: g, lambda g, a, b: g)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b,
-                            lambda g, a, b: g, lambda g, a, b: -g)
-
-    def __rsub__(self, other):
-        return Tensor._lift(other) - self
-
     def __mul__(self, other):
         return self._binary(other, lambda a, b: a * b,
                             lambda g, a, b: g * b, lambda g, a, b: g * a)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            # true division (not multiply-by-reciprocal) so x / x == 1 exactly
-            return self._binary(other, lambda a, b: a / b,
-                                lambda g, a, b: g / b,
-                                lambda g, a, b: -g * a / (b * b))
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents supported")
-        out_data = self.data ** p
-        if not self.requires_grad:
-            return Tensor(out_data)
-
-        def backward(g):
-            self._accum(g * p * self.data ** (p - 1))
-
-        return Tensor(out_data, True, (self,), backward)
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
@@ -227,32 +192,17 @@ class Tensor:
         n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    # -- pointwise nonlinearities -------------------------------------------
+    # -- pointwise nonlinearity --------------------------------------------
 
-    def _unary(self, out_data, dfunc):
+    def relu(self):
+        out_data = np.maximum(self.data, 0.0)
         if not self.requires_grad:
             return Tensor(out_data)
 
         def backward(g):
-            self._accum(g * dfunc())
+            self._accum(g * (self.data > 0).astype(np.float64))
 
         return Tensor(out_data, True, (self,), backward)
-
-    def relu(self):
-        return self._unary(np.maximum(self.data, 0.0),
-                           lambda: (self.data > 0).astype(np.float64))
-
-    def sigmoid(self):
-        out = _sigmoid(self.data)
-        return self._unary(out, lambda: out * (1.0 - out))
-
-    def softplus(self):
-        out = np.logaddexp(0.0, self.data)
-        return self._unary(out, lambda: _sigmoid(self.data))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 class Parameter(Tensor):
@@ -285,22 +235,6 @@ def concat(tensors, axis=0):
                 t._accum(g[tuple(sl)])
 
     return Tensor(out_data, True, tuple(tensors), backward)
-
-
-def minimum(a, b):
-    a, b = Tensor._lift(a), Tensor._lift(b)
-    pick_a = a.data <= b.data
-    return a._binary(b, lambda x, y: np.minimum(x, y),
-                     lambda g, x, y: g * pick_a,
-                     lambda g, x, y: g * ~pick_a)
-
-
-def maximum(a, b):
-    a, b = Tensor._lift(a), Tensor._lift(b)
-    pick_a = a.data >= b.data
-    return a._binary(b, lambda x, y: np.maximum(x, y),
-                     lambda g, x, y: g * pick_a,
-                     lambda g, x, y: g * ~pick_a)
 
 
 def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -372,14 +306,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Standardize the last axis, then scale by gamma and shift by beta."""
+    """Standardize the last axis, then scale by gamma and shift by beta, as
+    one node. x is [..., D]; gamma and beta are [D]. Backward keeps only the
+    standardized input and the inverse std."""
     if x.shape[-1] == 0:
         raise DimensionError("layer_norm over empty last axis")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = (var + eps) ** -0.5
-    return xc * inv * gamma + beta
+    n = x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    xhat = xc * inv
+    out_data = xhat * gamma.data + beta.data
+    if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
+        return Tensor(out_data)
+
+    def backward(g):
+        if x.requires_grad:
+            # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gamma
+            gh = g * gamma.data
+            proj = (gh * xhat).sum(axis=-1, keepdims=True) * (1.0 / n)
+            gh -= gh.sum(axis=-1, keepdims=True) * (1.0 / n)
+            gh -= xhat * proj
+            gh *= inv
+            x._accum(gh)
+        if gamma.requires_grad:
+            gamma._accum(_unbroadcast(g * xhat, gamma.shape))
+        if beta.requires_grad:
+            beta._accum(_unbroadcast(g, beta.shape))
+
+    return Tensor(out_data, True, (x, gamma, beta), backward)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,

@@ -6,10 +6,14 @@ import numpy as np
 
 from .autograd import (Parameter, attention, conv1d, depthwise_conv1d,
                        grad_check, layer_norm, linear)
-from .heads import GroundTruthSegment
+from .heads import GroundTruthSegment, HeadOutput, Targets, total_loss
 from .model import ModelConfig, SubjectPriorDetector, VideoSample, prepare_sample
 from .subjects import SubjectBox, VideoMeta
 from .training import TrainConfig, video_loss
+
+
+def _sum_sq(t):
+    return (t * t).sum()
 
 
 def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
@@ -29,7 +33,7 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         x = Parameter(rng.normal(size=(3, 4)), "x")
         w = Parameter(rng.normal(size=(4, 2)), "w")
         b = Parameter(rng.normal(size=2), "b")
-        return lambda: (linear(x, w, b) ** 2.0).sum(), [x, w, b]
+        return lambda: _sum_sq(linear(x, w, b)), [x, w, b]
 
     def make_attention():
         # 1, 2 or 4 heads over D = 4, a leading batch axis of 2, and
@@ -42,27 +46,44 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
                 [q, k, v])
 
     def make_layer_norm():
-        x = Parameter(rng.normal(size=(2, 6)), "x")
+        # [2, 6] rows, or [2, 3, 6] as the aggregator's [T, K+1, D] tokens
+        shape = ((2, 6), (2, 3, 6))[int(rng.integers(2))]
+        x = Parameter(rng.normal(size=shape), "x")
         g = Parameter(rng.normal(size=6), "g")
         b = Parameter(rng.normal(size=6), "b")
-        c = rng.normal(size=(2, 6))
+        c = rng.normal(size=shape)
         return lambda: (layer_norm(x, g, b, eps=1e-5) * c).sum(), [x, g, b]
 
     def make_conv():
         x = Parameter(rng.normal(size=(6, 3)), "x")
         w = Parameter(rng.normal(size=(3, 3, 2)), "w")
         b = Parameter(rng.normal(size=2), "b")
-        return lambda: (conv1d(x, w, b, [3, 1, 2]) ** 2.0).sum(), [x, w, b]
+        return lambda: _sum_sq(conv1d(x, w, b, [3, 1, 2])), [x, w, b]
 
     def make_depthwise():
         x = Parameter(rng.normal(size=(7, 4)), "x")
         w = Parameter(rng.normal(size=(2, 4)), "w")
-        return lambda: (depthwise_conv1d(x, w, 2) ** 2.0).sum(), [x, w]
+        return lambda: _sum_sq(depthwise_conv1d(x, w, 2)), [x, w]
 
     def make_relu():
         x = Parameter(rng.normal(size=(4, 4)) + 0.1, "x")
         c = rng.normal(size=(4, 4))
         return lambda: (x.relu() * c).sum(), [x]
+
+    def make_total_loss():
+        # 1-3 classes over 6 steps, each step inside an action or not (at
+        # random, so some probes have no positive step), both focal modes
+        # and lam in {0, 1, 2}; offsets and targets positive and apart
+        A, C = 6, int(rng.integers(1, 4))
+        inside = rng.random(A) < 0.5
+        targets = Targets(np.where(inside, rng.integers(0, C, A), C),
+                          rng.uniform(0.5, 3.0, A), rng.uniform(0.5, 3.0, A),
+                          inside)
+        x = Parameter(rng.normal(size=(A, C)) * 2, "logits")
+        o = Parameter(rng.uniform(0.5, 3.0, size=(A, 2)), "offsets")
+        outs = HeadOutput(x, o, np.arange(A), np.ones(A, dtype=int))
+        lam, strict = float(rng.integers(0, 3)), bool(rng.random() < 0.5)
+        return lambda: total_loss(outs, targets, lam, strict), [x, o]
 
     run("linear", make_linear)
     run("attention", make_attention)
@@ -70,6 +91,7 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
     run("conv1d", make_conv)
     run("depthwise_conv1d", make_depthwise)
     run("relu", make_relu)
+    run("total_loss", make_total_loss)
     return results
 
 

@@ -122,7 +122,25 @@ def write_annotations(path, records: list[AnnotationRecord]) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
+def _field(where: str, obj: dict, key: str, convert):
+    """convert(obj[key]); a value of the wrong type or shape raises
+    ValidationError as `where: key: problem`."""
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{where}: {key}: {e}") from None
+
+
+def _record_id(value) -> str:
+    # the id names the record's feature file
+    if not isinstance(value, str) or not value:
+        raise TypeError(f"{json.dumps(value)} is not a non-empty string")
+    return value
+
+
 def read_annotations(path) -> list[AnnotationRecord]:
+    """Every record of an annotations file. A field that does not convert
+    to its type raises ValidationError as `path:line: field: problem`."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -140,25 +158,22 @@ def read_annotations(path) -> list[AnnotationRecord]:
             if missing:
                 raise ValidationError(
                     f"{path}:{lineno}: missing fields {sorted(missing)}")
-            rid = obj["id"]
-            try:
-                segments = [GroundTruthSegment(int(c), float(s), float(e))
-                            for c, s, e in obj["segments"]]
-            except ValueError as e:
-                raise ValidationError(f"record {rid}: {e}")
-            try:
-                # exactly five numbers per box: x1, y1, x2, y2, confidence
-                boxes = [[SubjectBox(float(x1), float(y1), float(x2),
-                                     float(y2), float(conf))
-                          for x1, y1, x2, y2, conf in snippet]
-                         for snippet in obj["boxes"]]
-            except (TypeError, ValueError) as e:
-                raise ValidationError(f"{path}:{lineno}: boxes: {e}")
-            rec = AnnotationRecord(rid, float(obj["fps"]),
-                                   int(obj["frame_width"]),
-                                   int(obj["frame_height"]),
-                                   int(obj["snippet_stride"]),
-                                   segments, boxes)
+            where = f"{path}:{lineno}"
+            rid = _field(where, obj, "id", _record_id)
+            segments = _field(where, obj, "segments", lambda v: [
+                GroundTruthSegment(int(c), float(s), float(e))
+                for c, s, e in v])
+            # exactly five numbers per box: x1, y1, x2, y2, confidence
+            boxes = _field(where, obj, "boxes", lambda v: [
+                [SubjectBox(float(x1), float(y1), float(x2), float(y2),
+                            float(conf)) for x1, y1, x2, y2, conf in snippet]
+                for snippet in v])
+            rec = AnnotationRecord(
+                rid, _field(where, obj, "fps", float),
+                _field(where, obj, "frame_width", int),
+                _field(where, obj, "frame_height", int),
+                _field(where, obj, "snippet_stride", int),
+                segments, boxes)
             # before `duration` divides by fps
             for key in ("fps", "frame_width", "frame_height",
                         "snippet_stride"):

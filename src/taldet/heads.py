@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, concat, maximum, minimum
+from .autograd import Tensor, concat
 from .nn import ConvLayer, Module
 from .temporal_pyramid import FeaturePyramid
 
@@ -103,25 +103,39 @@ def assign_targets(gts: list[GroundTruthSegment], step: np.ndarray,
     return Targets(cls, ds, de, inside)
 
 
-def focal_loss(logits: Tensor, class_target: np.ndarray, inside: np.ndarray,
-               strict_positive_only: bool = False) -> Tensor:
-    """Sigmoid focal loss (gamma=2, alpha=0.25), one-vs-all over C classes,
-    summed over steps. With strict_positive_only, only steps inside an action
-    contribute; otherwise background steps add their negative-class terms."""
-    T, C = logits.shape
-    y = np.zeros((T, C))
-    pos = class_target < C
-    y[np.arange(T)[pos], class_target[pos]] = 1.0
-    p = logits.sigmoid()
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def focal_values(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-entry sigmoid focal loss (gamma=2, alpha=0.25) of logits [A, C],
+    one-vs-all against the one-hot labels y (bool [A, C])."""
+    p = sigmoid(logits)
     # -log p = softplus(-x); -log(1-p) = softplus(x)
-    pos_term = FOCAL_ALPHA * ((1.0 - p) ** FOCAL_GAMMA) * (-logits).softplus()
-    neg_term = (1.0 - FOCAL_ALPHA) * (p ** FOCAL_GAMMA) * logits.softplus()
-    per_entry = y * pos_term + (1.0 - y) * neg_term
-    row_mask = inside if strict_positive_only else np.ones(T, dtype=bool)
-    return (per_entry * row_mask.astype(np.float64)[:, None]).sum()
+    pos = FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA * np.logaddexp(0.0, -logits)
+    neg = (1.0 - FOCAL_ALPHA) * p ** FOCAL_GAMMA * np.logaddexp(0.0, logits)
+    return np.where(y, pos, neg)
 
 
-def giou_values(pred: Tensor, target: np.ndarray) -> Tensor:
+def focal_grad(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d focal_values / d logits, entry by entry."""
+    p = sigmoid(logits)
+    q = 1.0 - p
+    pos = -FOCAL_ALPHA * q ** FOCAL_GAMMA * (
+        FOCAL_GAMMA * p * np.logaddexp(0.0, -logits) + q)
+    neg = (1.0 - FOCAL_ALPHA) * p ** FOCAL_GAMMA * (
+        FOCAL_GAMMA * q * np.logaddexp(0.0, logits) + p)
+    return np.where(y, pos, neg)
+
+
+def _overlap(pred: np.ndarray, target: np.ndarray):
+    """Intersection and enclosing lengths of offset pairs [..., 2] that
+    share their anchor step."""
+    lo, hi = np.minimum(pred, target), np.maximum(pred, target)
+    return lo[..., 0] + lo[..., 1], hi[..., 0] + hi[..., 1]
+
+
+def giou_values(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-pair generalized IoU loss for offsets sharing the anchor step.
 
     pred[..., 2] = (d_start, d_end) >= 0. Since both intervals contain the
@@ -130,22 +144,55 @@ def giou_values(pred: Tensor, target: np.ndarray) -> Tensor:
     vanishes, the loss is 1 - IoU, and each value stays in [0, 1] (the
     general bound is 2).
     """
-    target = np.asarray(target, dtype=np.float64)
-    ps, pe = pred[..., 0], pred[..., 1]
-    ts = Tensor(target[..., 0])
-    te = Tensor(target[..., 1])
-    inter = minimum(ps, ts) + minimum(pe, te)
-    enclose = maximum(ps, ts) + maximum(pe, te)
+    inter, enclose = _overlap(pred, target)
     return 1.0 - inter / enclose
+
+
+def giou_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """d giou_values / d pred, [..., 2]. An offset equal to its target
+    passes the gradient of both the min and the max."""
+    inter, enclose = _overlap(pred, target)
+    return ((pred <= target) * (-1.0 / enclose)[..., None]
+            + (pred >= target) * (inter / (enclose * enclose))[..., None])
 
 
 def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
                strict_positive_only: bool = False) -> Tensor:
-    """Sum over all steps of (focal + lam * GIoU) / max(T+, 1)."""
-    loss = focal_loss(outs.class_logits, targets.class_target, targets.inside,
-                      strict_positive_only)
-    if targets.inside.any():
-        pos = targets.inside.nonzero()[0]
-        tgt_pos = np.stack([targets.d_start[pos], targets.d_end[pos]], axis=-1)
-        loss = loss + lam * giou_values(outs.offsets[pos], tgt_pos).sum()
-    return loss * (1.0 / max(targets.num_positive, 1))
+    """(focal + lam * GIoU) / max(T+, 1), one node over the class logits
+    and the offsets.
+
+    The focal loss sums over every (step, class) entry; with
+    strict_positive_only, only steps inside an action contribute, otherwise
+    background steps add their negative-class terms. GIoU sums over the
+    positive steps.
+    """
+    logits, offsets = outs.class_logits, outs.offsets
+    C = logits.shape[1]
+    y = targets.class_target[:, None] == np.arange(C)   # background: none
+    focal = focal_values(logits.data, y)
+    if strict_positive_only:
+        focal *= targets.inside[:, None]
+    loss = focal.sum()
+    pos = targets.inside.nonzero()[0]
+    pred = offsets.data[pos]
+    tgt = np.stack([targets.d_start[pos], targets.d_end[pos]], axis=-1)
+    if pos.size:
+        loss = loss + giou_values(pred, tgt).sum() * lam
+    scale = 1.0 / max(pos.size, 1)
+    loss = loss * scale
+    if not (logits.requires_grad or offsets.requires_grad):
+        return Tensor(loss)
+
+    def backward(g):
+        g = g * scale
+        if logits.requires_grad:
+            gl = focal_grad(logits.data, y)
+            if strict_positive_only:
+                gl *= targets.inside[:, None]
+            logits._accum(gl * g)
+        if offsets.requires_grad and pos.size:
+            go = np.zeros(offsets.shape)
+            go[pos] = giou_grad(pred, tgt) * (lam * g)
+            offsets._accum(go)
+
+    return Tensor(loss, True, (logits, offsets), backward)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .heads import HeadOutput
+from .heads import HeadOutput, sigmoid
 from .subjects import VideoMeta
 
 
@@ -53,7 +53,7 @@ def decode(outs: HeadOutput, meta: VideoMeta,
     the top `pre_nms_topk` by score survive (ties: earlier start, then lower
     class, then anchor order)."""
     unit = outs.stride * meta.seconds_per_snippet
-    scores = outs.class_logits.sigmoid().data
+    scores = sigmoid(outs.class_logits.data)
     offs = outs.offsets.data
     start = np.maximum((outs.step - offs[:, 0]) * unit, 0.0)
     end = np.minimum((outs.step + offs[:, 1]) * unit, meta.duration)

@@ -7,6 +7,11 @@ from taldet.autograd import (DimensionError, InvalidMaskError, Parameter,
                              depthwise_conv1d, grad_check, layer_norm, linear)
 
 
+def pointwise(x, f, df):
+    """f(x) as a test-only node whose backward multiplies by df(x)."""
+    return Tensor(f(x.data), True, (x,), lambda g: x._accum(g * df(x.data)))
+
+
 class TestLinear:
     def test_identity_input(self):
         x = Tensor(np.eye(2))
@@ -128,6 +133,12 @@ class TestLayerNorm:
         with pytest.raises(DimensionError):
             layer_norm(Tensor(np.zeros((2, 0))), *self._unit(0))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_one_node_over_x_gamma_beta(self, shape):
+        x = Parameter(np.random.default_rng(8).normal(size=shape), "x")
+        g, b = self._unit(4)
+        assert layer_norm(x, g, b)._parents == (x, g, b)
+
 
 class TestConv1d:
     def test_identity_kernel(self):
@@ -217,13 +228,17 @@ class TestGradCheck:
 
     @np.errstate(invalid="ignore", divide="ignore")
     def test_nan_gradient_fails(self):
-        # (x * 0) ** 0.5 is 0 around x = 1, but its backward is inf * 0
+        # sqrt(x * 0) is 0 around x = 1, but its backward is inf * 0
         x = Parameter([1.0, 2.0], "x")
-        assert grad_check(lambda: ((x * 0.0) ** 0.5).sum(), [x]) == np.inf
+        assert grad_check(lambda: pointwise(x * 0.0, np.sqrt,
+                                            lambda a: 0.5 / np.sqrt(a)).sum(),
+                          [x]) == np.inf
 
     @np.errstate(divide="ignore")
     def test_non_finite_probe_raises(self):
         # 1 / x is finite at x = h and infinite at x - h = 0
         x = Parameter([1e-5], "x")
         with pytest.raises(ProbeError):
-            grad_check(lambda: (1.0 / x).sum(), [x], h=1e-5)
+            grad_check(lambda: pointwise(x, lambda a: 1.0 / a,
+                                         lambda a: -1.0 / (a * a)).sum(),
+                       [x], h=1e-5)

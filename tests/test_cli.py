@@ -131,8 +131,15 @@ class TestPipeline:
          "annotations.jsonl:1: fps = 0.0 is not positive"),
         (lambda o: o["boxes"].append(o["boxes"][-1]),
          "record {id}: {more} box lists but {T} feature snippets"),
+        (lambda o: o.update(frame_width=[64]),
+         "annotations.jsonl:1: frame_width: "),
+        (lambda o: o.update(segments=[5]), "annotations.jsonl:1: segments: "),
+        (lambda o: o.update(segments=[[0, 0.5]]),
+         "annotations.jsonl:1: segments: "),
+        (lambda o: o.update(id=3), "annotations.jsonl:1: id: 3 is not"),
     ], ids=["four-number-box", "bare-number-box", "zero-fps",
-            "box-list-count"])
+            "box-list-count", "list-for-scalar", "bare-number-segment",
+            "two-number-segment", "numeric-id"])
     def test_malformed_annotation_exits_2_naming_it(self, dataset, capsys,
                                                    edit, message):
         tmp, data, cfg = dataset
@@ -467,6 +474,6 @@ class TestGradcheckCommand:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         for name in ("linear", "attention", "layer_norm", "conv1d",
-                     "end_to_end_loss"):
+                     "total_loss", "end_to_end_loss"):
             assert name in out
         assert "FAIL" not in out

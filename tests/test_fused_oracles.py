@@ -1,0 +1,173 @@
+"""`autograd.layer_norm` and `heads.total_loss` are single nodes with an
+analytic backward. The compositions of small nodes they replaced are kept
+here as oracles: the fused forward values must match them bit for bit, and
+every gradient must agree within 1e-12."""
+
+import numpy as np
+import pytest
+
+from taldet import nn, training
+from taldet.autograd import Parameter, Tensor, layer_norm
+from taldet.checksuite import build_toy_problem
+from taldet.heads import (FOCAL_ALPHA, FOCAL_GAMMA, GroundTruthSegment,
+                          HeadOutput, assign_targets, total_loss)
+
+TOL = 1e-12
+
+
+def node(out, *links):
+    """A node holding `out` whose backward passes g * slope to the parent of
+    each (parent, slope) link; every slope has the shape of `out`."""
+    def backward(g):
+        for parent, slope in links:
+            parent._accum(g * slope)
+
+    return Tensor(out, True, tuple(p for p, _ in links), backward)
+
+
+def power(x, p):
+    return node(x.data ** p, (x, p * x.data ** (p - 1)))
+
+
+def sigmoid(x):
+    out = 0.5 * (1.0 + np.tanh(0.5 * x.data))
+    return node(out, (x, out * (1.0 - out)))
+
+
+def softplus(x):
+    return node(np.logaddexp(0.0, x.data),
+                (x, 0.5 * (1.0 + np.tanh(0.5 * x.data))))
+
+
+def minimum(a, b):
+    """min(a, b) for a Tensor a and a constant array b."""
+    return node(np.minimum(a.data, b), (a, a.data <= b))
+
+
+def maximum(a, b):
+    return node(np.maximum(a.data, b), (a, a.data >= b))
+
+
+def divide(a, b):
+    return node(a.data / b.data, (a, 1.0 / b.data),
+                (b, -a.data / (b.data * b.data)))
+
+
+def composed_layer_norm(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x + mu * -1.0   # a Tensor has no subtraction; the bits are x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = power(var + eps, -0.5)
+    return xc * inv * gamma + beta
+
+
+def composed_total_loss(outs, targets, lam=1.0, strict_positive_only=False):
+    logits = outs.class_logits
+    T, C = logits.shape
+    y = np.zeros((T, C))
+    fg = targets.class_target < C
+    y[np.arange(T)[fg], targets.class_target[fg]] = 1.0
+    p = sigmoid(logits)
+    # -log p = softplus(-x); -log(1-p) = softplus(x)
+    pos_term = (power(p * -1.0 + 1.0, FOCAL_GAMMA) * FOCAL_ALPHA
+                * softplus(logits * -1.0))
+    neg_term = power(p, FOCAL_GAMMA) * (1.0 - FOCAL_ALPHA) * softplus(logits)
+    per_entry = pos_term * y + neg_term * (1.0 - y)
+    row_mask = (targets.inside if strict_positive_only
+                else np.ones(T, dtype=bool))
+    loss = (per_entry * row_mask.astype(np.float64)[:, None]).sum()
+    if targets.inside.any():
+        pos = targets.inside.nonzero()[0]
+        pred = outs.offsets[pos]
+        ps, pe = pred[..., 0], pred[..., 1]
+        ts, te = targets.d_start[pos], targets.d_end[pos]
+        inter = minimum(ps, ts) + minimum(pe, te)
+        enclose = maximum(ps, ts) + maximum(pe, te)
+        giou = divide(inter, enclose) * -1.0 + 1.0
+        loss = loss + giou.sum() * lam
+    return loss * (1.0 / max(targets.num_positive, 1))
+
+
+def forward_backward(f, params, weights=None):
+    """f()'s value and every parameter's gradient (zeros where none) of
+    f(), or of sum(f() * weights) for a non-scalar f()."""
+    for p in params:
+        p.grad = None
+    out = f()
+    (out if weights is None else (out * weights).sum()).backward()
+    return out.data, [np.zeros_like(p.data) if p.grad is None else p.grad
+                      for p in params]
+
+
+def assert_matches(fused, reference):
+    (value, grads), (ref_value, ref_grads) = fused, reference
+    np.testing.assert_array_equal(value, ref_value)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=TOL, atol=TOL)
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (4, 3, 8)])
+def test_layer_norm_matches_composition(shape):
+    rng = np.random.default_rng(len(shape))
+    x = Parameter(rng.normal(size=shape) * 3 + 1, "x")
+    gamma = Parameter(rng.normal(size=8), "gamma")
+    beta = Parameter(rng.normal(size=8), "beta")
+    c = rng.normal(size=shape)
+    params = [x, gamma, beta]
+    assert_matches(
+        forward_backward(lambda: layer_norm(x, gamma, beta), params, c),
+        forward_backward(lambda: composed_layer_norm(x, gamma, beta), params,
+                         c))
+
+
+def loss_problem(segments, seed, identical=False):
+    """Head outputs over two levels (8 and 4 steps, 2 classes) and their
+    targets for `segments`; with `identical`, every positive step predicts
+    its target offsets exactly."""
+    rng = np.random.default_rng(seed)
+    step = np.concatenate([np.arange(8), np.arange(4)])
+    stride = np.repeat([1, 2], [8, 4])
+    gts = [GroundTruthSegment(*s) for s in segments]
+    targets = assign_targets(gts, step, stride, 16.0, 4, 2)
+    offsets = rng.uniform(0.1, 3.0, size=(12, 2))
+    if identical:
+        pos = targets.inside
+        offsets[pos] = np.stack([targets.d_start, targets.d_end], -1)[pos]
+    logits = Parameter(rng.normal(size=(12, 2)) * 2, "logits")
+    offsets = Parameter(offsets, "offsets")
+    return HeadOutput(logits, offsets, step, stride), targets
+
+
+SEGMENTS = [(0, 0.0, 0.9), (1, 1.2, 2.0)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("segments, identical", [
+    (SEGMENTS, False), ([], False), (SEGMENTS, True)],
+    ids=["positives", "no_positives", "identical_segments"])
+def test_total_loss_matches_composition(lam, strict, segments, identical):
+    outs, targets = loss_problem(segments, seed=int(lam * 2 + strict),
+                                 identical=identical)
+    assert targets.inside.any() == bool(segments)
+    params = [outs.class_logits, outs.offsets]
+    fused = forward_backward(
+        lambda: total_loss(outs, targets, lam, strict), params)
+    assert_matches(fused, forward_backward(
+        lambda: composed_total_loss(outs, targets, lam, strict), params))
+
+
+def test_identical_segments_add_exactly_zero_giou():
+    outs, targets = loss_problem(SEGMENTS, seed=0, identical=True)
+    assert (total_loss(outs, targets, lam=1.0).data
+            == total_loss(outs, targets, lam=0.0).data)
+
+
+def test_whole_model_matches_composition(monkeypatch):
+    """The toy end-to-end problem (every LayerNorm and the loss) with the
+    fused nodes and with the compositions, on the same weights."""
+    loss_fn, params = build_toy_problem(seed=3, T=5)
+    fused = forward_backward(loss_fn, params)
+    monkeypatch.setattr(nn, "layer_norm", composed_layer_norm)
+    monkeypatch.setattr(training, "total_loss", composed_total_loss)
+    assert_matches(fused, forward_backward(loss_fn, params))

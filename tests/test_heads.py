@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, Tensor, grad_check
 from taldet.heads import (DetectionHeads, GroundTruthSegment, HeadOutput,
-                          assign_targets, focal_loss, giou_values,
+                          Targets, assign_targets, focal_values, giou_values,
                           total_loss)
 from taldet.temporal_pyramid import FeaturePyramid, PyramidLevel
 
@@ -152,40 +152,60 @@ class TestAssignTargets:
         assert (lv.class_target == 2).all()
 
 
+def one_hot(class_target, C):
+    """bool [A, C] labels; a class_target of C (background) is all False."""
+    return class_target[:, None] == np.arange(C)
+
+
+def loss_inputs(logits, offsets=None):
+    """HeadOutput of one level with stride 1 around the given arrays."""
+    A = logits.shape[0]
+    if offsets is None:
+        offsets = Tensor(np.ones((A, 2)))
+    return HeadOutput(logits, offsets, np.arange(A), np.ones(A, dtype=int))
+
+
+def fixed_targets(class_target, inside, d_start=None, d_end=None):
+    A = len(class_target)
+    return Targets(np.asarray(class_target), np.ones(A) if d_start is None
+                   else d_start, np.ones(A) if d_end is None else d_end,
+                   np.asarray(inside))
+
+
 class TestFocalLoss:
     def test_zero_logit_positive_closed_form(self):
         # p = 1/2: alpha * (1-p)^2 * log 2 = 0.25 * 0.25 * log 2
-        logits = Tensor(np.zeros((1, 1)))
-        out = focal_loss(logits, np.array([0]), np.array([True]))
-        np.testing.assert_allclose(out.data, 0.25 * 0.25 * np.log(2.0),
+        out = focal_values(np.zeros((1, 1)), np.array([[True]]))
+        np.testing.assert_allclose(out, 0.25 * 0.25 * np.log(2.0),
                                    atol=1e-12)
 
     def test_zero_logit_background_closed_form(self):
-        logits = Tensor(np.zeros((1, 1)))
-        out = focal_loss(logits, np.array([1]), np.array([False]))
-        np.testing.assert_allclose(out.data, 0.75 * 0.25 * np.log(2.0),
+        out = focal_values(np.zeros((1, 1)), np.array([[False]]))
+        np.testing.assert_allclose(out, 0.75 * 0.25 * np.log(2.0),
                                    atol=1e-12)
 
     def test_confident_correct_prediction_near_zero(self):
-        logits = Tensor(np.full((1, 1), 20.0))
-        out = focal_loss(logits, np.array([0]), np.array([True]))
-        assert out.data < 1e-7
+        out = focal_values(np.full((1, 1), 20.0), np.array([[True]]))
+        assert out < 1e-7
 
     def test_strict_positive_only_drops_background_rows(self):
         rng = np.random.default_rng(3)
         logits = Tensor(rng.normal(size=(4, 2)))
         tgt = np.array([0, 2, 1, 2])
         inside = tgt < 2
-        strict = focal_loss(logits, tgt, inside, strict_positive_only=True)
+        strict = total_loss(loss_inputs(logits), fixed_targets(tgt, inside),
+                            lam=0.0, strict_positive_only=True)
         pos_rows = Tensor(logits.data[inside])
-        expected = focal_loss(pos_rows, tgt[inside], np.ones(2, dtype=bool))
+        expected = total_loss(loss_inputs(pos_rows),
+                              fixed_targets(tgt[inside], [True, True]),
+                              lam=0.0)
         np.testing.assert_allclose(strict.data, expected.data, atol=1e-12)
 
     def test_matches_direct_formula_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 3)) * 3
         tgt = np.array([0, 3, 1, 2, 3])
-        out = focal_loss(Tensor(x), tgt, tgt < 3).data
+        out = focal_values(x, one_hot(tgt, 3)).sum()
         p = 1.0 / (1.0 + np.exp(-x))
         y = np.zeros((5, 3))
         for t in range(5):
@@ -199,27 +219,25 @@ class TestFocalLoss:
         rng = np.random.default_rng(5)
         x = Parameter(rng.normal(size=(3, 2)), "x")
         tgt = np.array([0, 2, 1])
-        err = grad_check(lambda: focal_loss(x, tgt, tgt < 2), [x], h=1e-5)
+        outs, tm = loss_inputs(x), fixed_targets(tgt, tgt < 2)
+        err = grad_check(lambda: total_loss(outs, tm, lam=0.0), [x], h=1e-5)
         assert err < 1e-6
 
 
 class TestGiou:
     def test_perfect_match_zero(self):
-        pred = Tensor(np.array([[1.5, 2.5]]))
-        out = giou_values(pred, np.array([[1.5, 2.5]])).sum()
-        assert out.data == 0.0
+        out = giou_values(np.array([[1.5, 2.5]]), np.array([[1.5, 2.5]]))
+        assert out.sum() == 0.0
 
     def test_disjoint_sides_value_one(self):
         # (0,4) vs (4,0): intervals share only the anchor point
-        out = giou_values(Tensor(np.array([[0.0, 4.0]])),
-                          np.array([[4.0, 0.0]])).sum()
-        np.testing.assert_allclose(out.data, 1.0, atol=1e-12)
+        out = giou_values(np.array([[0.0, 4.0]]), np.array([[4.0, 0.0]]))
+        np.testing.assert_allclose(out.sum(), 1.0, atol=1e-12)
 
     def test_half_overlap(self):
         # pred [t-2, t+2], target [t-2, t+6]: inter 4, union 8, enclose 8
-        out = giou_values(Tensor(np.array([[2.0, 2.0]])),
-                          np.array([[2.0, 6.0]])).sum()
-        np.testing.assert_allclose(out.data, 0.5, atol=1e-12)
+        out = giou_values(np.array([[2.0, 2.0]]), np.array([[2.0, 6.0]]))
+        np.testing.assert_allclose(out.sum(), 0.5, atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -227,17 +245,20 @@ class TestGiou:
         rng = np.random.default_rng(seed)
         pred = rng.uniform(0, 10, size=(20, 2))
         tgt = rng.uniform(0, 10, size=(20, 2))
-        vals = giou_values(Tensor(pred), tgt).data
+        vals = giou_values(pred, tgt)
         assert (vals >= -1e-12).all() and (vals <= 2.0 + 1e-12).all()
         eq = np.all(np.abs(pred - tgt) < 1e-15, axis=-1)
         assert np.all((vals < 1e-12) == eq) or not eq.any()
 
     def test_gradient(self):
+        # every step positive, so the offsets' gradient is GIoU's alone
         rng = np.random.default_rng(6)
         pred = Parameter(rng.uniform(0.5, 3.0, size=(4, 2)), "p")
         tgt = rng.uniform(0.5, 3.0, size=(4, 2))
-        err = grad_check(lambda: giou_values(pred, tgt).sum(), [pred],
-                         h=1e-6)
+        outs = loss_inputs(Tensor(np.zeros((4, 1))), pred)
+        tm = fixed_targets(np.zeros(4, dtype=int), np.ones(4, dtype=bool),
+                           tgt[:, 0], tgt[:, 1])
+        err = grad_check(lambda: total_loss(outs, tm), [pred], h=1e-6)
         assert err < 1e-5
 
 
@@ -258,11 +279,11 @@ class TestTotalLoss:
         # recompute with the pieces summed by hand, level by level
         acc = 0.0
         for lv in (slice(0, 8), slice(8, 12)):
-            acc += focal_loss(outs.class_logits[lv], tm.class_target[lv],
-                              tm.inside[lv]).data
+            acc += focal_values(outs.class_logits.data[lv],
+                                one_hot(tm.class_target[lv], 1)).sum()
             pos = lv.start + tm.inside[lv].nonzero()[0]
             t = np.stack([tm.d_start[pos], tm.d_end[pos]], axis=-1)
-            acc += giou_values(outs.offsets[pos], t).sum().data
+            acc += giou_values(outs.offsets.data[pos], t).sum()
         np.testing.assert_allclose(loss.data, acc / tm.num_positive,
                                    rtol=1e-12)
 
@@ -280,9 +301,20 @@ class TestTotalLoss:
         outs = self._outputs([6], 2, seed=2)
         loss = total_loss(outs, tm)
         # normalizer clamps at 1; only focal background terms remain
-        expected = focal_loss(outs.class_logits, tm.class_target,
-                              tm.inside).data
+        expected = focal_values(outs.class_logits.data,
+                                one_hot(tm.class_target, 2)).sum()
         np.testing.assert_allclose(loss.data, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("segments", [[], [(1, 0.0, 0.8)]])
+    def test_one_node_over_logits_and_offsets(self, segments):
+        gts = [GroundTruthSegment(*s) for s in segments]
+        tm = assign_targets(gts, *anchors([(4, 1), (2, 2)]), 16.0, 4, 2)
+        outs = self._outputs([4, 2], 2, seed=3)
+        logits = Parameter(outs.class_logits.data, "logits")
+        offsets = Parameter(outs.offsets.data, "offsets")
+        loss = total_loss(HeadOutput(logits, offsets, outs.step, outs.stride),
+                          tm)
+        assert loss._parents == (logits, offsets)
 
     def test_gradient_through_heads(self):
         rng = np.random.default_rng(7)

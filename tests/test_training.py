@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from taldet import training
-from taldet.autograd import Parameter
+from taldet.autograd import Parameter, Tensor
 from taldet.dataio import (SyntheticSpec, generate_synthetic,
                            read_annotations, read_checkpoint, read_features)
 from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
@@ -388,9 +388,11 @@ class TestFit:
         *_, (poisoned_name, poisoned_param) = model.named_parameters()
 
         def poisoned(model, sample, gts, cfg):
-            # (p * 0) ** 0.5 adds 0 to the loss and NaN to p's gradient
-            return (video_loss(model, sample, gts, cfg)
-                    + ((poisoned_param * 0.0) ** 0.5).sum())
+            # sqrt(p * 0) adds 0 to the loss and NaN to p's gradient
+            z = poisoned_param * 0.0
+            root = Tensor(np.sqrt(z.data), True, (z,),
+                          lambda g: z._accum(g * 0.5 / np.sqrt(z.data)))
+            return video_loss(model, sample, gts, cfg) + root.sum()
 
         monkeypatch.setattr(training, "video_loss", poisoned)
         with pytest.raises(NumericalAbort, match="gradient norm") as info:
