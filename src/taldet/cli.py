@@ -13,18 +13,17 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio
 from .checksuite import end_to_end_grad_check, primitive_grad_checks
 from .dataio import (FormatError, SyntheticSpec, ValidationError,
-                     generate_synthetic, read_annotations, read_checkpoint,
-                     read_detections, read_features, write_detections)
+                     generate_synthetic, parse_scalar, read_annotations,
+                     read_checkpoint, read_detections, read_features,
+                     write_detections)
 from .metrics import THUMOS_GRID, evaluate
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
 from .postprocess import InferConfig, decode, soft_nms
@@ -69,16 +68,10 @@ def _check_setting(key: str, value):
     if key not in SETTING_TYPES:
         raise ValidationError(f"unknown setting {key!r}; accepted: "
                               f"{', '.join(sorted(SETTING_TYPES))}")
-    want = SETTING_TYPES[key]
-    accepted = (int, float) if want is float else want
-    # bool is a subclass of int, so it is told apart first
-    if isinstance(value, bool) != (want is bool) or \
-            not isinstance(value, accepted):
-        raise ValidationError(f"setting {key} = {value!r} is not "
-                              f"{want.__name__}")
-    if want is float and not math.isfinite(value):
-        raise ValidationError(f"setting {key} = {value!r} is not finite")
-    return want(value)
+    try:
+        return parse_scalar(SETTING_TYPES[key], value)
+    except ValueError as e:
+        raise ValidationError(f"setting {key} = {e}") from None
 
 
 def gather_settings(args) -> dict:

@@ -8,9 +8,16 @@ detections are line-delimited JSON records so fixtures diff cleanly.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import json
+import math
+import reprlib
 import struct
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +75,152 @@ def read_features(path) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-# -- annotations -------------------------------------------------------------
+# -- values read from outside ------------------------------------------------
 
-_ANNOTATION_FIELDS = {"id", "fps", "frame_width", "frame_height",
-                      "snippet_stride", "segments", "boxes"}
+# the types each scalar type takes, told apart by type(), not isinstance,
+# so that a bool (a subclass of int) is never a number
+_ACCEPTED = {int: {int}, float: {int, float}, bool: {bool}, str: {str}}
+
+
+def _refuse(values: list, bad, what: str):
+    raise ValueError(f"{reprlib.repr(next(filter(bad, values)))} is not "
+                     f"{what}")
+
+
+def _only(values: list, accepted: set, what: str) -> set:
+    """The types of `values`; refuses the first value of another type."""
+    types = set(map(type, values))
+    if not types <= accepted:
+        _refuse(values, lambda v: type(v) not in accepted, what)
+    return types
+
+
+@functools.cache
+def parser(want):
+    """The parse of a column: a list of values read from outside, each as
+    type `want`. An int takes an integer (never a bool or `2.0`), a float an
+    integer or a finite float, a bool a bool, a str a non-empty string,
+    `list[X]` a list of X, and a dataclass a list of exactly its fields, in
+    order. Each check runs over the whole column at once. The parse raises
+    ValueError naming the first bad value; `parser` raises TypeError for a
+    type it does not handle."""
+    if typing.get_origin(want) is list:
+        item = parser(*typing.get_args(want))
+
+        def parse_lists(values):
+            _only(values, {list}, "a list")
+            ends = list(itertools.accumulate(map(len, values), initial=0))
+            items = item(list(itertools.chain.from_iterable(values)))
+            return list(map(items.__getitem__, map(slice, ends, ends[1:])))
+        return parse_lists
+    if dataclasses.is_dataclass(want):
+        hints = typing.get_type_hints(want)
+        fields = [parser(t) for t in hints.values()]
+        what = f"[{', '.join(hints)}]"
+
+        def parse_records(values):
+            _only(values, {list}, what)
+            if not set(map(len, values)) <= {len(fields)}:
+                _refuse(values, lambda v: len(v) != len(fields), what)
+            columns = zip(*values) if values else [()] * len(fields)
+            return list(map(want, *[parse(list(column)) for parse, column
+                                    in zip(fields, columns)]))
+        return parse_records
+    if want not in _ACCEPTED:
+        raise TypeError(f"no parse for values of type {want!r}")
+
+    def parse_scalars(values):
+        types = _only(values, _ACCEPTED[want], want.__name__)
+        if want is float and int in types:
+            try:
+                values = list(map(float, values))
+            except OverflowError:
+                _refuse(values, lambda v: abs(v) > sys.float_info.max,
+                        "finite")
+        if want is float and not all(map(math.isfinite, values)):
+            _refuse(values, lambda v: not math.isfinite(v), "finite")
+        if want is str and not all(values):
+            _refuse(values, lambda v: not v, "str")
+        return values
+    return parse_scalars
+
+
+def parse_scalar(want: type, value):
+    """One value read from outside, such as a setting, as a `want`."""
+    return parser(want)([value])[0]
+
+
+def _unique_fields(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("a field appears twice")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
+# lines parsed together: enough to spread the cost of each column check,
+# few enough for their decoded objects to stay in the processor's caches
+_CHUNK_BYTES = 1 << 16
+
+
+def _read_jsonl(path, hints: dict, build) -> list:
+    """`build(*fields)` for every non-blank line of a JSONL file, each line
+    one object holding exactly the fields named in `hints`, each parsed as
+    its type. Every problem raises FormatError or ValidationError as
+    `path:line: field: problem`, or `path:line: problem` for the line."""
+    parsers = {key: parser(want) for key, want in hints.items()}
+    out, chunk, size = [], [], 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                obj, end = _DECODER.raw_decode(text)
+                if end != len(text):
+                    raise ValueError(f"extra data at column {end + 1}")
+            except ValueError as e:
+                raise FormatError(f"{path}:{lineno}: invalid record: {e}") \
+                    from None
+            if type(obj) is not dict:
+                raise FormatError(f"{path}:{lineno}: invalid record: not an "
+                                  f"object")
+            if obj.keys() != parsers.keys():
+                unknown, missing = obj.keys() - parsers, parsers.keys() - obj
+                raise ValidationError(f"{path}:{lineno}: " + (
+                    f"unknown fields {sorted(unknown)}" if unknown else
+                    f"missing fields {sorted(missing)}"))
+            chunk.append((lineno, obj))
+            size += len(text)
+            if size >= _CHUNK_BYTES:
+                out += _parse_lines(path, chunk, parsers, build)
+                chunk, size = [], 0
+    return out + _parse_lines(path, chunk, parsers, build)
+
+
+def _parse_lines(path, chunk: list, parsers: dict, build) -> list:
+    """`build(*fields)` for each (line number, object) of `chunk`, parsed
+    one field at a time over all its lines; the first bad line raises
+    ValidationError naming it."""
+    try:
+        return list(map(build, *[parse([obj[key] for _, obj in chunk])
+                                 for key, parse in parsers.items()]))
+    except ValueError as e:
+        if len(chunk) > 1:
+            # again one line at a time, to name the bad one
+            return [record for line in chunk
+                    for record in _parse_lines(path, [line], parsers, build)]
+        lineno, obj = chunk[0]
+        for key, parse in parsers.items():
+            try:
+                parse([obj[key]])
+            except ValueError as field_error:
+                raise ValidationError(f"{path}:{lineno}: {key}: "
+                                      f"{field_error}") from None
+        raise ValidationError(f"{path}:{lineno}: {e}") from None
+
+
+# -- annotations -------------------------------------------------------------
 
 
 @dataclass
@@ -83,6 +232,21 @@ class AnnotationRecord:
     snippet_stride: int
     segments: list[GroundTruthSegment]
     boxes: list[list[SubjectBox]]   # one list per snippet
+
+    def __post_init__(self):
+        # before `duration` divides by fps
+        for key in ("fps", "frame_width", "frame_height", "snippet_stride"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} = {getattr(self, key)} is not "
+                                 f"positive")
+        for s in self.segments:
+            if s.class_id < 0:
+                raise ValueError(
+                    f"record {self.id}: negative class id {s.class_id}")
+            if s.start < 0 or s.end > self.duration + 1e-9:
+                raise ValueError(
+                    f"record {self.id}: segment [{s.start}, {s.end}] outside "
+                    f"video extent {self.duration:.3f}s")
 
     @property
     def num_snippets(self) -> int:
@@ -122,79 +286,15 @@ def write_annotations(path, records: list[AnnotationRecord]) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def _field(where: str, obj: dict, key: str, convert):
-    """convert(obj[key]); a value of the wrong type or shape raises
-    ValidationError as `where: key: problem`."""
-    try:
-        return convert(obj[key])
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValidationError(f"{where}: {key}: {e}") from None
-
-
-def _record_id(value) -> str:
-    # the id names the record's feature file
-    if not isinstance(value, str) or not value:
-        raise TypeError(f"{json.dumps(value)} is not a non-empty string")
-    return value
-
-
 def read_annotations(path) -> list[AnnotationRecord]:
-    """Every record of an annotations file. A field that does not convert
-    to its type raises ValidationError as `path:line: field: problem`."""
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}:{lineno}: invalid record: {e}")
-            unknown = set(obj) - _ANNOTATION_FIELDS
-            if unknown:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown fields {sorted(unknown)}")
-            missing = _ANNOTATION_FIELDS - set(obj)
-            if missing:
-                raise ValidationError(
-                    f"{path}:{lineno}: missing fields {sorted(missing)}")
-            where = f"{path}:{lineno}"
-            rid = _field(where, obj, "id", _record_id)
-            segments = _field(where, obj, "segments", lambda v: [
-                GroundTruthSegment(int(c), float(s), float(e))
-                for c, s, e in v])
-            # exactly five numbers per box: x1, y1, x2, y2, confidence
-            boxes = _field(where, obj, "boxes", lambda v: [
-                [SubjectBox(float(x1), float(y1), float(x2), float(y2),
-                            float(conf)) for x1, y1, x2, y2, conf in snippet]
-                for snippet in v])
-            rec = AnnotationRecord(
-                rid, _field(where, obj, "fps", float),
-                _field(where, obj, "frame_width", int),
-                _field(where, obj, "frame_height", int),
-                _field(where, obj, "snippet_stride", int),
-                segments, boxes)
-            # before `duration` divides by fps
-            for key in ("fps", "frame_width", "frame_height",
-                        "snippet_stride"):
-                if not getattr(rec, key) > 0:
-                    raise ValidationError(
-                        f"{path}:{lineno}: {key} = {getattr(rec, key)} is "
-                        f"not positive")
-            for s in segments:
-                if s.class_id < 0:
-                    raise ValidationError(
-                        f"record {rid}: negative class id {s.class_id}")
-                if s.start < 0 or s.end > rec.duration + 1e-9:
-                    raise ValidationError(
-                        f"record {rid}: segment [{s.start}, {s.end}] outside "
-                        f"video extent {rec.duration:.3f}s")
-            records.append(rec)
-    return records
+    """Every record of an annotations file, its fields those of
+    AnnotationRecord; a segment is [class_id, start, end] and a box
+    [x1, y1, x2, y2, confidence]."""
+    return _read_jsonl(path, typing.get_type_hints(AnnotationRecord),
+                       AnnotationRecord)
 
 
 # -- detections --------------------------------------------------------------
-
 
 def write_detections(path, dets_by_video: dict[str, list[ActionSegment]]) -> None:
     with open(path, "w") as fh:
@@ -206,18 +306,13 @@ def write_detections(path, dets_by_video: dict[str, list[ActionSegment]]) -> Non
 
 
 def read_detections(path) -> dict[str, list[ActionSegment]]:
+    """Every detection of a detections file by video; a line holds its
+    video's id and the fields of its ActionSegment."""
+    hints = {"video_id": str} | typing.get_type_hints(ActionSegment)
     out: dict[str, list[ActionSegment]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            expected = {"video_id", "class_id", "score", "start", "end"}
-            if set(obj) != expected:
-                raise ValidationError(f"{path}:{lineno}: bad detection fields")
-            out.setdefault(obj["video_id"], []).append(
-                ActionSegment(int(obj["class_id"]), float(obj["score"]),
-                              float(obj["start"]), float(obj["end"])))
+    for vid, seg in _read_jsonl(path, hints, lambda video_id, *segment: (
+            video_id, ActionSegment(*segment))):
+        out.setdefault(vid, []).append(seg)
     return out
 
 
@@ -284,6 +379,24 @@ class SyntheticSpec:
     frame_size: int = 64
     fps: float = 15.0
     snippet_stride: int = 4
+
+    def __post_init__(self):
+        for key in ("num_videos", "num_classes", "grid", "feature_dim",
+                    "frame_size", "snippet_stride"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key, ok, rule in (("seed", self.seed >= 0, ">= 0"),
+                              ("noise", 0 <= self.noise < math.inf,
+                               "finite and >= 0"),
+                              ("fps", self.fps > 0, "positive")):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}")
+        # two snippets before the first segment and after the last; every
+        # snippet keeps background cells beside its 2x2 subject boxes
+        if not (5 <= self.snippets_min <= self.snippets_max and 0 <=
+                self.subjects_min <= self.subjects_max < self.grid ** 2 / 4):
+            raise ValueError("need 5 <= snippets_min <= snippets_max and "
+                             "0 <= subjects_min <= subjects_max < grid**2/4")
 
     def to_json(self) -> str:
         return json.dumps(vars(self) | {}, sort_keys=True)

@@ -42,7 +42,7 @@ class TrainConfig:
             raise ValueError("warmup_epochs must be < epochs")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        for key in ("lr_init", "lam", "grad_clip", "weight_decay"):
+        for key in ("lr_init", "lam", "grad_clip", "weight_decay", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0")
         if not 0 <= self.ema_decay <= 1:
@@ -192,6 +192,8 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
                         lr, model)
                 loss.backward()
                 batch_loss += float(loss.data)
+                # frees this video's graph before the next video's forward
+                del loss
             norm = clip_global_norm(flat, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise numerical_abort(f"non-finite gradient norm {norm}",

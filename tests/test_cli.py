@@ -137,9 +137,19 @@ class TestPipeline:
         (lambda o: o.update(segments=[[0, 0.5]]),
          "annotations.jsonl:1: segments: "),
         (lambda o: o.update(id=3), "annotations.jsonl:1: id: 3 is not"),
+        # numbers are refused as strings, bools, non-integral or non-finite
+        (lambda o: o.update(frame_width="64"),
+         "annotations.jsonl:1: frame_width: '64' is not int"),
+        (lambda o: o.update(frame_width=64.7),
+         "annotations.jsonl:1: frame_width: 64.7 is not int"),
+        (lambda o: o.update(snippet_stride=True),
+         "annotations.jsonl:1: snippet_stride: True is not int"),
+        (lambda o: o["boxes"][0][0].__setitem__(4, float("inf")),
+         "annotations.jsonl:1: boxes: inf is not finite"),
     ], ids=["four-number-box", "bare-number-box", "zero-fps",
             "box-list-count", "list-for-scalar", "bare-number-segment",
-            "two-number-segment", "numeric-id"])
+            "two-number-segment", "numeric-id", "string-for-int",
+            "non-integral-int", "bool-for-int", "infinite-confidence"])
     def test_malformed_annotation_exits_2_naming_it(self, dataset, capsys,
                                                    edit, message):
         tmp, data, cfg = dataset
@@ -153,6 +163,44 @@ class TestPipeline:
         assert rc == EXIT_VALIDATION
         assert (message.format(id=objs[0]["id"], more=T + 1, T=T)
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda o: o.update(score=[0.5]), "score: [0.5] is not float"),
+        (lambda o: o.update(video_id=7), "video_id: 7 is not str"),
+        (lambda o: o.update(start=o["end"] + 1.0),
+         "segment start must precede end"),
+        (lambda o: o.update(end=float("inf")), "end: inf is not finite"),
+        (lambda o: o.update(start=-float("inf")),
+         "start: -inf is not finite"),
+        (lambda o: o.update(class_id=True), "class_id: True is not int"),
+        (lambda o: o.update(class_id=1.7), "class_id: 1.7 is not int"),
+        (lambda o: o.update(score="0.5"), "score: '0.5' is not float"),
+        (lambda o: "not json", "invalid record"),
+    ], ids=["list-score", "numeric-video-id", "start-after-end",
+            "infinite-end", "infinite-start", "bool-class", "fractional-class",
+            "string-score", "not-json"])
+    def test_malformed_detection_exits_2_naming_it(self, dataset, capsys,
+                                                  edit, message):
+        tmp, data, _ = dataset
+        dets = tmp / "detections.jsonl"
+        line = {"video_id": "synth_000", "class_id": 0, "score": 0.5,
+                "start": 1.0, "end": 2.0}
+        good = json.dumps(line)
+        edited = edit(line)
+        dets.write_text(good + "\n" + (
+            edited if isinstance(edited, str) else json.dumps(line)) + "\n")
+        rc = main(["eval", "--data", str(data), "--detections", str(dets)])
+        assert rc == EXIT_VALIDATION
+        assert f"detections.jsonl:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, key", [("--classes", "num_classes"),
+                                           ("--videos", "num_videos")])
+    def test_synth_count_below_one_exits_2(self, tmp_path, capsys, flag,
+                                          key):
+        rc = main(["synth", "--out", str(tmp_path / "d"), flag, "0"])
+        assert rc == EXIT_VALIDATION
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_infer_forward_builds_no_graph(self, dataset, monkeypatch):
         tmp, data, cfg = dataset

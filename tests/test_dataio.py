@@ -1,18 +1,81 @@
 import json
+import math
+import re
 import struct
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.dataio import (AnnotationRecord, FormatError, SyntheticSpec,
-                           ValidationError, generate_synthetic,
-                           read_annotations, read_checkpoint, read_detections,
-                           read_features, write_annotations, write_checkpoint,
-                           write_detections, write_features)
+                           ValidationError, generate_synthetic, parse_scalar,
+                           parser, read_annotations, read_checkpoint,
+                           read_detections, read_features, write_annotations,
+                           write_checkpoint, write_detections, write_features)
 from taldet.heads import GroundTruthSegment
-from taldet.postprocess import ActionSegment
+from taldet.model import ModelConfig
+from taldet.postprocess import ActionSegment, InferConfig
 from taldet.subjects import SubjectBox
+from taldet.training import TrainConfig
+
+
+class TestParse:
+    @pytest.mark.parametrize("want, value", [
+        (int, 3), (int, -2), (float, 0.5), (float, 2), (float, -1e300),
+        (bool, False), (str, "v")])
+    def test_accepts_its_type(self, want, value):
+        out = parse_scalar(want, value)
+        assert out == value and type(out) is want
+
+    @pytest.mark.parametrize("want, value, message", [
+        (int, True, "True is not int"), (int, 2.0, "2.0 is not int"),
+        (int, "2", "'2' is not int"), (float, False, "False is not float"),
+        (float, "0.5", "'0.5' is not float"),
+        (float, [0.5], "[0.5] is not float"),
+        (float, None, "None is not float"),
+        (float, math.nan, "nan is not finite"),
+        (float, -math.inf, "-inf is not finite"), (bool, 1, "1 is not bool"),
+        (str, 3, "3 is not str"), (str, "", "'' is not str")])
+    def test_refuses_everything_else(self, want, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_scalar(want, value)
+
+    def test_integer_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="is not finite"):
+            parse_scalar(float, 10 ** 400)
+        assert parse_scalar(int, 10 ** 400) == 10 ** 400
+
+    def test_nested_records_and_lists(self):
+        # a parse reads a column: here one `boxes` value
+        parse = parser(list[list[SubjectBox]])
+        boxes, = parse([[[[0, 0, 2, 2, 1]], [],
+                         [[0.0, 1.0, 3.0, 4.0, 0.5]] * 2]])
+        assert boxes == [[SubjectBox(0.0, 0.0, 2.0, 2.0, 1.0)], [],
+                         [SubjectBox(0.0, 1.0, 3.0, 4.0, 0.5)] * 2]
+        assert type(boxes[0][0].x1) is float
+        for bad, message in [([[[0, 0, 2, 2]]], r"is not \[x1, y1, x2, y2, "
+                                                r"confidence\]"),
+                             ([5], "5 is not a list"),
+                             ([[[0, 0, 2, 2, True]]], "True is not float"),
+                             ([[[0, 0, 0, 2, 1]]], "degenerate")]:
+            with pytest.raises(ValueError, match=message):
+                parse([bad])
+
+    @pytest.mark.parametrize("cls", [AnnotationRecord, GroundTruthSegment,
+                                     SubjectBox, ActionSegment, ModelConfig,
+                                     TrainConfig, InferConfig])
+    def test_every_record_and_setting_field_has_a_parse(self, cls):
+        """A field of a type the parse cannot read fails here, not on a
+        user's file."""
+        for hint in typing.get_type_hints(cls).values():
+            parser(hint)
+
+    @pytest.mark.parametrize("hint", [dict, tuple[int], int | None,
+                                      list[dict], typing.Any])
+    def test_other_types_have_no_parse(self, hint):
+        with pytest.raises(TypeError):
+            parser(hint)
 
 
 class TestFeatureFiles:
@@ -93,17 +156,17 @@ class TestFeatureFiles:
             np.testing.assert_array_equal(read_features(p), arr)
 
 
-def sample_record(vid="v0", T=4):
-    segments = [GroundTruthSegment(0, 0.1, 0.9)]
+def sample_record(vid="v0", T=4, segments=(GroundTruthSegment(0, 0.1, 0.9),)):
     boxes = [[SubjectBox(0, 0, 16, 16, 0.9)] for _ in range(T)]
-    return AnnotationRecord(vid, 16.0, 64, 64, 4, segments, boxes)
+    return AnnotationRecord(vid, 16.0, 64, 64, 4, list(segments), boxes)
 
 
 class TestAnnotations:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "ann.jsonl"
-        recs = [sample_record("a"), sample_record("b", T=2)]
-        recs[1].segments = [GroundTruthSegment(1, 0.0, 0.5)]
+        recs = [sample_record("a"),
+                sample_record("b", T=2,
+                              segments=[GroundTruthSegment(1, 0.0, 0.5)])]
         write_annotations(p, recs)
         back = read_annotations(p)
         assert [r.id for r in back] == ["a", "b"]
@@ -180,6 +243,22 @@ class TestDetections:
         with pytest.raises(ValidationError):
             read_detections(p)
 
+    def test_bad_line_of_a_long_file_is_named(self, tmp_path):
+        # lines are parsed in chunks of 64 KiB; a bad line in a later chunk
+        # still gets its own line number
+        p = tmp_path / "dets.jsonl"
+        dets = {"v": [ActionSegment(0, 0.5, float(i), i + 1.0)
+                      for i in range(3000)]}
+        write_detections(p, dets)
+        assert read_detections(p) == dets
+        lines = p.read_text().splitlines()
+        lines[2500] = lines[2500].replace('"score": 0.5', '"score": true')
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError,
+                           match=r"dets\.jsonl:2501: score: True is not "
+                                 r"float"):
+            read_detections(p)
+
 
 class TestCheckpoints:
     def test_round_trip_names_shapes_values(self, tmp_path):
@@ -231,6 +310,17 @@ class TestCheckpoints:
 
 
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("bad, message", [
+        ({"num_videos": 0}, "num_videos"), ({"num_classes": 0}, "num_classes"),
+        ({"seed": -1}, "seed"), ({"noise": math.nan}, "noise"),
+        ({"noise": -0.1}, "noise"), ({"fps": 0.0}, "fps"),
+        ({"grid": 0}, "grid"), ({"snippets_min": 4}, "snippets_min"),
+        ({"snippets_max": 20}, "snippets_max"),
+        ({"subjects_max": 4}, "subjects_max")])
+    def test_spec_checks_its_ranges(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**{"seed": 0} | bad)
+
     def test_deterministic_given_seed(self, tmp_path):
         spec = SyntheticSpec(seed=5, num_videos=2, snippets_min=8,
                              snippets_max=10)
