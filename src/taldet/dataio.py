@@ -95,6 +95,11 @@ def _only(values: list, accepted: set, what: str) -> set:
     return types
 
 
+# a record type's fields and their types (evaluating the hints takes longer
+# than reading a short file)
+_hints = functools.cache(typing.get_type_hints)
+
+
 @functools.cache
 def parser(want):
     """The parse of a column: a list of values read from outside, each as
@@ -114,7 +119,7 @@ def parser(want):
             return list(map(items.__getitem__, map(slice, ends, ends[1:])))
         return parse_lists
     if dataclasses.is_dataclass(want):
-        hints = typing.get_type_hints(want)
+        hints = _hints(want)
         fields = [parser(t) for t in hints.values()]
         what = f"[{', '.join(hints)}]"
 
@@ -150,67 +155,75 @@ def parse_scalar(want: type, value):
     return parser(want)([value])[0]
 
 
-def _unique_fields(pairs: list) -> dict:
+# objects decode as tuples of (key, value) pairs, to see a repeated key;
+# arrays stay lists
+_DECODER = json.JSONDecoder(object_pairs_hook=tuple)
+# lines parsed together, few enough that a column's lists stay short: the
+# garbage collector runs every few hundred new objects and walks each young
+# list item by item, and over the columns of 64 KiB of lines those walks
+# doubled the time to build long's eval-large boxes. A whole file at once
+# also held every decoded line beside the records, doubling the peak.
+_CHUNK_BYTES = 1 << 12
+
+
+def _record(text: str, keys) -> dict:
+    """The object one line holds, with exactly the fields `keys`."""
+    try:
+        pairs, end = _DECODER.raw_decode(text)
+        if end != len(text):
+            raise ValueError(f"extra data at column {end + 1}")
+    except ValueError as e:
+        raise FormatError(f"invalid record: {e}") from None
+    if type(pairs) is not tuple:
+        raise FormatError("invalid record: not an object")
     obj = dict(pairs)
     if len(obj) != len(pairs):
-        raise ValueError("a field appears twice")
+        raise ValidationError("a field appears twice")
+    if obj.keys() != keys:
+        unknown, missing = obj.keys() - keys, keys - obj.keys()
+        raise ValidationError(f"unknown fields {sorted(unknown)}" if unknown
+                              else f"missing fields {sorted(missing)}")
     return obj
-
-
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
-# lines parsed together: enough to spread the cost of each column check,
-# few enough for their decoded objects to stay in the processor's caches
-_CHUNK_BYTES = 1 << 16
 
 
 def _read_jsonl(path, hints: dict, build) -> list:
     """`build(*fields)` for every non-blank line of a JSONL file, each line
     one object holding exactly the fields named in `hints`, each parsed as
-    its type. Every problem raises FormatError or ValidationError as
+    its type. The first bad line raises FormatError or ValidationError as
     `path:line: field: problem`, or `path:line: problem` for the line."""
     parsers = {key: parser(want) for key, want in hints.items()}
-    out, chunk, size = [], [], 0
+    out, lines, size = [], [], 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text:
                 continue
             try:
-                obj, end = _DECODER.raw_decode(text)
-                if end != len(text):
-                    raise ValueError(f"extra data at column {end + 1}")
+                lines.append((lineno, _record(text, parsers.keys())))
             except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: invalid record: {e}") \
-                    from None
-            if type(obj) is not dict:
-                raise FormatError(f"{path}:{lineno}: invalid record: not an "
-                                  f"object")
-            if obj.keys() != parsers.keys():
-                unknown, missing = obj.keys() - parsers, parsers.keys() - obj
-                raise ValidationError(f"{path}:{lineno}: " + (
-                    f"unknown fields {sorted(unknown)}" if unknown else
-                    f"missing fields {sorted(missing)}"))
-            chunk.append((lineno, obj))
+                # the values of the lines before are checked first
+                _parse_lines(path, lines, parsers, build)
+                raise type(e)(f"{path}:{lineno}: {e}") from None
             size += len(text)
             if size >= _CHUNK_BYTES:
-                out += _parse_lines(path, chunk, parsers, build)
-                chunk, size = [], 0
-    return out + _parse_lines(path, chunk, parsers, build)
+                out += _parse_lines(path, lines, parsers, build)
+                lines, size = [], 0
+    return out + _parse_lines(path, lines, parsers, build)
 
 
-def _parse_lines(path, chunk: list, parsers: dict, build) -> list:
-    """`build(*fields)` for each (line number, object) of `chunk`, parsed
-    one field at a time over all its lines; the first bad line raises
+def _parse_lines(path, lines: list, parsers: dict, build) -> list:
+    """`build(*fields)` for each (line number, object) of `lines`, parsed
+    one field at a time over all of them; the first bad line raises
     ValidationError naming it."""
     try:
-        return list(map(build, *[parse([obj[key] for _, obj in chunk])
+        return list(map(build, *[parse([obj[key] for _, obj in lines])
                                  for key, parse in parsers.items()]))
     except ValueError as e:
-        if len(chunk) > 1:
+        if len(lines) > 1:
             # again one line at a time, to name the bad one
-            return [record for line in chunk
+            return [record for line in lines
                     for record in _parse_lines(path, [line], parsers, build)]
-        lineno, obj = chunk[0]
+        lineno, obj = lines[0]
         for key, parse in parsers.items():
             try:
                 parse([obj[key]])
@@ -290,8 +303,7 @@ def read_annotations(path) -> list[AnnotationRecord]:
     """Every record of an annotations file, its fields those of
     AnnotationRecord; a segment is [class_id, start, end] and a box
     [x1, y1, x2, y2, confidence]."""
-    return _read_jsonl(path, typing.get_type_hints(AnnotationRecord),
-                       AnnotationRecord)
+    return _read_jsonl(path, _hints(AnnotationRecord), AnnotationRecord)
 
 
 # -- detections --------------------------------------------------------------
@@ -308,11 +320,12 @@ def write_detections(path, dets_by_video: dict[str, list[ActionSegment]]) -> Non
 def read_detections(path) -> dict[str, list[ActionSegment]]:
     """Every detection of a detections file by video; a line holds its
     video's id and the fields of its ActionSegment."""
-    hints = {"video_id": str} | typing.get_type_hints(ActionSegment)
+    hints = {"video_id": str} | _hints(ActionSegment)
     out: dict[str, list[ActionSegment]] = {}
-    for vid, seg in _read_jsonl(path, hints, lambda video_id, *segment: (
-            video_id, ActionSegment(*segment))):
-        out.setdefault(vid, []).append(seg)
+
+    def add(video_id, *segment):
+        out.setdefault(video_id, []).append(ActionSegment(*segment))
+    _read_jsonl(path, hints, add)
     return out
 
 
@@ -381,22 +394,13 @@ class SyntheticSpec:
     snippet_stride: int = 4
 
     def __post_init__(self):
-        for key in ("num_videos", "num_classes", "grid", "feature_dim",
-                    "frame_size", "snippet_stride"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
-        for key, ok, rule in (("seed", self.seed >= 0, ">= 0"),
+        for key, ok, rule in (("num_videos", self.num_videos >= 1, ">= 1"),
+                              ("num_classes", self.num_classes >= 1, ">= 1"),
+                              ("seed", self.seed >= 0, ">= 0"),
                               ("noise", 0 <= self.noise < math.inf,
-                               "finite and >= 0"),
-                              ("fps", self.fps > 0, "positive")):
+                               "finite and >= 0")):
             if not ok:
                 raise ValueError(f"{key} must be {rule}")
-        # two snippets before the first segment and after the last; every
-        # snippet keeps background cells beside its 2x2 subject boxes
-        if not (5 <= self.snippets_min <= self.snippets_max and 0 <=
-                self.subjects_min <= self.subjects_max < self.grid ** 2 / 4):
-            raise ValueError("need 5 <= snippets_min <= snippets_max and "
-                             "0 <= subjects_min <= subjects_max < grid**2/4")
 
     def to_json(self) -> str:
         return json.dumps(vars(self) | {}, sort_keys=True)

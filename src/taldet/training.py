@@ -192,8 +192,6 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
                         lr, model)
                 loss.backward()
                 batch_loss += float(loss.data)
-                # frees this video's graph before the next video's forward
-                del loss
             norm = clip_global_norm(flat, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise numerical_abort(f"non-finite gradient norm {norm}",

@@ -175,10 +175,13 @@ class TestPipeline:
         (lambda o: o.update(class_id=True), "class_id: True is not int"),
         (lambda o: o.update(class_id=1.7), "class_id: 1.7 is not int"),
         (lambda o: o.update(score="0.5"), "score: '0.5' is not float"),
+        # an object decodes as the tuple of its (key, value) pairs
+        (lambda o: o.update(score={"v": 0.5}),
+         "score: (('v', 0.5),) is not float"),
         (lambda o: "not json", "invalid record"),
     ], ids=["list-score", "numeric-video-id", "start-after-end",
             "infinite-end", "infinite-start", "bool-class", "fractional-class",
-            "string-score", "not-json"])
+            "string-score", "object-score", "not-json"])
     def test_malformed_detection_exits_2_naming_it(self, dataset, capsys,
                                                   edit, message):
         tmp, data, _ = dataset

@@ -1,4 +1,3 @@
-import gc
 import math
 
 import numpy as np
@@ -414,22 +413,3 @@ class TestFit:
                           TrainConfig())
         assert loss.data.shape == ()
         assert math.isfinite(float(loss.data))
-
-    def test_each_video_graph_is_freed_before_the_next_forward(
-            self, tmp_path, monkeypatch):
-        # Tensor has __slots__ and no __weakref__, so live Tensors are
-        # counted among the objects the garbage collector tracks
-        cfg, samples, gts = tiny_dataset(tmp_path / "d")
-        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
-        live = []
-
-        def counting_video_loss(*args):
-            gc.collect()
-            live.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
-            return video_loss(*args)
-
-        monkeypatch.setattr(training, "video_loss", counting_video_loss)
-        fit(model, samples, gts, TrainConfig(epochs=1, warmup_epochs=0,
-                                             batch_size=2))
-        # the batch's second video starts with only what its first did
-        assert len(live) == 2 and live[1] == live[0]
