@@ -7,8 +7,8 @@ import numpy as np
 from .autograd import (Parameter, attention, conv1d, depthwise_conv1d,
                        grad_check, layer_norm, linear)
 from .heads import GroundTruthSegment, HeadOutput, Targets, total_loss
-from .model import ModelConfig, SubjectPriorDetector, VideoSample, prepare_sample
-from .subjects import SubjectBox, VideoMeta
+from .model import ModelConfig, SubjectPriorDetector, prepare_sample
+from .subjects import AnnotationRecord, SubjectBox
 from .training import TrainConfig, video_loss
 
 
@@ -101,9 +101,6 @@ def build_toy_problem(seed: int = 0, T: int = 2, K: int = 3,
     """Tiny end-to-end setup with the feature grid as a trainable input, so
     the check covers RoI pooling as well as every network parameter."""
     rng = np.random.default_rng(seed)
-    meta = VideoMeta(frame_width=32, frame_height=32, fps=10.0,
-                     num_snippets=T, feature_height=2, feature_width=2,
-                     feature_dim=feature_dim, snippet_stride=5)
     cfg = ModelConfig(feature_dim=feature_dim, num_classes=2, K=K,
                       group_layers=group_layers, group_heads=2,
                       temporal_heads=2, window_size=3,
@@ -114,12 +111,14 @@ def build_toy_problem(seed: int = 0, T: int = 2, K: int = 3,
     boxes = [[SubjectBox(2.0, 2.0, 20.0, 20.0, 0.9),
               SubjectBox(10.0, 8.0, 30.0, 28.0, 0.8)]
              for _ in range(T)]
-    gts = [GroundTruthSegment(0, 0.0, meta.duration * 0.8)]
+    # one action over the first 80 % of the T * 0.5 s video
+    record = AnnotationRecord("toy", 10.0, 32, 32, 5,
+                              [GroundTruthSegment(0, 0.0, T * 0.4)], boxes)
     train_cfg = TrainConfig(epochs=2, warmup_epochs=1)
 
     def loss_fn():
-        sample = prepare_sample("toy", feats, boxes, meta, K)
-        return video_loss(model, sample, gts, train_cfg)
+        sample = prepare_sample(record, feats, K)
+        return video_loss(model, sample, train_cfg)
 
     params = [feats] + model.parameters()
     return loss_fn, params

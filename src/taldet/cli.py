@@ -119,12 +119,8 @@ def build_model_and_samples(records, feats, settings):
                     f"{model_cfg.num_classes}")
     rng = np.random.default_rng(settings.get("seed", TrainConfig.seed))
     model = SubjectPriorDetector(model_cfg, rng)
-    samples = []
-    for r in records:
-        meta = r.meta(feats[r.id].shape)
-        samples.append(prepare_sample(r.id, feats[r.id], r.boxes, meta,
-                                      model_cfg.K))
-    return model, samples
+    return model, [prepare_sample(r, feats[r.id], model_cfg.K)
+                   for r in records]
 
 
 def cmd_synth(args):
@@ -141,8 +137,7 @@ def cmd_train(args):
     train_cfg, _ = (config_from(c, settings) for c in (TrainConfig, InferConfig))
     records, feats = load_dataset(args.data)
     model, samples = build_model_and_samples(records, feats, settings)
-    segs = {r.id: r.segments for r in records}
-    result = fit(model, samples, segs, train_cfg, out_dir=args.out)
+    result = fit(model, samples, train_cfg, out_dir=args.out)
     print(f"final loss {result.loss_log[-1]['mean_loss']:.6f}; "
           f"checkpoint at {result.checkpoint_path}")
     return EXIT_OK
@@ -159,10 +154,11 @@ def cmd_infer(args):
     for p in model.parameters():
         p.requires_grad = False
     dets = {}
-    for r, sample in zip(records, samples):
-        cands = decode(model(sample), sample.meta, cfg.score_threshold,
+    for sample in samples:
+        record = sample.record
+        cands = decode(model(sample), record, cfg.score_threshold,
                        cfg.pre_nms_topk)
-        dets[r.id] = soft_nms(cands, cfg.sigma)[:cfg.post_nms_keep]
+        dets[record.id] = soft_nms(cands, cfg.sigma)[:cfg.post_nms_keep]
     out_path = Path(args.out) / "detections.jsonl"
     Path(args.out).mkdir(parents=True, exist_ok=True)
     write_detections(out_path, dets)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .heads import GroundTruthSegment
 from .postprocess import ActionSegment
-from .subjects import SubjectBox, VideoMeta
+from .subjects import AnnotationRecord, SubjectBox
 
 FEATURE_MAGIC = b"PTFV"
 CHECKPOINT_MAGIC = b"PTCK"
@@ -65,6 +65,8 @@ def read_features(path) -> np.ndarray:
     version, T, H, W, D = struct.unpack("<5I", raw[4:24])
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at offset 4")
+    if not T * H * W * D:
+        raise FormatError(f"{path}: a zero dimension in {T} x {H} x {W} x {D}")
     expected = 24 + 4 * T * H * W * D
     if len(raw) != expected:
         raise FormatError(
@@ -236,49 +238,6 @@ def _parse_lines(path, lines: list, parsers: dict, build) -> list:
 # -- annotations -------------------------------------------------------------
 
 
-@dataclass
-class AnnotationRecord:
-    id: str
-    fps: float
-    frame_width: int
-    frame_height: int
-    snippet_stride: int
-    segments: list[GroundTruthSegment]
-    boxes: list[list[SubjectBox]]   # one list per snippet
-
-    def __post_init__(self):
-        # before `duration` divides by fps
-        for key in ("fps", "frame_width", "frame_height", "snippet_stride"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} = {getattr(self, key)} is not "
-                                 f"positive")
-        for s in self.segments:
-            if s.class_id < 0:
-                raise ValueError(
-                    f"record {self.id}: negative class id {s.class_id}")
-            if s.start < 0 or s.end > self.duration + 1e-9:
-                raise ValueError(
-                    f"record {self.id}: segment [{s.start}, {s.end}] outside "
-                    f"video extent {self.duration:.3f}s")
-
-    @property
-    def num_snippets(self) -> int:
-        return len(self.boxes)
-
-    def meta(self, feature_shape) -> VideoMeta:
-        T, H, W, D = feature_shape
-        if T != self.num_snippets:
-            raise ValidationError(
-                f"record {self.id}: {self.num_snippets} box lists but "
-                f"{T} feature snippets")
-        return VideoMeta(self.frame_width, self.frame_height, self.fps,
-                         self.num_snippets, H, W, D, self.snippet_stride)
-
-    @property
-    def duration(self) -> float:
-        return self.num_snippets * self.snippet_stride / self.fps
-
-
 def write_annotations(path, records: list[AnnotationRecord]) -> None:
     with open(path, "w") as fh:
         for r in records:
@@ -302,8 +261,18 @@ def write_annotations(path, records: list[AnnotationRecord]) -> None:
 def read_annotations(path) -> list[AnnotationRecord]:
     """Every record of an annotations file, its fields those of
     AnnotationRecord; a segment is [class_id, start, end] and a box
-    [x1, y1, x2, y2, confidence]."""
-    return _read_jsonl(path, _hints(AnnotationRecord), AnnotationRecord)
+    [x1, y1, x2, y2, confidence]. No two records share an id."""
+    records = _read_jsonl(path, _hints(AnnotationRecord), AnnotationRecord)
+    index_of = {}
+    for i, record in enumerate(records):
+        first = index_of.setdefault(record.id, i)
+        if first != i:
+            # the records are the file's non-blank lines, in order
+            with open(path) as fh:
+                lineno = [n for n, line in enumerate(fh, 1) if line.strip()]
+            raise ValidationError(f"{path}:{lineno[i]}: id: {record.id!r} "
+                                  f"is also the id on line {lineno[first]}")
+    return records
 
 
 # -- detections --------------------------------------------------------------
@@ -361,17 +330,20 @@ def read_checkpoint(path) -> list[tuple[str, np.ndarray]]:
             name = raw[off:off + nlen].decode("utf-8"); off += nlen
             (ndim,) = struct.unpack_from("<I", raw, off); off += 4
             shape = struct.unpack_from(f"<{ndim}I", raw, off); off += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off)
-            off += 4 * n
-            if not np.isfinite(arr).all():
-                raise FormatError(f"{path}: non-finite values in entry {name}")
-            out.append((name, arr.reshape(shape).astype(np.float64)))
-    except struct.error:
-        raise FormatError(f"{path}: truncated checkpoint at offset {off}")
+            arr = np.frombuffer(raw, "<f4", math.prod(shape), off)
+            off += arr.nbytes
+            out.append((name, arr.reshape(shape)))
+    # ValueError: a name not UTF-8, a short payload or too many dimensions;
+    # OverflowError: a payload larger than any buffer
+    except (struct.error, ValueError, OverflowError):
+        raise FormatError(f"{path}: truncated or malformed checkpoint entry "
+                          f"at offset {off}") from None
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
-    return out
+    for name, arr in out:
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: non-finite values in entry {name}")
+    return [(name, arr.astype(np.float64)) for name, arr in out]
 
 
 # -- synthetic dataset -------------------------------------------------------
@@ -428,7 +400,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> list[AnnotationRecord]:
     records = []
     for v in range(spec.num_videos):
         T = int(rng.integers(spec.snippets_min, spec.snippets_max + 1))
-        sec_per_snippet = spec.snippet_stride / spec.fps
         # 1-2 non-overlapping segments in snippet units
         n_seg = int(rng.integers(1, 3))
         spans, cursor = [], 2
@@ -441,8 +412,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> list[AnnotationRecord]:
             cursor = start + length + 3
         if not spans:
             spans = [(2, min(T - 2, 10), int(rng.integers(0, C)))]
-        segments = [GroundTruthSegment(c, s * sec_per_snippet, e * sec_per_snippet)
-                    for s, e, c in spans]
 
         feats = np.zeros((T, G, G, D), dtype=np.float64)
         boxes: list[list[SubjectBox]] = []
@@ -472,9 +441,13 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> list[AnnotationRecord]:
 
         vid = f"synth_{v:03d}"
         write_features(out / "features" / f"{vid}.ptfv", feats)
-        records.append(AnnotationRecord(vid, spec.fps, spec.frame_size,
-                                        spec.frame_size, spec.snippet_stride,
-                                        segments, boxes))
+        record = AnnotationRecord(vid, spec.fps, spec.frame_size,
+                                  spec.frame_size, spec.snippet_stride, [],
+                                  boxes)
+        unit = record.seconds_per_snippet
+        # replace() checks the segments against the record again
+        records.append(dataclasses.replace(record, segments=[
+            GroundTruthSegment(c, s * unit, e * unit) for s, e, c in spans]))
     write_annotations(out / "annotations.jsonl", records)
     (out / "spec.json").write_text(spec.to_json() + "\n")
     return records

@@ -80,14 +80,14 @@ class DetectionHeads(Module):
 
 
 def assign_targets(gts: list[GroundTruthSegment], step: np.ndarray,
-                   stride: np.ndarray, fps: float, snippet_stride: int,
+                   stride: np.ndarray, seconds_per_snippet: float,
                    num_classes: int) -> Targets:
     """Targets for anchors at `step` of levels with `stride` ([A] each).
 
     A step inside several segments takes the one with minimal duration
     (ties: earlier start, then input order).
     """
-    unit = stride * (snippet_stride / fps)
+    unit = stride * seconds_per_snippet
     times = step * unit
     A = len(times)
     cls = np.full(A, num_classes, dtype=int)

@@ -12,7 +12,7 @@ from .autograd import Tensor, concat
 from .heads import DetectionHeads, HeadOutput
 from .nn import Module
 from .spatial_attention import GroupAggregator
-from .subjects import VideoMeta, pool_matrices
+from .subjects import AnnotationRecord, pool_matrices
 from .temporal_pyramid import PyramidBuilder
 
 
@@ -54,27 +54,28 @@ class ModelConfig:
 
 @dataclass
 class VideoSample:
-    """Precomputed per-video inputs: pooled subject tokens and global
-    averages, both Tensors that carry gradients to the features only when
-    the features are a Tensor."""
-    video_id: str
+    """A video's record and its precomputed inputs: pooled subject tokens
+    and global averages, both Tensors that carry gradients to the features
+    only when the features are a Tensor."""
+    record: AnnotationRecord
     tokens: Tensor        # [T, K, D]
     valid: np.ndarray     # bool [T, K]
     global_avg: Tensor    # [T, D]
-    meta: VideoMeta
 
 
-def prepare_sample(video_id: str, features, boxes_per_snippet,
-                   meta: VideoMeta, K: int,
-                   bins: tuple[int, int] = (7, 7)) -> VideoSample:
-    """Pool tokens for every snippet. `features` may be a numpy [T,H,W,D]
-    array (training path, no feature gradients) or a Tensor (gradient checks).
-    """
-    mats, valid = pool_matrices(boxes_per_snippet, meta, K, bins)
-    flat = features.reshape(mats.shape[0], -1, meta.feature_dim)
+def prepare_sample(record: AnnotationRecord, features, K: int) -> VideoSample:
+    """Pool tokens for every snippet of the video `record` describes.
+    `features` may be a numpy [T,H,W,D] array (training path, no feature
+    gradients) or a Tensor (gradient checks)."""
+    T, H, W, D = features.shape
+    if T != record.num_snippets:
+        raise ValueError(f"record {record.id}: {record.num_snippets} box "
+                         f"lists but {T} feature snippets")
+    mats, valid = pool_matrices(record, (H, W), K)
+    flat = features.reshape(T, H * W, D)
     tokens = Tensor(mats) @ flat
     gavg = Tensor._lift(flat.mean(axis=1))
-    return VideoSample(video_id, tokens, valid, gavg, meta)
+    return VideoSample(record, tokens, valid, gavg)
 
 
 class SubjectPriorDetector(Module):

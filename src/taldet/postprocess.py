@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .heads import HeadOutput, sigmoid
-from .subjects import VideoMeta
+from .subjects import AnnotationRecord
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class InferConfig:
             raise ValueError("sigma must be positive")
 
 
-def decode(outs: HeadOutput, meta: VideoMeta,
+def decode(outs: HeadOutput, record: AnnotationRecord,
            score_threshold: float = InferConfig.score_threshold,
            pre_nms_topk: int = InferConfig.pre_nms_topk
            ) -> list[ActionSegment]:
@@ -52,11 +52,11 @@ def decode(outs: HeadOutput, meta: VideoMeta,
     step and u its level's seconds per step, clamped to the video extent;
     the top `pre_nms_topk` by score survive (ties: earlier start, then lower
     class, then anchor order)."""
-    unit = outs.stride * meta.seconds_per_snippet
+    unit = outs.stride * record.seconds_per_snippet
     scores = sigmoid(outs.class_logits.data)
     offs = outs.offsets.data
     start = np.maximum((outs.step - offs[:, 0]) * unit, 0.0)
-    end = np.minimum((outs.step + offs[:, 1]) * unit, meta.duration)
+    end = np.minimum((outs.step + offs[:, 1]) * unit, record.duration)
     anchor, cls = np.nonzero((start < end)[:, None] & (scores > score_threshold))
     score = scores[anchor, cls]
     order = np.lexsort((cls, start[anchor], -score))[:pre_nms_topk]

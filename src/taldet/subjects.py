@@ -1,9 +1,11 @@
-"""Subject box ranking and RoI feature pooling, one numpy pass per video.
+"""One description per video, subject box ranking and RoI feature pooling.
 
-Boxes arrive in keyframe pixel coordinates; features are an H x W x D grid per
-snippet. The top-K boxes by frame-area ratio each become one pooled token; the
-remaining slots are zero vectors flagged invalid so downstream attention can
-mask them out.
+An AnnotationRecord describes a video: its frame rate and size, snippet
+stride, ground-truth segments and the subject boxes of each snippet. Boxes
+arrive in keyframe pixel coordinates; features are an H x W x D grid per
+snippet. The top-K boxes by frame-area ratio each become one pooled token;
+the remaining slots are zero vectors flagged invalid so downstream attention
+can mask them out.
 """
 
 from __future__ import annotations
@@ -12,32 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class VideoMeta:
-    frame_width: int
-    frame_height: int
-    fps: float
-    num_snippets: int
-    feature_height: int
-    feature_width: int
-    feature_dim: int
-    snippet_stride: int = 1  # frames between snippet centers
-
-    def __post_init__(self):
-        for f in ("frame_width", "frame_height", "fps", "num_snippets",
-                  "feature_height", "feature_width", "feature_dim",
-                  "snippet_stride"):
-            if getattr(self, f) <= 0:
-                raise ValueError(f"VideoMeta.{f} must be positive")
-
-    @property
-    def seconds_per_snippet(self) -> float:
-        return self.snippet_stride / self.fps
-
-    @property
-    def duration(self) -> float:
-        return self.num_snippets * self.seconds_per_snippet
+from .heads import GroundTruthSegment
 
 
 @dataclass(frozen=True)
@@ -55,6 +32,48 @@ class SubjectBox:
     @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
+
+
+@dataclass
+class AnnotationRecord:
+    """One video. Its snippet count is the number of box lists; the size of
+    its feature grid comes from its features."""
+    id: str
+    fps: float
+    frame_width: int
+    frame_height: int
+    snippet_stride: int   # frames between snippet centers
+    segments: list[GroundTruthSegment]
+    boxes: list[list[SubjectBox]]   # one list per snippet
+
+    def __post_init__(self):
+        # before `duration` divides by fps
+        for key in ("fps", "frame_width", "frame_height", "snippet_stride"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} = {getattr(self, key)} is not "
+                                 f"positive")
+        if not self.boxes:
+            raise ValueError("boxes: no box list, so no snippet")
+        for s in self.segments:
+            if s.class_id < 0:
+                raise ValueError(
+                    f"record {self.id}: negative class id {s.class_id}")
+            if s.start < 0 or s.end > self.duration + 1e-9:
+                raise ValueError(
+                    f"record {self.id}: segment [{s.start}, {s.end}] outside "
+                    f"video extent {self.duration:.3f}s")
+
+    @property
+    def num_snippets(self) -> int:
+        return len(self.boxes)
+
+    @property
+    def seconds_per_snippet(self) -> float:
+        return self.snippet_stride / self.fps
+
+    @property
+    def duration(self) -> float:
+        return self.num_snippets * self.seconds_per_snippet
 
 
 SAMPLES = 2  # RoIAlign samples per bin along each axis
@@ -79,10 +98,11 @@ def _mean_axis_weights(lo, hi, scale, bins, n):
             + (cells == left[..., None] + 1) * frac).mean(axis=1)
 
 
-def pool_matrices(boxes_per_snippet: list[list[SubjectBox]], meta: VideoMeta,
-                  K: int, bins: tuple[int, int] = (7, 7)
+def pool_matrices(record: AnnotationRecord, grid: tuple[int, int], K: int,
+                  bins: tuple[int, int] = (7, 7)
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """[T, K, H*W] pooling matrices and [T, K] validity for a whole video.
+    """[T, K, H*W] pooling matrices and [T, K] validity for a whole video,
+    from its record's boxes and frame size onto its (H, W) feature `grid`.
 
     tokens = mats @ f.reshape(T, H*W, D). Boxes are clipped to the frame and
     dropped if empty; slot k of snippet t holds that snippet's k-th box by
@@ -95,24 +115,23 @@ def pool_matrices(boxes_per_snippet: list[list[SubjectBox]], meta: VideoMeta,
     """
     if K < 1 or bins[0] < 1 or bins[1] < 1:
         raise ValueError("K must be >= 1 and bins >= (1, 1)")
-    T, H, W = meta.num_snippets, meta.feature_height, meta.feature_width
-    snippet = np.repeat(np.arange(T), [len(bs) for bs in boxes_per_snippet])
+    T, (H, W) = record.num_snippets, grid
+    width, height = record.frame_width, record.frame_height
+    snippet = np.repeat(np.arange(T), [len(bs) for bs in record.boxes])
     b = np.array([(x.x1, x.y1, x.x2, x.y2, x.confidence)
-                  for bs in boxes_per_snippet for x in bs],
+                  for bs in record.boxes for x in bs],
                  dtype=float).reshape(-1, 5)
     x1, y1 = np.maximum(b[:, 0], 0.0), np.maximum(b[:, 1], 0.0)
-    x2 = np.minimum(b[:, 2], float(meta.frame_width))
-    y2 = np.minimum(b[:, 3], float(meta.frame_height))
-    ratio = (x2 - x1) * (y2 - y1) / (meta.frame_width * meta.frame_height)
+    x2 = np.minimum(b[:, 2], float(width))
+    y2 = np.minimum(b[:, 3], float(height))
+    ratio = (x2 - x1) * (y2 - y1) / (width * height)
     keep = np.flatnonzero((x1 < x2) & (y1 < y2))
     order = keep[np.lexsort((keep, -b[keep, 4], -ratio[keep], snippet[keep]))]
     t = snippet[order]
     slot = np.arange(len(order)) - np.searchsorted(t, t)
     order, t, slot = order[slot < K], t[slot < K], slot[slot < K]
-    wy = _mean_axis_weights(y1[order], y2[order], H / meta.frame_height,
-                            bins[0], H)
-    wx = _mean_axis_weights(x1[order], x2[order], W / meta.frame_width,
-                            bins[1], W)
+    wy = _mean_axis_weights(y1[order], y2[order], H / height, bins[0], H)
+    wx = _mean_axis_weights(x1[order], x2[order], W / width, bins[1], W)
     mats = np.zeros((T, K, H * W))
     valid = np.zeros((T, K), dtype=bool)
     mats[t, slot] = (wy[:, :, None] * wx[:, None, :]).reshape(-1, H * W)

@@ -134,10 +134,10 @@ class FitResult:
 
 
 def video_loss(model: SubjectPriorDetector, sample: VideoSample,
-               gts: list, cfg: TrainConfig):
+               cfg: TrainConfig):
     outs = model(sample)
-    targets = assign_targets(gts, outs.step, outs.stride, sample.meta.fps,
-                             sample.meta.snippet_stride,
+    targets = assign_targets(sample.record.segments, outs.step, outs.stride,
+                             sample.record.seconds_per_snippet,
                              model.cfg.num_classes)
     return total_loss(outs, targets, lam=cfg.lam,
                       strict_positive_only=cfg.strict_positive_only)
@@ -158,8 +158,7 @@ def numerical_abort(what: str, step: int, lr: float,
 
 
 def fit(model: SubjectPriorDetector, samples: list[VideoSample],
-        segments_by_video: dict[str, list], cfg: TrainConfig,
-        out_dir=None) -> FitResult:
+        cfg: TrainConfig, out_dir=None) -> FitResult:
     """Deterministic training: fixed shuffle order per epoch, sequential
     per-video gradient accumulation within a batch, one Adam step per batch.
     """
@@ -184,11 +183,10 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
             batch_loss = 0.0
             for i in batch:
                 sample = samples[i]
-                gts = segments_by_video[sample.video_id]
-                loss = video_loss(model, sample, gts, cfg) * (1.0 / len(batch))
+                loss = video_loss(model, sample, cfg) * (1.0 / len(batch))
                 if not np.isfinite(loss.data):
                     raise numerical_abort(
-                        f"non-finite loss on video {sample.video_id}", step,
+                        f"non-finite loss on video {sample.record.id}", step,
                         lr, model)
                 loss.backward()
                 batch_loss += float(loss.data)

@@ -21,9 +21,10 @@ import pytest
 
 from taldet.autograd import Tensor
 from taldet.checksuite import end_to_end_grad_check, primitive_grad_checks
-from taldet.dataio import (SyntheticSpec, generate_synthetic,
-                           read_annotations, read_checkpoint, read_detections,
-                           read_features, write_annotations, write_checkpoint,
+from taldet.dataio import (AnnotationRecord, SyntheticSpec,
+                           generate_synthetic, read_annotations,
+                           read_checkpoint, read_detections, read_features,
+                           write_annotations, write_checkpoint,
                            write_detections, write_features)
 from taldet.heads import (GroundTruthSegment, HeadOutput, focal_values,
                           giou_values)
@@ -31,7 +32,7 @@ from taldet.metrics import evaluate
 from taldet.model import (ModelConfig, SubjectPriorDetector, VideoSample,
                           prepare_sample)
 from taldet.postprocess import ActionSegment, decode, soft_nms, temporal_iou
-from taldet.subjects import SubjectBox, VideoMeta
+from taldet.subjects import SubjectBox
 from taldet.temporal_pyramid import PyramidBuilder
 from taldet.training import TrainConfig, fit
 
@@ -62,17 +63,17 @@ def test_criterion_2_group_aggregation_invariants(capfd):
                     group_layers=2),
         np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    meta = VideoMeta(64, 64, 16.0, T, 4, 4, D, 4)
     feats = rng.normal(size=(T, 4, 4, D))
     # K boxes of distinct areas fill every slot; three leave two slots empty
     boxes = [SubjectBox(0, 0, 12 + 8 * k, 10 + 9 * k, 0.9) for k in range(K)]
-    full = prepare_sample("full", feats, [boxes] * T, meta, K)
-    part = prepare_sample("part", feats, [boxes[:3]] * T, meta, K)
+    full = prepare_sample(AnnotationRecord("full", 16.0, 64, 64, 4, [],
+                                           [boxes] * T), feats, K)
+    part = prepare_sample(AnnotationRecord("part", 16.0, 64, 64, 4, [],
+                                           [boxes[:3]] * T), feats, K)
 
     def run(sample, tokens, valid):
         return model.snippet_representation(VideoSample(
-            sample.video_id, Tensor(tokens), valid, sample.global_avg,
-            sample.meta)).data
+            sample.record, Tensor(tokens), valid, sample.global_avg)).data
 
     base = run(full, full.tokens.data, full.valid)
     perm_drift = 0.0
@@ -187,13 +188,13 @@ def test_criterion_4_oracle_equivalence(capfd):
     step = np.array([0, 1, 2, 3, 4, 5, 0, 1, 2])
     stride = np.array([1] * 6 + [2] * 3)
     outs = HeadOutput(Tensor(logits), Tensor(offs), step, stride)
-    meta = VideoMeta(64, 64, 16.0, 6, 4, 4, 8, 4)
-    got = decode(outs, meta, score_threshold=0.3)
+    record = AnnotationRecord("v", 16.0, 64, 64, 4, [], [[]] * 6)
+    got = decode(outs, record, score_threshold=0.3)
     expected = []
     for a in range(9):
         t, unit = step[a], stride[a] * 4 / 16.0
         start = max((t - offs[a, 0]) * unit, 0.0)
-        end = min((t + offs[a, 1]) * unit, meta.duration)
+        end = min((t + offs[a, 1]) * unit, record.duration)
         if not start < end:
             continue
         for c in range(2):
@@ -241,21 +242,19 @@ def _train_and_score(tmp_path, use_subject_tokens: bool) -> float:
                       group_layers=2, group_heads=4, temporal_heads=4,
                       num_standard_layers=2, num_strided_layers=3,
                       use_subject_tokens=use_subject_tokens)
-    samples, gts = [], {}
-    for r in records:
-        feats = read_features(data / "features" / f"{r.id}.ptfv")
-        meta = r.meta(feats.shape)
-        samples.append(prepare_sample(r.id, feats, r.boxes, meta, cfg.K))
-        gts[r.id] = r.segments
+    samples = [prepare_sample(r, read_features(data / "features"
+                                               / f"{r.id}.ptfv"), cfg.K)
+               for r in records]
     model = SubjectPriorDetector(cfg, np.random.default_rng(0))
     tc = TrainConfig(lr_init=1e-3, epochs=150, warmup_epochs=5, batch_size=2,
                      seed=0)
-    fit(model, samples, gts, tc)
+    fit(model, samples, tc)
     dets = {}
     for sample in samples:
-        cands = decode(model(sample), sample.meta, score_threshold=0.1,
+        cands = decode(model(sample), sample.record, score_threshold=0.1,
                        pre_nms_topk=200)
-        dets[sample.video_id] = soft_nms(cands)[:100]
+        dets[sample.record.id] = soft_nms(cands)[:100]
+    gts = {r.id: r.segments for r in records}
     return evaluate(dets, gts, [0.5]).per_threshold_map[0.5]
 
 
@@ -280,16 +279,13 @@ def test_criterion_7_determinism(capfd, tmp_path):
                           group_layers=1, group_heads=2, temporal_heads=2,
                           window_size=3, num_standard_layers=1,
                           num_strided_layers=2, head_layers=1)
-        samples, gts = [], {}
-        for r in records:
-            feats = read_features(data / "features" / f"{r.id}.ptfv")
-            samples.append(prepare_sample(r.id, feats, r.boxes,
-                                          r.meta(feats.shape), cfg.K))
-            gts[r.id] = r.segments
+        samples = [prepare_sample(r, read_features(data / "features"
+                                                   / f"{r.id}.ptfv"), cfg.K)
+                   for r in records]
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         tc = TrainConfig(lr_init=1e-3, epochs=5, warmup_epochs=1,
                          batch_size=2, seed=11)
-        fit(model, samples, gts, tc, out_dir=tmp_path / f"out_{run}")
+        fit(model, samples, tc, out_dir=tmp_path / f"out_{run}")
         checkpoints.append((tmp_path / f"out_{run}" / "checkpoint.ptck").read_bytes())
         logs.append((tmp_path / f"out_{run}" / "loss_log.jsonl").read_bytes())
     ok = checkpoints[0] == checkpoints[1] and logs[0] == logs[1]

@@ -1,5 +1,7 @@
-"""The benchmark tracer (perfbench/tracer.py) wraps taldet names from outside;
-these checks fail when a rename would leave a hook point dangling."""
+"""The benchmark tracer (perfbench/tracer.py) wraps taldet names from outside,
+and its workloads (perfbench/workloads.py) build inputs with taldet's own
+types; these checks fail when a rename or a signature change would leave a
+hook point dangling or break the benchmark's imports."""
 
 import sys
 from pathlib import Path
@@ -9,11 +11,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 from taldet import cli, training  # noqa: E402
+from taldet.dataio import AnnotationRecord  # noqa: E402
 from taldet.heads import GroundTruthSegment  # noqa: E402
 from taldet.model import (ModelConfig, SubjectPriorDetector,  # noqa: E402
                           prepare_sample)
-from taldet.subjects import SubjectBox, VideoMeta  # noqa: E402
+from taldet.subjects import SubjectBox  # noqa: E402
 from taldet.temporal_pyramid import PyramidBuilder  # noqa: E402
 
 
@@ -43,22 +47,18 @@ def tiny_model_and_sample():
                       num_standard_layers=1, num_strided_layers=2,
                       head_layers=1)
     rng = np.random.default_rng(0)
-    meta = VideoMeta(frame_width=64, frame_height=48, fps=8.0,
-                     num_snippets=12, feature_height=3, feature_width=4,
-                     feature_dim=8)
     boxes = [[SubjectBox(4.0, 4.0, 40.0, 30.0)] for _ in range(12)]
-    sample = prepare_sample("v", rng.normal(size=(12, 3, 4, 8)), boxes, meta,
-                            cfg.K)
+    record = AnnotationRecord("v", 8.0, 64, 48, 1,
+                              [GroundTruthSegment(1, 0.25, 0.75)], boxes)
+    sample = prepare_sample(record, rng.normal(size=(12, 3, 4, 8)), cfg.K)
     return SubjectPriorDetector(cfg, rng), sample
 
 
 def test_traced_training_step_records_every_layer():
     model, sample = tiny_model_and_sample()
-    gts = [GroundTruthSegment(1, 0.25, 0.75)]
     t = tracer.Tracer()
     with t.installed(tracer.layer_targets()):
-        training.video_loss(model, sample, gts,
-                            training.TrainConfig()).backward()
+        training.video_loss(model, sample, training.TrainConfig()).backward()
     spans = {name for name, *_ in t.spans}
     assert {"spatial_attention.aggregate", "temporal_pyramid.std0",
             "temporal_pyramid.strided0", "heads.towers",
@@ -74,7 +74,6 @@ def test_traced_fit_records_the_optimizer():
     t = tracer.Tracer()
     with t.installed(tracer.layer_targets()):
         training.fit(model, [sample, sample],
-                     {"v": [GroundTruthSegment(1, 0.25, 0.75)]},
                      training.TrainConfig(epochs=1, warmup_epochs=0,
                                           batch_size=1))
     names = [name for name, *_ in t.spans]
@@ -104,3 +103,16 @@ def test_traced_infer_and_eval_record_post_processing(tmp_path):
     for key in ("postprocess.candidates", "postprocess.kept",
                 "metrics.match_pairs"):
         assert t.counts[key] > 0, key
+
+
+def test_workloads_prepare_their_inputs(tmp_path):
+    # the benchmark writes its inputs with taldet's writers and records,
+    # then checks infer's output by reading them back
+    for name, workload in workloads.WORKLOADS.items():
+        commands = workloads.prepare(workload, 1, tmp_path / name)
+        assert [c["label"] for c in commands][:3] == ["train", "infer",
+                                                      "eval"]
+    data = tmp_path / "long" / "data" / "eval_set"
+    errors, _ = workloads.check_infer(
+        {"data": data, "detections": data / "detections.jsonl"})
+    assert errors == []

@@ -10,7 +10,8 @@ from taldet import cli
 from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         SETTING_TYPES, _coerce, build_parser, gather_settings,
                         main, parse_config_file)
-from taldet.dataio import read_checkpoint, write_checkpoint
+from taldet.dataio import (read_checkpoint, read_features, write_checkpoint,
+                           write_features)
 from taldet.model import ModelConfig
 from taldet.postprocess import decode
 from taldet.training import FitResult, TrainConfig
@@ -129,6 +130,7 @@ class TestPipeline:
          "annotations.jsonl:1: boxes: "),
         (lambda o: o.update(fps=0),
          "annotations.jsonl:1: fps = 0.0 is not positive"),
+        (lambda o: o.update(boxes=[]), "annotations.jsonl:1: boxes: "),
         (lambda o: o["boxes"].append(o["boxes"][-1]),
          "record {id}: {more} box lists but {T} feature snippets"),
         (lambda o: o.update(frame_width=[64]),
@@ -146,7 +148,7 @@ class TestPipeline:
          "annotations.jsonl:1: snippet_stride: True is not int"),
         (lambda o: o["boxes"][0][0].__setitem__(4, float("inf")),
          "annotations.jsonl:1: boxes: inf is not finite"),
-    ], ids=["four-number-box", "bare-number-box", "zero-fps",
+    ], ids=["four-number-box", "bare-number-box", "zero-fps", "no-box-lists",
             "box-list-count", "list-for-scalar", "bare-number-segment",
             "two-number-segment", "numeric-id", "string-for-int",
             "non-integral-int", "bool-for-int", "infinite-confidence"])
@@ -163,6 +165,35 @@ class TestPipeline:
         assert rc == EXIT_VALIDATION
         assert (message.format(id=objs[0]["id"], more=T + 1, T=T)
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["infer", "--checkpoint", "unread.ptck"],
+        ["eval", "--detections", "unread.jsonl"]])
+    def test_repeated_id_exits_2_naming_both_lines(self, dataset, capsys,
+                                                   command):
+        tmp, data, _ = dataset
+        ann = data / "annotations.jsonl"
+        first, second = ann.read_text().splitlines()
+        # a blank line counts in the numbering
+        ann.write_text(f"{first}\n\n{second}\n{first}\n")
+        rc = main([*command, "--data", str(data), "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert (f"annotations.jsonl:4: id: 'synth_000' is also the id on "
+                f"line 1") in capsys.readouterr().err
+        assert not (tmp / "run").exists()
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_zero_dimension_feature_file_exits_2_naming_it(self, dataset,
+                                                           capsys, axis):
+        tmp, data, cfg = dataset
+        path = data / "features" / "synth_000.ptfv"
+        shape = list(read_features(path).shape)
+        shape[axis] = 0
+        write_features(path, np.zeros(shape))
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert f"{path}: a zero dimension in " in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda o: o.update(score=[0.5]), "score: [0.5] is not float"),
@@ -285,7 +316,7 @@ class TestSettings:
         cfg.write_text(SMALL + "head_layers = 1\ngrad_clip = 0.5\n")
         seen = {}
 
-        def fake_fit(model, samples, segs, train_cfg, out_dir=None):
+        def fake_fit(model, samples, train_cfg, out_dir=None):
             seen["model"], seen["train"] = model.cfg, train_cfg
             return FitResult([{"mean_loss": 0.0}])
 

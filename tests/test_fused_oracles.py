@@ -128,7 +128,7 @@ def loss_problem(segments, seed, identical=False):
     step = np.concatenate([np.arange(8), np.arange(4)])
     stride = np.repeat([1, 2], [8, 4])
     gts = [GroundTruthSegment(*s) for s in segments]
-    targets = assign_targets(gts, step, stride, 16.0, 4, 2)
+    targets = assign_targets(gts, step, stride, 0.25, 2)
     offsets = rng.uniform(0.1, 3.0, size=(12, 2))
     if identical:
         pos = targets.inside

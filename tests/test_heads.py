@@ -99,11 +99,11 @@ class TestDetectionHeads:
 
 class TestAssignTargets:
     # unit time per step at level stride 1: snippet_stride / fps = 4/16 = 0.25s
-    FPS, STRIDE = 16.0, 4
+    UNIT = 0.25
 
     def test_single_segment_single_level(self):
         gts = [GroundTruthSegment(1, 0.5, 1.5)]
-        tm = assign_targets(gts, *anchors([(8, 1)]), self.FPS, self.STRIDE,
+        tm = assign_targets(gts, *anchors([(8, 1)]), self.UNIT,
                             num_classes=3)
         lv = tm
         # steps at times 0, .25, .5, ..., 1.75; inside are t=2..6
@@ -118,8 +118,7 @@ class TestAssignTargets:
     def test_minimal_duration_wins_overlap(self):
         long = GroundTruthSegment(0, 0.0, 2.0)
         short = GroundTruthSegment(1, 0.4, 0.6)
-        tm = assign_targets([long, short], *anchors([(9, 1)]), self.FPS,
-                            self.STRIDE, 2)
+        tm = assign_targets([long, short], *anchors([(9, 1)]), self.UNIT, 2)
         lv = tm
         assert lv.class_target[2] == 1  # t=0.5 falls in both; shorter wins
         assert lv.class_target[1] == 0
@@ -128,16 +127,14 @@ class TestAssignTargets:
     def test_tie_earlier_start_wins(self):
         a = GroundTruthSegment(0, 0.0, 1.0)
         b = GroundTruthSegment(1, 0.25, 1.25)
-        tm = assign_targets([b, a], *anchors([(6, 1)]), self.FPS, self.STRIDE,
-                            2)
+        tm = assign_targets([b, a], *anchors([(6, 1)]), self.UNIT, 2)
         lv = tm
         # equal durations: segment starting earlier claims the shared steps
         assert list(lv.class_target[1:5]) == [0, 0, 0, 0]
 
     def test_coarser_level_scales_offsets(self):
         gts = [GroundTruthSegment(0, 0.0, 2.0)]
-        tm = assign_targets(gts, *anchors([(8, 1), (4, 2)]), self.FPS,
-                            self.STRIDE, 1)
+        tm = assign_targets(gts, *anchors([(8, 1), (4, 2)]), self.UNIT, 1)
         coarse = slice(8, 12)
         # level-1 unit is 0.5s; t=1 (0.5s) has d_start=1, d_end=3
         assert tm.inside[coarse].all()
@@ -146,7 +143,7 @@ class TestAssignTargets:
         assert tm.num_positive == tm.inside[:8].sum() + 4
 
     def test_no_segments_all_background(self):
-        tm = assign_targets([], *anchors([(5, 1)]), self.FPS, self.STRIDE, 2)
+        tm = assign_targets([], *anchors([(5, 1)]), self.UNIT, 2)
         lv = tm
         assert not lv.inside.any()
         assert (lv.class_target == 2).all()
@@ -273,7 +270,7 @@ class TestTotalLoss:
 
     def test_normalized_by_global_positive_count(self):
         gts = [GroundTruthSegment(0, 0.0, 1.0)]
-        tm = assign_targets(gts, *anchors([(8, 1), (4, 2)]), 16.0, 4, 1)
+        tm = assign_targets(gts, *anchors([(8, 1), (4, 2)]), 0.25, 1)
         outs = self._outputs([8, 4], 1)
         loss = total_loss(outs, tm, lam=1.0)
         # recompute with the pieces summed by hand, level by level
@@ -289,7 +286,7 @@ class TestTotalLoss:
 
     def test_lambda_scales_regression_term(self):
         gts = [GroundTruthSegment(0, 0.0, 1.0)]
-        tm = assign_targets(gts, *anchors([(8, 1)]), 16.0, 4, 1)
+        tm = assign_targets(gts, *anchors([(8, 1)]), 0.25, 1)
         outs = self._outputs([8], 1, seed=1)
         l0 = total_loss(outs, tm, lam=0.0).data
         l1 = total_loss(outs, tm, lam=1.0).data
@@ -297,7 +294,7 @@ class TestTotalLoss:
         np.testing.assert_allclose(l2 - l1, l1 - l0, rtol=1e-9)
 
     def test_background_only_video(self):
-        tm = assign_targets([], *anchors([(6, 1)]), 16.0, 4, 2)
+        tm = assign_targets([], *anchors([(6, 1)]), 0.25, 2)
         outs = self._outputs([6], 2, seed=2)
         loss = total_loss(outs, tm)
         # normalizer clamps at 1; only focal background terms remain
@@ -308,7 +305,7 @@ class TestTotalLoss:
     @pytest.mark.parametrize("segments", [[], [(1, 0.0, 0.8)]])
     def test_one_node_over_logits_and_offsets(self, segments):
         gts = [GroundTruthSegment(*s) for s in segments]
-        tm = assign_targets(gts, *anchors([(4, 1), (2, 2)]), 16.0, 4, 2)
+        tm = assign_targets(gts, *anchors([(4, 1), (2, 2)]), 0.25, 2)
         outs = self._outputs([4, 2], 2, seed=3)
         logits = Parameter(outs.class_logits.data, "logits")
         offsets = Parameter(outs.offsets.data, "offsets")
@@ -321,7 +318,7 @@ class TestTotalLoss:
         heads = DetectionHeads(rng, D, num_classes=2, num_layers=1)
         pyr = make_pyramid([4, 2], seed=8)
         gts = [GroundTruthSegment(1, 0.0, 0.8)]
-        tm = assign_targets(gts, *anchors([(4, 1), (2, 2)]), 16.0, 4, 2)
+        tm = assign_targets(gts, *anchors([(4, 1), (2, 2)]), 0.25, 2)
 
         def loss():
             return total_loss(heads(pyr), tm)

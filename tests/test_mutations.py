@@ -1,14 +1,18 @@
-"""Seeded mutation fuzzing of the text inputs: annotations.jsonl,
-detections.jsonl and the config file (mutation-based fuzzing after
-Godefroid, "Fuzzing: Hack, Art, and Science", CACM 2020).
+"""Seeded mutation fuzzing of the inputs: annotations.jsonl,
+detections.jsonl, the config file, and the binary feature (.ptfv) and
+checkpoint (.ptck) files (mutation-based fuzzing after Godefroid, "Fuzzing:
+Hack, Art, and Science", CACM 2020).
 
-Each case breaks one line of a valid file in one way that makes it
-invalid. `cli.main` must then exit 2 and name the place (`path:line`, or
-the setting for a config file), never exit 0 and never raise.
+Each case breaks one line of a valid text file, or the bytes of a valid
+binary file, in one way that makes it invalid. `cli.main` must then exit 2
+and name the place (`path:line`, the setting for a config file, the path
+for a binary file), never exit 0 and never raise.
 """
 
 import json
 import math
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +28,12 @@ LINE_MUTATIONS = ["truncated", "not-a-record", "unknown-field"]
 JSON_MUTATIONS = ["dropped-field", "duplicated-field"]
 VALUE_MUTATIONS = ["string", "list", "bool", "nan", "inf", "-inf", "zero",
                    "negative", "non-integral", "non-string-id"]
+# mutations of a binary file: a flipped bit in the magic, the version or a
+# dimension field, and a NaN in place of one payload value
+BINARY_MUTATIONS = ["truncated", "magic", "version", "dimension", "trailing",
+                    "nan"]
+MUTATIONS = (LINE_MUTATIONS + JSON_MUTATIONS + VALUE_MUTATIONS
+             + BINARY_MUTATIONS[1:])
 
 NOT_JSON = ["not json", "{", "}", "[1, 2]", "null", "42", '"text"', "NaN",
             "{'id': 1}", '{"id": "a"} {"id": "b"}']
@@ -151,9 +161,7 @@ def base(tmp_path_factory):
 
 def cases(file_index, kind):
     """Seeded generators of one (file, mutation) pair's cases."""
-    mutation_index = (LINE_MUTATIONS + JSON_MUTATIONS
-                      + VALUE_MUTATIONS).index(kind)
-    return [np.random.default_rng([file_index, mutation_index, n])
+    return [np.random.default_rng([file_index, MUTATIONS.index(kind), n])
             for n in range(CASES)]
 
 
@@ -236,4 +244,88 @@ def test_broken_config_exits_2_naming_the_setting(base, tmp_path, capsys,
         err = capsys.readouterr().err
         assert rc == EXIT_VALIDATION, lines
         assert any(name in err for name in names), (lines, err)
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def checkpoint(base, tmp_path_factory):
+    """A config and the checkpoint `train` writes with it on the base set;
+    `infer` accepts both."""
+    data, _ = base
+    root = tmp_path_factory.mktemp("checkpoint")
+    cfg = root / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in CONFIG.items()))
+    common = ["--data", str(data), "--config", str(cfg), "--out", str(root)]
+    assert main(["train", *common]) == EXIT_OK
+    assert main(["infer", "--checkpoint", str(root / "checkpoint.ptck"),
+                 *common]) == EXIT_OK
+    return cfg, root / "checkpoint.ptck"
+
+
+def feature_fields(raw):
+    """Offsets of a feature file's dimension fields (T, H, W, D) and of its
+    float32 payload values."""
+    return list(range(8, 24, 4)), list(range(24, len(raw), 4))
+
+
+def checkpoint_fields(raw):
+    """Offsets of a checkpoint's dimension fields (the entry count, and
+    each entry's rank and shape) and of its float32 payload values."""
+    dims, values, off = [8], [], 12
+    for _ in range(struct.unpack_from("<I", raw, 8)[0]):
+        off += 4 + struct.unpack_from("<I", raw, off)[0]
+        (ndim,) = struct.unpack_from("<I", raw, off)
+        dims += range(off, off + 4 * (ndim + 1), 4)
+        off += 4 * (ndim + 1)
+        n = math.prod(struct.unpack_from(f"<{ndim}I", raw, off - 4 * ndim))
+        values += range(off, off + 4 * n, 4)
+        off += 4 * n
+    assert off == len(raw)
+    return dims, values
+
+
+def mutate_binary(rng, raw, kind, fields):
+    """A copy of the bytes `raw` broken by `kind`."""
+    dims, values = fields(raw)
+    raw = bytearray(raw)
+    if kind == "truncated":
+        return raw[:rng.integers(len(raw))]
+    if kind == "trailing":
+        return raw + rng.bytes(int(rng.integers(1, 9)))
+    if kind == "nan":
+        at = values[rng.integers(len(values))]
+        raw[at:at + 4] = struct.pack("<f", math.nan)
+        return raw
+    field = {"magic": 0, "version": 4,
+             "dimension": dims[rng.integers(len(dims))]}[kind]
+    raw[field + rng.integers(4)] ^= 1 << int(rng.integers(8))
+    return raw
+
+
+@pytest.mark.parametrize("which", ["features", "checkpoint"])
+@pytest.mark.parametrize("kind", BINARY_MUTATIONS)
+def test_broken_binary_file_exits_2_naming_it(base, checkpoint, tmp_path,
+                                              capsys, which, kind):
+    data, _ = base
+    cfg, good = checkpoint
+    for n, rng in enumerate(cases(3 + (which == "checkpoint"), kind)):
+        case = tmp_path / str(n)
+        if which == "features":
+            shutil.copytree(data, case)
+            video = sorted((case / "features").iterdir())
+            target = video[rng.integers(len(video))]
+            source, fields, ckpt = target, feature_fields, good
+        else:
+            case.mkdir()
+            target = ckpt = case / good.name
+            source, fields = good, checkpoint_fields
+        target.write_bytes(mutate_binary(rng, source.read_bytes(), kind,
+                                         fields))
+        rc = main(["infer", "--data", str(case if which == "features"
+                                          else data),
+                   "--config", str(cfg), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION, (n, err)
+        assert str(target) in err, (n, err)
         assert not (tmp_path / "run").exists()

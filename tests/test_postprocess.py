@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from taldet.autograd import Tensor
 from taldet.heads import HeadOutput
 from taldet.postprocess import (ActionSegment, decode, soft_nms, temporal_iou)
-from taldet.subjects import VideoMeta
+from taldet.subjects import AnnotationRecord
 
 
-def meta(num_snippets=8, fps=16.0, stride=4):
-    return VideoMeta(frame_width=64, frame_height=64, fps=fps,
-                     num_snippets=num_snippets, feature_height=4,
-                     feature_width=4, feature_dim=8, snippet_stride=stride)
+def video(num_snippets=8, fps=16.0, stride=4):
+    return AnnotationRecord("v", fps, 64, 64, stride, [], [[]] * num_snippets)
 
 
 def logit(p):
@@ -48,7 +46,7 @@ class TestDecode:
         lg[2, 0] = logit(0.9)
         offs = np.zeros((4, 2))
         offs[2] = [1.0, 1.0]
-        segs = decode(head_output([(lg, offs)]), meta(),
+        segs = decode(head_output([(lg, offs)]), video(),
                       score_threshold=0.5)
         # unit = stride * snippet_stride / fps = 0.25s
         assert len(segs) == 1
@@ -58,7 +56,7 @@ class TestDecode:
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(0)
-        m = meta(num_snippets=8)
+        m = video(num_snippets=8)
         strides = [1, 2]
         levels = []
         for T in (8, 4):
@@ -89,16 +87,30 @@ class TestDecode:
     def test_clamped_to_video_extent(self):
         lg = np.full((2, 1), logit(0.9))
         offs = np.full((2, 2), 100.0)
-        segs = decode(head_output([(lg, offs)]), meta(num_snippets=4),
+        segs = decode(head_output([(lg, offs)]), video(num_snippets=4),
                       score_threshold=0.5)
-        d = meta(num_snippets=4).duration
+        d = video(num_snippets=4).duration
         for s in segs:
             assert s.start == 0.0 and s.end == d
+
+    def test_no_end_beyond_the_record_duration(self):
+        # at fps 10, stride 4 and T 3, T * (stride / fps) is
+        # 1.2000000000000002 but T * stride / fps is 1.2: decode's clamp and
+        # the record's extent must be one number
+        for fps in (10.0, 12.5, 15.0, 25.0, 29.97, 30.0):
+            for stride in (1, 3, 4, 5, 8, 16):
+                for T in (1, 2, 3, 7, 10, 33):
+                    record = video(num_snippets=T, fps=fps, stride=stride)
+                    lg = np.full((T, 1), logit(0.9))
+                    segs = decode(head_output([(lg, np.full((T, 2), 100.0))]),
+                                  record, score_threshold=0.5)
+                    assert segs and all(s.end <= record.duration
+                                        for s in segs), (fps, stride, T)
 
     def test_topk_truncates_by_score(self):
         lg = np.array([[logit(0.6)], [logit(0.9)], [logit(0.7)]])
         offs = np.ones((3, 2))
-        segs = decode(head_output([(lg, offs)]), meta(),
+        segs = decode(head_output([(lg, offs)]), video(),
                       score_threshold=0.5, pre_nms_topk=2)
         assert [round(s.score, 6) for s in segs] == [0.9, 0.7]
 
@@ -106,7 +118,7 @@ class TestDecode:
         # equal scores everywhere; anchors 0 and 1 start at 0, anchor 2 later
         lg = np.full((3, 2), logit(0.9))
         offs = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        segs = decode(head_output([(lg, offs)]), meta(), score_threshold=0.5)
+        segs = decode(head_output([(lg, offs)]), video(), score_threshold=0.5)
         assert [(s.class_id, s.start, s.end) for s in segs] == [
             (0, 0.0, 0.25), (0, 0.0, 0.5), (1, 0.0, 0.25), (1, 0.0, 0.5),
             (0, 0.25, 0.75), (1, 0.25, 0.75)]
@@ -114,7 +126,7 @@ class TestDecode:
     def test_degenerate_zero_length_skipped(self):
         # offsets 0 at t=0 give start == end == 0 -> no candidate
         lg = np.array([[logit(0.9)]])
-        segs = decode(head_output([(lg, np.zeros((1, 2)))]), meta(),
+        segs = decode(head_output([(lg, np.zeros((1, 2)))]), video(),
                       score_threshold=0.5)
         assert segs == []
 

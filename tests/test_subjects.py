@@ -6,49 +6,53 @@ from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, grad_check
 from taldet.model import prepare_sample
-from taldet.subjects import SubjectBox, VideoMeta, pool_matrices
+from taldet.subjects import AnnotationRecord, SubjectBox, pool_matrices
 
-META = VideoMeta(frame_width=64, frame_height=64, fps=15.0, num_snippets=4,
-                 feature_height=4, feature_width=4, feature_dim=3,
-                 snippet_stride=4)
+FRAME = (64, 64)    # width, height in pixels
+GRID = (4, 4)       # feature grid H, W
+T = 4               # snippets
 
 
-def random_boxes(rng, n, meta=META):
+def video(boxes_per_snippet, frame=FRAME):
+    """The record of a video whose snippets hold `boxes_per_snippet`."""
+    return AnnotationRecord("v", 15.0, *frame, 4, [], boxes_per_snippet)
+
+
+def random_boxes(rng, n, frame=FRAME):
     out = []
     for _ in range(n):
-        x1, y1 = rng.uniform(0, meta.frame_width - 4, size=2)
+        x1, y1 = rng.uniform(0, frame[0] - 4, size=2)
         out.append(SubjectBox(x1, y1,
-                              x1 + rng.uniform(2, meta.frame_width - x1),
-                              y1 + rng.uniform(2, meta.frame_height - y1),
+                              x1 + rng.uniform(2, frame[0] - x1),
+                              y1 + rng.uniform(2, frame[1] - y1),
                               confidence=round(float(rng.uniform()), 3)))
     return out
 
 
-def clip(box, meta=META):
+def clip(box, frame=FRAME):
     """The box clipped to the frame, or None if nothing is left."""
     x1, y1 = max(box.x1, 0.0), max(box.y1, 0.0)
-    x2 = min(box.x2, float(meta.frame_width))
-    y2 = min(box.y2, float(meta.frame_height))
+    x2, y2 = min(box.x2, float(frame[0])), min(box.y2, float(frame[1]))
     if x1 >= x2 or y1 >= y2:
         return None
     return SubjectBox(x1, y1, x2, y2, box.confidence)
 
 
-def sort_oracle(boxes, K, meta=META):
+def sort_oracle(boxes, K, frame=FRAME):
     """Reference ranking: the clipped, non-empty boxes sorted by (-area
     ratio, -confidence, input index), first K."""
-    frame = meta.frame_width * meta.frame_height
-    kept = [(i, c) for i, c in enumerate(clip(b, meta) for b in boxes)
+    area = frame[0] * frame[1]
+    kept = [(i, c) for i, c in enumerate(clip(b, frame) for b in boxes)
             if c is not None]
-    kept.sort(key=lambda ic: (-ic[1].area / frame, -ic[1].confidence, ic[0]))
+    kept.sort(key=lambda ic: (-ic[1].area / area, -ic[1].confidence, ic[0]))
     return [c for _, c in kept[:K]]
 
 
-def bilinear_token_oracle(f, box, meta=META, bins=(7, 7), samples=2):
+def bilinear_token_oracle(f, box, frame=FRAME, bins=(7, 7), samples=2):
     """Mean over the box of (bins * samples)^2 bilinear samples at regular
     interior points, cell values at cell centers, clamped at the border."""
     H, W = f.shape[:2]
-    sy, sx = H / meta.frame_height, W / meta.frame_width
+    sy, sx = H / frame[1], W / frame[0]
     ny, nx = bins[0] * samples, bins[1] * samples
     total = np.zeros(f.shape[-1])
     for i in range(ny):
@@ -65,25 +69,25 @@ def bilinear_token_oracle(f, box, meta=META, bins=(7, 7), samples=2):
     return total / (ny * nx)
 
 
-def assert_slots(boxes_per_snippet, K, meta=META, bins=(7, 7), seed=11):
-    """Pool a video through prepare_sample on a random feature grid and check
-    every slot against the reference ranking and the bilinear oracle."""
-    T, H, W = meta.num_snippets, meta.feature_height, meta.feature_width
-    f = np.random.default_rng(seed).normal(size=(T, H, W, meta.feature_dim))
-    sample = prepare_sample("v", f, boxes_per_snippet, meta, K, bins)
-    for t in range(T):
-        ranked = sort_oracle(boxes_per_snippet[t], K, meta)
-        assert sample.valid[t].tolist() == [k < len(ranked) for k in range(K)]
+def assert_slots(boxes_per_snippet, K, frame=FRAME, grid=GRID, bins=(7, 7),
+                 seed=11):
+    """Pool a video's tokens from a random feature grid with its pooling
+    matrices and check every slot against the reference ranking and the
+    bilinear oracle."""
+    n, (H, W) = len(boxes_per_snippet), grid
+    f = np.random.default_rng(seed).normal(size=(n, H, W, 3))
+    mats, valid = pool_matrices(video(boxes_per_snippet, frame), grid, K,
+                                bins)
+    tokens = mats @ f.reshape(n, H * W, 3)
+    for t in range(n):
+        ranked = sort_oracle(boxes_per_snippet[t], K, frame)
+        assert valid[t].tolist() == [k < len(ranked) for k in range(K)]
         for k, box in enumerate(ranked):
-            np.testing.assert_allclose(sample.tokens.data[t, k],
-                                       bilinear_token_oracle(f[t], box, meta,
+            np.testing.assert_allclose(tokens[t, k],
+                                       bilinear_token_oracle(f[t], box, frame,
                                                              bins),
                                        atol=1e-12)
-        np.testing.assert_array_equal(sample.tokens.data[t, len(ranked):], 0.0)
-
-
-def one_snippet(meta=META):
-    return dataclasses.replace(meta, num_snippets=1)
+        np.testing.assert_array_equal(tokens[t, len(ranked):], 0.0)
 
 
 class TestRankSubjects:
@@ -92,24 +96,24 @@ class TestRankSubjects:
     def test_fewer_than_k_returns_all(self):
         boxes = [SubjectBox(0, 0, 10, 10, 0.5), SubjectBox(0, 0, 32, 32, 0.4)]
         assert sort_oracle(boxes, 6) == [boxes[1], boxes[0]]  # larger first
-        assert_slots([boxes], 6, one_snippet())
+        assert_slots([boxes], 6)
 
     def test_forced_order_by_area_ratio(self):
         # area ratios 0.3, 0.1, 0.5 of a 64x64 frame
         sides = [np.sqrt(r) * 64 for r in (0.3, 0.1, 0.5)]
         boxes = [SubjectBox(0, 0, s, s) for s in sides]
         assert sort_oracle(boxes, 2) == [boxes[2], boxes[0]]
-        assert_slots([boxes], 2, one_snippet())
+        assert_slots([boxes], 2)
 
     def test_matches_full_sort_oracle(self):
         # all snippets of a video are ranked in one pass
         rng = np.random.default_rng(0)
         for _ in range(20):
             assert_slots([random_boxes(rng, int(rng.integers(0, 11)))
-                          for _ in range(META.num_snippets)], 6)
+                          for _ in range(T)], 6)
 
     def test_empty_input(self):
-        mats, valid = pool_matrices([[]] * 4, META, 3)
+        mats, valid = pool_matrices(video([[]] * T), GRID, 3)
         assert mats.shape == (4, 3, 16)
         assert not valid.any()
         np.testing.assert_array_equal(mats, 0.0)
@@ -118,7 +122,7 @@ class TestRankSubjects:
         inside = SubjectBox(0, 0, 8, 8)
         outside = SubjectBox(100, 100, 200, 200)
         assert sort_oracle([outside, inside], 6) == [inside]
-        assert_slots([[outside, inside]], 6, one_snippet())
+        assert_slots([[outside, inside]], 6)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
@@ -128,24 +132,24 @@ class TestRankSubjects:
         boxes = [[dataclasses.replace(b, x1=b.x1 + dx, x2=b.x2 + dx)
                   for b, dx in zip(random_boxes(rng, n),
                                    rng.choice([0.0, -30.0, 70.0], size=n))]
-                 for n in rng.integers(0, 12, size=META.num_snippets)]
+                 for n in rng.integers(0, 12, size=T)]
         assert_slots(boxes, K, seed=seed)
         full_K = max(K, *map(len, boxes))
-        mats, valid = pool_matrices(boxes, META, K)
-        full, full_valid = pool_matrices(boxes, META, full_K)
+        mats, valid = pool_matrices(video(boxes), GRID, K)
+        full, full_valid = pool_matrices(video(boxes), GRID, full_K)
         np.testing.assert_array_equal(valid, full_valid[:, :K])
         np.testing.assert_array_equal(mats, full[:, :K])
 
 
-def pool(features, boxes, meta=META, K=1, bins=(7, 7)):
+def pool(features, boxes, K=1, bins=(7, 7)):
     """Tokens [K, D] and validity of one [H, W, D] snippet."""
-    mats, valid = pool_matrices([boxes], one_snippet(meta), K, bins)
     H, W, D = features.shape
+    mats, valid = pool_matrices(video([boxes]), (H, W), K, bins)
     return mats[0] @ features.reshape(H * W, D), valid[0]
 
 
-def every_snippet(boxes, meta=META):
-    return [boxes] * meta.num_snippets
+def every_snippet(boxes):
+    return [boxes] * T
 
 
 class TestRoiAlign:
@@ -157,14 +161,13 @@ class TestRoiAlign:
         np.testing.assert_allclose(tokens, 2.5, atol=1e-12)
 
     def test_full_frame_single_bin_hand_samples(self):
-        meta = VideoMeta(64, 64, 15.0, 1, 2, 2, 1, 4)
         grid = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
-        mats, valid = pool_matrices([[SubjectBox(0, 0, 64, 64)]], meta, 1,
-                                    bins=(1, 1))
+        mats, valid = pool_matrices(video([[SubjectBox(0, 0, 64, 64)]]),
+                                    (2, 2), 1, bins=(1, 1))
         # the 2x2 samples of the single bin land exactly on the cell centers
         assert valid.tolist() == [[True]]
         np.testing.assert_allclose(mats, 0.25, atol=1e-12)
-        tokens, _ = pool(grid, [SubjectBox(0, 0, 64, 64)], meta, bins=(1, 1))
+        tokens, _ = pool(grid, [SubjectBox(0, 0, 64, 64)], bins=(1, 1))
         np.testing.assert_allclose(tokens[0, 0], grid.mean(), atol=1e-12)
 
     def test_left_half_box_equals_cell_mean(self):
@@ -185,7 +188,7 @@ class TestRoiAlign:
         a, b = 1.7, -0.4
 
         def tokens(f):
-            return prepare_sample("v", f, boxes, META, K=3).tokens.data
+            return prepare_sample(video(boxes), f, K=3).tokens.data
 
         np.testing.assert_allclose(tokens(a * f1 + b * f2),
                                    a * tokens(f1) + b * tokens(f2), atol=1e-9)
@@ -193,23 +196,23 @@ class TestRoiAlign:
     def test_degenerate_mapped_box_clamps(self):
         # sub-pixel box maps to ~zero feature extent; widened to one cell
         tiny = SubjectBox(20.0, 20.0, 20.0 + 1e-12, 20.0 + 1e-12)
-        mats, valid = pool_matrices([[tiny]], one_snippet(), 1)
+        mats, valid = pool_matrices(video([[tiny]]), GRID, 1)
         assert valid.tolist() == [[True]]
         assert np.isfinite(mats).all()
         np.testing.assert_allclose(mats.sum(axis=2), 1.0, atol=1e-12)
         # one cell is 16 px here, so it pools like the 16 px box around it
-        cell, _ = pool_matrices([[SubjectBox(12.0, 12.0, 28.0, 28.0)]],
-                                one_snippet(), 1)
+        cell, _ = pool_matrices(video([[SubjectBox(12.0, 12.0, 28.0, 28.0)]]),
+                                GRID, 1)
         np.testing.assert_allclose(mats, cell, atol=1e-12)
 
     def test_bad_bins_rejected(self):
         with pytest.raises(ValueError):
-            pool_matrices([[SubjectBox(0, 0, 10, 10)]], one_snippet(), 1,
+            pool_matrices(video([[SubjectBox(0, 0, 10, 10)]]), GRID, 1,
                           bins=(0, 1))
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError, match="K"):
-            pool_matrices([[]], one_snippet(), 0)
+            pool_matrices(video([[]]), GRID, 0)
 
 
 class TestExtractTokens:
@@ -217,14 +220,14 @@ class TestExtractTokens:
 
     def test_zero_boxes(self):
         f = np.random.default_rng(4).normal(size=(4, 4, 4, 3))
-        sample = prepare_sample("v", f, every_snippet([]), META, K=4)
+        sample = prepare_sample(video(every_snippet([])), f, K=4)
         assert not sample.valid.any()
         np.testing.assert_array_equal(sample.tokens.data, 0.0)
 
     def test_one_box_constant_field(self):
         f = np.full((4, 4, 4, 3), 1.25)
-        sample = prepare_sample("v", f, every_snippet([SubjectBox(0, 0, 30, 30)]),
-                                META, K=3)
+        sample = prepare_sample(
+            video(every_snippet([SubjectBox(0, 0, 30, 30)])), f, K=3)
         assert sample.valid.tolist() == [[True, False, False]] * 4
         np.testing.assert_allclose(sample.tokens.data[:, 0], 1.25, atol=1e-12)
         np.testing.assert_array_equal(sample.tokens.data[:, 1:], 0.0)
@@ -238,7 +241,6 @@ class TestExtractTokens:
         for (H, W), bins in [((1, 5), (7, 7)), ((3, 1), (2, 5)),
                              ((1, 1), (1, 1)), ((4, 6), (1, 1)),
                              ((5, 3), (3, 1)), ((6, 4), (1, 4))]:
-            meta = VideoMeta(48, 32, 15.0, 3, H, W, 2)
             boxes = []
             for _ in range(3):
                 snippet = []
@@ -251,7 +253,7 @@ class TestExtractTokens:
                         snippet.append(snippet[-1])
                 boxes.append(snippet)
             for K in (1, 3, 6):
-                assert_slots(boxes, K, meta, bins)
+                assert_slots(boxes, K, (48, 32), (H, W), bins)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -259,8 +261,8 @@ class TestExtractTokens:
         rng = np.random.default_rng(seed)
         counts = rng.integers(0, 7, size=4)
         boxes = [random_boxes(rng, int(n)) for n in counts]
-        sample = prepare_sample("v", rng.normal(size=(4, 4, 4, 3)), boxes,
-                                META, K=5)
+        sample = prepare_sample(video(boxes), rng.normal(size=(4, 4, 4, 3)),
+                                K=5)
         expected = np.arange(5)[None, :] < np.minimum(counts, 5)[:, None]
         np.testing.assert_array_equal(sample.valid, expected)
         assert np.all(sample.tokens.data[~sample.valid] == 0.0)
@@ -273,7 +275,7 @@ class TestExtractTokens:
         g_coeff = rng.normal(size=(4, 3))
 
         def loss():
-            sample = prepare_sample("v", f, boxes, META, K=4)
+            sample = prepare_sample(video(boxes), f, K=4)
             return ((sample.tokens * coeff).sum()
                     + (sample.global_avg * g_coeff).sum())
 
@@ -283,6 +285,6 @@ class TestExtractTokens:
 def test_global_average():
     rng = np.random.default_rng(7)
     f = rng.normal(size=(4, 4, 4, 3))
-    sample = prepare_sample("v", f, every_snippet([]), META, K=2)
+    sample = prepare_sample(video(every_snippet([])), f, K=2)
     np.testing.assert_allclose(sample.global_avg.data, f.mean(axis=(1, 2)),
                                atol=1e-12)

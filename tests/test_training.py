@@ -161,7 +161,7 @@ def reference_ema_update(ema, params, decay):
         e += (1 - decay) * p.data
 
 
-def reference_fit(model, samples, gts, cfg):
+def reference_fit(model, samples, cfg):
     """fit's loop over separate per-parameter arrays; returns the EMA and
     how many steps clipped."""
     params = model.parameters()
@@ -180,8 +180,7 @@ def reference_fit(model, samples, gts, cfg):
                 p.grad = None
             lr = lr_schedule(step, total, warmup, cfg.lr_init)
             for i in batch:
-                s = samples[i]
-                (video_loss(model, s, gts[s.video_id], cfg)
+                (video_loss(model, samples[i], cfg)
                  * (1.0 / len(batch))).backward()
             norm = reference_clip_global_norm(params, cfg.grad_clip)
             clipped += norm > cfg.grad_clip
@@ -213,7 +212,7 @@ class TestFlatParameters:
 
     def test_fit_matches_per_parameter_reference_bitwise(self, tmp_path,
                                                         monkeypatch):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d", num_videos=3)
+        cfg, samples = tiny_dataset(tmp_path / "d", num_videos=3)
         # three videos in batches of two: steps of two videos and of one
         tc = TrainConfig(lr_init=1e-2, epochs=3, warmup_epochs=1,
                          batch_size=2, grad_clip=0.05, weight_decay=0.01,
@@ -226,9 +225,9 @@ class TestFlatParameters:
 
         monkeypatch.setattr(training, "ema_update", spy)
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
-        fit(model, samples, gts, tc)
+        fit(model, samples, tc)
         ref = SubjectPriorDetector(cfg, np.random.default_rng(0))
-        ref_ema, clipped = reference_fit(ref, samples, gts, tc)
+        ref_ema, clipped = reference_fit(ref, samples, tc)
         assert clipped >= 4 and len(emas) == 6
         for (name, p), q in zip(model.named_parameters(), ref.parameters()):
             assert p.data.tobytes() == q.data.tobytes(), name
@@ -257,22 +256,19 @@ def tiny_dataset(tmp_path, seed=7, num_videos=2):
                       group_layers=1, group_heads=2, temporal_heads=2,
                       window_size=3, num_standard_layers=1, num_strided_layers=2,
                       head_layers=1)
-    samples, gts = [], {}
-    for r in recs:
-        feats = read_features(tmp_path / "features" / f"{r.id}.ptfv")
-        meta = r.meta(feats.shape)
-        samples.append(prepare_sample(r.id, feats, r.boxes, meta, cfg.K))
-        gts[r.id] = r.segments
-    return cfg, samples, gts
+    samples = [prepare_sample(r, read_features(tmp_path / "features"
+                                               / f"{r.id}.ptfv"), cfg.K)
+               for r in recs]
+    return cfg, samples
 
 
 class TestFit:
     def test_loss_decreases_on_tiny_problem(self, tmp_path):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d")
+        cfg, samples = tiny_dataset(tmp_path / "d")
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         tc = TrainConfig(lr_init=1e-3, epochs=12, warmup_epochs=2,
                          batch_size=2, seed=0)
-        res = fit(model, samples, gts, tc)
+        res = fit(model, samples, tc)
         first = res.loss_log[0]["mean_loss"]
         last = res.loss_log[-1]["mean_loss"]
         assert last < first
@@ -280,11 +276,11 @@ class TestFit:
     def test_deterministic_bitwise_checkpoints(self, tmp_path):
         outs = []
         for run in ("a", "b"):
-            cfg, samples, gts = tiny_dataset(tmp_path / run)
+            cfg, samples = tiny_dataset(tmp_path / run)
             model = SubjectPriorDetector(cfg, np.random.default_rng(0))
             tc = TrainConfig(lr_init=1e-3, epochs=4, warmup_epochs=1,
                              batch_size=2, seed=3)
-            fit(model, samples, gts, tc, out_dir=tmp_path / f"out_{run}")
+            fit(model, samples, tc, out_dir=tmp_path / f"out_{run}")
             outs.append(tmp_path / f"out_{run}")
         assert ((outs[0] / "checkpoint.ptck").read_bytes()
                 == (outs[1] / "checkpoint.ptck").read_bytes())
@@ -292,20 +288,20 @@ class TestFit:
                 == (outs[1] / "loss_log.jsonl").read_bytes())
 
     def test_different_seed_changes_trajectory(self, tmp_path):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d")
+        cfg, samples = tiny_dataset(tmp_path / "d")
         logs = []
         for seed in (0, 1):
             model = SubjectPriorDetector(cfg, np.random.default_rng(0))
             tc = TrainConfig(lr_init=1e-3, epochs=4, warmup_epochs=1,
                              batch_size=1, seed=seed)
-            logs.append(fit(model, samples, gts, tc).loss_log)
+            logs.append(fit(model, samples, tc).loss_log)
         assert logs[0] != logs[1]
 
     def test_checkpoint_round_trips_into_model(self, tmp_path):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d")
+        cfg, samples = tiny_dataset(tmp_path / "d")
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         tc = TrainConfig(lr_init=1e-3, epochs=3, warmup_epochs=1, seed=0)
-        fit(model, samples, gts, tc, out_dir=tmp_path / "out")
+        fit(model, samples, tc, out_dir=tmp_path / "out")
         entries = read_checkpoint(tmp_path / "out" / "checkpoint.ptck")
         fresh = SubjectPriorDetector(cfg, np.random.default_rng(99))
         load_into_model(fresh, entries)
@@ -319,13 +315,13 @@ class TestFit:
         assert any(n.startswith("ema/") for n in names)
 
     def test_missing_parameter_rejected(self, tmp_path):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d")
+        cfg, samples = tiny_dataset(tmp_path / "d")
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="missing"):
             load_into_model(model, [("nope", np.zeros(1))])
 
     def test_unexpected_entry_rejected_before_loading(self, tmp_path):
-        cfg, _, _ = tiny_dataset(tmp_path / "d", num_videos=1)
+        cfg, _ = tiny_dataset(tmp_path / "d", num_videos=1)
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         before = {name: p.data.copy() for name, p in model.named_parameters()}
         entries = [(name, w + 1.0) for name, w in before.items()]
@@ -339,26 +335,26 @@ class TestFit:
                           temporal_heads=2)
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            fit(model, [], {}, TrainConfig())
+            fit(model, [], TrainConfig())
 
     @np.errstate(invalid="ignore")
     def test_non_finite_loss_names_parameter_paths(self, tmp_path,
                                                    monkeypatch):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d")
+        cfg, samples = tiny_dataset(tmp_path / "d")
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         calls = []
 
-        def poisoned(model, sample, gts, cfg):
+        def poisoned(model, sample, cfg):
             # the second video of the first batch has infinite tokens, so
             # the first one's gradients are there to report
-            calls.append(sample.video_id)
+            calls.append(sample.record.id)
             if len(calls) == 2:
                 sample.tokens.data[:] = np.inf
-            return video_loss(model, sample, gts, cfg)
+            return video_loss(model, sample, cfg)
 
         monkeypatch.setattr(training, "video_loss", poisoned)
         with pytest.raises(NumericalAbort) as info:
-            fit(model, samples, gts, TrainConfig(epochs=2, warmup_epochs=1))
+            fit(model, samples, TrainConfig(epochs=2, warmup_epochs=1))
         listed = str(info.value).split("largest grads: ")[1].split(", ")
         paths = dict(model.named_parameters())
         values = []
@@ -370,33 +366,33 @@ class TestFit:
 
     @np.errstate(invalid="ignore")
     def test_non_finite_loss_names_the_video(self, tmp_path):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d", num_videos=1)
+        cfg, samples = tiny_dataset(tmp_path / "d", num_videos=1)
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         samples[0].tokens.data[:] = np.inf
         with pytest.raises(NumericalAbort) as info:
-            fit(model, samples, gts, TrainConfig(epochs=2, warmup_epochs=1))
+            fit(model, samples, TrainConfig(epochs=2, warmup_epochs=1))
         assert str(info.value) == (
-            f"non-finite loss on video {samples[0].video_id} at step 0 "
+            f"non-finite loss on video {samples[0].record.id} at step 0 "
             f"(lr=0); largest grads: none yet")
 
     @np.errstate(invalid="ignore", divide="ignore")
     def test_nan_gradient_aborts_before_the_update(self, tmp_path,
                                                    monkeypatch):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d")
+        cfg, samples = tiny_dataset(tmp_path / "d")
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         before = {name: p.data.copy() for name, p in model.named_parameters()}
         *_, (poisoned_name, poisoned_param) = model.named_parameters()
 
-        def poisoned(model, sample, gts, cfg):
+        def poisoned(model, sample, cfg):
             # sqrt(p * 0) adds 0 to the loss and NaN to p's gradient
             z = poisoned_param * 0.0
             root = Tensor(np.sqrt(z.data), True, (z,),
                           lambda g: z._accum(g * 0.5 / np.sqrt(z.data)))
-            return video_loss(model, sample, gts, cfg) + root.sum()
+            return video_loss(model, sample, cfg) + root.sum()
 
         monkeypatch.setattr(training, "video_loss", poisoned)
         with pytest.raises(NumericalAbort, match="gradient norm") as info:
-            fit(model, samples, gts,
+            fit(model, samples,
                 TrainConfig(lr_init=1e-3, epochs=2, warmup_epochs=0),
                 out_dir=tmp_path / "out")
         largest = str(info.value).split("largest grads: ")[1]
@@ -407,9 +403,8 @@ class TestFit:
         assert not (tmp_path / "out" / "checkpoint.ptck").exists()
 
     def test_video_loss_is_finite_scalar(self, tmp_path):
-        cfg, samples, gts = tiny_dataset(tmp_path / "d", num_videos=1)
+        cfg, samples = tiny_dataset(tmp_path / "d", num_videos=1)
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
-        loss = video_loss(model, samples[0], gts[samples[0].video_id],
-                          TrainConfig())
+        loss = video_loss(model, samples[0], TrainConfig())
         assert loss.data.shape == ()
         assert math.isfinite(float(loss.data))
