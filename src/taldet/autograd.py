@@ -246,8 +246,12 @@ def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         return Tensor(out_data)
 
     def backward(g):
+        # within a column every row but the zero row is read at most once,
+        # so one buffered add per column is exact; last column first sums
+        # each row in np.add.at's order
         full = np.zeros_like(xz)
-        np.add.at(full, idx, g)
+        for j in reversed(range(idx.shape[1])):
+            full[idx[:, j]] += g[:, j]
         x._accum(full[:n])
 
     return Tensor(out_data, True, (x,), backward)
@@ -257,13 +261,33 @@ def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """out[..., j] = sum_i x[..., i] w[i, j] (+ b[j])."""
-    if x.shape[-1] != w.shape[0]:
+    """out[..., j] = sum_i x[..., i] w[i, j] (+ b[j]), as one node.
+
+    The leading axes of x are flattened, so the forward and every gradient
+    are single 2-D products over its rows.
+    """
+    if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear: {x.shape} incompatible with {w.shape}")
-    out = x @ w
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    out2 = x2 @ w.data
     if b is not None:
-        out = out + b
-    return out
+        out2 += b.data
+    out_data = out2.reshape(x.shape[:-1] + (d_out,))
+    parents = (x, w) if b is None else (x, w, b)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(out_data)
+
+    def backward(g):
+        g2 = g.reshape(-1, d_out)
+        if x.requires_grad:
+            x._accum((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accum(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accum(g2.sum(axis=0))
+
+    return Tensor(out_data, True, parents, backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,

@@ -30,7 +30,9 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         results[name] = worst
 
     def make_linear():
-        x = Parameter(rng.normal(size=(3, 4)), "x")
+        # [3, 4] rows, or [2, 3, 4] as the aggregator's [T, K+1, D] tokens
+        shape = ((3, 4), (2, 3, 4))[int(rng.integers(2))]
+        x = Parameter(rng.normal(size=shape), "x")
         w = Parameter(rng.normal(size=(4, 2)), "w")
         b = Parameter(rng.normal(size=2), "b")
         return lambda: _sum_sq(linear(x, w, b)), [x, w, b]

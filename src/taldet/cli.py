@@ -99,8 +99,9 @@ def load_dataset(data_dir):
 
 
 def build_model_and_samples(records, feats, settings):
-    """The model (D from the features; classes from the settings, else from
-    the annotations) and one pooled sample per record."""
+    """The model (D from the settings, else from the first feature file;
+    classes from the settings, else from the annotations) and one pooled
+    sample per record. Every record's features must have the model's D."""
     D = next(iter(feats.values())).shape[-1]
     from_data = {
         "feature_dim": D,
@@ -108,10 +109,11 @@ def build_model_and_samples(records, feats, settings):
                                 for s in r.segments), default=0),
     }
     model_cfg = config_from(ModelConfig, from_data | settings)
-    if model_cfg.feature_dim != D:
-        raise ValidationError(f"feature_dim = {model_cfg.feature_dim} but "
-                              f"the features have D = {D}")
     for r in records:
+        d = feats[r.id].shape[-1]
+        if d != model_cfg.feature_dim:
+            raise ValidationError(f"record {r.id}: its features have D = {d} "
+                                  f"but feature_dim = {model_cfg.feature_dim}")
         for s in r.segments:
             if s.class_id >= model_cfg.num_classes:
                 raise ValidationError(
@@ -148,8 +150,11 @@ def cmd_infer(args):
     _, cfg = (config_from(c, settings) for c in (TrainConfig, InferConfig))
     records, feats = load_dataset(args.data)
     model, samples = build_model_and_samples(records, feats, settings)
-    load_into_model(model, read_checkpoint(args.checkpoint),
-                    use_ema=args.ema)
+    entries = read_checkpoint(args.checkpoint)
+    try:
+        load_into_model(model, entries, use_ema=args.ema)
+    except ValueError as e:   # a checkpoint of another model
+        raise ValidationError(f"{args.checkpoint}: {e}") from None
     # no parameter requires a gradient, so the forward builds no graph
     for p in model.parameters():
         p.requires_grad = False

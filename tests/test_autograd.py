@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,28 @@ class TestLinear:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             linear(Tensor(np.zeros((2, 3))), Parameter(np.zeros((4, 2)), "w"))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_one_node_over_x_w_b(self, shape):
+        x = Parameter(np.random.default_rng(8).normal(size=shape), "x")
+        w, b = Parameter(np.ones((4, 2)), "w"), Parameter(np.zeros(2), "b")
+        assert linear(x, w, b)._parents == (x, w, b)
+        assert linear(x, w)._parents == (x, w)
+
+    def test_backward_over_3d_input_keeps_no_batched_weight_gradient(self):
+        # one [256, 32, 128] float64 array is 8 MiB: the weight gradient is
+        # one [32, 128] product, not a product per leading index summed
+        rng = np.random.default_rng(12)
+        x = Parameter(rng.normal(size=(256, 7, 32)), "x")
+        w = Parameter(rng.normal(size=(32, 128)), "w")
+        b = Parameter(rng.normal(size=128), "b")
+        tracemalloc.start()
+        try:
+            linear(x, w, b).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 32 * 128 * 8
 
 
 def per_head_oracle(q, k, v, heads, allowed):

@@ -294,6 +294,48 @@ class TestPipeline:
         assert not (tmp / "dets").exists()
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda e: e.pop(3), "checkpoint missing parameter {name}"),
+        (lambda e: e.__setitem__(3, (e[3][0], e[3][1][..., None])),
+         "shape mismatch for {name}"),
+        (lambda e: e.append(("extra.w", np.zeros(1))),
+         "checkpoint entry extra.w is not a parameter of the model"),
+    ], ids=["missing", "shape", "extra"])
+    def test_checkpoint_mismatch_exits_2_naming_the_file(self, dataset, capsys,
+                                                          edit, message):
+        tmp, data, cfg = dataset
+        run = tmp / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(run)]) == EXIT_OK
+        ckpt = run / "checkpoint.ptck"
+        entries = read_checkpoint(ckpt)
+        name = entries[3][0]
+        edit(entries)
+        write_checkpoint(ckpt, entries)
+        rc = main(["infer", "--data", str(data), "--config", str(cfg),
+                   "--checkpoint", str(ckpt), "--out", str(tmp / "dets")])
+        assert rc == EXIT_VALIDATION
+        assert (f"{ckpt}: {message.format(name=name)}"
+                in capsys.readouterr().err)
+        assert not (tmp / "dets").exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_feature_dim_differing_between_files_exits_2_naming_it(
+            self, dataset, capsys, command):
+        # D comes from the first file; the second one's D must match it
+        tmp, data, cfg = dataset
+        path = data / "features" / "synth_001.ptfv"
+        write_features(path, read_features(path)[..., :8])
+        argv = [command, "--data", str(data), "--config", str(cfg),
+                "--out", str(tmp / "run")]
+        if command == "infer":
+            argv += ["--checkpoint", str(tmp / "unread.ptck")]
+        assert main(argv) == EXIT_VALIDATION
+        assert ("record synth_001: its features have D = 8 but feature_dim "
+                "= 16" in capsys.readouterr().err)
+        assert not (tmp / "run").exists()
+
+
 class TestSettings:
     def test_unknown_key_exits_2(self, dataset, capsys):
         tmp, data, cfg = dataset

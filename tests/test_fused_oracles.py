@@ -1,13 +1,18 @@
-"""`autograd.layer_norm` and `heads.total_loss` are single nodes with an
-analytic backward. The compositions of small nodes they replaced are kept
-here as oracles: the fused forward values must match them bit for bit, and
-every gradient must agree within 1e-12."""
+"""`autograd.linear`, `autograd.layer_norm` and `heads.total_loss` are
+single nodes with an analytic backward. The compositions of small nodes they
+replaced are kept here as oracles: the fused forward values must match them
+bit for bit (a `linear` over more than two axes within 1e-12, since its
+weight gradient is one 2-D product instead of one per leading index), and
+every gradient must agree within 1e-12. `_gather_rows`' column-wise
+backward is checked bit for bit against the `np.add.at` scatter it
+replaced."""
 
 import numpy as np
 import pytest
 
-from taldet import nn, training
-from taldet.autograd import Parameter, Tensor, layer_norm
+from taldet import autograd, nn, training
+from taldet.autograd import (Parameter, Tensor, conv1d, depthwise_conv1d,
+                             layer_norm, linear)
 from taldet.checksuite import build_toy_problem
 from taldet.heads import (FOCAL_ALPHA, FOCAL_GAMMA, GroundTruthSegment,
                           HeadOutput, assign_targets, total_loss)
@@ -51,6 +56,25 @@ def maximum(a, b):
 def divide(a, b):
     return node(a.data / b.data, (a, 1.0 / b.data),
                 (b, -a.data / (b.data * b.data)))
+
+
+def composed_linear(x, w, b=None):
+    out = x @ w
+    return out if b is None else out + b
+
+
+def scatter_gather_rows(x, idx):
+    """x[idx] along axis 0, the index len(x) reading zeros, whose backward
+    scatters with np.add.at."""
+    n = x.shape[0]
+    xz = np.concatenate([x.data, np.zeros((1,) + x.shape[1:])])
+
+    def backward(g):
+        full = np.zeros_like(xz)
+        np.add.at(full, idx, g)
+        x._accum(full[:n])
+
+    return Tensor(xz[idx], True, (x,), backward)
 
 
 def composed_layer_norm(x, gamma, beta, eps=1e-5):
@@ -99,11 +123,58 @@ def forward_backward(f, params, weights=None):
                       for p in params]
 
 
-def assert_matches(fused, reference):
+def assert_matches(fused, reference, value_tol=0.0, grad_tol=TOL):
+    """Values within `value_tol` and gradients within `grad_tol`, relative
+    and absolute; a tolerance of 0 asks for equal bits."""
     (value, grads), (ref_value, ref_grads) = fused, reference
-    np.testing.assert_array_equal(value, ref_value)
+    np.testing.assert_allclose(value, ref_value, rtol=value_tol,
+                               atol=value_tol)
     for g, ref in zip(grads, ref_grads):
-        np.testing.assert_allclose(g, ref, rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(g, ref, rtol=grad_tol, atol=grad_tol)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("shape", [(5, 8), (4, 3, 8)])
+def test_linear_matches_composition(shape, bias):
+    rng = np.random.default_rng(len(shape) + 2 * bias)
+    x = Parameter(rng.normal(size=shape), "x")
+    w = Parameter(rng.normal(size=(8, 6)), "w")
+    b = Parameter(rng.normal(size=6), "b") if bias else None
+    c = rng.normal(size=shape[:-1] + (6,))
+    params = [x, w] + ([b] if bias else [])
+    assert_matches(
+        forward_backward(lambda: linear(x, w, b), params, c),
+        forward_backward(lambda: composed_linear(x, w, b), params, c),
+        value_tol=0.0 if len(shape) == 2 else TOL)
+
+
+@pytest.mark.parametrize("lengths", [[9], [4, 1, 4], [1, 2, 3, 3]])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv1d_gather_matches_scatter(monkeypatch, lengths, k):
+    rng = np.random.default_rng(k)
+    x = Parameter(rng.normal(size=(9, 3)), "x")
+    w = Parameter(rng.normal(size=(k, 3, 2)), "w")
+    b = Parameter(rng.normal(size=2), "b")
+    c = rng.normal(size=(9, 2))
+    params = [x, w, b]
+    gather = forward_backward(lambda: conv1d(x, w, b, lengths), params, c)
+    monkeypatch.setattr(autograd, "_gather_rows", scatter_gather_rows)
+    assert_matches(gather, forward_backward(
+        lambda: conv1d(x, w, b, lengths), params, c), grad_tol=0.0)
+
+
+@pytest.mark.parametrize("T, k, stride", [(7, 2, 2), (10, 4, 4), (9, 5, 2)])
+def test_depthwise_gather_matches_scatter(monkeypatch, T, k, stride):
+    # T not a multiple of the stride: the last window reads the zero row
+    rng = np.random.default_rng(T)
+    x = Parameter(rng.normal(size=(T, 3)), "x")
+    w = Parameter(rng.normal(size=(k, 3)), "w")
+    c = rng.normal(size=(-(-T // stride), 3))
+    gather = forward_backward(
+        lambda: depthwise_conv1d(x, w, stride), [x, w], c)
+    monkeypatch.setattr(autograd, "_gather_rows", scatter_gather_rows)
+    assert_matches(gather, forward_backward(
+        lambda: depthwise_conv1d(x, w, stride), [x, w], c), grad_tol=0.0)
 
 
 @pytest.mark.parametrize("shape", [(5, 8), (4, 3, 8)])
@@ -171,3 +242,14 @@ def test_whole_model_matches_composition(monkeypatch):
     monkeypatch.setattr(nn, "layer_norm", composed_layer_norm)
     monkeypatch.setattr(training, "total_loss", composed_total_loss)
     assert_matches(fused, forward_backward(loss_fn, params))
+
+
+def test_whole_model_matches_linear_composition(monkeypatch):
+    """The toy end-to-end problem with every dense layer and convolution
+    built on the two-node linear; the aggregator's linears run over
+    [T, K+1, D], so the loss agrees within 1e-12."""
+    loss_fn, params = build_toy_problem(seed=4, T=5)
+    fused = forward_backward(loss_fn, params)
+    monkeypatch.setattr(nn, "linear", composed_linear)
+    monkeypatch.setattr(autograd, "linear", composed_linear)
+    assert_matches(fused, forward_backward(loss_fn, params), value_tol=TOL)

@@ -82,8 +82,8 @@ class TestMhsa:
             assert np.abs(batched[0] - single).max() <= 1e-12
 
 
-    def test_one_call_adds_nine_graph_nodes(self):
-        # four linears of two nodes (matmul, bias add) each, plus attention
+    def test_one_call_adds_five_graph_nodes(self):
+        # four linears of one node each, plus attention
         attn = make_attn(seed=15, heads=2)
         z = Parameter(np.random.default_rng(16).normal(size=(3, 5, D)), "z")
         out = attn(z, np.ones((5, 5), dtype=bool))
@@ -95,7 +95,7 @@ class TestMhsa:
                 if id(p) not in seen:
                     seen.add(id(p))
                     stack.append(p)
-        assert ops == 9
+        assert ops == 5
 
 
 class TestLayer:
