@@ -237,27 +237,129 @@ def concat(tensors, axis=0):
     return Tensor(out_data, True, tuple(tensors), backward)
 
 
+def _with_zero_row(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x, np.zeros((1,) + x.shape[1:])])
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """The gradient of x[idx] for an x of n rows, where the index n reads a
+    row of zeros; g is [len(idx), idx.shape[1], ...]."""
+    # within a column every row but the zero row is read at most once, so
+    # one buffered add per column is exact; last column first sums each row
+    # in np.add.at's order
+    full = np.zeros((n + 1,) + g.shape[2:])
+    for j in reversed(range(idx.shape[1])):
+        full[idx[:, j]] += g[:, j]
+    return full[:n]
+
+
 def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """x[idx] along axis 0, where the index len(x) reads a row of zeros."""
-    n = x.shape[0]
-    xz = np.concatenate([x.data, np.zeros((1,) + x.shape[1:])])
-    out_data = xz[idx]
+    out_data = _with_zero_row(x.data)[idx]
     if not x.requires_grad:
         return Tensor(out_data)
 
     def backward(g):
-        # within a column every row but the zero row is read at most once,
-        # so one buffered add per column is exact; last column first sums
-        # each row in np.add.at's order
-        full = np.zeros_like(xz)
-        for j in reversed(range(idx.shape[1])):
-            full[idx[:, j]] += g[:, j]
-        x._accum(full[:n])
+        x._accum(_scatter_rows(g, idx, x.shape[0]))
 
     return Tensor(out_data, True, (x,), backward)
 
 
+# -- analytic forwards and backwards ------------------------------------------
+# numpy on arrays, shared by the single-op nodes below and the nodes that
+# chain them (conv1d, prenorm_block), so each formula exists once. The
+# backwards add parameter gradients into the Tensors that need them and
+# return the input's gradient.
+
+
+def _linear_forward(x2: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """x2 @ w (+ b) over the rows of 2-D x2; a kernel of more than two axes
+    (conv1d's) is read as its [x2 columns, outputs] view."""
+    out2 = x2 @ w.data.reshape(x2.shape[1], -1)
+    if b is not None:
+        out2 += b.data
+    return out2
+
+
+def _linear_backward(g2: np.ndarray, x2: np.ndarray, w: Tensor,
+                     b: Tensor | None, need_x: bool = True):
+    """Adds x2ᵀ g2 into w and g2's column sums into b; returns g2 wᵀ, the
+    gradient of x2, when `need_x`."""
+    if w.requires_grad:
+        w._accum((x2.T @ g2).reshape(w.shape))
+    if b is not None and b.requires_grad:
+        b._accum(g2.sum(axis=0))
+    return g2 @ w.data.reshape(x2.shape[1], -1).T if need_x else None
+
+
+def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                        eps: float):
+    """(xhat * gamma + beta, xhat, inv) with xhat = (x - mean) * inv over the
+    last axis and inv the inverse std."""
+    if x.shape[-1] == 0:
+        raise DimensionError("layer_norm over empty last axis")
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    xhat = xc * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layer_norm_backward(g: np.ndarray, gamma: Tensor, beta: Tensor,
+                         xhat: np.ndarray, inv: np.ndarray, need_x: bool):
+    if gamma.requires_grad:
+        gamma._accum(_unbroadcast(g * xhat, gamma.shape))
+    if beta.requires_grad:
+        beta._accum(_unbroadcast(g, beta.shape))
+    if not need_x:
+        return None
+    # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gamma
+    n = g.shape[-1]
+    gh = g * gamma.data
+    proj = (gh * xhat).sum(axis=-1, keepdims=True) * (1.0 / n)
+    gh -= gh.sum(axis=-1, keepdims=True) * (1.0 / n)
+    gh -= xhat * proj
+    gh *= inv
+    return gh
+
+
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                       heads: int, allowed):
+    """The merged-heads output and what the backward reads: the per-head
+    views of q, k, v and the attention weights."""
+    allowed = np.asarray(allowed, dtype=bool)
+    if not allowed.any(axis=-1).all():
+        raise InvalidMaskError("attention row with no allowed position")
+    shape = q.shape
+    split = shape[:-1] + (heads, shape[-1] // heads)
+    scale = 1.0 / math.sqrt(split[-1])
+    # [..., N, H, d] -> [..., H, N, d]; the same swap merges the heads again
+    qh, kh, vh = (t.reshape(split).swapaxes(-2, -3) for t in (q, k, v))
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
+    mask = allowed[..., None, :, :]   # broadcast over the heads axis
+    mx = np.where(mask, s, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(s - mx), 0.0)
+    p = e / e.sum(axis=-1, keepdims=True)
+    return (p @ vh).swapaxes(-2, -3).reshape(shape), (qh, kh, vh, p)
+
+
+def _attention_backward(g: np.ndarray, saved) -> list[np.ndarray]:
+    """The gradients of q, k and v, each in C order as g's shape: k's merged
+    heads are otherwise a strided view, whose sums round differently."""
+    qh, kh, vh, p = saved
+    heads, d = qh.shape[-3], qh.shape[-1]
+    scale = 1.0 / math.sqrt(d)
+    gh = g.reshape(g.shape[:-1] + (heads, d)).swapaxes(-2, -3)
+    gp = gh @ vh.swapaxes(-1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    return [np.ascontiguousarray(gt.swapaxes(-2, -3).reshape(g.shape))
+            for gt in (gs @ kh, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2),
+                       p.swapaxes(-1, -2) @ gh)]
+
+
 # -- composite primitives ----------------------------------------------------
+
+LAYER_NORM_EPS = 1e-5   # the epsilon of every LayerNorm and pre-norm block
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -268,24 +370,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """
     if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear: {x.shape} incompatible with {w.shape}")
-    d_in, d_out = w.shape
-    x2 = x.data.reshape(-1, d_in)
-    out2 = x2 @ w.data
-    if b is not None:
-        out2 += b.data
-    out_data = out2.reshape(x.shape[:-1] + (d_out,))
+    d_out = w.shape[1]
+    x2 = x.data.reshape(-1, w.shape[0])
+    out_data = _linear_forward(x2, w, b).reshape(x.shape[:-1] + (d_out,))
     parents = (x, w) if b is None else (x, w, b)
     if not any(p.requires_grad for p in parents):
         return Tensor(out_data)
 
     def backward(g):
-        g2 = g.reshape(-1, d_out)
+        gx = _linear_backward(g.reshape(-1, d_out), x2, w, b, x.requires_grad)
         if x.requires_grad:
-            x._accum((g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accum(x2.T @ g2)
-        if b is not None and b.requires_grad:
-            b._accum(g2.sum(axis=0))
+            x._accum(gx.reshape(x.shape))
 
     return Tensor(out_data, True, parents, backward)
 
@@ -299,71 +394,106 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     position i attend to position j; disallowed pairs get weight exactly 0.
     Returns [..., N, D], heads merged; backward keeps only the weights.
     """
-    allowed = np.asarray(allowed, dtype=bool)
-    if not allowed.any(axis=-1).all():
-        raise InvalidMaskError("attention row with no allowed position")
-    shape = q.shape
-    split = shape[:-1] + (heads, shape[-1] // heads)
-    scale = 1.0 / math.sqrt(split[-1])
-    # [..., N, H, d] -> [..., H, N, d]; the same swap merges the heads again
-    qh, kh, vh = (t.data.reshape(split).swapaxes(-2, -3) for t in (q, k, v))
-    s = (qh @ kh.swapaxes(-1, -2)) * scale
-    mask = allowed[..., None, :, :]   # broadcast over the heads axis
-    mx = np.where(mask, s, -np.inf).max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(s - mx), 0.0)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out_data = (p @ vh).swapaxes(-2, -3).reshape(shape)
+    out_data, saved = _attention_forward(q.data, k.data, v.data, heads,
+                                         allowed)
     if not (q.requires_grad or k.requires_grad or v.requires_grad):
         return Tensor(out_data)
 
     def backward(g):
-        gh = g.reshape(split).swapaxes(-2, -3)
-        gp = gh @ vh.swapaxes(-1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-        for t, gt in ((q, gs @ kh),
-                      (k, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)),
-                      (v, p.swapaxes(-1, -2) @ gh)):
+        for t, gt in zip((q, k, v), _attention_backward(g, saved)):
             if t.requires_grad:
-                t._accum(gt.swapaxes(-2, -3).reshape(shape))
+                t._accum(gt)
 
     return Tensor(out_data, True, (q, k, v), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               eps: float = LAYER_NORM_EPS) -> Tensor:
     """Standardize the last axis, then scale by gamma and shift by beta, as
     one node. x is [..., D]; gamma and beta are [D]. Backward keeps only the
     standardized input and the inverse std."""
-    if x.shape[-1] == 0:
-        raise DimensionError("layer_norm over empty last axis")
-    n = x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
-    inv = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + eps) ** -0.5
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    out_data, xhat, inv = _layer_norm_forward(x.data, gamma.data, beta.data,
+                                              eps)
     if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
         return Tensor(out_data)
 
     def backward(g):
-        if x.requires_grad:
-            # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gamma
-            gh = g * gamma.data
-            proj = (gh * xhat).sum(axis=-1, keepdims=True) * (1.0 / n)
-            gh -= gh.sum(axis=-1, keepdims=True) * (1.0 / n)
-            gh -= xhat * proj
-            gh *= inv
-            x._accum(gh)
-        if gamma.requires_grad:
-            gamma._accum(_unbroadcast(g * xhat, gamma.shape))
-        if beta.requires_grad:
-            beta._accum(_unbroadcast(g, beta.shape))
+        gx = _layer_norm_backward(g, gamma, beta, xhat, inv, x.requires_grad)
+        if gx is not None:
+            x._accum(gx)
 
     return Tensor(out_data, True, (x, gamma, beta), backward)
+
+
+def prenorm_block(z: Tensor, allowed, params, heads: int) -> Tensor:
+    """h = z + MHSA(LN1(z)), then h + FFN(LN2(h)), as one node.
+
+    z is [..., N, D] and `allowed` is attention's mask. `params` are the 16
+    Parameters in the order LN1 gamma, beta; the q, k, v and output
+    projections, each weight then bias; LN2 gamma, beta; the FFN's two
+    linears, weight then bias. The forward runs the numpy operations of
+    layer_norm, linear, attention and relu in the order the composition of
+    those nodes runs them, and the backward chains their analytic backwards
+    with every gradient summed in the composition's order, so both give the
+    same bits.
+    """
+    (gamma1, beta1, wq, bq, wk, bk, wv, bv, wo, bo,
+     gamma2, beta2, w1, b1, w2, b2) = params
+    shape = z.shape
+    d = shape[-1]
+    ln1, xhat1, inv1 = _layer_norm_forward(z.data, gamma1.data, beta1.data,
+                                           LAYER_NORM_EPS)
+    ln1 = ln1.reshape(-1, d)
+    att, saved = _attention_forward(
+        *(_linear_forward(ln1, w, b).reshape(shape)
+          for w, b in ((wq, bq), (wk, bk), (wv, bv))), heads, allowed)
+    att = att.reshape(-1, d)
+    h = _linear_forward(att, wo, bo).reshape(shape) + z.data
+    ln2, xhat2, inv2 = _layer_norm_forward(h, gamma2.data, beta2.data,
+                                           LAYER_NORM_EPS)
+    ln2 = ln2.reshape(-1, d)
+    pre = _linear_forward(ln2, w1, b1)   # the FFN's pre-activation
+    out_data = _linear_forward(np.maximum(pre, 0.0), w2, b2).reshape(shape) + h
+    if not (z.requires_grad or any(p.requires_grad for p in params)):
+        return Tensor(out_data)
+
+    def backward(g):
+        gpre = _linear_backward(g.reshape(-1, d), np.maximum(pre, 0.0), w2, b2)
+        gpre *= pre > 0
+        gln2 = _linear_backward(gpre, ln2, w1, b1).reshape(shape)
+        gh = g + _layer_norm_backward(gln2, gamma2, beta2, xhat2, inv2, True)
+        gatt = _linear_backward(gh.reshape(-1, d), att, wo, bo)
+        gq, gk, gv = _attention_backward(gatt.reshape(shape), saved)
+        # (q + k) + v: the order the composition's graph walk adds them in
+        gln1 = (_linear_backward(gq.reshape(-1, d), ln1, wq, bq)
+                + _linear_backward(gk.reshape(-1, d), ln1, wk, bk)
+                + _linear_backward(gv.reshape(-1, d), ln1, wv, bv))
+        gz = _layer_norm_backward(gln1.reshape(shape), gamma1, beta1, xhat1,
+                                  inv1, z.requires_grad)
+        if z.requires_grad:
+            # the residual first, then LN1's, as the composition adds them
+            z._accum(gh)
+            z._accum(gz)
+
+    return Tensor(out_data, True, (z,) + tuple(params), backward)
+
+
+def _window_index(lengths: np.ndarray, k: int) -> np.ndarray:
+    """[A, k] rows read by each same-padded window over sequences `lengths`
+    long, back to back; A = sum(lengths) stands for a padding zero."""
+    A = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    end = np.repeat(ends, lengths)[:, None]   # one past each row's sequence
+    start = np.repeat(ends - lengths, lengths)[:, None]
+    idx = np.arange(A)[:, None] + np.arange(k) - k // 2
+    return np.where((idx >= start) & (idx < end), idx, A)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
            lengths=None) -> Tensor:
     """Same-padded stride-1 convolution over axis 0 of x[A, D_in] with kernel
-    w[k, D_in, D_out], k odd.
+    w[k, D_in, D_out], k odd, as one node: a window gather, then one 2-D
+    product against the kernel's [k * D_in, D_out] view.
 
     x may hold several sequences back to back, `lengths` long (default: one
     sequence of A rows); each is zero-padded on its own, so no window reads
@@ -382,13 +512,19 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
     lengths = np.asarray([A] if lengths is None else lengths)
     if lengths.sum() != A or (lengths < 1).any():
         raise DimensionError("conv1d: lengths must be positive and sum to A")
-    ends = np.cumsum(lengths)
-    end = np.repeat(ends, lengths)[:, None]   # one past each row's sequence
-    start = np.repeat(ends - lengths, lengths)[:, None]
-    idx = np.arange(A)[:, None] + np.arange(k) - k // 2
-    idx = np.where((idx >= start) & (idx < end), idx, A)
-    windows = _gather_rows(x, idx).reshape(A, k * d_in)
-    return linear(windows, w.reshape(k * d_in, d_out), b)
+    idx = _window_index(lengths, k)
+    windows = _with_zero_row(x.data)[idx].reshape(A, k * d_in)
+    out_data = _linear_forward(windows, w, b)
+    parents = (x, w) if b is None else (x, w, b)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(out_data)
+
+    def backward(g):
+        gwin = _linear_backward(g, windows, w, b, x.requires_grad)
+        if x.requires_grad:
+            x._accum(_scatter_rows(gwin.reshape(A, k, d_in), idx, A))
+
+    return Tensor(out_data, True, parents, backward)
 
 
 def depthwise_conv1d(x: Tensor, w: Tensor, stride: int) -> Tensor:

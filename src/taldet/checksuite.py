@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import (Parameter, attention, conv1d, depthwise_conv1d,
-                       grad_check, layer_norm, linear)
+                       grad_check, layer_norm, linear, prenorm_block)
 from .heads import GroundTruthSegment, HeadOutput, Targets, total_loss
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
 from .subjects import AnnotationRecord, SubjectBox
@@ -56,6 +56,22 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         c = rng.normal(size=shape)
         return lambda: (layer_norm(x, g, b, eps=1e-5) * c).sum(), [x, g, b]
 
+    def make_prenorm_block():
+        # [3, 4] rows, or [2, 3, 4] as the aggregator's [T, K+1, D] tokens;
+        # 1 or 2 heads, random masks that allow at least the diagonal, and
+        # the 16 Parameters in prenorm_block's order (FFN width 16)
+        shape = ((3, 4), (2, 3, 4))[int(rng.integers(2))]
+        heads = int(rng.choice([1, 2]))
+        z = Parameter(rng.normal(size=shape), "z")
+        shapes = ([(4,)] * 2 + [(4, 4), (4,)] * 4 + [(4,)] * 2
+                  + [(4, 16), (16,), (16, 4), (4,)])
+        params = [Parameter(rng.normal(size=s) * 0.5, "p") for s in shapes]
+        allowed = ((rng.random(shape[:-1] + (3,)) > 0.4)
+                   | np.eye(3, dtype=bool))
+        c = rng.normal(size=shape)
+        return (lambda: (prenorm_block(z, allowed, params, heads) * c).sum(),
+                [z] + params)
+
     def make_conv():
         x = Parameter(rng.normal(size=(6, 3)), "x")
         w = Parameter(rng.normal(size=(3, 3, 2)), "w")
@@ -90,6 +106,7 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
     run("linear", make_linear)
     run("attention", make_attention)
     run("layer_norm", make_layer_norm)
+    run("prenorm_block", make_prenorm_block)
     run("conv1d", make_conv)
     run("depthwise_conv1d", make_depthwise)
     run("relu", make_relu)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .autograd import (DimensionError, Parameter, Tensor, attention, conv1d,
-                       depthwise_conv1d, layer_norm, linear)
+                       depthwise_conv1d, layer_norm, linear, prenorm_block)
 
 
 class Module:
@@ -90,7 +90,8 @@ class MultiHeadSelfAttention(Module):
 
 
 class PreNormBlock(Module):
-    """z -> z + MHSA(LN(z)); then h -> h + FFN(LN(h)), FFN width 4 * dim."""
+    """z -> z + MHSA(LN(z)); then h -> h + FFN(LN(h)), FFN width 4 * dim, as
+    one `autograd.prenorm_block` node over the modules' Parameters."""
 
     def __init__(self, rng, dim, num_heads, name="block"):
         self.ln1 = LayerNorm(dim)
@@ -99,8 +100,14 @@ class PreNormBlock(Module):
         self.ffn = FeedForward(rng, dim, 4 * dim, name + ".ffn")
 
     def __call__(self, z, allowed):
-        h = self.attn(self.ln1(z), allowed) + z
-        return self.ffn(self.ln2(h)) + h
+        attn, ffn = self.attn, self.ffn
+        return prenorm_block(
+            z, allowed,
+            (self.ln1.gamma, self.ln1.beta, attn.wq.w, attn.wq.b, attn.wk.w,
+             attn.wk.b, attn.wv.w, attn.wv.b, attn.wo.w, attn.wo.b,
+             self.ln2.gamma, self.ln2.beta, ffn.fc1.w, ffn.fc1.b, ffn.fc2.w,
+             ffn.fc2.b),
+            attn.num_heads)
 
 
 class ConvLayer(Module):

@@ -1,11 +1,15 @@
-"""`autograd.linear`, `autograd.layer_norm` and `heads.total_loss` are
-single nodes with an analytic backward. The compositions of small nodes they
-replaced are kept here as oracles: the fused forward values must match them
-bit for bit (a `linear` over more than two axes within 1e-12, since its
-weight gradient is one 2-D product instead of one per leading index), and
-every gradient must agree within 1e-12. `_gather_rows`' column-wise
-backward is checked bit for bit against the `np.add.at` scatter it
-replaced."""
+"""`autograd.linear`, `autograd.layer_norm`, `autograd.conv1d`,
+`autograd.prenorm_block` and `heads.total_loss` are single nodes with an
+analytic backward. The compositions of smaller nodes they replaced are kept
+here as oracles: the fused forward values must match them bit for bit (a
+`linear` over more than two axes within 1e-12, since its weight gradient is
+one 2-D product instead of one per leading index), and every gradient must
+agree within 1e-12; `conv1d` and `prenorm_block` sum every gradient in their
+composition's order, so theirs must match bit for bit too, down to the
+checkpoint bytes of a training run. `conv1d`'s column-wise backward of the
+window gather is checked against the `np.add.at` scatter it replaced."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -14,8 +18,11 @@ from taldet import autograd, nn, training
 from taldet.autograd import (Parameter, Tensor, conv1d, depthwise_conv1d,
                              layer_norm, linear)
 from taldet.checksuite import build_toy_problem
+from taldet.dataio import SyntheticSpec, generate_synthetic, read_features
 from taldet.heads import (FOCAL_ALPHA, FOCAL_GAMMA, GroundTruthSegment,
                           HeadOutput, assign_targets, total_loss)
+from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
+from taldet.temporal_pyramid import band_mask
 
 TOL = 1e-12
 
@@ -75,6 +82,23 @@ def scatter_gather_rows(x, idx):
         x._accum(full[:n])
 
     return Tensor(xz[idx], True, (x,), backward)
+
+
+def composed_conv1d(x, w, b=None, lengths=None, dense=linear):
+    """conv1d as a window gather, a reshape of the windows and of the
+    kernel, and `dense` over them."""
+    A, d_in = x.shape
+    k, _, d_out = w.shape
+    idx = autograd._window_index(
+        np.asarray([A] if lengths is None else lengths), k)
+    windows = scatter_gather_rows(x, idx).reshape(A, k * d_in)
+    return dense(windows, w.reshape(k * d_in, d_out), b)
+
+
+def composed_block(block, z, allowed):
+    """PreNormBlock as the composition of its modules' nodes."""
+    h = block.attn(block.ln1(z), allowed) + z
+    return block.ffn(block.ln2(h)) + h
 
 
 def composed_layer_norm(x, gamma, beta, eps=1e-5):
@@ -150,17 +174,17 @@ def test_linear_matches_composition(shape, bias):
 
 @pytest.mark.parametrize("lengths", [[9], [4, 1, 4], [1, 2, 3, 3]])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_conv1d_gather_matches_scatter(monkeypatch, lengths, k):
+def test_conv1d_gather_matches_scatter(lengths, k):
     rng = np.random.default_rng(k)
     x = Parameter(rng.normal(size=(9, 3)), "x")
     w = Parameter(rng.normal(size=(k, 3, 2)), "w")
     b = Parameter(rng.normal(size=2), "b")
     c = rng.normal(size=(9, 2))
     params = [x, w, b]
-    gather = forward_backward(lambda: conv1d(x, w, b, lengths), params, c)
-    monkeypatch.setattr(autograd, "_gather_rows", scatter_gather_rows)
-    assert_matches(gather, forward_backward(
-        lambda: conv1d(x, w, b, lengths), params, c), grad_tol=0.0)
+    assert_matches(
+        forward_backward(lambda: conv1d(x, w, b, lengths), params, c),
+        forward_backward(lambda: composed_conv1d(x, w, b, lengths), params,
+                         c), grad_tol=0.0)
 
 
 @pytest.mark.parametrize("T, k, stride", [(7, 2, 2), (10, 4, 4), (9, 5, 2)])
@@ -234,11 +258,106 @@ def test_identical_segments_add_exactly_zero_giou():
             == total_loss(outs, targets, lam=0.0).data)
 
 
+def op_nodes(root):
+    """Nodes reachable from `root`, itself included, that an op made."""
+    seen, stack, ops = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        ops += bool(node._parents)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return ops
+
+
+def block_problem(shape, seed):
+    """A PreNormBlock over D = 8 with 2 heads, its input z and a mask: a
+    window of 3 over [T, D] rows, or, over [T, K+1, D] tokens, every
+    token's column allowed or not at random, the group slot always."""
+    rng = np.random.default_rng(seed)
+    block = nn.PreNormBlock(rng, 8, 2)
+    for p in block.parameters():   # biases and LN shifts off zero
+        p.data += rng.normal(size=p.shape) * 0.1
+    z = Parameter(rng.normal(size=shape), "z")
+    if len(shape) == 2:
+        return block, z, band_mask(shape[0], 3)
+    T, n, _ = shape
+    valid = rng.random((T, n)) < 0.6
+    valid[:, -1] = True
+    assert not valid.all()
+    return block, z, np.broadcast_to(valid[:, None, :], (T, n, n))
+
+
+@pytest.mark.parametrize("shape", [(7, 8), (4, 5, 8)], ids=["band", "tokens"])
+def test_prenorm_block_matches_composition(shape):
+    block, z, allowed = block_problem(shape, seed=len(shape))
+    params = [z] + block.parameters()
+    c = np.random.default_rng(0).normal(size=shape)
+    fused = forward_backward(lambda: block(z, allowed), params, c)
+    assert_matches(fused, forward_backward(
+        lambda: composed_block(block, z, allowed), params, c), grad_tol=0.0)
+    for p in params:
+        p.requires_grad = False
+    graph_free = block(z, allowed)
+    assert graph_free._parents == ()
+    np.testing.assert_array_equal(graph_free.data, fused[0])
+
+
+def test_one_block_call_adds_one_op_node():
+    block, z, allowed = block_problem((3, 5, 8), seed=0)
+    assert op_nodes(block(z, allowed)) == 1
+
+
+def toy_model_and_samples(data):
+    """The criterion-6 model (untrained) and its samples of a synthetic
+    set written to `data`."""
+    spec = SyntheticSpec(seed=1)
+    records = generate_synthetic(spec, data)
+    cfg = ModelConfig(feature_dim=spec.feature_dim, num_classes=2, K=3,
+                      group_layers=2, group_heads=4, temporal_heads=4,
+                      num_standard_layers=2, num_strided_layers=3)
+    samples = [prepare_sample(r, read_features(data / "features"
+                                               / f"{r.id}.ptfv"), cfg.K)
+               for r in records]
+    return SubjectPriorDetector(cfg, np.random.default_rng(0)), samples
+
+
+def test_toy_video_step_graph_has_42_op_nodes(tmp_path):
+    # 7 attention blocks, 12 convolutions, 11 ReLUs (2 after the mapping
+    # convolutions, 8 in the towers, 1 on the offsets), 3 strided
+    # down-samplings of 3 nodes (gather, product, sum), the group-slot
+    # index, the heads' concat and the loss; 155 when a block was 12 nodes
+    # and a convolution 4
+    model, samples = toy_model_and_samples(tmp_path)
+    loss = training.video_loss(model, samples[0], training.TrainConfig())
+    assert op_nodes(loss) == 42
+
+
+def test_fit_matches_composition_bitwise(monkeypatch, tmp_path):
+    """Two epochs of the criterion-6 training with the fused block and
+    convolution nodes and with their compositions write the same bytes."""
+    tc = training.TrainConfig(lr_init=1e-3, epochs=2, warmup_epochs=1,
+                              batch_size=2, seed=0)
+
+    def run(out):
+        model, samples = toy_model_and_samples(tmp_path / "data")
+        training.fit(model, samples, tc, out_dir=out)
+        return [(out / name).read_bytes()
+                for name in ("checkpoint.ptck", "loss_log.jsonl")]
+
+    fused = run(tmp_path / "fused")
+    monkeypatch.setattr(nn.PreNormBlock, "__call__", composed_block)
+    monkeypatch.setattr(nn, "conv1d", composed_conv1d)
+    assert run(tmp_path / "composed") == fused
+
+
 def test_whole_model_matches_composition(monkeypatch):
     """The toy end-to-end problem (every LayerNorm and the loss) with the
     fused nodes and with the compositions, on the same weights."""
     loss_fn, params = build_toy_problem(seed=3, T=5)
     fused = forward_backward(loss_fn, params)
+    monkeypatch.setattr(nn.PreNormBlock, "__call__", composed_block)
     monkeypatch.setattr(nn, "layer_norm", composed_layer_norm)
     monkeypatch.setattr(training, "total_loss", composed_total_loss)
     assert_matches(fused, forward_backward(loss_fn, params))
@@ -250,6 +369,8 @@ def test_whole_model_matches_linear_composition(monkeypatch):
     [T, K+1, D], so the loss agrees within 1e-12."""
     loss_fn, params = build_toy_problem(seed=4, T=5)
     fused = forward_backward(loss_fn, params)
+    monkeypatch.setattr(nn.PreNormBlock, "__call__", composed_block)
     monkeypatch.setattr(nn, "linear", composed_linear)
-    monkeypatch.setattr(autograd, "linear", composed_linear)
+    monkeypatch.setattr(nn, "conv1d", functools.partial(
+        composed_conv1d, dense=composed_linear))
     assert_matches(fused, forward_backward(loss_fn, params), value_tol=TOL)

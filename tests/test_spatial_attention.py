@@ -82,22 +82,6 @@ class TestMhsa:
             assert np.abs(batched[0] - single).max() <= 1e-12
 
 
-    def test_one_call_adds_five_graph_nodes(self):
-        # four linears of one node each, plus attention
-        attn = make_attn(seed=15, heads=2)
-        z = Parameter(np.random.default_rng(16).normal(size=(3, 5, D)), "z")
-        out = attn(z, np.ones((5, 5), dtype=bool))
-        seen, stack, ops = {id(out)}, [out], 0
-        while stack:
-            node = stack.pop()
-            ops += bool(node._parents)
-            for p in node._parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append(p)
-        assert ops == 5
-
-
 class TestLayer:
     def test_zero_output_weights_residual_identity(self):
         rng = np.random.default_rng(7)
