@@ -13,6 +13,7 @@ them (the loss and the global gradient norm in `training.fit`).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,6 +242,19 @@ def _with_zero_row(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.zeros((1,) + x.shape[1:])])
 
 
+def window_index(lengths: np.ndarray, k: int) -> np.ndarray:
+    """[A, k] rows read by each same-padded window over sequences `lengths`
+    long, back to back; A = sum(lengths) stands for a padding zero."""
+    if (lengths < 1).any():
+        raise DimensionError("window_index: lengths must be positive")
+    A = int(lengths.sum())
+    idx = np.arange(A)[:, None] + np.arange(-(k // 2), k // 2 + 1)
+    ends = np.cumsum(lengths)
+    end = np.repeat(ends, lengths)[:, None]   # one past each row's sequence
+    start = np.repeat(ends - lengths, lengths)[:, None]
+    return np.where((idx >= start) & (idx < end), idx, A)
+
+
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """The gradient of x[idx] for an x of n rows, where the index n reads a
     row of zeros; g is [len(idx), idx.shape[1], ...]."""
@@ -323,10 +337,22 @@ def _layer_norm_backward(g: np.ndarray, gamma: Tensor, beta: Tensor,
     return gh
 
 
-def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                       heads: int, allowed):
-    """The merged-heads output and what the backward reads: the per-head
-    views of q, k, v and the attention weights."""
+def _fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc's reduce over a's last axis, kept as a length-1 axis, taken one
+    slot at a time from the left. numpy's own reduce over a short last axis
+    costs several times as much; for at most 7 slots it adds in this order
+    too, so a sum gives the same bits."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
+    return out[..., None]
+
+
+def _dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     heads: int, allowed):
+    """Attention of q, k, v [..., N, D] under the mask `allowed`: the
+    merged-heads output and its backward, which keeps the per-head views of
+    q, k, v and the attention weights."""
     allowed = np.asarray(allowed, dtype=bool)
     if not allowed.any(axis=-1).all():
         raise InvalidMaskError("attention row with no allowed position")
@@ -336,25 +362,89 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     # [..., N, H, d] -> [..., H, N, d]; the same swap merges the heads again
     qh, kh, vh = (t.reshape(split).swapaxes(-2, -3) for t in (q, k, v))
     s = (qh @ kh.swapaxes(-1, -2)) * scale
-    mask = allowed[..., None, :, :]   # broadcast over the heads axis
-    mx = np.where(mask, s, -np.inf).max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(s - mx), 0.0)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return (p @ vh).swapaxes(-2, -3).reshape(shape), (qh, kh, vh, p)
+    # -inf once, broadcast over the heads axis, so exp gives exact zeros
+    np.copyto(s, -np.inf, where=~allowed[..., None, :, :])
+    e = np.exp(s - _fold(np.maximum, s))
+    p = e / _fold(np.add, e)
+
+    def backward(g):
+        # the gradients in C order as g's shape: k's merged heads are
+        # otherwise a strided view, whose sums round differently
+        gh = g.reshape(g.shape[:-1] + (heads, split[-1])).swapaxes(-2, -3)
+        gp = gh @ vh.swapaxes(-1, -2)
+        gs = p * (gp - _fold(np.add, gp * p)) * scale
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return [np.ascontiguousarray(gt.swapaxes(-2, -3).reshape(g.shape))
+                for gt in (gs @ kh, gk, p.swapaxes(-1, -2) @ gh)]
+
+    return (p @ vh).swapaxes(-2, -3).reshape(shape), backward
 
 
-def _attention_backward(g: np.ndarray, saved) -> list[np.ndarray]:
-    """The gradients of q, k and v, each in C order as g's shape: k's merged
-    heads are otherwise a strided view, whose sums round differently."""
-    qh, kh, vh, p = saved
-    heads, d = qh.shape[-3], qh.shape[-1]
-    scale = 1.0 / math.sqrt(d)
-    gh = g.reshape(g.shape[:-1] + (heads, d)).swapaxes(-2, -3)
-    gp = gh @ vh.swapaxes(-1, -2)
-    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-    return [np.ascontiguousarray(gt.swapaxes(-2, -3).reshape(g.shape))
-            for gt in (gs @ kh, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2),
-                       p.swapaxes(-1, -2) @ gh)]
+class Window(NamedTuple):
+    """The tables of sliding-window attention over one sequence of T rows,
+    w = 2h + 1 slots per query, slot-major: in slot s query t reads row
+    `index[s, t]`, which is t + s - h, or T (a zero row) where that falls
+    off the sequence, as `outside[s, t]` marks."""
+    index: np.ndarray     # int [w, T]
+    outside: np.ndarray   # bool [w, T]
+
+
+def window_tables(T: int, w: int) -> Window:
+    """The Window of size w (odd) over T rows."""
+    index = window_index(np.array([T]), w).T
+    return Window(index, index == T)
+
+
+def _add_window_slots(x: np.ndarray) -> np.ndarray:
+    """The gradient of the rows a Window gathered into x [w, T, D]: slot s
+    of query t goes to row t + s - h, so each slot is one shifted slice-add
+    into a zero-padded [T + 2h, D] buffer, in slot order, as a sum over
+    the gathered copies of each row would add them."""
+    w, T = x.shape[:2]
+    buf = np.zeros((T + w - 1,) + x.shape[2:])
+    for s in range(w):
+        buf[s:s + T] += x[s]
+    return buf[w // 2:w // 2 + T]
+
+
+def _window_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      heads: int, win: Window):
+    """Attention of q, k, v [T, D] over the keys in each query's window:
+    the merged-heads output and its backward, which keeps q, k, v and the
+    [w, T, H] weights and gathers the key and value windows again."""
+    w, T = win.index.shape
+    if q.ndim != 2 or q.shape[0] != T:
+        raise DimensionError(f"window attention: {q.shape} rows for a "
+                             f"window over {T}")
+    D = q.shape[1]
+    scale = 1.0 / math.sqrt(D // heads)
+    hsum = np.repeat(np.eye(heads), D // heads, axis=0)   # 0/1 [D, H]
+    s = ((_with_zero_row(k)[win.index] * q) @ hsum) * scale   # [w, T, H]
+    np.copyto(s, -np.inf, where=win.outside[..., None])
+    p = np.exp(s - s.max(axis=0))
+    p /= p.sum(axis=0)
+    out = ((p @ hsum.T) * _with_zero_row(v)[win.index]).sum(axis=0)
+
+    def backward(g):
+        gp = (_with_zero_row(v)[win.index] * g) @ hsum
+        gs = (p * (gp - (gp * p).sum(axis=0)) * scale) @ hsum.T   # [w, T, D]
+        # k's and v's slots go back side by side, in one pass
+        gkv = _add_window_slots(np.concatenate([gs * q, (p @ hsum.T) * g],
+                                               axis=-1))
+        return [(gs * _with_zero_row(k)[win.index]).sum(axis=0),
+                gkv[:, :D], gkv[:, D:]]
+
+    return out, backward
+
+
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                       heads: int, allowed):
+    """The merged-heads output and its backward, which maps the output's
+    gradient to q's, k's and v's: windowed when `allowed` is a Window,
+    dense under the mask otherwise."""
+    if isinstance(allowed, Window):
+        return _window_attention(q, k, v, heads, allowed)
+    return _dense_attention(q, k, v, heads, allowed)
 
 
 # -- composite primitives ----------------------------------------------------
@@ -386,21 +476,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              allowed: np.ndarray) -> Tensor:
+              allowed) -> Tensor:
     """Masked multi-head scaled dot-product attention as one node.
 
     q, k, v are [..., N, D], each split into `heads` heads of D / heads
-    channels. `allowed[..., i, j]` (broadcastable over the leading axes) lets
-    position i attend to position j; disallowed pairs get weight exactly 0.
-    Returns [..., N, D], heads merged; backward keeps only the weights.
+    channels. `allowed` is either a bool mask, whose `[..., i, j]`
+    (broadcastable over the leading axes) lets position i attend to
+    position j, or a `Window` over q, k, v [T, D], which lets each position
+    attend to the keys in its window. Positions outside get weight exactly
+    0. Returns [..., N, D], heads merged.
     """
-    out_data, saved = _attention_forward(q.data, k.data, v.data, heads,
-                                         allowed)
+    out_data, attn_backward = _attention_forward(q.data, k.data, v.data,
+                                                 heads, allowed)
     if not (q.requires_grad or k.requires_grad or v.requires_grad):
         return Tensor(out_data)
 
     def backward(g):
-        for t, gt in zip((q, k, v), _attention_backward(g, saved)):
+        for t, gt in zip((q, k, v), attn_backward(g)):
             if t.requires_grad:
                 t._accum(gt)
 
@@ -428,10 +520,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 def prenorm_block(z: Tensor, allowed, params, heads: int) -> Tensor:
     """h = z + MHSA(LN1(z)), then h + FFN(LN2(h)), as one node.
 
-    z is [..., N, D] and `allowed` is attention's mask. `params` are the 16
-    Parameters in the order LN1 gamma, beta; the q, k, v and output
-    projections, each weight then bias; LN2 gamma, beta; the FFN's two
-    linears, weight then bias. The forward runs the numpy operations of
+    z is [..., N, D] and `allowed` is attention's mask or Window. `params`
+    are the 16 Parameters in the order LN1 gamma, beta; the q, k, v and
+    output projections, each weight then bias; LN2 gamma, beta; the FFN's
+    two linears, weight then bias. The forward runs the numpy operations of
     layer_norm, linear, attention and relu in the order the composition of
     those nodes runs them, and the backward chains their analytic backwards
     with every gradient summed in the composition's order, so both give the
@@ -444,7 +536,7 @@ def prenorm_block(z: Tensor, allowed, params, heads: int) -> Tensor:
     ln1, xhat1, inv1 = _layer_norm_forward(z.data, gamma1.data, beta1.data,
                                            LAYER_NORM_EPS)
     ln1 = ln1.reshape(-1, d)
-    att, saved = _attention_forward(
+    att, attn_backward = _attention_forward(
         *(_linear_forward(ln1, w, b).reshape(shape)
           for w, b in ((wq, bq), (wk, bk), (wv, bv))), heads, allowed)
     att = att.reshape(-1, d)
@@ -463,7 +555,7 @@ def prenorm_block(z: Tensor, allowed, params, heads: int) -> Tensor:
         gln2 = _linear_backward(gpre, ln2, w1, b1).reshape(shape)
         gh = g + _layer_norm_backward(gln2, gamma2, beta2, xhat2, inv2, True)
         gatt = _linear_backward(gh.reshape(-1, d), att, wo, bo)
-        gq, gk, gv = _attention_backward(gatt.reshape(shape), saved)
+        gq, gk, gv = attn_backward(gatt.reshape(shape))
         # (q + k) + v: the order the composition's graph walk adds them in
         gln1 = (_linear_backward(gq.reshape(-1, d), ln1, wq, bq)
                 + _linear_backward(gk.reshape(-1, d), ln1, wk, bk)
@@ -478,26 +570,15 @@ def prenorm_block(z: Tensor, allowed, params, heads: int) -> Tensor:
     return Tensor(out_data, True, (z,) + tuple(params), backward)
 
 
-def _window_index(lengths: np.ndarray, k: int) -> np.ndarray:
-    """[A, k] rows read by each same-padded window over sequences `lengths`
-    long, back to back; A = sum(lengths) stands for a padding zero."""
-    A = int(lengths.sum())
-    ends = np.cumsum(lengths)
-    end = np.repeat(ends, lengths)[:, None]   # one past each row's sequence
-    start = np.repeat(ends - lengths, lengths)[:, None]
-    idx = np.arange(A)[:, None] + np.arange(k) - k // 2
-    return np.where((idx >= start) & (idx < end), idx, A)
-
-
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           lengths=None) -> Tensor:
+           index: np.ndarray | None = None) -> Tensor:
     """Same-padded stride-1 convolution over axis 0 of x[A, D_in] with kernel
     w[k, D_in, D_out], k odd, as one node: a window gather, then one 2-D
     product against the kernel's [k * D_in, D_out] view.
 
-    x may hold several sequences back to back, `lengths` long (default: one
-    sequence of A rows); each is zero-padded on its own, so no window reads
-    across a boundary.
+    x may hold several sequences back to back: `index` is then their
+    `window_index(lengths, k)` (default: one sequence of A rows), which
+    zero-pads each on its own, so no window reads across a boundary.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise DimensionError("conv1d expects x[A,Din], w[k,Din,Dout]")
@@ -509,10 +590,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise DimensionError(f"conv1d channel mismatch: {d_in} vs {wd_in}")
     if k % 2 == 0:
         raise DimensionError("conv1d: same padding requires odd kernel")
-    lengths = np.asarray([A] if lengths is None else lengths)
-    if lengths.sum() != A or (lengths < 1).any():
-        raise DimensionError("conv1d: lengths must be positive and sum to A")
-    idx = _window_index(lengths, k)
+    idx = window_index(np.array([A]), k) if index is None else index
+    if idx.shape != (A, k):
+        raise DimensionError(f"conv1d: window index {idx.shape} for "
+                             f"{A} rows and kernel {k}")
     windows = _with_zero_row(x.data)[idx].reshape(A, k * d_in)
     out_data = _linear_forward(windows, w, b)
     parents = (x, w) if b is None else (x, w, b)

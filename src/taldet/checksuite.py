@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import (Parameter, attention, conv1d, depthwise_conv1d,
-                       grad_check, layer_norm, linear, prenorm_block)
+                       grad_check, layer_norm, linear, prenorm_block,
+                       window_index, window_tables)
 from .heads import GroundTruthSegment, HeadOutput, Targets, total_loss
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
 from .subjects import AnnotationRecord, SubjectBox
@@ -47,6 +48,17 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         return (lambda: (attention(q, k, v, heads, allowed) * c).sum(),
                 [q, k, v])
 
+    def make_window_attention():
+        # 1, 2 or 4 heads over D = 4, T = 1..6 rows and windows of 1, 3 or
+        # 5, wider than the sequence or not
+        heads = int(rng.choice([1, 2, 4]))
+        T, w = int(rng.integers(1, 7)), int(rng.choice([1, 3, 5]))
+        q, k, v = (Parameter(rng.normal(size=(T, 4)), n) for n in "qkv")
+        c = rng.normal(size=(T, 4))
+        window = window_tables(T, w)
+        return (lambda: (attention(q, k, v, heads, window) * c).sum(),
+                [q, k, v])
+
     def make_layer_norm():
         # [2, 6] rows, or [2, 3, 6] as the aggregator's [T, K+1, D] tokens
         shape = ((2, 6), (2, 3, 6))[int(rng.integers(2))]
@@ -76,7 +88,8 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         x = Parameter(rng.normal(size=(6, 3)), "x")
         w = Parameter(rng.normal(size=(3, 3, 2)), "w")
         b = Parameter(rng.normal(size=2), "b")
-        return lambda: _sum_sq(conv1d(x, w, b, [3, 1, 2])), [x, w, b]
+        index = window_index(np.array([3, 1, 2]), 3)
+        return lambda: _sum_sq(conv1d(x, w, b, index)), [x, w, b]
 
     def make_depthwise():
         x = Parameter(rng.normal(size=(7, 4)), "x")
@@ -111,6 +124,7 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
     run("depthwise_conv1d", make_depthwise)
     run("relu", make_relu)
     run("total_loss", make_total_loss)
+    run("window_attention", make_window_attention)
     return results
 
 

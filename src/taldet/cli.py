@@ -1,10 +1,10 @@
 """Command-line entry points: synth / train / eval / infer / gradcheck.
 
 Config files are plain `key = value` lines. The keys are the fields of
-ModelConfig, TrainConfig and InferConfig; an unknown key, a value of the
-wrong type or a non-finite float is a validation error. Each key is also a
-flag, `--key-with-dashes value`, which overrides the file and is checked the
-same way.
+ModelConfig, TrainConfig and InferConfig; an unknown or repeated key, a
+value of the wrong type or a non-finite float is a validation error. Each
+key is also a flag, `--key-with-dashes value`, which overrides the file and
+is checked the same way.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ SETTING_TYPES = {key: want for cls in (ModelConfig, TrainConfig, InferConfig)
 
 
 def parse_config_file(path) -> dict:
-    """`key = value` lines; '#' starts a comment."""
-    out = {}
+    """`key = value` lines, each key on one line only; '#' starts a
+    comment."""
+    out, lines = {}, {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -48,7 +49,11 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key in lines:
+            raise ValidationError(f"{path}:{lineno}: key {key!r} is also set "
+                                  f"on line {lines[key]}")
+        out[key], lines[key] = val, lineno
     return out
 
 
@@ -163,7 +168,7 @@ def cmd_infer(args):
         record = sample.record
         cands = decode(model(sample), record, cfg.score_threshold,
                        cfg.pre_nms_topk)
-        dets[record.id] = soft_nms(cands, cfg.sigma)[:cfg.post_nms_keep]
+        dets[record.id] = soft_nms(cands, cfg.sigma, keep=cfg.post_nms_keep)
     out_path = Path(args.out) / "detections.jsonl"
     Path(args.out).mkdir(parents=True, exist_ok=True)
     write_detections(out_path, dets)

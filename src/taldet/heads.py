@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, concat
+from .autograd import Tensor, concat, window_index
 from .nn import ConvLayer, Module
 from .temporal_pyramid import FeaturePyramid
 
 FOCAL_GAMMA = 2.0
 FOCAL_ALPHA = 0.25
+TOWER_KERNEL = 3
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,9 @@ class HeadOutput:
 
 class DetectionHeads(Module):
     def __init__(self, rng, dim: int, num_classes: int, num_layers: int):
-        self.cls_tower = [ConvLayer(rng, 3, dim, dim, f"cls.{i}")
+        self.cls_tower = [ConvLayer(rng, TOWER_KERNEL, dim, dim, f"cls.{i}")
                           for i in range(num_layers)]
-        self.reg_tower = [ConvLayer(rng, 3, dim, dim, f"reg.{i}")
+        self.reg_tower = [ConvLayer(rng, TOWER_KERNEL, dim, dim, f"reg.{i}")
                           for i in range(num_layers)]
         self.cls_out = ConvLayer(rng, 1, dim, num_classes, "cls.out")
         self.reg_out = ConvLayer(rng, 1, dim, 2, "reg.out")
@@ -68,11 +69,13 @@ class DetectionHeads(Module):
         if not pyr.levels:
             raise ValueError("empty pyramid")
         lengths = [lv.features.shape[0] for lv in pyr.levels]
+        # one window index for every tower convolution
+        index = window_index(np.array(lengths), TOWER_KERNEL)
         c = r = concat([lv.features for lv in pyr.levels])
         for layer in self.cls_tower:
-            c = layer(c, lengths).relu()
+            c = layer(c, index).relu()
         for layer in self.reg_tower:
-            r = layer(r, lengths).relu()
+            r = layer(r, index).relu()
         return HeadOutput(
             class_logits=self.cls_out(c), offsets=self.reg_out(r).relu(),
             step=np.concatenate([np.arange(n) for n in lengths]),

@@ -1,7 +1,7 @@
 """Parameter containers and the attention/convolution blocks built on autograd.
 
 The same masked multi-head attention block serves both the subject aggregation
-stack (mask = token validity) and the temporal pyramid (mask = locality band).
+stack (mask = token validity) and the temporal pyramid (a sliding `Window`).
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class FeedForward(Module):
 
 class MultiHeadSelfAttention(Module):
     """Masked multi-head self-attention over axis -2 of z [..., N, D]: four
-    linears around `autograd.attention`, which reads the mask `allowed`."""
+    linears around `autograd.attention`, which reads the mask or Window
+    `allowed`."""
 
     def __init__(self, rng, dim, num_heads, name="attn"):
         if dim % num_heads != 0:
@@ -118,8 +119,8 @@ class ConvLayer(Module):
             uniform_init(rng, (k, d_in, d_out), k * d_in, k * d_out), name + ".w")
         self.b = Parameter(np.zeros(d_out), name + ".b")
 
-    def __call__(self, x, lengths=None):
-        return conv1d(x, self.w, self.b, lengths)
+    def __call__(self, x, index=None):
+        return conv1d(x, self.w, self.b, index)
 
 
 class DepthwiseDownsample(Module):

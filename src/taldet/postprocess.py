@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,20 +75,18 @@ def temporal_iou(a_start, a_end, b_start, b_end):
 
 
 def _class_picks(score, start, end, sigma, min_score):
-    """Gaussian Soft-NMS within one class: the input positions picked, in
-    pick order, and their scores when picked. Each pick is the highest
-    score, then the earlier start, then the earlier input position; it
-    decays every candidate still alive by exp(-tIoU^2 / sigma) in one
+    """Gaussian Soft-NMS within one class, lazily: yields each pick's input
+    position and its score when picked, in pick order. Each pick is the
+    highest score, then the earlier start, then the earlier input position;
+    it decays every candidate still alive by exp(-tIoU^2 / sigma) in one
     vector pass, and those below min_score drop out."""
     alive = (score >= min_score).nonzero()[0]
     score, start, end = score[alive], start[alive], end[alive]
-    picks, kept = [], []
     while alive.size:
         top = score.max()
         tied = (score == top).nonzero()[0]
         i = tied[start[tied].argmin()] if tied.size > 1 else tied[0]
-        picks.append(alive[i])
-        kept.append(top)
+        yield alive[i], top
         ov = temporal_iou(start[i], end[i], start, end)
         hit = ov.nonzero()[0]
         # math.exp rather than np.exp, whose last bit can differ: exact ties
@@ -100,21 +98,22 @@ def _class_picks(score, start, end, sigma, min_score):
         stay[i] = False
         alive, score, start, end = (alive[stay], score[stay], start[stay],
                                     end[stay])
-    return picks, kept
 
 
 def soft_nms(segs: list[ActionSegment], sigma: float = InferConfig.sigma,
-             min_score: float = 0.001) -> list[ActionSegment]:
+             min_score: float = 0.001,
+             keep: int | None = None) -> list[ActionSegment]:
     """Gaussian Soft-NMS, per class: repeatedly pick the highest-scoring
     remaining segment and decay the rest of its class by exp(-tIoU^2 / sigma);
-    drop below min_score.
+    drop below min_score. Returns the first `keep` picks (default: all).
 
     Boundaries never change; scores never increase. Ties select the earlier
     start, then the lower class id, then the earlier input position. Each
     class runs on its own in O(N) memory. A pick's rivals only lose score,
-    so each class's picks already come in (-kept score, start) order, and
-    one stable sort on (-kept score, start, class) merges them into the
-    order of picking across all classes at once.
+    so each class's picks come in (-kept score, start) order, and a heap
+    keyed on (-kept score, start, class) that holds each class's next pick
+    merges them into the order of picking across all classes: it advances
+    a class only when it emits that class's pick, and stops after `keep`.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -122,15 +121,25 @@ def soft_nms(segs: list[ActionSegment], sigma: float = InferConfig.sigma,
     score = np.array([s.score for s in segs])
     start = np.array([s.start for s in segs])
     end = np.array([s.end for s in segs])
-    picks, kept = [], []
-    for c in set(cls.tolist()):
+    heap = []
+
+    def advance(c, members, picks):
+        pick = next(picks, None)
+        if pick is not None:
+            i, kept = members[pick[0]], pick[1]
+            # one entry per class, so the key never ties and the tuple
+            # comparison never reaches the generator
+            heapq.heappush(heap, (-kept, start[i], c, i, members, picks))
+
+    # sorted(set(...)) rather than np.unique, whose first call imports numpy.ma
+    for c in sorted(set(cls.tolist())):
         members = (cls == c).nonzero()[0]
-        p, k = _class_picks(score[members], start[members], end[members],
-                            sigma, min_score)
-        picks.extend(members[p])
-        kept.extend(k)
-    picks, kept = np.array(picks, dtype=int), np.array(kept)
-    order = np.lexsort((cls[picks], start[picks], -kept))
-    return [ActionSegment(segs[i].class_id, float(s), segs[i].start,
-                          segs[i].end)
-            for i, s in zip(picks[order], kept[order])]
+        advance(c, members, _class_picks(score[members], start[members],
+                                         end[members], sigma, min_score))
+    out = []
+    while heap and (keep is None or len(out) < keep):
+        neg_kept, _, c, i, members, picks = heapq.heappop(heap)
+        out.append(ActionSegment(c, float(-neg_kept), segs[i].start,
+                                 segs[i].end))
+        advance(c, members, picks)
+    return out

@@ -1,10 +1,10 @@
 """Temporal expansion of per-snippet group vectors into a feature pyramid.
 
-Two mapping convolutions feed a stack of pre-norm attention blocks whose
-scores are restricted to a local window. Strided layers halve (by `alpha`)
-the temporal length after attention, and every strided layer's output is one
-pyramid level; with alpha=1 the stack degenerates to standard temporal
-attention at constant length.
+Two mapping convolutions feed a stack of pre-norm attention blocks in which
+each snippet attends only to the keys in its local window. Strided layers
+halve (by `alpha`) the temporal length after attention, and every strided
+layer's output is one pyramid level; with alpha=1 the stack degenerates to
+standard temporal attention at constant length.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, window_tables
 from .nn import ConvLayer, DepthwiseDownsample, Module, PreNormBlock
 
 if TYPE_CHECKING:
@@ -32,13 +32,6 @@ class FeaturePyramid:
     levels: list[PyramidLevel]
 
 
-def band_mask(T: int, window_size: int) -> np.ndarray:
-    """allowed[i, j]: |i - j| within the half-window."""
-    half = (window_size - 1) // 2
-    idx = np.arange(T)
-    return np.abs(idx[:, None] - idx[None, :]) <= half
-
-
 class TemporalLayer(Module):
     """Pre-norm windowed attention block plus optional strided down-sampling."""
 
@@ -49,8 +42,8 @@ class TemporalLayer(Module):
         self.window_size = cfg.window_size
 
     def __call__(self, x: Tensor) -> Tensor:
-        band = band_mask(x.shape[0], self.window_size)
-        return self.down(self.block(x, band))
+        window = window_tables(x.shape[0], self.window_size)
+        return self.down(self.block(x, window))
 
 
 class PyramidBuilder(Module):

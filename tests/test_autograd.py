@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import (DimensionError, InvalidMaskError, Parameter,
                              ProbeError, Tensor, attention, conv1d,
-                             depthwise_conv1d, grad_check, layer_norm, linear)
+                             depthwise_conv1d, grad_check, layer_norm, linear,
+                             window_index)
 
 
 def pointwise(x, f, df):
@@ -189,7 +190,7 @@ class TestConv1d:
         for T in range(1, 65):
             A = T * num_sequences
             out = conv1d(Tensor(np.zeros((A, 1))), w,
-                         lengths=[T] * num_sequences)
+                         index=window_index(np.full(num_sequences, T), 3))
             assert out.shape[0] == A
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -200,7 +201,8 @@ class TestConv1d:
         x = rng.normal(size=(sum(lengths), 3))
         w = Parameter(rng.normal(size=(k, 3, 4)), "w")
         b = Parameter(rng.normal(size=4), "b")
-        packed = conv1d(Tensor(x), w, b, lengths).data
+        packed = conv1d(Tensor(x), w, b,
+                        window_index(np.array(lengths), k)).data
         bounds = np.cumsum([0] + lengths)
         separate = np.concatenate([conv1d(Tensor(x[lo:hi]), w, b).data
                                    for lo, hi in zip(bounds, bounds[1:])])
@@ -208,9 +210,11 @@ class TestConv1d:
 
     @pytest.mark.parametrize("lengths", [[2, 2], [5, 0], [6, -1]])
     def test_lengths_must_cover_the_input(self, lengths):
+        # a sum other than the row count gives an index of another shape;
+        # window_index itself rejects a length below 1
         with pytest.raises(DimensionError):
             conv1d(Tensor(np.zeros((5, 1))), Parameter(np.zeros((1, 1, 1)), "w"),
-                   lengths=lengths)
+                   index=window_index(np.array(lengths), 1))
 
     def test_even_kernel_same_padding_rejected(self):
         with pytest.raises(DimensionError):

@@ -10,10 +10,11 @@ from taldet import cli
 from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         SETTING_TYPES, _coerce, build_parser, gather_settings,
                         main, parse_config_file)
-from taldet.dataio import (read_checkpoint, read_features, write_checkpoint,
+from taldet.dataio import (read_annotations, read_checkpoint,
+                           read_detections, read_features, write_checkpoint,
                            write_features)
 from taldet.model import ModelConfig
-from taldet.postprocess import decode
+from taldet.postprocess import decode, soft_nms
 from taldet.training import FitResult, TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,10 +40,16 @@ class TestConfigParsing:
         assert _coerce("name") == "name"
 
 
-SMALL = ("seed = 0\nK = 2\ngroup_layers = 1\ngroup_heads = 2\n"
-         "temporal_heads = 2\nwindow_size = 3\nnum_standard_layers = 1\n"
-         "num_strided_layers = 2\nepochs = 3\nwarmup_epochs = 1\n"
-         "lr_init = 0.001\nbatch_size = 2\n")
+SMALL = {"seed": 0, "K": 2, "group_layers": 1, "group_heads": 2,
+         "temporal_heads": 2, "window_size": 3, "num_standard_layers": 1,
+         "num_strided_layers": 2, "epochs": 3, "warmup_epochs": 1,
+         "lr_init": 0.001, "batch_size": 2}
+
+
+def small_config(**overrides) -> str:
+    """The SMALL config file, each override replacing its key's line or
+    appended: a config file sets each key once."""
+    return "".join(f"{k} = {v}\n" for k, v in (SMALL | overrides).items())
 
 
 @pytest.fixture()
@@ -51,7 +58,7 @@ def dataset(tmp_path):
     rc = main(["synth", "--out", str(data), "--seed", "5", "--videos", "2"])
     assert rc == EXIT_OK
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL)
+    cfg.write_text(small_config())
     return tmp_path, data, cfg
 
 
@@ -89,7 +96,7 @@ class TestPipeline:
     def test_global_average_ablation_leg(self, dataset):
         # the README's ablation recipe, leg without subject tokens
         tmp, data, cfg = dataset
-        cfg.write_text(SMALL + "use_subject_tokens = false\n")
+        cfg.write_text(small_config(use_subject_tokens="false"))
         run = tmp / "global"
         assert main(["train", "--data", str(data), "--config", str(cfg),
                      "--out", str(run)]) == EXIT_OK
@@ -255,6 +262,30 @@ class TestPipeline:
         for out in outs:
             assert out.class_logits._parents == () == out.offsets._parents
 
+    def test_infer_writes_the_head_of_the_full_soft_nms(self, dataset,
+                                                         monkeypatch):
+        # Soft-NMS stops after post_nms_keep picks: the file holds the
+        # first picks of the run to exhaustion
+        tmp, data, cfg = dataset
+        run = tmp / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(run)]) == EXIT_OK
+        cands = []
+
+        def spy(segs, *args, **kwargs):
+            cands.append(segs)
+            return soft_nms(segs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "soft_nms", spy)
+        assert main(["infer", "--data", str(data), "--config", str(cfg),
+                     "--checkpoint", str(run / "checkpoint.ptck"),
+                     "--post-nms-keep", "3", "--out", str(run)]) == EXIT_OK
+        dets = read_detections(run / "detections.jsonl")
+        records = read_annotations(data / "annotations.jsonl")
+        full = [soft_nms(segs) for segs in cands]
+        assert any(len(f) > 3 for f in full)
+        assert [dets.get(r.id, []) for r in records] == [f[:3] for f in full]
+
     def test_bad_checkpoint_is_validation_error(self, dataset):
         tmp, data, cfg = dataset
         bad = tmp / "bad.ptck"
@@ -339,23 +370,34 @@ class TestPipeline:
 class TestSettings:
     def test_unknown_key_exits_2(self, dataset, capsys):
         tmp, data, cfg = dataset
-        cfg.write_text(SMALL + "windw_size = 5\n")
+        cfg.write_text(small_config(windw_size=5))
         rc = main(["train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
         assert "'windw_size'" in capsys.readouterr().err
         assert not (tmp / "run").exists()
 
+    def test_repeated_key_exits_2_naming_both_lines(self, dataset, capsys):
+        # an appended override would otherwise silently win
+        tmp, data, cfg = dataset
+        cfg.write_text(small_config() + "window_size = 5\n")
+        rc = main(["train", "--data", str(data), "--config", str(cfg),
+                   "--out", str(tmp / "run")])
+        assert rc == EXIT_VALIDATION
+        assert (f"{cfg}:13: key 'window_size' is also set on line 6"
+                in capsys.readouterr().err)
+        assert not (tmp / "run").exists()
+
     def test_wrong_type_exits_2(self, dataset):
         tmp, data, cfg = dataset
-        cfg.write_text(SMALL + "use_subject_tokens = 1\n")
+        cfg.write_text(small_config(use_subject_tokens=1))
         rc = main(["train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
 
     def test_every_key_reaches_the_built_configs(self, dataset, monkeypatch):
         tmp, data, cfg = dataset
-        cfg.write_text(SMALL + "head_layers = 1\ngrad_clip = 0.5\n")
+        cfg.write_text(small_config(head_layers=1, grad_clip=0.5))
         seen = {}
 
         def fake_fit(model, samples, train_cfg, out_dir=None):
@@ -383,7 +425,7 @@ class TestSettings:
         with pytest.raises(ValueError, match=key):
             ModelConfig(feature_dim=16, num_classes=2, **bad)
         tmp, data, cfg = dataset
-        cfg.write_text(SMALL + f"{key} = {value}\n")
+        cfg.write_text(small_config(**{key: value}))
         rc = main(["train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
@@ -397,7 +439,7 @@ class TestSettings:
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: value})
         tmp, data, cfg = dataset
-        cfg.write_text(SMALL + f"{key} = {value}\n")
+        cfg.write_text(small_config(**{key: value}))
         rc = main(["train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
@@ -474,7 +516,7 @@ class TestSettings:
     def test_negative_infer_count_exits_2(self, dataset, capsys, key):
         # settings are checked before the checkpoint is read
         tmp, data, cfg = dataset
-        cfg.write_text(SMALL + f"{key} = -1\n")
+        cfg.write_text(small_config(**{key: -1}))
         rc = main(["infer", "--data", str(data), "--config", str(cfg),
                    "--checkpoint", str(tmp / "unread.ptck"),
                    "--out", str(tmp / "dets")])
@@ -498,7 +540,7 @@ class TestSettings:
     def test_non_finite_float_exits_2(self, dataset, capsys, command, key,
                                       value):
         tmp, data, cfg = dataset
-        cfg.write_text(SMALL + f"{key} = {value}\n")
+        cfg.write_text(small_config(**{key: value}))
         argv = [command, "--data", str(data), "--config", str(cfg),
                 "--out", str(tmp / "run")]
         if command == "infer":

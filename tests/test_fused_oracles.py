@@ -7,24 +7,38 @@ one 2-D product instead of one per leading index), and every gradient must
 agree within 1e-12; `conv1d` and `prenorm_block` sum every gradient in their
 composition's order, so theirs must match bit for bit too, down to the
 checkpoint bytes of a training run. `conv1d`'s column-wise backward of the
-window gather is checked against the `np.add.at` scatter it replaced."""
+window gather is checked against the `np.add.at` scatter it replaced.
+
+Attention has two layouts, each checked against the dense formulation it
+replaced: windowed attention (`autograd.Window`, the temporal layers)
+against attention under the dense band mask (`band_mask`) within 1e-12,
+and the aggregator's key-slot-wise softmax against numpy's reduce over the
+key axis, bit for bit for up to 7 keys."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from taldet import autograd, nn, training
-from taldet.autograd import (Parameter, Tensor, conv1d, depthwise_conv1d,
-                             layer_norm, linear)
+from taldet.autograd import (Parameter, Tensor, attention, conv1d,
+                             depthwise_conv1d, layer_norm, linear,
+                             window_index, window_tables)
 from taldet.checksuite import build_toy_problem
 from taldet.dataio import SyntheticSpec, generate_synthetic, read_features
 from taldet.heads import (FOCAL_ALPHA, FOCAL_GAMMA, GroundTruthSegment,
                           HeadOutput, assign_targets, total_loss)
 from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
-from taldet.temporal_pyramid import band_mask
 
 TOL = 1e-12
+
+
+def band_mask(T, window_size):
+    """The dense oracle of `window_tables(T, window_size)`: allowed[i, j]
+    when |i - j| is within the half-window."""
+    idx = np.arange(T)
+    return np.abs(idx[:, None] - idx[None, :]) <= (window_size - 1) // 2
 
 
 def node(out, *links):
@@ -84,13 +98,12 @@ def scatter_gather_rows(x, idx):
     return Tensor(xz[idx], True, (x,), backward)
 
 
-def composed_conv1d(x, w, b=None, lengths=None, dense=linear):
+def composed_conv1d(x, w, b=None, index=None, dense=linear):
     """conv1d as a window gather, a reshape of the windows and of the
     kernel, and `dense` over them."""
     A, d_in = x.shape
     k, _, d_out = w.shape
-    idx = autograd._window_index(
-        np.asarray([A] if lengths is None else lengths), k)
+    idx = window_index(np.array([A]), k) if index is None else index
     windows = scatter_gather_rows(x, idx).reshape(A, k * d_in)
     return dense(windows, w.reshape(k * d_in, d_out), b)
 
@@ -181,9 +194,10 @@ def test_conv1d_gather_matches_scatter(lengths, k):
     b = Parameter(rng.normal(size=2), "b")
     c = rng.normal(size=(9, 2))
     params = [x, w, b]
+    index = window_index(np.array(lengths), k)
     assert_matches(
-        forward_backward(lambda: conv1d(x, w, b, lengths), params, c),
-        forward_backward(lambda: composed_conv1d(x, w, b, lengths), params,
+        forward_backward(lambda: conv1d(x, w, b, index), params, c),
+        forward_backward(lambda: composed_conv1d(x, w, b, index), params,
                          c), grad_tol=0.0)
 
 
@@ -272,8 +286,8 @@ def op_nodes(root):
 
 
 def block_problem(shape, seed):
-    """A PreNormBlock over D = 8 with 2 heads, its input z and a mask: a
-    window of 3 over [T, D] rows, or, over [T, K+1, D] tokens, every
+    """A PreNormBlock over D = 8 with 2 heads, its input z and a mask: the
+    Window of 3 over [T, D] rows, or, over [T, K+1, D] tokens, every
     token's column allowed or not at random, the group slot always."""
     rng = np.random.default_rng(seed)
     block = nn.PreNormBlock(rng, 8, 2)
@@ -281,7 +295,7 @@ def block_problem(shape, seed):
         p.data += rng.normal(size=p.shape) * 0.1
     z = Parameter(rng.normal(size=shape), "z")
     if len(shape) == 2:
-        return block, z, band_mask(shape[0], 3)
+        return block, z, window_tables(shape[0], 3)
     T, n, _ = shape
     valid = rng.random((T, n)) < 0.6
     valid[:, -1] = True
@@ -307,6 +321,76 @@ def test_prenorm_block_matches_composition(shape):
 def test_one_block_call_adds_one_op_node():
     block, z, allowed = block_problem((3, 5, 8), seed=0)
     assert op_nodes(block(z, allowed)) == 1
+
+
+@pytest.mark.parametrize("w", [1, 3, 9])
+@pytest.mark.parametrize("T", [1, 2, 4, 5, 9, 33, 256])
+def test_window_attention_matches_dense_band(T, w):
+    """Attention over the Window, as a node of its own and inside a block,
+    against the same calls under the dense band mask: values and every
+    gradient within 1e-12; without a graph, the graph's values."""
+    rng = np.random.default_rng(T * 10 + w)
+    q, k, v = (Parameter(rng.normal(size=(T, 8)), n) for n in "qkv")
+    block = nn.PreNormBlock(rng, 8, 2)
+    c = rng.normal(size=(T, 8))
+    window, band = window_tables(T, w), band_mask(T, w)
+    for f, params in ((lambda a: attention(q, k, v, 2, a), [q, k, v]),
+                      (lambda a: block(q, a), [q] + block.parameters())):
+        windowed = forward_backward(lambda: f(window), params, c)
+        assert_matches(windowed, forward_backward(lambda: f(band), params, c),
+                       value_tol=TOL)
+        for p in params:
+            p.requires_grad = False
+        graph_free = f(window)
+        assert graph_free._parents == ()
+        np.testing.assert_array_equal(graph_free.data, windowed[0])
+        for p in params:
+            p.requires_grad = True
+
+
+def reduce_attention(q, k, v, heads, allowed):
+    """Dense attention as one node whose softmax and backward take the row
+    max and sums with numpy's reduce over the key axis."""
+    shape = q.shape
+    split = shape[:-1] + (heads, shape[-1] // heads)
+    scale = 1.0 / math.sqrt(split[-1])
+    qh, kh, vh = (t.data.reshape(split).swapaxes(-2, -3) for t in (q, k, v))
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
+    mask = allowed[..., None, :, :]
+    mx = np.where(mask, s, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(s - mx), 0.0)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = g.reshape(split).swapaxes(-2, -3)
+        gp = gh @ vh.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        grads = (gs @ kh, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2),
+                 p.swapaxes(-1, -2) @ gh)
+        for t, gt in zip((q, k, v), grads):
+            t._accum(np.ascontiguousarray(gt.swapaxes(-2, -3).reshape(shape)))
+
+    return Tensor((p @ vh).swapaxes(-2, -3).reshape(shape), True, (q, k, v),
+                  backward)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12])
+def test_slot_wise_softmax_matches_numpy_reduce(n):
+    """The aggregator's attention ([T, K+1, D] tokens, 8 heads, invalid
+    token columns) takes its row max and sums one key slot at a time: the
+    same bits as numpy's reduce for up to 7 keys, which numpy adds left to
+    right too, and within 1e-15 beyond."""
+    rng = np.random.default_rng(n)
+    q, k, v = (Parameter(rng.normal(size=(16, n, 32)), m) for m in "qkv")
+    valid = rng.random((16, n)) < 0.6
+    valid[:, -1] = True
+    allowed = np.broadcast_to(valid[:, None, :], (16, n, n))
+    c = rng.normal(size=(16, n, 32))
+    tol = 0.0 if n <= 7 else 1e-15
+    assert_matches(
+        forward_backward(lambda: attention(q, k, v, 8, allowed), [q, k, v], c),
+        forward_backward(lambda: reduce_attention(q, k, v, 8, allowed),
+                         [q, k, v], c), value_tol=tol, grad_tol=tol)
 
 
 def toy_model_and_samples(data):

@@ -253,6 +253,18 @@ class TestSoftNms:
         np.testing.assert_allclose([a.score for a in got],
                                    [b.score for b in ref], atol=1e-9)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_keep_equals_the_head_of_the_full_run(self, seed):
+        # the lazy merge stops after `keep` picks; the picks before that
+        # are the exhaustive run's, bit for bit, ties included
+        rng = np.random.default_rng(seed)
+        segs = tie_heavy_segments(rng)
+        full = soft_nms(segs, sigma=0.5, min_score=0.01)
+        for keep in (0, 1, 7, 200, len(full), len(full) + 5):
+            assert soft_nms(segs, sigma=0.5, min_score=0.01,
+                            keep=keep) == full[:keep]
+
     def test_full_tie_keeps_input_order(self):
         # equal score, start and class: the earlier input is picked first
         a = ActionSegment(0, 0.5, 0.0, 1.0)

@@ -1,10 +1,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from taldet.autograd import Parameter, Tensor, grad_check
+from taldet.autograd import Parameter, Tensor, grad_check, window_tables
 from taldet.model import ModelConfig
 from taldet.nn import MultiHeadSelfAttention
-from taldet.temporal_pyramid import PyramidBuilder, TemporalLayer, band_mask
+from taldet.temporal_pyramid import PyramidBuilder, TemporalLayer
 
 D = 8
 
@@ -26,13 +26,13 @@ def small_cfg(**kw):
 
 
 class TestWindowedMhsa:
-    """Attention under band_mask, as TemporalLayer applies it."""
+    """Attention over window tables, as TemporalLayer applies it."""
 
     def test_window_covering_everything_equals_full_attention(self):
         rng = np.random.default_rng(0)
         attn = MultiHeadSelfAttention(rng, D, 2)
         x = Tensor(rng.normal(size=(5, D)))
-        windowed = attn(x, allowed=band_mask(5, 2 * 5 - 1))
+        windowed = attn(x, allowed=window_tables(5, 2 * 5 - 1))
         full = attn(x, allowed=np.ones((5, 5), dtype=bool))
         np.testing.assert_allclose(windowed.data, full.data, atol=1e-12)
 
@@ -40,7 +40,7 @@ class TestWindowedMhsa:
         rng = np.random.default_rng(1)
         attn = MultiHeadSelfAttention(rng, D, 1)
         x = rng.normal(size=(4, D))
-        out = attn(Tensor(x), allowed=band_mask(4, 1)).data
+        out = attn(Tensor(x), allowed=window_tables(4, 1)).data
         # softmax over one element is 1: output is the per-row V->O path
         v = x @ attn.wv.w.data + attn.wv.b.data
         expected = v @ attn.wo.w.data + attn.wo.b.data
@@ -52,7 +52,6 @@ class TestWindowedMhsa:
         x = Tensor(rng.normal(size=(5, D)))
         idx = np.arange(5)
         band = np.abs(idx[:, None] - idx[None, :]) <= 1
-        np.testing.assert_array_equal(band_mask(5, 3), band)
         out = layer(x)
         oracle = layer.block(x, band)
         np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
