@@ -160,18 +160,6 @@ class Tensor:
 
         return Tensor(out_data, True, (self,), backward)
 
-    def __getitem__(self, key):
-        out_data = self.data[key]
-        if not self.requires_grad:
-            return Tensor(out_data)
-
-        def backward(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
-            self._accum(full)
-
-        return Tensor(out_data, True, (self,), backward)
-
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -257,7 +245,9 @@ def window_index(lengths: np.ndarray, k: int) -> np.ndarray:
 
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """The gradient of x[idx] for an x of n rows, where the index n reads a
-    row of zeros; g is [len(idx), idx.shape[1], ...]."""
+    row of zeros; idx is [A] or [A, k], and g is idx.shape + a row's shape."""
+    if idx.ndim == 1:
+        idx, g = idx[:, None], g[:, None]
     # within a column every row but the zero row is read at most once, so
     # one buffered add per column is exact; last column first sums each row
     # in np.add.at's order
@@ -267,8 +257,9 @@ def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return full[:n]
 
 
-def _gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """x[idx] along axis 0, where the index len(x) reads a row of zeros."""
+def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """x[idx] along axis 0 as one node, where the index len(x) reads a row of
+    zeros; idx is [A] or [A, k]."""
     out_data = _with_zero_row(x.data)[idx]
     if not x.requires_grad:
         return Tensor(out_data)
@@ -437,13 +428,66 @@ def _window_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out, backward
 
 
+class Packed(NamedTuple):
+    """The layout of the valid slots of T snippets, packed back to back as
+    R rows in slot order: attention lays them out [T, n, D] again, n the
+    largest valid count, row r at flat slot `index[r]` of [T * n], with
+    `mask[t, 0, j]` true where slot j of snippet t holds a row."""
+    index: np.ndarray   # int [R]
+    mask: np.ndarray    # bool [T, 1, n]
+
+
+def packed_layout(valid: np.ndarray) -> Packed:
+    """The Packed layout of the true slots of valid [T, N]; attention over
+    it raises InvalidMaskError for a snippet with none."""
+    counts = valid.sum(axis=1)
+    n = int(counts.max())
+    snippet = np.flatnonzero(valid) // valid.shape[1]
+    slot = np.cumsum(valid, axis=1)[valid] - 1
+    mask = np.arange(n) < counts[:, None]
+    return Packed(snippet * n + slot, mask[:, None])
+
+
+def _packed_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      heads: int, packed: Packed):
+    """Attention of q, k, v [R, D] among the rows of each snippet: the rows
+    go to their slots of a zero [T, n, D] layout, dense attention runs there
+    under the slot mask, and the R rows are read back; the backward moves
+    the gradients the same way. The empty slots come after a snippet's rows,
+    so every softmax max and sum adds the same numbers in the same order
+    as over the snippet's full slots with the empty ones masked."""
+    T, _, n = packed.mask.shape
+    if q.ndim != 2 or q.shape[0] != len(packed.index):
+        raise DimensionError(f"packed attention: {q.shape} rows for a "
+                             f"layout of {len(packed.index)}")
+
+    def unpack(x):
+        out = np.zeros((T * n, x.shape[1]))
+        out[packed.index] = x
+        return out.reshape(T, n, x.shape[1])
+
+    def pack(x):
+        return x.reshape(T * n, -1)[packed.index]
+
+    out, dense_backward = _dense_attention(unpack(q), unpack(k), unpack(v),
+                                           heads, packed.mask)
+
+    def backward(g):
+        return [pack(gt) for gt in dense_backward(unpack(g))]
+
+    return pack(out), backward
+
+
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                        heads: int, allowed):
     """The merged-heads output and its backward, which maps the output's
     gradient to q's, k's and v's: windowed when `allowed` is a Window,
-    dense under the mask otherwise."""
+    within each snippet when it is a Packed layout, dense under the mask
+    otherwise."""
     if isinstance(allowed, Window):
         return _window_attention(q, k, v, heads, allowed)
+    if isinstance(allowed, Packed):
+        return _packed_attention(q, k, v, heads, allowed)
     return _dense_attention(q, k, v, heads, allowed)
 
 
@@ -480,11 +524,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """Masked multi-head scaled dot-product attention as one node.
 
     q, k, v are [..., N, D], each split into `heads` heads of D / heads
-    channels. `allowed` is either a bool mask, whose `[..., i, j]`
-    (broadcastable over the leading axes) lets position i attend to
-    position j, or a `Window` over q, k, v [T, D], which lets each position
-    attend to the keys in its window. Positions outside get weight exactly
-    0. Returns [..., N, D], heads merged.
+    channels. `allowed` is one of:
+    - a bool mask, whose `[..., i, j]` (broadcastable over the leading axes)
+      lets position i attend to position j;
+    - a `Window` over q, k, v [T, D], which lets each position attend to the
+      keys in its window;
+    - a `Packed` layout over q, k, v [R, D], which lets each row attend to
+      the rows of its own snippet.
+    Positions outside get weight exactly 0. Returns [..., N, D], heads
+    merged.
     """
     out_data, attn_backward = _attention_forward(q.data, k.data, v.data,
                                                  heads, allowed)
@@ -520,10 +568,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 def prenorm_block(z: Tensor, allowed, params, heads: int) -> Tensor:
     """h = z + MHSA(LN1(z)), then h + FFN(LN2(h)), as one node.
 
-    z is [..., N, D] and `allowed` is attention's mask or Window. `params`
-    are the 16 Parameters in the order LN1 gamma, beta; the q, k, v and
-    output projections, each weight then bias; LN2 gamma, beta; the FFN's
-    two linears, weight then bias. The forward runs the numpy operations of
+    z is [..., N, D] and `allowed` is attention's mask, Window or Packed
+    layout; every other step works row by row. `params` are the 16
+    Parameters in the order LN1 gamma, beta; the q, k, v and output
+    projections, each weight then bias; LN2 gamma, beta; the FFN's two
+    linears, weight then bias. The forward runs the numpy operations of
     layer_norm, linear, attention and relu in the order the composition of
     those nodes runs them, and the backward chains their analytic backwards
     with every gradient summed in the composition's order, so both give the
@@ -616,7 +665,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, stride: int) -> Tensor:
     """
     T = x.shape[0]
     idx = np.arange(-(-T // stride))[:, None] * stride + np.arange(w.shape[0])
-    windows = _gather_rows(x, np.minimum(idx, T))   # [T_out, k, D]
+    windows = gather_rows(x, np.minimum(idx, T))   # [T_out, k, D]
     return (windows * w).sum(axis=1)
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import (Parameter, attention, conv1d, depthwise_conv1d,
-                       grad_check, layer_norm, linear, prenorm_block,
-                       window_index, window_tables)
+                       grad_check, layer_norm, linear, packed_layout,
+                       prenorm_block, window_index, window_tables)
 from .heads import GroundTruthSegment, HeadOutput, Targets, total_loss
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
 from .subjects import AnnotationRecord, SubjectBox
@@ -59,6 +59,28 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         return (lambda: (attention(q, k, v, heads, window) * c).sum(),
                 [q, k, v])
 
+    def packed_slots():
+        # 4 snippets of K + 1 = 4 slots, group slot last, in a random order:
+        # one with no valid token, one with every slot valid (n = K + 1),
+        # one whose valid tokens are not a prefix of its slots, one at random
+        valid = np.ones((4, 4), dtype=bool)
+        valid[0, :3] = False
+        valid[2, :3] = [[True, False, True], [False, True, True],
+                        [False, True, False],
+                        [False, False, True]][int(rng.integers(4))]
+        valid[3, :3] = rng.random(3) < 0.5
+        valid = valid[rng.permutation(4)]
+        return int(valid.sum()), packed_layout(valid)
+
+    def make_packed_attention():
+        # 1, 2 or 4 heads over D = 4, on the valid rows of packed_slots()
+        heads = int(rng.choice([1, 2, 4]))
+        R, packed = packed_slots()
+        q, k, v = (Parameter(rng.normal(size=(R, 4)), n) for n in "qkv")
+        c = rng.normal(size=(R, 4))
+        return (lambda: (attention(q, k, v, heads, packed) * c).sum(),
+                [q, k, v])
+
     def make_layer_norm():
         # [2, 6] rows, or [2, 3, 6] as the aggregator's [T, K+1, D] tokens
         shape = ((2, 6), (2, 3, 6))[int(rng.integers(2))]
@@ -68,20 +90,34 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         c = rng.normal(size=shape)
         return lambda: (layer_norm(x, g, b, eps=1e-5) * c).sum(), [x, g, b]
 
+    def block_params():
+        # the 16 Parameters in prenorm_block's order over D = 4 (FFN width 16)
+        shapes = ([(4,)] * 2 + [(4, 4), (4,)] * 4 + [(4,)] * 2
+                  + [(4, 16), (16,), (16, 4), (4,)])
+        return [Parameter(rng.normal(size=s) * 0.5, "p") for s in shapes]
+
     def make_prenorm_block():
-        # [3, 4] rows, or [2, 3, 4] as the aggregator's [T, K+1, D] tokens;
-        # 1 or 2 heads, random masks that allow at least the diagonal, and
-        # the 16 Parameters in prenorm_block's order (FFN width 16)
+        # [3, 4] rows, or [2, 3, 4] as full [T, K+1, D] slots; 1 or 2 heads,
+        # random masks that allow at least the diagonal, and block_params()
         shape = ((3, 4), (2, 3, 4))[int(rng.integers(2))]
         heads = int(rng.choice([1, 2]))
         z = Parameter(rng.normal(size=shape), "z")
-        shapes = ([(4,)] * 2 + [(4, 4), (4,)] * 4 + [(4,)] * 2
-                  + [(4, 16), (16,), (16, 4), (4,)])
-        params = [Parameter(rng.normal(size=s) * 0.5, "p") for s in shapes]
+        params = block_params()
         allowed = ((rng.random(shape[:-1] + (3,)) > 0.4)
                    | np.eye(3, dtype=bool))
         c = rng.normal(size=shape)
         return (lambda: (prenorm_block(z, allowed, params, heads) * c).sum(),
+                [z] + params)
+
+    def make_packed_prenorm_block():
+        # block_params() and 1 or 2 heads, on the valid rows of
+        # packed_slots()
+        heads = int(rng.choice([1, 2]))
+        R, packed = packed_slots()
+        z = Parameter(rng.normal(size=(R, 4)), "z")
+        params = block_params()
+        c = rng.normal(size=(R, 4))
+        return (lambda: (prenorm_block(z, packed, params, heads) * c).sum(),
                 [z] + params)
 
     def make_conv():
@@ -125,6 +161,8 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
     run("relu", make_relu)
     run("total_loss", make_total_loss)
     run("window_attention", make_window_attention)
+    run("packed_attention", make_packed_attention)
+    run("packed_prenorm_block", make_packed_prenorm_block)
     return results
 
 

@@ -9,11 +9,14 @@ composition's order, so theirs must match bit for bit too, down to the
 checkpoint bytes of a training run. `conv1d`'s column-wise backward of the
 window gather is checked against the `np.add.at` scatter it replaced.
 
-Attention has two layouts, each checked against the dense formulation it
+Attention has three layouts, each checked against the dense formulation it
 replaced: windowed attention (`autograd.Window`, the temporal layers)
-against attention under the dense band mask (`band_mask`) within 1e-12,
-and the aggregator's key-slot-wise softmax against numpy's reduce over the
-key axis, bit for bit for up to 7 keys."""
+against attention under the dense band mask (`band_mask`) within 1e-12;
+the aggregator's packed valid slots (`autograd.Packed`) against its blocks
+over all K + 1 slots under the broadcast column mask, with the same group
+vectors and, in training, the same checkpoint bytes; and the dense
+key-slot-wise softmax against numpy's reduce over the key axis, bit for bit
+for up to 7 keys."""
 
 import functools
 import math
@@ -21,8 +24,8 @@ import math
 import numpy as np
 import pytest
 
-from taldet import autograd, nn, training
-from taldet.autograd import (Parameter, Tensor, attention, conv1d,
+from taldet import autograd, nn, spatial_attention, training
+from taldet.autograd import (Parameter, Tensor, attention, concat, conv1d,
                              depthwise_conv1d, layer_norm, linear,
                              window_index, window_tables)
 from taldet.checksuite import build_toy_problem
@@ -49,6 +52,16 @@ def node(out, *links):
             parent._accum(g * slope)
 
     return Tensor(out, True, tuple(p for p, _ in links), backward)
+
+
+def index(x, key):
+    """x.data[key] as a node whose backward scatters with np.add.at."""
+    def backward(g):
+        full = np.zeros_like(x.data)
+        np.add.at(full, key, g)
+        x._accum(full)
+
+    return Tensor(x.data[key], True, (x,), backward)
 
 
 def power(x, p):
@@ -139,8 +152,8 @@ def composed_total_loss(outs, targets, lam=1.0, strict_positive_only=False):
     loss = (per_entry * row_mask.astype(np.float64)[:, None]).sum()
     if targets.inside.any():
         pos = targets.inside.nonzero()[0]
-        pred = outs.offsets[pos]
-        ps, pe = pred[..., 0], pred[..., 1]
+        pred = index(outs.offsets, pos)
+        ps, pe = index(pred, (..., 0)), index(pred, (..., 1))
         ts, te = targets.d_start[pos], targets.d_end[pos]
         inter = minimum(ps, ts) + minimum(pe, te)
         enclose = maximum(ps, ts) + maximum(pe, te)
@@ -210,7 +223,7 @@ def test_depthwise_gather_matches_scatter(monkeypatch, T, k, stride):
     c = rng.normal(size=(-(-T // stride), 3))
     gather = forward_backward(
         lambda: depthwise_conv1d(x, w, stride), [x, w], c)
-    monkeypatch.setattr(autograd, "_gather_rows", scatter_gather_rows)
+    monkeypatch.setattr(autograd, "gather_rows", scatter_gather_rows)
     assert_matches(gather, forward_backward(
         lambda: depthwise_conv1d(x, w, stride), [x, w], c), grad_tol=0.0)
 
@@ -393,6 +406,65 @@ def test_slot_wise_softmax_matches_numpy_reduce(n):
                          [q, k, v], c), value_tol=tol, grad_tol=tol)
 
 
+def full_slot_aggregate(agg, tokens_with_group, valid_tokens):
+    """GroupAggregator's body before it packed the valid slots: every block
+    over all K + 1 slots of every snippet under the broadcast column mask,
+    then an index node that picks the group slot."""
+    valid = np.concatenate(
+        [valid_tokens, np.ones(valid_tokens.shape[:-1] + (1,), dtype=bool)],
+        axis=-1)
+    n = valid.shape[-1]
+    allowed = np.broadcast_to(valid[..., None, :], valid.shape[:-1] + (n, n))
+    z = tokens_with_group
+    for block in agg.blocks:
+        z = block(z, allowed)
+    return index(z, (..., -1, slice(None)))
+
+
+@pytest.mark.parametrize("K, heads, layers", [(3, 4, 2), (6, 8, 3)])
+def test_packed_aggregator_matches_full_slots(K, heads, layers):
+    """Snippets with no valid token, with every token valid and with gaps:
+    the packed aggregator's group vectors equal the full-slot oracle's bit
+    for bit, every gradient (tokens, global averages, each Parameter)
+    agrees within 1e-12, and without a graph the values are the same."""
+    rng = np.random.default_rng(K)
+    T, D = 9, 16
+    agg = spatial_attention.GroupAggregator(
+        ModelConfig(feature_dim=D, num_classes=1, K=K, group_heads=heads,
+                    group_layers=layers), rng)
+    for p in agg.parameters():   # biases and LN shifts off zero
+        p.data += rng.normal(size=p.shape) * 0.1
+    valid = rng.random((T, K)) < 0.5
+    valid[0], valid[1] = False, True
+    tokens = Parameter(rng.normal(size=(T, K, D)), "tokens")
+    tokens.data[~valid] = 0.0   # as pooling leaves an empty slot
+    g0 = Parameter(rng.normal(size=(T, 1, D)), "g0")
+    params = [tokens, g0] + agg.parameters()
+    c = rng.normal(size=(T, D))
+
+    def run(aggregate):
+        return forward_backward(
+            lambda: aggregate(agg, concat([tokens, g0], axis=1), valid),
+            params, c)
+
+    packed = run(spatial_attention.GroupAggregator.__call__)
+    assert_matches(packed, run(full_slot_aggregate))
+    for p in params:
+        p.requires_grad = False
+    graph_free = agg(concat([tokens, g0], axis=1), valid)
+    assert graph_free._parents == ()
+    np.testing.assert_array_equal(graph_free.data, packed[0])
+
+
+def test_fit_on_packed_slots_matches_full_slots(monkeypatch, tmp_path):
+    """Two epochs of the criterion-6 training with the packed aggregator
+    and with the full-slot oracle write the same bytes."""
+    packed = toy_fit_bytes(tmp_path, "packed")
+    monkeypatch.setattr(spatial_attention.GroupAggregator, "__call__",
+                        full_slot_aggregate)
+    assert toy_fit_bytes(tmp_path, "full") == packed
+
+
 def toy_model_and_samples(data):
     """The criterion-6 model (untrained) and its samples of a synthetic
     set written to `data`."""
@@ -407,11 +479,22 @@ def toy_model_and_samples(data):
     return SubjectPriorDetector(cfg, np.random.default_rng(0)), samples
 
 
+def toy_fit_bytes(tmp_path, run):
+    """The checkpoint.ptck and loss_log.jsonl bytes of two epochs of the
+    criterion-6 training, written to tmp_path / run."""
+    tc = training.TrainConfig(lr_init=1e-3, epochs=2, warmup_epochs=1,
+                              batch_size=2, seed=0)
+    model, samples = toy_model_and_samples(tmp_path / "data")
+    training.fit(model, samples, tc, out_dir=tmp_path / run)
+    return [(tmp_path / run / name).read_bytes()
+            for name in ("checkpoint.ptck", "loss_log.jsonl")]
+
+
 def test_toy_video_step_graph_has_42_op_nodes(tmp_path):
     # 7 attention blocks, 12 convolutions, 11 ReLUs (2 after the mapping
     # convolutions, 8 in the towers, 1 on the offsets), 3 strided
-    # down-samplings of 3 nodes (gather, product, sum), the group-slot
-    # index, the heads' concat and the loss; 155 when a block was 12 nodes
+    # down-samplings of 3 nodes (gather, product, sum), the group-row
+    # gather, the heads' concat and the loss; 155 when a block was 12 nodes
     # and a convolution 4
     model, samples = toy_model_and_samples(tmp_path)
     loss = training.video_loss(model, samples[0], training.TrainConfig())
@@ -421,19 +504,10 @@ def test_toy_video_step_graph_has_42_op_nodes(tmp_path):
 def test_fit_matches_composition_bitwise(monkeypatch, tmp_path):
     """Two epochs of the criterion-6 training with the fused block and
     convolution nodes and with their compositions write the same bytes."""
-    tc = training.TrainConfig(lr_init=1e-3, epochs=2, warmup_epochs=1,
-                              batch_size=2, seed=0)
-
-    def run(out):
-        model, samples = toy_model_and_samples(tmp_path / "data")
-        training.fit(model, samples, tc, out_dir=out)
-        return [(out / name).read_bytes()
-                for name in ("checkpoint.ptck", "loss_log.jsonl")]
-
-    fused = run(tmp_path / "fused")
+    fused = toy_fit_bytes(tmp_path, "fused")
     monkeypatch.setattr(nn.PreNormBlock, "__call__", composed_block)
     monkeypatch.setattr(nn, "conv1d", composed_conv1d)
-    assert run(tmp_path / "composed") == fused
+    assert toy_fit_bytes(tmp_path, "composed") == fused
 
 
 def test_whole_model_matches_composition(monkeypatch):

@@ -122,10 +122,16 @@ def build_aggregator(num_layers=2, seed=0):
     return GroupAggregator(cfg, np.random.default_rng(seed))
 
 
+def run_group_tensor(agg, tokens, valid, g0):
+    """The group vectors of a batch as a Tensor: tokens [B, K, D], valid
+    [B, K], g0 [B, D]."""
+    z0 = concat([Tensor(tokens), Tensor(g0[:, None, :])], axis=1)
+    return agg(z0, valid)
+
+
 def run_group(agg, tokens, valid, g0):
     """Group vectors of a batch: tokens [B, K, D], valid [B, K], g0 [B, D]."""
-    z0 = concat([Tensor(tokens), Tensor(g0[:, None, :])], axis=1)
-    return agg(z0, valid).data
+    return run_group_tensor(agg, tokens, valid, g0).data
 
 
 class TestAggregateGroup:
@@ -175,6 +181,8 @@ class TestAggregateGroup:
         assert np.abs(out[1:] - out[0]).max() <= 1e-9
 
     def test_masking_soundness_garbage_under_mask(self):
+        """Whatever the invalid token rows hold, huge values, NaN or inf,
+        the group vectors and every parameter gradient keep their bits."""
         agg = build_aggregator(seed=7)
         rng = np.random.default_rng(8)
         tokens = rng.normal(size=(2, 4, D))
@@ -182,11 +190,22 @@ class TestAggregateGroup:
                           [False, True, True, True]])
         tokens[~valid] = 0.0
         g0 = rng.normal(size=(2, D))
-        base = run_group(agg, tokens, valid, g0)
-        garbage = tokens.copy()
-        garbage[~valid] = rng.normal(size=(3, D)) * 1e6
-        out = run_group(agg, garbage, valid, g0)
-        assert np.abs(out - base).max() <= 1e-12
+        coeff = rng.normal(size=(2, D))
+
+        def run(tok):
+            for p in agg.parameters():
+                p.grad = None
+            out = run_group_tensor(agg, tok, valid, g0)
+            (out * coeff).sum().backward()
+            return [out.data] + [p.grad for p in agg.parameters()]
+
+        base = run(tokens)
+        assert all(np.isfinite(a).all() for a in base)
+        for fill in (rng.normal(size=(3, D)) * 1e6, np.nan, np.inf, -np.inf):
+            garbage = tokens.copy()
+            garbage[~valid] = fill
+            for a, b in zip(run(garbage), base):
+                assert a.tobytes() == b.tobytes()
 
     def test_gradient_through_stack(self):
         agg = build_aggregator(num_layers=1, seed=9)
