@@ -24,7 +24,7 @@ import numpy as np
 
 from .heads import GroundTruthSegment
 from .postprocess import ActionSegment
-from .subjects import AnnotationRecord, SubjectBox
+from .subjects import AnnotationRecord, Boxes, SubjectBox
 
 FEATURE_MAGIC = b"PTFV"
 CHECKPOINT_MAGIC = b"PTCK"
@@ -107,10 +107,13 @@ def parser(want):
     """The parse of a column: a list of values read from outside, each as
     type `want`. An int takes an integer (never a bool or `2.0`), a float an
     integer or a finite float, a bool a bool, a str a non-empty string,
-    `list[X]` a list of X, and a dataclass a list of exactly its fields, in
-    order. Each check runs over the whole column at once. The parse raises
+    `list[X]` a list of X, a dataclass a list of exactly its fields, in
+    order, and Boxes one list per snippet of boxes, each a SubjectBox. Each
+    check runs over the whole column at once. The parse raises
     ValueError naming the first bad value; `parser` raises TypeError for a
     type it does not handle."""
+    if want is Boxes:
+        return _parse_boxes
     if typing.get_origin(want) is list:
         item = parser(*typing.get_args(want))
 
@@ -152,6 +155,33 @@ def parser(want):
     return parse_scalars
 
 
+def _parse_boxes(values):
+    """The Boxes of each value, a list per snippet of [x1, y1, x2, y2,
+    confidence] boxes, refused as a `list[list[SubjectBox]]` parse refuses
+    them, with the same message, without building a SubjectBox."""
+    what = f"[{', '.join(_hints(SubjectBox))}]"
+    _only(values, {list}, "a list")
+    snippets = list(itertools.chain.from_iterable(values))
+    _only(snippets, {list}, "a list")
+    boxes = list(itertools.chain.from_iterable(snippets))
+    _only(boxes, {list}, what)
+    if not set(map(len, boxes)) <= {5}:
+        _refuse(boxes, lambda v: len(v) != 5, what)
+    numbers = list(itertools.chain.from_iterable(boxes))
+    if not set(map(type, numbers)) <= {float}:
+        # one coordinate at a time over every box, to name the value that
+        # parse names first
+        for column in zip(*boxes):
+            parser(float)(list(column))
+    rows = np.fromiter(numbers, float, len(numbers)).reshape(-1, 5)
+    counts = np.fromiter(map(len, snippets), int, len(snippets))
+    # where each value's snippets and boxes start, then where the last ends
+    snippet_at = list(itertools.accumulate(map(len, values), initial=0))
+    box_at = np.concatenate(([0], np.cumsum(counts)))[snippet_at]
+    return [Boxes(rows[b0:b1], counts[t0:t1]) for t0, t1, b0, b1
+            in zip(snippet_at, snippet_at[1:], box_at, box_at[1:])]
+
+
 def parse_scalar(want: type, value):
     """One value read from outside, such as a setting, as a `want`."""
     return parser(want)([value])[0]
@@ -162,9 +192,10 @@ def parse_scalar(want: type, value):
 _DECODER = json.JSONDecoder(object_pairs_hook=tuple)
 # lines parsed together, few enough that a column's lists stay short: the
 # garbage collector runs every few hundred new objects and walks each young
-# list item by item, and over the columns of 64 KiB of lines those walks
-# doubled the time to build long's eval-large boxes. A whole file at once
-# also held every decoded line beside the records, doubling the peak.
+# list item by item. Over 64 KiB of lines those walks doubled the time to
+# build long's eval-large boxes while each box was an object; as Boxes rows
+# they read about as fast either way. A whole file at once also held every
+# decoded line beside the records, doubling the peak.
 _CHUNK_BYTES = 1 << 12
 
 
@@ -241,27 +272,29 @@ def _parse_lines(path, lines: list, parsers: dict, build) -> list:
 def write_annotations(path, records: list[AnnotationRecord]) -> None:
     with open(path, "w") as fh:
         for r in records:
+            rows = r.boxes.rows.tolist()   # float rows, as the file holds
+            ends = list(itertools.accumulate(r.boxes.counts.tolist(),
+                                             initial=0))
             obj = {
                 "id": r.id,
                 "fps": r.fps,
                 "frame_width": r.frame_width,
                 "frame_height": r.frame_height,
                 "snippet_stride": r.snippet_stride,
-                # coordinates serialize as floats so write -> read -> write
+                # times serialize as floats so write -> read -> write
                 # reproduces the bytes even when records hold ints
                 "segments": [[int(s.class_id), float(s.start), float(s.end)]
                              for s in r.segments],
-                "boxes": [[[float(b.x1), float(b.y1), float(b.x2),
-                            float(b.y2), float(b.confidence)]
-                           for b in snippet] for snippet in r.boxes],
+                "boxes": [rows[a:b] for a, b in zip(ends, ends[1:])],
             }
             fh.write(json.dumps(obj) + "\n")
 
 
 def read_annotations(path) -> list[AnnotationRecord]:
     """Every record of an annotations file, its fields those of
-    AnnotationRecord; a segment is [class_id, start, end] and a box
-    [x1, y1, x2, y2, confidence]. No two records share an id."""
+    AnnotationRecord; a segment is [class_id, start, end], and `boxes` one
+    list per snippet of [x1, y1, x2, y2, confidence] boxes, read straight
+    into Boxes. No two records share an id."""
     records = _read_jsonl(path, _hints(AnnotationRecord), AnnotationRecord)
     index_of = {}
     for i, record in enumerate(records):

@@ -1,10 +1,12 @@
 """One description per video, subject box ranking and RoI feature pooling.
 
 An AnnotationRecord describes a video: its frame rate and size, snippet
-stride, ground-truth segments and the subject boxes of each snippet. Boxes
-arrive in keyframe pixel coordinates; features are an H x W x D grid per
-snippet. The top-K boxes by frame-area ratio each become one pooled token;
-the remaining slots are zero vectors flagged invalid so downstream attention
+stride, ground-truth segments and its subject boxes, held as one Boxes: a
+float [n, 5] array of every box of every snippet, snippet after snippet,
+and the int [T] count of each snippet's boxes. Boxes arrive in keyframe
+pixel coordinates; features are an H x W x D grid per snippet. The top-K
+boxes of each snippet by frame-area ratio each become one pooled token; the
+remaining slots are zero vectors flagged invalid so downstream attention
 can mask them out.
 """
 
@@ -19,6 +21,8 @@ from .heads import GroundTruthSegment
 
 @dataclass(frozen=True)
 class SubjectBox:
+    """One box, for building a record in code: AnnotationRecord takes a list
+    of them per snippet and stores their numbers as Boxes rows."""
     x1: float
     y1: float
     x2: float
@@ -29,30 +33,66 @@ class SubjectBox:
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError("degenerate subject box")
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
+
+class Boxes:
+    """A video's subject boxes: `rows`, a float [n, 5] array whose rows are
+    (x1, y1, x2, y2, confidence), snippet after snippet, and `counts`, the
+    int [T] number of rows of each snippet. Both are checked in one vector
+    pass: numbers only (no bools or strings), five a row, counts that add up
+    to the rows, finite values, and x1 < x2 and y1 < y2 in every row."""
+    __slots__ = ("rows", "counts")
+
+    def __init__(self, rows, counts):
+        rows, counts = np.asarray(rows), np.asarray(counts)
+        if rows.dtype.kind not in "iuf" or rows.ndim != 2 or \
+                rows.shape[1] != 5:
+            raise ValueError(f"boxes of shape {rows.shape} and type "
+                             f"{rows.dtype} are not an [n, 5] number array")
+        if counts.dtype.kind not in "iu" or counts.ndim != 1 or \
+                (counts < 0).any() or counts.sum() != len(rows):
+            raise ValueError(f"box counts of shape {counts.shape} and type "
+                             f"{counts.dtype} do not split {len(rows)} boxes")
+        rows = rows.astype(float, copy=False)
+        finite = np.isfinite(rows)
+        if not finite.all():
+            # the first in column order, as a parse of each coordinate names it
+            raise ValueError(f"{float(rows.T[~finite.T][0])!r} is not finite")
+        if not ((rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3])).all():
+            raise ValueError("degenerate subject box")
+        self.rows, self.counts = rows, counts.astype(int, copy=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, Boxes)
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.counts, other.counts))
 
 
 @dataclass
 class AnnotationRecord:
-    """One video. Its snippet count is the number of box lists; the size of
-    its feature grid comes from its features."""
+    """One video. Its snippet count is the number of box counts; the size of
+    its feature grid comes from its features. `boxes` may also be given as
+    one list of SubjectBox per snippet, which is converted to Boxes once."""
     id: str
     fps: float
     frame_width: int
     frame_height: int
     snippet_stride: int   # frames between snippet centers
     segments: list[GroundTruthSegment]
-    boxes: list[list[SubjectBox]]   # one list per snippet
+    boxes: Boxes
 
     def __post_init__(self):
+        if not isinstance(self.boxes, Boxes):
+            self.boxes = Boxes(
+                np.array([(b.x1, b.y1, b.x2, b.y2, b.confidence)
+                          for snippet in self.boxes for b in snippet],
+                         dtype=float).reshape(-1, 5),
+                np.array([len(snippet) for snippet in self.boxes], dtype=int))
         # before `duration` divides by fps
         for key in ("fps", "frame_width", "frame_height", "snippet_stride"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} = {getattr(self, key)} is not "
                                  f"positive")
-        if not self.boxes:
+        if not self.num_snippets:
             raise ValueError("boxes: no box list, so no snippet")
         for s in self.segments:
             if s.class_id < 0:
@@ -65,7 +105,7 @@ class AnnotationRecord:
 
     @property
     def num_snippets(self) -> int:
-        return len(self.boxes)
+        return len(self.boxes.counts)
 
     @property
     def seconds_per_snippet(self) -> float:
@@ -117,10 +157,8 @@ def pool_matrices(record: AnnotationRecord, grid: tuple[int, int], K: int,
         raise ValueError("K must be >= 1 and bins >= (1, 1)")
     T, (H, W) = record.num_snippets, grid
     width, height = record.frame_width, record.frame_height
-    snippet = np.repeat(np.arange(T), [len(bs) for bs in record.boxes])
-    b = np.array([(x.x1, x.y1, x.x2, x.y2, x.confidence)
-                  for bs in record.boxes for x in bs],
-                 dtype=float).reshape(-1, 5)
+    b = record.boxes.rows
+    snippet = np.repeat(np.arange(T), record.boxes.counts)
     x1, y1 = np.maximum(b[:, 0], 0.0), np.maximum(b[:, 1], 0.0)
     x2 = np.minimum(b[:, 2], float(width))
     y2 = np.minimum(b[:, 3], float(height))

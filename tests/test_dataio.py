@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taldet.cli import EXIT_VALIDATION, main
 from taldet.dataio import (AnnotationRecord, FormatError, SyntheticSpec,
                            ValidationError, generate_synthetic, parse_scalar,
                            parser, read_annotations, read_checkpoint,
@@ -171,8 +172,11 @@ class TestAnnotations:
         back = read_annotations(p)
         assert [r.id for r in back] == ["a", "b"]
         assert back[0].segments == recs[0].segments
-        assert back[1].boxes == recs[1].boxes
+        np.testing.assert_array_equal(back[1].boxes.rows, recs[1].boxes.rows)
+        np.testing.assert_array_equal(back[1].boxes.counts,
+                                      recs[1].boxes.counts)
         assert back[0].fps == 16.0 and back[0].snippet_stride == 4
+        assert back == recs
 
     def test_unknown_field_rejected(self, tmp_path):
         p = tmp_path / "ann.jsonl"
@@ -219,6 +223,39 @@ class TestAnnotations:
         write_annotations(p, [sample_record()])
         p.write_text(p.read_text() + "\n\n")
         assert len(read_annotations(p)) == 1
+
+    def test_read_builds_no_subject_box(self, tmp_path, monkeypatch):
+        p = tmp_path / "ann.jsonl"
+        write_annotations(p, [sample_record("a"), sample_record("b", T=5)])
+
+        def refuse(box):
+            raise AssertionError("a SubjectBox was built")
+        monkeypatch.setattr(SubjectBox, "__post_init__", refuse)
+        back = read_annotations(p)
+        assert back[1].boxes.rows.tolist() == [[0.0, 0.0, 16.0, 16.0, 0.9]] * 5
+        assert back[1].boxes.counts.tolist() == [1] * 5
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda box: box.__setitem__(2, box[0]), "degenerate subject box"),
+        (lambda box: box.pop(),
+         "[32.0, 32.0, 64.0, 64.0] is not [x1, y1, x2, y2, confidence]"),
+        (lambda box: box.__setitem__(1, True), "True is not float"),
+        (lambda box: box.__setitem__(3, "30.0"), "'30.0' is not float"),
+    ], ids=["degenerate", "four-numbers", "bool", "string"])
+    def test_bad_box_exits_eval_2_naming_it(self, tmp_path, capsys, edit,
+                                            message):
+        data = tmp_path / "data"
+        generate_synthetic(SyntheticSpec(seed=5, num_videos=2), data)
+        ann = data / "annotations.jsonl"
+        first, second = ann.read_text().splitlines()
+        obj = json.loads(second)
+        edit(obj["boxes"][1][0])
+        ann.write_text(f"{first}\n{json.dumps(obj)}\n")
+        # the annotations are read before the (missing) detections
+        assert main(["eval", "--data", str(data), "--detections",
+                     str(tmp_path / "unread.jsonl")]) == EXIT_VALIDATION
+        assert (f"{ann}:2: boxes: {message}\n"
+                in capsys.readouterr().err)
 
 
 class TestDetections:
@@ -363,7 +400,7 @@ class TestSyntheticGenerator:
                                    spec.feature_dim)
             assert r.segments and all(s.end <= r.duration + 1e-9
                                       for s in r.segments)
-            assert all(len(bx) >= spec.subjects_min for bx in r.boxes)
+            assert (r.boxes.counts >= spec.subjects_min).all()
 
     def test_global_average_is_constant_scene_vector(self, tmp_path):
         # the designed confound: spatial mean of every snippet is identical,
@@ -393,8 +430,8 @@ class TestSyntheticGenerator:
         seg = r.segments[0]
         t = int(round(seg.start / sec)) + 1
         assert seg.start <= t * sec <= seg.end
-        box = r.boxes[t][0]
-        r0, c0 = int(box.y1) // cell, int(box.x1) // cell
+        x1, y1 = r.boxes.rows[r.boxes.counts[:t].sum(), :2]  # t's first box
+        r0, c0 = int(y1) // cell, int(x1) // cell
         vec = feats[t, r0, c0]
         np.testing.assert_allclose(np.linalg.norm(vec), 3.0, atol=1e-4)
         np.testing.assert_allclose(feats[t, r0 + 1, c0 + 1], vec, atol=1e-6)

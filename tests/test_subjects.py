@@ -1,12 +1,15 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, grad_check
+from taldet.dataio import SyntheticSpec, generate_synthetic, read_annotations
 from taldet.model import prepare_sample
-from taldet.subjects import AnnotationRecord, SubjectBox, pool_matrices
+from taldet.subjects import (AnnotationRecord, Boxes, SubjectBox,
+                             _mean_axis_weights, pool_matrices)
 
 FRAME = (64, 64)    # width, height in pixels
 GRID = (4, 4)       # feature grid H, W
@@ -44,7 +47,8 @@ def sort_oracle(boxes, K, frame=FRAME):
     area = frame[0] * frame[1]
     kept = [(i, c) for i, c in enumerate(clip(b, frame) for b in boxes)
             if c is not None]
-    kept.sort(key=lambda ic: (-ic[1].area / area, -ic[1].confidence, ic[0]))
+    kept.sort(key=lambda ic: (-(ic[1].x2 - ic[1].x1) * (ic[1].y2 - ic[1].y1)
+                              / area, -ic[1].confidence, ic[0]))
     return [c for _, c in kept[:K]]
 
 
@@ -88,6 +92,109 @@ def assert_slots(boxes_per_snippet, K, frame=FRAME, grid=GRID, bins=(7, 7),
                                                              bins),
                                        atol=1e-12)
         np.testing.assert_array_equal(tokens[t, len(ranked):], 0.0)
+
+
+def list_pool_oracle(boxes_per_snippet, frame, grid, K, bins=(7, 7)):
+    """pool_matrices as it was when records held one SubjectBox list per
+    snippet: the boxes flattened into one array in Python, then the same
+    ranking and weights."""
+    T, (H, W), (width, height) = len(boxes_per_snippet), grid, frame
+    snippet = np.repeat(np.arange(T), [len(bs) for bs in boxes_per_snippet])
+    b = np.array([(x.x1, x.y1, x.x2, x.y2, x.confidence)
+                  for bs in boxes_per_snippet for x in bs],
+                 dtype=float).reshape(-1, 5)
+    x1, y1 = np.maximum(b[:, 0], 0.0), np.maximum(b[:, 1], 0.0)
+    x2 = np.minimum(b[:, 2], float(width))
+    y2 = np.minimum(b[:, 3], float(height))
+    ratio = (x2 - x1) * (y2 - y1) / (width * height)
+    keep = np.flatnonzero((x1 < x2) & (y1 < y2))
+    order = keep[np.lexsort((keep, -b[keep, 4], -ratio[keep], snippet[keep]))]
+    t = snippet[order]
+    slot = np.arange(len(order)) - np.searchsorted(t, t)
+    order, t, slot = order[slot < K], t[slot < K], slot[slot < K]
+    wy = _mean_axis_weights(y1[order], y2[order], H / height, bins[0], H)
+    wx = _mean_axis_weights(x1[order], x2[order], W / width, bins[1], W)
+    mats = np.zeros((T, K, H * W))
+    valid = np.zeros((T, K), dtype=bool)
+    mats[t, slot] = (wy[:, :, None] * wx[:, None, :]).reshape(-1, H * W)
+    valid[t, slot] = True
+    return mats, valid
+
+
+def assert_pools_as_lists(record, boxes_per_snippet, grid, K, bins=(7, 7)):
+    mats, valid = pool_matrices(record, grid, K, bins)
+    ref_mats, ref_valid = list_pool_oracle(
+        boxes_per_snippet, (record.frame_width, record.frame_height), grid, K,
+        bins)
+    assert mats.tobytes() == ref_mats.tobytes()
+    np.testing.assert_array_equal(valid, ref_valid)
+
+
+class TestBoxArrays:
+    """Pooling from a record's box arrays is bit-identical to pooling from
+    the SubjectBox lists they hold."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_synthetic_sets_read_back(self, tmp_path, seed):
+        spec = SyntheticSpec(seed=seed)
+        generate_synthetic(spec, tmp_path)
+        path = tmp_path / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        for record, line in zip(read_annotations(path), lines):
+            lists = [[SubjectBox(*b) for b in snippet]
+                     for snippet in json.loads(line)["boxes"]]
+            for K in (1, 3, 8):
+                assert_pools_as_lists(record, lists,
+                                      (spec.grid, spec.grid), K)
+
+    def test_ties_outside_boxes_and_empty_snippets(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            boxes = []
+            for _ in range(6):
+                snippet = []
+                for _ in range(int(rng.integers(0, 8))):
+                    # grid-aligned sizes tie on area, two confidences tie
+                    # again, repeats tie on both; shifts leave some boxes
+                    # partly or wholly outside the frame
+                    x1 = 8.0 * rng.integers(-2, 10)
+                    y1 = 8.0 * rng.integers(-2, 6)
+                    w, h = 8.0 * rng.integers(1, 3, size=2)
+                    snippet.append(SubjectBox(x1, y1, x1 + w, y1 + h,
+                                              float(rng.choice([0.5, 0.9]))))
+                    if rng.uniform() < 0.3:
+                        snippet.append(snippet[-1])
+                boxes.append(snippet)
+            boxes.append([])
+            for K, grid, bins in [(1, (4, 4), (7, 7)), (3, (3, 5), (2, 3)),
+                                  (9, (1, 1), (1, 1))]:
+                assert_pools_as_lists(video(boxes, (64, 48)), boxes, grid, K,
+                                      bins)
+
+    @pytest.mark.parametrize("rows, counts, message", [
+        ([[0, 0, 2, 2]], [1], "not an \\[n, 5\\] number array"),
+        ([[False, False, True, True, True]], [1], "number array"),
+        ([["0", "0", "2", "2", "1"]], [1], "number array"),
+        ([[0, 0, 2, 2, 1]], [2], "do not split 1 boxes"),
+        ([[0, 0, 2, 2, 1]], [1.0], "do not split"),
+        ([[0, 0, 2, 2, 1]] * 2, [3, -1], "do not split"),
+        # the first in column order: y2 before confidence
+        ([[0, 0, 2, 2, 1], [0, 0, 2, np.inf, np.nan]], [2],
+         "^inf is not finite$"),
+        ([[0, 0, 2, 2, np.nan]], [1], "^nan is not finite$"),
+        ([[0, 0, 2, 2, 1], [3, 0, 3, 2, 1]], [0, 2], "degenerate"),
+        ([[0, 0, 2, 2, 1], [0, 5, 2, 4, 1]], [2, 0], "degenerate")],
+        ids=["four-numbers", "bools", "strings", "too-many", "float-counts",
+             "negative-count", "column-order", "nan", "x1-equals-x2",
+             "y1-above-y2"])
+    def test_boxes_check_their_arrays(self, rows, counts, message):
+        with pytest.raises(ValueError, match=message):
+            Boxes(np.array(rows), np.array(counts))
+
+    def test_every_snippet_empty(self):
+        boxes = [[]] * T
+        assert video(boxes).boxes.rows.shape == (0, 5)
+        assert_pools_as_lists(video(boxes), boxes, GRID, 2)
 
 
 class TestRankSubjects:
