@@ -12,6 +12,7 @@ them (the loss and the global gradient norm in `training.fit`).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -89,8 +90,10 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
+            # leaves (no _backward) get their gradients from their
+            # consumers' _accum: the walk visits op nodes only
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
@@ -226,13 +229,25 @@ def concat(tensors, axis=0):
     return Tensor(out_data, True, tuple(tensors), backward)
 
 
+# tables each window cache keeps: a video needs a few, and every epoch of a
+# training run asks for all of them again
+WINDOW_CACHE_SIZE = 64
+
+
 def _with_zero_row(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.zeros((1,) + x.shape[1:])])
 
 
-def window_index(lengths: np.ndarray, k: int) -> np.ndarray:
+def window_index(lengths, k: int) -> np.ndarray:
     """[A, k] rows read by each same-padded window over sequences `lengths`
-    long, back to back; A = sum(lengths) stands for a padding zero."""
+    long, back to back; A = sum(lengths) stands for a padding zero. Built
+    once per (lengths, k) and shared read-only."""
+    return _window_index(tuple(map(int, lengths)), k)
+
+
+@functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)
+def _window_index(lengths: tuple, k: int) -> np.ndarray:
+    lengths = np.array(lengths, dtype=int)
     if (lengths < 1).any():
         raise DimensionError("window_index: lengths must be positive")
     A = int(lengths.sum())
@@ -240,7 +255,9 @@ def window_index(lengths: np.ndarray, k: int) -> np.ndarray:
     ends = np.cumsum(lengths)
     end = np.repeat(ends, lengths)[:, None]   # one past each row's sequence
     start = np.repeat(ends - lengths, lengths)[:, None]
-    return np.where((idx >= start) & (idx < end), idx, A)
+    out = np.where((idx >= start) & (idx < end), idx, A)
+    out.setflags(write=False)
+    return out
 
 
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -380,10 +397,15 @@ class Window(NamedTuple):
     outside: np.ndarray   # bool [w, T]
 
 
+@functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)
 def window_tables(T: int, w: int) -> Window:
-    """The Window of size w (odd) over T rows."""
-    index = window_index(np.array([T]), w).T
-    return Window(index, index == T)
+    """The Window of size w (odd) over T rows, built once per (T, w) and
+    shared read-only."""
+    # built past window_index's cache, which would hold the same table
+    index = _window_index.__wrapped__((T,), w).T
+    outside = index == T
+    outside.setflags(write=False)
+    return Window(index, outside)
 
 
 def _add_window_slots(x: np.ndarray) -> np.ndarray:
@@ -620,14 +642,16 @@ def prenorm_block(z: Tensor, allowed, params, heads: int) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           index: np.ndarray | None = None) -> Tensor:
+           index: np.ndarray | None = None, relu: bool = False) -> Tensor:
     """Same-padded stride-1 convolution over axis 0 of x[A, D_in] with kernel
     w[k, D_in, D_out], k odd, as one node: a window gather, then one 2-D
-    product against the kernel's [k * D_in, D_out] view.
+    product against the kernel's [k * D_in, D_out] view; with `relu`, the
+    ReLU that follows it too, whose backward masks by the pre-activation.
 
     x may hold several sequences back to back: `index` is then their
     `window_index(lengths, k)` (default: one sequence of A rows), which
-    zero-pads each on its own, so no window reads across a boundary.
+    zero-pads each on its own, so no window reads across a boundary. A
+    1-wide kernel without an index reads x itself, with no gather.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise DimensionError("conv1d expects x[A,Din], w[k,Din,Dout]")
@@ -639,20 +663,27 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise DimensionError(f"conv1d channel mismatch: {d_in} vs {wd_in}")
     if k % 2 == 0:
         raise DimensionError("conv1d: same padding requires odd kernel")
-    idx = window_index(np.array([A]), k) if index is None else index
-    if idx.shape != (A, k):
-        raise DimensionError(f"conv1d: window index {idx.shape} for "
-                             f"{A} rows and kernel {k}")
-    windows = _with_zero_row(x.data)[idx].reshape(A, k * d_in)
-    out_data = _linear_forward(windows, w, b)
+    if k == 1 and index is None:
+        idx, windows = None, x.data
+    else:
+        idx = window_index([A], k) if index is None else index
+        if idx.shape != (A, k):
+            raise DimensionError(f"conv1d: window index {idx.shape} for "
+                                 f"{A} rows and kernel {k}")
+        windows = _with_zero_row(x.data)[idx].reshape(A, k * d_in)
+    pre = _linear_forward(windows, w, b)
+    out_data = np.maximum(pre, 0.0) if relu else pre
     parents = (x, w) if b is None else (x, w, b)
     if not any(p.requires_grad for p in parents):
         return Tensor(out_data)
 
     def backward(g):
+        if relu:
+            g = g * (pre > 0)
         gwin = _linear_backward(g, windows, w, b, x.requires_grad)
         if x.requires_grad:
-            x._accum(_scatter_rows(gwin.reshape(A, k, d_in), idx, A))
+            x._accum(gwin if idx is None else
+                     _scatter_rows(gwin.reshape(A, k, d_in), idx, A))
 
     return Tensor(out_data, True, parents, backward)
 

@@ -127,6 +127,18 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         index = window_index(np.array([3, 1, 2]), 3)
         return lambda: _sum_sq(conv1d(x, w, b, index)), [x, w, b]
 
+    def make_conv_relu():
+        # the fused ReLU on a k = 3 kernel over three sequences and on a
+        # 1-wide kernel without an index (no gather), both reading x
+        x = Parameter(rng.normal(size=(6, 3)), "x")
+        w3, w1 = (Parameter(rng.normal(size=(k, 3, 2)), "w") for k in (3, 1))
+        b3, b1 = (Parameter(rng.normal(size=2), "b") for _ in range(2))
+        index = window_index([3, 1, 2], 3)
+        c3, c1 = rng.normal(size=(2, 6, 2))
+        return (lambda: (conv1d(x, w3, b3, index, relu=True) * c3).sum()
+                + (conv1d(x, w1, b1, relu=True) * c1).sum(),
+                [x, w3, b3, w1, b1])
+
     def make_depthwise():
         x = Parameter(rng.normal(size=(7, 4)), "x")
         w = Parameter(rng.normal(size=(2, 4)), "w")
@@ -157,6 +169,7 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
     run("layer_norm", make_layer_norm)
     run("prenorm_block", make_prenorm_block)
     run("conv1d", make_conv)
+    run("conv1d_relu", make_conv_relu)
     run("depthwise_conv1d", make_depthwise)
     run("relu", make_relu)
     run("total_loss", make_total_loss)

@@ -5,7 +5,9 @@ shared across pyramid levels, plus a 1x1 projection: C sigmoid logits for the
 classifier, two ReLU-clamped boundary offsets (start / end distance, in
 level-local steps) for the regressor. The levels run as one sequence of A
 steps, level after level, each convolution padded per level; targets, the
-loss and decoding work on that same anchor axis.
+loss and decoding work on that same anchor axis. Each convolution and the
+ReLU after it is one `conv1d` node; the 1x1 projections read their input
+rows directly, with no window gather.
 """
 
 from __future__ import annotations
@@ -70,14 +72,14 @@ class DetectionHeads(Module):
             raise ValueError("empty pyramid")
         lengths = [lv.features.shape[0] for lv in pyr.levels]
         # one window index for every tower convolution
-        index = window_index(np.array(lengths), TOWER_KERNEL)
+        index = window_index(lengths, TOWER_KERNEL)
         c = r = concat([lv.features for lv in pyr.levels])
         for layer in self.cls_tower:
-            c = layer(c, index).relu()
+            c = layer(c, index, relu=True)
         for layer in self.reg_tower:
-            r = layer(r, index).relu()
+            r = layer(r, index, relu=True)
         return HeadOutput(
-            class_logits=self.cls_out(c), offsets=self.reg_out(r).relu(),
+            class_logits=self.cls_out(c), offsets=self.reg_out(r, relu=True),
             step=np.concatenate([np.arange(n) for n in lengths]),
             stride=np.repeat([lv.stride for lv in pyr.levels], lengths))
 

@@ -112,15 +112,16 @@ class PreNormBlock(Module):
 
 
 class ConvLayer(Module):
-    """conv1d with its own weights; kernel [k, D_in, D_out]."""
+    """conv1d with its own weights, kernel [k, D_in, D_out], and the ReLU
+    after it when called with `relu`."""
 
     def __init__(self, rng, k, d_in, d_out, name="conv"):
         self.w = Parameter(
             uniform_init(rng, (k, d_in, d_out), k * d_in, k * d_out), name + ".w")
         self.b = Parameter(np.zeros(d_out), name + ".b")
 
-    def __call__(self, x, index=None):
-        return conv1d(x, self.w, self.b, index)
+    def __call__(self, x, index=None, relu=False):
+        return conv1d(x, self.w, self.b, index, relu=relu)
 
 
 class DepthwiseDownsample(Module):

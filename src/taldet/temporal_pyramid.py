@@ -60,7 +60,7 @@ class PyramidBuilder(Module):
                         for i in range(cfg.num_strided_layers)]
 
     def __call__(self, g_seq: Tensor) -> FeaturePyramid:
-        x = self.map2(self.map1(g_seq).relu()).relu()
+        x = self.map2(self.map1(g_seq, relu=True), relu=True)
         for layer in self.standard:
             x = layer(x)
         levels = [PyramidLevel(x, stride=1)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from taldet.autograd import (DimensionError, InvalidMaskError, Parameter,
                              ProbeError, Tensor, attention, conv1d,
                              depthwise_conv1d, grad_check, layer_norm, linear,
-                             window_index)
+                             window_index, window_tables)
 
 
 def pointwise(x, f, df):
@@ -216,6 +216,13 @@ class TestConv1d:
             conv1d(Tensor(np.zeros((5, 1))), Parameter(np.zeros((1, 1, 1)), "w"),
                    index=window_index(np.array(lengths), 1))
 
+    @pytest.mark.parametrize("k, index_k", [(1, 3), (3, 1)])
+    def test_index_for_another_kernel_rejected(self, k, index_k):
+        # a 1-wide kernel reads x without a gather only when given no index
+        with pytest.raises(DimensionError):
+            conv1d(Tensor(np.zeros((5, 1))), Parameter(np.zeros((k, 1, 1)), "w"),
+                   index=window_index([5], index_k))
+
     def test_even_kernel_same_padding_rejected(self):
         with pytest.raises(DimensionError):
             conv1d(Tensor(np.zeros((4, 1))), Parameter(np.zeros((2, 1, 1)), "w"))
@@ -228,6 +235,47 @@ class TestConv1d:
         expected = np.stack([(xp[2 * t:2 * t + 2] * w).sum(axis=0)
                              for t in range(4)])
         assert np.abs(out - expected).max() < 1e-12
+
+
+def loop_window_index(lengths, k):
+    """window_index built afresh, row by row and slot by slot."""
+    A, rows, start = sum(lengths), [], 0
+    for n in lengths:
+        for t in range(n):
+            rows.append([start + t + j if 0 <= t + j < n else A
+                         for j in range(-(k // 2), k // 2 + 1)])
+        start += n
+    return np.array(rows).reshape(A, k)
+
+
+class TestWindowTables:
+    @pytest.mark.parametrize("lengths", [[1], [9], [4, 1, 4], [2, 7, 3, 1]])
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_cached_tables_match_a_fresh_build(self, lengths, k):
+        idx = window_index(np.array(lengths), k)
+        np.testing.assert_array_equal(idx, loop_window_index(lengths, k))
+        assert window_index(lengths, k) is idx   # built once
+        if len(lengths) == 1:
+            win = window_tables(lengths[0], k)
+            np.testing.assert_array_equal(win.index, idx.T)
+            np.testing.assert_array_equal(win.outside, idx.T == lengths[0])
+            assert window_tables(lengths[0], k) is win
+
+    def test_cached_tables_are_read_only(self):
+        idx, win = window_index([3, 2], 3), window_tables(5, 3)
+        for table in (idx, win.index, win.outside):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = table[0, 1]
+        np.testing.assert_array_equal(window_index([3, 2], 3),
+                                      loop_window_index([3, 2], 3))
+
+    @pytest.mark.parametrize("lengths", [[0], [5, 0], [6, -1]])
+    def test_non_positive_lengths_raise_on_every_call(self, lengths):
+        for _ in range(2):   # a failed build is not cached
+            with pytest.raises(DimensionError):
+                window_index(np.array(lengths), 3)
+            with pytest.raises(DimensionError):
+                window_tables(lengths[-1], 3)
 
 
 class TestGradCheck:

@@ -7,7 +7,10 @@ one 2-D product instead of one per leading index), and every gradient must
 agree within 1e-12; `conv1d` and `prenorm_block` sum every gradient in their
 composition's order, so theirs must match bit for bit too, down to the
 checkpoint bytes of a training run. `conv1d`'s column-wise backward of the
-window gather is checked against the `np.add.at` scatter it replaced.
+window gather is checked against the `np.add.at` scatter it replaced, its
+fused ReLU against a ReLU node, and its 1-wide kernel, which reads x with no
+gather, against the gather, all bit for bit. `Tensor.backward` walks only
+op nodes; the walk over every node, leaves included, gives the same bits.
 
 Attention has three layouts, each checked against the dense formulation it
 replaced: windowed attention (`autograd.Window`, the temporal layers)
@@ -111,14 +114,15 @@ def scatter_gather_rows(x, idx):
     return Tensor(xz[idx], True, (x,), backward)
 
 
-def composed_conv1d(x, w, b=None, index=None, dense=linear):
+def composed_conv1d(x, w, b=None, index=None, relu=False, dense=linear):
     """conv1d as a window gather, a reshape of the windows and of the
-    kernel, and `dense` over them."""
+    kernel, `dense` over them and, with `relu`, a ReLU node."""
     A, d_in = x.shape
     k, _, d_out = w.shape
-    idx = window_index(np.array([A]), k) if index is None else index
+    idx = window_index([A], k) if index is None else index
     windows = scatter_gather_rows(x, idx).reshape(A, k * d_in)
-    return dense(windows, w.reshape(k * d_in, d_out), b)
+    out = dense(windows, w.reshape(k * d_in, d_out), b)
+    return out.relu() if relu else out
 
 
 def composed_block(block, z, allowed):
@@ -212,6 +216,46 @@ def test_conv1d_gather_matches_scatter(lengths, k):
         forward_backward(lambda: conv1d(x, w, b, index), params, c),
         forward_backward(lambda: composed_conv1d(x, w, b, index), params,
                          c), grad_tol=0.0)
+
+
+@pytest.mark.parametrize("lengths", [None, [9], [4, 1, 4]])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv1d_relu_matches_composition(lengths, k):
+    """The convolution with its ReLU fused in against the convolution and a
+    ReLU node, bit for bit in the value and every gradient; lengths None
+    calls it without an index (for k = 1, the path with no gather)."""
+    rng = np.random.default_rng(k + 1)
+    x = Parameter(rng.normal(size=(9, 3)), "x")
+    w = Parameter(rng.normal(size=(k, 3, 2)), "w")
+    b = Parameter(rng.normal(size=2), "b")
+    # output 0's pre-activation is exactly 0, where the ReLU passes no
+    # gradient
+    w.data[..., 0] = b.data[0] = 0.0
+    c = rng.normal(size=(9, 2))
+    params = [x, w, b]
+    index = None if lengths is None else window_index(lengths, k)
+    fused = forward_backward(
+        lambda: conv1d(x, w, b, index, relu=True), params, c)
+    assert (fused[0] == 0).any() and (fused[0] > 0).any()
+    assert_matches(fused, forward_backward(
+        lambda: composed_conv1d(x, w, b, index, relu=True), params, c),
+        grad_tol=0.0)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_one_wide_conv1d_matches_gather(relu):
+    """A 1-wide kernel without an index reads x itself: the same bits, in
+    the value and every gradient, as the gather through its window index."""
+    rng = np.random.default_rng(2)
+    x = Parameter(rng.normal(size=(7, 4)), "x")
+    w = Parameter(rng.normal(size=(1, 4, 3)), "w")
+    b = Parameter(rng.normal(size=3), "b")
+    c = rng.normal(size=(7, 3))
+    params = [x, w, b]
+    assert_matches(
+        forward_backward(lambda: conv1d(x, w, b, relu=relu), params, c),
+        forward_backward(lambda: conv1d(x, w, b, window_index([7], 1),
+                                        relu=relu), params, c), grad_tol=0.0)
 
 
 @pytest.mark.parametrize("T, k, stride", [(7, 2, 2), (10, 4, 4), (9, 5, 2)])
@@ -490,15 +534,84 @@ def toy_fit_bytes(tmp_path, run):
             for name in ("checkpoint.ptck", "loss_log.jsonl")]
 
 
-def test_toy_video_step_graph_has_42_op_nodes(tmp_path):
-    # 7 attention blocks, 12 convolutions, 11 ReLUs (2 after the mapping
-    # convolutions, 8 in the towers, 1 on the offsets), 3 strided
-    # down-samplings of 3 nodes (gather, product, sum), the group-row
-    # gather, the heads' concat and the loss; 155 when a block was 12 nodes
-    # and a convolution 4
+def test_toy_video_step_graph_has_31_op_nodes(tmp_path):
+    # 7 attention blocks, 12 convolutions (11 with the ReLU after them
+    # fused in: the 2 mapping ones, the 8 tower layers and the offsets'),
+    # 3 strided down-samplings of 3 nodes (gather, product, sum), the
+    # group-row gather, the heads' concat and the loss; 42 when each ReLU
+    # was a node of its own, 155 when a block was 12 nodes and a
+    # convolution 4
     model, samples = toy_model_and_samples(tmp_path)
     loss = training.video_loss(model, samples[0], training.TrainConfig())
-    assert op_nodes(loss) == 42
+    assert op_nodes(loss) == 31
+
+
+def every_node_backward(root):
+    """Tensor.backward's reverse sweep over a depth-first walk that visits
+    every node requiring a gradient, leaves included: the op nodes come out
+    in the same order as from the walk over op nodes alone."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    root._accum(np.ones_like(root.data))
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+@pytest.fixture
+def leaf_reads(monkeypatch):
+    """The leaves whose `_parents` are read, once per read: a walk that
+    expands a leaf reads them."""
+    slot, reads = Tensor._parents, []
+
+    def get(t):
+        if t._backward is None:
+            reads.append(t)
+        return slot.__get__(t)
+
+    monkeypatch.setattr(Tensor, "_parents", property(get, slot.__set__))
+    return reads
+
+
+def test_backward_expands_no_leaf(leaf_reads, tmp_path):
+    # a diamond: h has two consumers, and its backward runs once, on the
+    # sum of their gradients
+    x = Parameter(np.array([1.0, -2.0]), "x")
+    h = x * x
+    (h * 2.0 + h * 3.0).sum().backward()
+    np.testing.assert_array_equal(x.grad, 10.0 * x.data)
+    assert leaf_reads == []
+    # a leaf root's gradient is 1
+    p = Parameter(np.array(3.0), "p")
+    p.backward()
+    assert p.grad == 1.0
+    # a toy video-step: no leaf expanded, and the Parameter gradients of the
+    # walk over every node, bit for bit
+    model, samples = toy_model_and_samples(tmp_path)
+    params = model.parameters()
+
+    def grads(walk):
+        for q in params:
+            q.grad = None
+        walk(training.video_loss(model, samples[0], training.TrainConfig()))
+        return [q.grad for q in params]
+
+    leaf_reads.clear()
+    step = grads(Tensor.backward)
+    assert leaf_reads == []
+    for g, ref in zip(step, grads(every_node_backward)):
+        np.testing.assert_array_equal(g, ref)
 
 
 def test_fit_matches_composition_bitwise(monkeypatch, tmp_path):
