@@ -4,7 +4,8 @@ Everything downstream (attention blocks, convolution towers) is composed
 from the primitives here; the training loss is one node of the same kind in
 `heads`. The finite-difference harness at the bottom of the file is the
 single source of truth for gradient correctness.
-Graphs are built explicitly per forward pass; there is no global tape.
+Graphs are built explicitly per forward pass, and `Tensor.backward` frees
+each one as it runs; there is no global tape.
 Tensors do not check finiteness: non-finite values are caught where numbers
 enter (dataio's file readers, the CLI settings) and where training consumes
 them (the loss and the global gradient norm in `training.fit`).
@@ -29,6 +30,12 @@ class InvalidMaskError(ValueError):
 
 class ProbeError(RuntimeError):
     """The loss was non-finite at a gradient-check probe point."""
+
+
+def _freed(g):
+    """The backward of an op node whose graph an earlier backward() freed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() "
+                       "already freed; run the forward again")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -77,6 +84,11 @@ class Tensor:
         self.grad += g
 
     def backward(self):
+        """Adds d self / d leaf into the `.grad` of every leaf that requires
+        it. Each op node's backward closure, parent links and gradient are
+        dropped as soon as its backward has run, so the graph is freed as
+        the sweep goes (PyTorch's default); a second backward through it
+        raises."""
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar tensor")
         topo, seen = [], set()
@@ -96,9 +108,13 @@ class Tensor:
                 if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        if self._backward is None:   # a leaf root: its gradient is 1
+            return
+        while topo:
+            node = topo.pop()
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _freed, (), None
 
     # -- elementary ops ----------------------------------------------------
 
@@ -229,35 +245,69 @@ def concat(tensors, axis=0):
     return Tensor(out_data, True, tuple(tensors), backward)
 
 
-# tables each window cache keeps: a video needs a few, and every epoch of a
-# training run asks for all of them again
-WINDOW_CACHE_SIZE = 64
-
-
 def _with_zero_row(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.zeros((1,) + x.shape[1:])])
 
 
-def window_index(lengths, k: int) -> np.ndarray:
-    """[A, k] rows read by each same-padded window over sequences `lengths`
-    long, back to back; A = sum(lengths) stands for a padding zero. Built
-    once per (lengths, k) and shared read-only."""
-    return _window_index(tuple(map(int, lengths)), k)
+# The index tables of a batch are stacked from pieces of one sequence each,
+# built once per sequence length and kept: the caches grow to the pieces a
+# data set's distinct video lengths need at each pyramid level, however its
+# videos are paired into batches, and each piece is a small bool array.
 
 
-@functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)
-def _window_index(lengths: tuple, k: int) -> np.ndarray:
-    lengths = np.array(lengths, dtype=int)
-    if (lengths < 1).any():
-        raise DimensionError("window_index: lengths must be positive")
-    A = int(lengths.sum())
-    idx = np.arange(A)[:, None] + np.arange(-(k // 2), k // 2 + 1)
-    ends = np.cumsum(lengths)
-    end = np.repeat(ends, lengths)[:, None]   # one past each row's sequence
-    start = np.repeat(ends - lengths, lengths)[:, None]
-    out = np.where((idx >= start) & (idx < end), idx, A)
+@functools.cache
+def _window_outside(T: int, k: int) -> np.ndarray:
+    """bool [T, k]: slot j of the same-padded k-window of row t, row
+    t + j - k // 2, falls off a sequence of T rows. Read-only."""
+    if T < 1:
+        raise DimensionError("window tables: lengths must be positive")
+    rows = np.arange(T)[:, None] + np.arange(-(k // 2), k // 2 + 1)
+    out = (rows < 0) | (rows >= T)
     out.setflags(write=False)
     return out
+
+
+@functools.cache
+def _stride_outside(T: int, stride: int, k: int) -> np.ndarray:
+    """bool [ceil(T / stride), k]: row t * stride + j of strided window t
+    falls past the end of a sequence of T rows. Read-only."""
+    if T < 1:
+        raise DimensionError("window tables: lengths must be positive")
+    rows = np.arange(0, T, stride)[:, None] + np.arange(k)
+    out = rows >= T
+    out.setflags(write=False)
+    return out
+
+
+def _stacked(pieces, first: np.ndarray, k: int, A: int) -> np.ndarray:
+    """[n, k] rows `first` + j of the stacked outside `pieces`, or A where a
+    piece marks the slot outside its own sequence."""
+    outside = np.concatenate(pieces)
+    return np.where(outside, A, first[:, None] + np.arange(k))
+
+
+def window_index(lengths, k: int) -> np.ndarray:
+    """[A, k] rows read by each same-padded window over sequences `lengths`
+    long, back to back; A = sum(lengths) stands for a padding zero, so no
+    window reads across a boundary."""
+    pieces = [_window_outside(int(T), k) for T in lengths]
+    A = sum(map(len, pieces))
+    return _stacked(pieces, np.arange(-(k // 2), A - k // 2), k, A)
+
+
+def stride_index(lengths, stride: int, k: int) -> np.ndarray:
+    """[sum ceil(T / stride), k]: strided window t of a sequence of T rows
+    reads its rows t * stride + j, for each of the sequences `lengths` long
+    back to back; A = sum(lengths) stands for the zero that right-pads each
+    sequence on its own."""
+    lengths = np.asarray(lengths, dtype=int)
+    pieces = [_stride_outside(int(T), stride, k) for T in lengths]
+    n = np.array([len(p) for p in pieces])
+    # window r of a sequence whose rows start at `row` and whose windows at
+    # `window` reads from row + (r - window) * stride on
+    row, window = np.cumsum(lengths) - lengths, np.cumsum(n) - n
+    first = np.arange(n.sum()) * stride + np.repeat(row - window * stride, n)
+    return _stacked(pieces, first, k, int(lengths.sum()))
 
 
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -389,30 +439,28 @@ def _dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 
 class Window(NamedTuple):
-    """The tables of sliding-window attention over one sequence of T rows,
-    w = 2h + 1 slots per query, slot-major: in slot s query t reads row
-    `index[s, t]`, which is t + s - h, or T (a zero row) where that falls
-    off the sequence, as `outside[s, t]` marks."""
+    """The tables of sliding-window attention over T rows, w = 2h + 1 slots
+    per query, slot-major: in slot s query t reads row `index[s, t]`, which
+    is t + s - h, or T (a zero row) where that falls off the query's own
+    sequence, as `outside[s, t]` marks."""
     index: np.ndarray     # int [w, T]
     outside: np.ndarray   # bool [w, T]
 
 
-@functools.lru_cache(maxsize=WINDOW_CACHE_SIZE)
-def window_tables(T: int, w: int) -> Window:
-    """The Window of size w (odd) over T rows, built once per (T, w) and
-    shared read-only."""
-    # built past window_index's cache, which would hold the same table
-    index = _window_index.__wrapped__((T,), w).T
-    outside = index == T
-    outside.setflags(write=False)
-    return Window(index, outside)
+def window_tables(lengths, w: int) -> Window:
+    """The Window of size w (odd) over sequences `lengths` long, back to
+    back: a slot outside its own query's sequence reads the zero row."""
+    index = window_index(lengths, w).T
+    return Window(index, index == index.shape[1])
 
 
 def _add_window_slots(x: np.ndarray) -> np.ndarray:
     """The gradient of the rows a Window gathered into x [w, T, D]: slot s
     of query t goes to row t + s - h, so each slot is one shifted slice-add
     into a zero-padded [T + 2h, D] buffer, in slot order, as a sum over
-    the gathered copies of each row would add them."""
+    the gathered copies of each row would add them. A slot outside its
+    query's own sequence has weight exactly 0, so the ±0 it adds to the
+    neighbouring sequence's row changes nothing."""
     w, T = x.shape[:2]
     buf = np.zeros((T + w - 1,) + x.shape[2:])
     for s in range(w):
@@ -688,16 +736,31 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
     return Tensor(out_data, True, parents, backward)
 
 
-def depthwise_conv1d(x: Tensor, w: Tensor, stride: int) -> Tensor:
-    """Per-channel strided convolution, x[T, D] * w[k, D] -> [ceil(T/s), D].
+def depthwise_conv1d(x: Tensor, w: Tensor, stride: int,
+                     lengths) -> Tensor:
+    """Per-channel strided convolution over each of the sequences `lengths`
+    long that x [A, D] holds back to back, with kernel w [k, D], as one node:
+    output t of a sequence reads its rows t * stride + j, and each sequence
+    is right-padded with zeros on its own, so a sequence of T rows gives
+    ceil(T / stride) outputs. Returns [sum ceil(T / stride), D]."""
+    A, k = x.shape[0], w.shape[0]
+    if sum(lengths) != A:
+        raise DimensionError(f"depthwise_conv1d: lengths {list(lengths)} "
+                             f"for {A} rows")
+    idx = stride_index(lengths, stride, k)
+    windows = _with_zero_row(x.data)[idx]   # [n, k, D]
+    out_data = (windows * w.data).sum(axis=1)
+    if not (x.requires_grad or w.requires_grad):
+        return Tensor(out_data)
 
-    Pads on the right only, so output t always reads inputs starting at
-    t*stride.
-    """
-    T = x.shape[0]
-    idx = np.arange(-(-T // stride))[:, None] * stride + np.arange(w.shape[0])
-    windows = gather_rows(x, np.minimum(idx, T))   # [T_out, k, D]
-    return (windows * w).sum(axis=1)
+    def backward(g):
+        g = g[:, None]
+        if w.requires_grad:
+            w._accum((g * windows).sum(axis=0))
+        if x.requires_grad:
+            x._accum(_scatter_rows(g * w.data, idx, A))
+
+    return Tensor(out_data, True, (x, w), backward)
 
 
 # -- gradient checking -------------------------------------------------------

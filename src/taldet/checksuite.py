@@ -49,13 +49,14 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
                 [q, k, v])
 
     def make_window_attention():
-        # 1, 2 or 4 heads over D = 4, T = 1..6 rows and windows of 1, 3 or
-        # 5, wider than the sequence or not
+        # 1, 2 or 4 heads over D = 4, T = 1..6 rows as one sequence or as
+        # two, and windows of 1, 3 or 5, wider than a sequence or not
         heads = int(rng.choice([1, 2, 4]))
         T, w = int(rng.integers(1, 7)), int(rng.choice([1, 3, 5]))
+        cut = int(rng.integers(T))   # 0: one sequence
         q, k, v = (Parameter(rng.normal(size=(T, 4)), n) for n in "qkv")
         c = rng.normal(size=(T, 4))
-        window = window_tables(T, w)
+        window = window_tables([T] if cut == 0 else [cut, T - cut], w)
         return (lambda: (attention(q, k, v, heads, window) * c).sum(),
                 [q, k, v])
 
@@ -140,9 +141,12 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
                 [x, w3, b3, w1, b1])
 
     def make_depthwise():
+        # 7 rows as one sequence or as three, odd and of one row among them,
+        # each right-padded on its own; a kernel of 2 or 3 at stride 2
+        lengths = ([7], [3, 1, 3])[int(rng.integers(2))]
         x = Parameter(rng.normal(size=(7, 4)), "x")
-        w = Parameter(rng.normal(size=(2, 4)), "w")
-        return lambda: _sum_sq(depthwise_conv1d(x, w, 2)), [x, w]
+        w = Parameter(rng.normal(size=(int(rng.integers(2, 4)), 4)), "w")
+        return lambda: _sum_sq(depthwise_conv1d(x, w, 2, lengths)), [x, w]
 
     def make_relu():
         x = Parameter(rng.normal(size=(4, 4)) + 0.1, "x")
@@ -160,7 +164,9 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
                           inside)
         x = Parameter(rng.normal(size=(A, C)) * 2, "logits")
         o = Parameter(rng.uniform(0.5, 3.0, size=(A, 2)), "offsets")
-        outs = HeadOutput(x, o, np.arange(A), np.ones(A, dtype=int))
+        # the anchors of one video, or of two taking turns
+        video = np.arange(A) % int(rng.integers(1, 3))
+        outs = HeadOutput(x, o, np.arange(A), np.ones(A, dtype=int), video)
         lam, strict = float(rng.integers(0, 3)), bool(rng.random() < 0.5)
         return lambda: total_loss(outs, targets, lam, strict), [x, o]
 

@@ -3,20 +3,20 @@
 Both heads are towers of four same-padded kernel-3 convolutions with ReLU,
 shared across pyramid levels, plus a 1x1 projection: C sigmoid logits for the
 classifier, two ReLU-clamped boundary offsets (start / end distance, in
-level-local steps) for the regressor. The levels run as one sequence of A
-steps, level after level, each convolution padded per level; targets, the
-loss and decoding work on that same anchor axis. Each convolution and the
-ReLU after it is one `conv1d` node; the 1x1 projections read their input
-rows directly, with no window gather.
+level-local steps) for the regressor. The pyramid's runs, one per level and
+video of a batch, go through as one sequence of A steps, each convolution
+padded per run; targets, the loss and decoding work on that same anchor
+axis. Each convolution and the ReLU after it is one `conv1d` node; the 1x1
+projections read their input rows directly, with no window gather.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autograd import Tensor, concat, window_index
+from .autograd import Tensor, window_index
 from .nn import ConvLayer, Module
 from .temporal_pyramid import FeaturePyramid
 
@@ -54,6 +54,12 @@ class HeadOutput:
     offsets: Tensor            # [A, 2], nonnegative
     step: np.ndarray           # int [A], index within its level
     stride: np.ndarray         # int [A], snippets per step at its level
+    video: np.ndarray          # int [A], its video's place in the batch
+
+    def video_anchors(self) -> list[np.ndarray]:
+        """The anchors of each video of the batch, in anchor order."""
+        order = np.argsort(self.video, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.video))[:-1])
 
 
 class DetectionHeads(Module):
@@ -68,20 +74,21 @@ class DetectionHeads(Module):
         self.reg_out.b.data += 1.0
 
     def __call__(self, pyr: FeaturePyramid) -> HeadOutput:
-        if not pyr.levels:
+        if not len(pyr.lengths):
             raise ValueError("empty pyramid")
-        lengths = [lv.features.shape[0] for lv in pyr.levels]
-        # one window index for every tower convolution
-        index = window_index(lengths, TOWER_KERNEL)
-        c = r = concat([lv.features for lv in pyr.levels])
+        # one window index over every run, for every tower convolution
+        index = window_index(pyr.lengths, TOWER_KERNEL)
+        c = r = pyr.features
         for layer in self.cls_tower:
             c = layer(c, index, relu=True)
         for layer in self.reg_tower:
             r = layer(r, index, relu=True)
+        first = np.repeat(np.cumsum(pyr.lengths) - pyr.lengths, pyr.lengths)
         return HeadOutput(
             class_logits=self.cls_out(c), offsets=self.reg_out(r, relu=True),
-            step=np.concatenate([np.arange(n) for n in lengths]),
-            stride=np.repeat([lv.stride for lv in pyr.levels], lengths))
+            step=np.arange(len(first)) - first,
+            stride=np.repeat(pyr.strides, pyr.lengths),
+            video=np.repeat(pyr.videos, pyr.lengths))
 
 
 def assign_targets(gts: list[GroundTruthSegment], step: np.ndarray,
@@ -106,6 +113,15 @@ def assign_targets(gts: list[GroundTruthSegment], step: np.ndarray,
         de[hit] = (g.end - times[hit]) / unit[hit]
         inside |= hit
     return Targets(cls, ds, de, inside)
+
+
+def batch_targets(parts: list[Targets],
+                  anchors: list[np.ndarray]) -> Targets:
+    """One Targets over a batch's anchors, from each video's Targets over
+    its own `anchors`."""
+    order = np.argsort(np.concatenate(anchors))
+    return Targets(*(np.concatenate([getattr(t, f.name) for t in parts])[order]
+                     for f in fields(Targets)))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -163,8 +179,9 @@ def giou_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
                strict_positive_only: bool = False) -> Tensor:
-    """(focal + lam * GIoU) / max(T+, 1), one node over the class logits
-    and the offsets.
+    """The mean over a batch's B videos of each video's (focal + lam * GIoU)
+    / max(T+, 1), one node over the class logits and the offsets: anchor
+    a's terms weigh 1 / (max(T+ of its video, 1) * B).
 
     The focal loss sums over every (step, class) entry; with
     strict_positive_only, only steps inside an action contribute, otherwise
@@ -177,27 +194,35 @@ def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
     focal = focal_values(logits.data, y)
     if strict_positive_only:
         focal *= targets.inside[:, None]
-    loss = focal.sum()
     pos = targets.inside.nonzero()[0]
     pred = offsets.data[pos]
     tgt = np.stack([targets.d_start[pos], targets.d_end[pos]], axis=-1)
-    if pos.size:
-        loss = loss + giou_values(pred, tgt).sum() * lam
-    scale = 1.0 / max(pos.size, 1)
-    loss = loss * scale
+    giou = np.zeros(len(y))
+    giou[pos] = giou_values(pred, tgt)
+    videos = outs.video_anchors()
+    weight = np.empty(len(y))   # of each anchor's terms
+    loss = 0.0
+    for anchors in videos:
+        vpos = anchors[targets.inside[anchors]]
+        vloss = focal[anchors].sum()
+        if vpos.size:
+            vloss = vloss + giou[vpos].sum() * lam
+        scale = 1.0 / max(vpos.size, 1)
+        weight[anchors] = scale * (1.0 / len(videos))
+        loss += vloss * scale * (1.0 / len(videos))
     if not (logits.requires_grad or offsets.requires_grad):
         return Tensor(loss)
 
     def backward(g):
-        g = g * scale
+        gw = g * weight
         if logits.requires_grad:
             gl = focal_grad(logits.data, y)
             if strict_positive_only:
                 gl *= targets.inside[:, None]
-            logits._accum(gl * g)
+            logits._accum(gl * gw[:, None])
         if offsets.requires_grad and pos.size:
             go = np.zeros(offsets.shape)
-            go[pos] = giou_grad(pred, tgt) * (lam * g)
+            go[pos] = giou_grad(pred, tgt) * (lam * gw[pos])[:, None]
             offsets._accum(go)
 
     return Tensor(loss, True, (logits, offsets), backward)

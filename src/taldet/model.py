@@ -86,17 +86,23 @@ class SubjectPriorDetector(Module):
         self.heads = DetectionHeads(rng, cfg.feature_dim, cfg.num_classes,
                                     cfg.head_layers)
 
-    def snippet_representation(self, sample: VideoSample) -> Tensor:
-        """[T, D] sequence: aggregated group tokens, or plain global averages
-        when the subject route is disabled."""
+    def snippet_representation(self, samples: list[VideoSample]) -> Tensor:
+        """[sum T, D]: the videos' aggregated group tokens back to back, or
+        their plain global averages when the subject route is disabled."""
+        g0 = concat([s.global_avg for s in samples])
         if not self.cfg.use_subject_tokens:
-            return sample.global_avg
-        T = sample.tokens.shape[0]
-        g0 = sample.global_avg.reshape(T, 1, -1)
-        z0 = concat([sample.tokens, g0], axis=1)
-        return self.aggregator(z0, sample.valid)
+            return g0
+        z0 = concat([concat([s.tokens for s in samples]),
+                     g0.reshape(g0.shape[0], 1, -1)], axis=1)
+        return self.aggregator(z0, np.concatenate([s.valid for s in samples]))
 
-    def forward(self, sample: VideoSample) -> HeadOutput:
-        return self.heads(self.pyramid(self.snippet_representation(sample)))
+    def forward(self, batch) -> HeadOutput:
+        """The heads' output over a batch of videos (a VideoSample alone is
+        a batch of one), run as one sequence with the videos back to back
+        on the snippet axis; no layer mixes two videos."""
+        samples = [batch] if isinstance(batch, VideoSample) else list(batch)
+        lengths = [s.tokens.shape[0] for s in samples]
+        return self.heads(self.pyramid(self.snippet_representation(samples),
+                                       lengths))
 
     __call__ = forward

@@ -133,7 +133,11 @@ class DepthwiseDownsample(Module):
         init += rng.uniform(-0.01, 0.01, size=init.shape)
         self.w = Parameter(init, name + ".w")
 
-    def __call__(self, x):
+    def __call__(self, x, lengths):
+        """x [sum(lengths), D], sequences `lengths` long back to back: the
+        down-sampled sequences, each right-padded on its own, and their
+        lengths ceil(lengths / stride)."""
         if self.stride == 1:
-            return x
-        return depthwise_conv1d(x, self.w, self.stride)
+            return x, lengths
+        return (depthwise_conv1d(x, self.w, self.stride, lengths),
+                -(-lengths // self.stride))

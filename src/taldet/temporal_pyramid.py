@@ -4,7 +4,9 @@ Two mapping convolutions feed a stack of pre-norm attention blocks in which
 each snippet attends only to the keys in its local window. Strided layers
 halve (by `alpha`) the temporal length after attention, and every strided
 layer's output is one pyramid level; with alpha=1 the stack degenerates to
-standard temporal attention at constant length.
+standard temporal attention at constant length. A batch's videos run back to
+back on the snippet axis: every convolution, window and down-sampling pads
+each video on its own, so none reads across two videos.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autograd import Tensor, window_tables
+from .autograd import Tensor, concat, window_index, window_tables
 from .nn import ConvLayer, DepthwiseDownsample, Module, PreNormBlock
 
 if TYPE_CHECKING:
@@ -22,14 +24,14 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class PyramidLevel:
-    features: Tensor      # [T_l, D']
-    stride: int           # snippets per step at this level
-
-
-@dataclass
 class FeaturePyramid:
-    levels: list[PyramidLevel]
+    """Every level of a batch's videos as one sequence of runs, level after
+    level and, within a level, video after video: run r is `lengths[r]`
+    steps of video `videos[r]` at `strides[r]` snippets per step."""
+    features: Tensor       # [A, D'], A = sum(lengths)
+    lengths: np.ndarray    # int [runs]
+    strides: np.ndarray    # int [runs]
+    videos: np.ndarray     # int [runs]
 
 
 class TemporalLayer(Module):
@@ -41,9 +43,12 @@ class TemporalLayer(Module):
         self.down = DepthwiseDownsample(rng, cfg.feature_dim, alpha, name + ".down")
         self.window_size = cfg.window_size
 
-    def __call__(self, x: Tensor) -> Tensor:
-        window = window_tables(x.shape[0], self.window_size)
-        return self.down(self.block(x, window))
+    def __call__(self, x: Tensor, lengths: np.ndarray):
+        """x [sum(lengths), D], videos `lengths` long back to back; returns
+        the output and its videos' lengths. No window reads across two
+        videos."""
+        window = window_tables(lengths, self.window_size)
+        return self.down(self.block(x, window), lengths)
 
 
 class PyramidBuilder(Module):
@@ -59,15 +64,21 @@ class PyramidBuilder(Module):
         self.strided = [TemporalLayer(rng, cfg, alpha=cfg.alpha, name=f"strided.{i}")
                         for i in range(cfg.num_strided_layers)]
 
-    def __call__(self, g_seq: Tensor) -> FeaturePyramid:
-        x = self.map2(self.map1(g_seq, relu=True), relu=True)
+    def __call__(self, g_seq: Tensor, lengths) -> FeaturePyramid:
+        """The pyramid of the videos `lengths` long whose group vectors
+        g_seq [sum(lengths), D] holds back to back."""
+        lengths = np.asarray(lengths, dtype=int)
+        index = window_index(lengths, 3)
+        x = self.map2(self.map1(g_seq, index, relu=True), index, relu=True)
         for layer in self.standard:
-            x = layer(x)
-        levels = [PyramidLevel(x, stride=1)]
-        stride = 1
+            x, lengths = layer(x, lengths)
+        levels, runs = [x], [lengths]
         for layer in self.strided:
-            x = layer(x)
-            stride *= self.cfg.alpha
-            levels.append(PyramidLevel(x, stride=stride))
-        return FeaturePyramid(levels)
-
+            x, lengths = layer(x, lengths)
+            levels.append(x)
+            runs.append(lengths)
+        B = len(lengths)
+        return FeaturePyramid(
+            concat(levels), np.concatenate(runs),
+            np.repeat(self.cfg.alpha ** np.arange(len(runs)), B),
+            np.tile(np.arange(B), len(runs)))

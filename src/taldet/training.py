@@ -11,7 +11,7 @@ import numpy as np
 
 from .autograd import Parameter
 from .dataio import write_checkpoint
-from .heads import assign_targets, total_loss
+from .heads import assign_targets, batch_targets, total_loss
 from .model import SubjectPriorDetector, VideoSample
 
 
@@ -112,11 +112,10 @@ class Adam:
 
 
 def clip_global_norm(flat: FlatParameters, max_norm: float) -> float:
-    """The global gradient L2 norm, before clipping it to `max_norm` > 0; a
-    non-finite norm clips nothing, for the caller to report."""
-    # summed per parameter, in order: one sum over the whole buffer rounds
-    # the last bit differently, and clipping fires on most steps
-    norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in flat.params))
+    """The global gradient L2 norm, one dot product over the whole gradient
+    buffer, before clipping it to `max_norm` > 0; a non-finite norm clips
+    nothing, for the caller to report."""
+    norm = math.sqrt(float(flat.grad @ flat.grad))
     if math.inf > norm > max_norm > 0:
         flat.grad *= max_norm / norm
     return norm
@@ -133,13 +132,18 @@ class FitResult:
     checkpoint_path: Path | None = None
 
 
-def video_loss(model: SubjectPriorDetector, sample: VideoSample,
-               cfg: TrainConfig):
-    outs = model(sample)
-    targets = assign_targets(sample.record.segments, outs.step, outs.stride,
-                             sample.record.seconds_per_snippet,
-                             model.cfg.num_classes)
-    return total_loss(outs, targets, lam=cfg.lam,
+def video_loss(model: SubjectPriorDetector, batch, cfg: TrainConfig):
+    """The loss of a batch of videos (a VideoSample alone is a batch of one):
+    one forward over the videos back to back, each video's targets on its
+    own anchors, and one loss node over them all."""
+    samples = [batch] if isinstance(batch, VideoSample) else list(batch)
+    outs = model(samples)
+    anchors = outs.video_anchors()
+    targets = [assign_targets(s.record.segments, outs.step[a], outs.stride[a],
+                              s.record.seconds_per_snippet,
+                              model.cfg.num_classes)
+               for s, a in zip(samples, anchors)]
+    return total_loss(outs, batch_targets(targets, anchors), lam=cfg.lam,
                       strict_positive_only=cfg.strict_positive_only)
 
 
@@ -159,8 +163,9 @@ def numerical_abort(what: str, step: int, lr: float,
 
 def fit(model: SubjectPriorDetector, samples: list[VideoSample],
         cfg: TrainConfig, out_dir=None) -> FitResult:
-    """Deterministic training: fixed shuffle order per epoch, sequential
-    per-video gradient accumulation within a batch, one Adam step per batch.
+    """Deterministic training: fixed shuffle order per epoch, one forward
+    and one backward per batch over its videos packed back to back, one
+    Adam step per batch.
     """
     if not samples:
         raise ValueError("empty training set")
@@ -177,26 +182,25 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
         order = rng.permutation(len(samples))
         epoch_losses = []
         for b in range(steps_per_epoch):
-            batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            flat.grad.fill(0)
+            batch = [samples[i] for i in
+                     order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
             lr = lr_schedule(step, total_steps, warmup_steps, cfg.lr_init)
-            batch_loss = 0.0
-            for i in batch:
-                sample = samples[i]
-                loss = video_loss(model, sample, cfg) * (1.0 / len(batch))
-                if not np.isfinite(loss.data):
-                    raise numerical_abort(
-                        f"non-finite loss on video {sample.record.id}", step,
-                        lr, model)
-                loss.backward()
-                batch_loss += float(loss.data)
+            loss = video_loss(model, batch, cfg)
+            if not np.isfinite(loss.data):
+                # the gradient buffer still holds the last step's gradients
+                videos = "video" if len(batch) == 1 else "videos"
+                ids = ", ".join(s.record.id for s in batch)
+                raise numerical_abort(f"non-finite loss on {videos} {ids}",
+                                      step, lr, model)
+            flat.grad.fill(0)
+            loss.backward()
             norm = clip_global_norm(flat, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise numerical_abort(f"non-finite gradient norm {norm}",
                                       step, lr, model)
             opt.step(lr)
             ema_update(ema, flat.data, cfg.ema_decay)
-            epoch_losses.append(batch_loss)
+            epoch_losses.append(float(loss.data))
             step += 1
         result.loss_log.append({
             "epoch": epoch,

@@ -72,8 +72,8 @@ def test_criterion_2_group_aggregation_invariants(capfd):
                                            [boxes[:3]] * T), feats, K)
 
     def run(sample, tokens, valid):
-        return model.snippet_representation(VideoSample(
-            sample.record, Tensor(tokens), valid, sample.global_avg)).data
+        return model.snippet_representation([VideoSample(
+            sample.record, Tensor(tokens), valid, sample.global_avg)]).data
 
     base = run(full, full.tokens.data, full.valid)
     perm_drift = 0.0
@@ -99,25 +99,34 @@ def test_criterion_3_pyramid_shape_law(capfd):
                       num_strided_layers=5, alpha=2)
     builder = PyramidBuilder(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    mismatches = 0
-    for T in range(1, 129):
-        pyr = builder(Tensor(rng.normal(size=(T, D))))
-        got = [lv.features.shape[0] for lv in pyr.levels]
+
+    def level_lengths(T):
         want = [T]   # each strided layer: T_{l+1} = ceil(T_l / alpha)
         for _ in range(cfg.num_strided_layers):
             want.append(-(-want[-1] // 2))
-        if got != want:
-            mismatches += 1
+        return want
+
+    mismatches = 0
+    for T in range(1, 129):
+        # alone, and in a batch with a video of 129 - T snippets: the runs
+        # go level after level, video after video
+        for lengths in ([T], [T, 129 - T]):
+            pyr = builder(Tensor(rng.normal(size=(sum(lengths), D))), lengths)
+            want = np.array([level_lengths(n) for n in lengths]).T.ravel()
+            if (list(pyr.lengths) != list(want)
+                    or pyr.features.shape[0] != want.sum()):
+                mismatches += 1
 
     flat_cfg = ModelConfig(feature_dim=D, num_classes=1, temporal_heads=2,
                            window_size=9, num_standard_layers=2,
                            num_strided_layers=5, alpha=1)
     flat = PyramidBuilder(flat_cfg, np.random.default_rng(2))
-    pyr = flat(Tensor(rng.normal(size=(40, D))))
-    flat_ok = all(lv.features.shape[0] == 40 for lv in pyr.levels)
+    pyr = flat(Tensor(rng.normal(size=(40, D))), [40])
+    flat_ok = list(pyr.lengths) == [40] * 6
 
     ok = mismatches == 0 and flat_ok
-    report(capfd, 3, ok, f"ceil-recurrence exact for T in [1,128] "
+    report(capfd, 3, ok, f"ceil-recurrence exact for T in [1,128], alone "
+                  f"and packed with 129 - T "
                   f"({mismatches} mismatches), alpha=1 constant lengths: "
                   f"{flat_ok}")
 
@@ -187,7 +196,8 @@ def test_criterion_4_oracle_equivalence(capfd):
     offs = rng.uniform(0.0, 3.0, size=(9, 2))
     step = np.array([0, 1, 2, 3, 4, 5, 0, 1, 2])
     stride = np.array([1] * 6 + [2] * 3)
-    outs = HeadOutput(Tensor(logits), Tensor(offs), step, stride)
+    outs = HeadOutput(Tensor(logits), Tensor(offs), step, stride,
+                      np.zeros(9, dtype=int))
     record = AnnotationRecord("v", 16.0, 64, 64, 4, [], [[]] * 6)
     got = decode(outs, record, score_threshold=0.3)
     expected = []

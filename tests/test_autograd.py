@@ -1,13 +1,15 @@
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taldet import autograd
 from taldet.autograd import (DimensionError, InvalidMaskError, Parameter,
                              ProbeError, Tensor, attention, conv1d,
                              depthwise_conv1d, grad_check, layer_norm, linear,
-                             window_index, window_tables)
+                             stride_index, window_index, window_tables)
 
 
 def pointwise(x, f, df):
@@ -228,13 +230,23 @@ class TestConv1d:
             conv1d(Tensor(np.zeros((4, 1))), Parameter(np.zeros((2, 1, 1)), "w"))
 
     def test_depthwise_matches_right_padded_oracle(self):
+        # each sequence right-padded on its own: odd lengths, one of 1 row
         rng = np.random.default_rng(11)
-        x, w = rng.normal(size=(7, 3)), rng.normal(size=(2, 3))
-        out = depthwise_conv1d(Tensor(x), Parameter(w, "w"), 2).data
-        xp = np.pad(x, ((0, 1), (0, 0)))
-        expected = np.stack([(xp[2 * t:2 * t + 2] * w).sum(axis=0)
-                             for t in range(4)])
-        assert np.abs(out - expected).max() < 1e-12
+        for lengths, k in (([7], 2), ([3, 1, 3], 2), ([4, 5], 3)):
+            x, w = rng.normal(size=(sum(lengths), 3)), rng.normal(size=(k, 3))
+            out = depthwise_conv1d(Tensor(x), Parameter(w, "w"), 2,
+                                   lengths).data
+            expected = []
+            for seq in np.split(x, np.cumsum(lengths)[:-1]):
+                xp = np.pad(seq, ((0, k), (0, 0)))
+                expected += [(xp[2 * t:2 * t + k] * w).sum(axis=0)
+                             for t in range(-(-len(seq) // 2))]
+            assert np.abs(out - np.stack(expected)).max() < 1e-12
+
+    def test_depthwise_lengths_must_cover_the_input(self):
+        with pytest.raises(DimensionError):
+            depthwise_conv1d(Tensor(np.zeros((5, 1))),
+                             Parameter(np.zeros((2, 1)), "w"), 2, [2, 2])
 
 
 def loop_window_index(lengths, k):
@@ -248,24 +260,41 @@ def loop_window_index(lengths, k):
     return np.array(rows).reshape(A, k)
 
 
+def loop_stride_index(lengths, stride, k):
+    """stride_index built afresh, window by window and slot by slot."""
+    A, rows, start = sum(lengths), [], 0
+    for n in lengths:
+        for t in range(0, n, stride):
+            rows.append([start + t + j if t + j < n else A for j in range(k)])
+        start += n
+    return np.array(rows).reshape(-1, k)
+
+
 class TestWindowTables:
     @pytest.mark.parametrize("lengths", [[1], [9], [4, 1, 4], [2, 7, 3, 1]])
     @pytest.mark.parametrize("k", [1, 3, 9])
     def test_cached_tables_match_a_fresh_build(self, lengths, k):
         idx = window_index(np.array(lengths), k)
         np.testing.assert_array_equal(idx, loop_window_index(lengths, k))
-        assert window_index(lengths, k) is idx   # built once
-        if len(lengths) == 1:
-            win = window_tables(lengths[0], k)
-            np.testing.assert_array_equal(win.index, idx.T)
-            np.testing.assert_array_equal(win.outside, idx.T == lengths[0])
-            assert window_tables(lengths[0], k) is win
+        win = window_tables(lengths, k)
+        np.testing.assert_array_equal(win.index, idx.T)
+        np.testing.assert_array_equal(win.outside, idx.T == sum(lengths))
+        for stride in (1, 2, 3):
+            np.testing.assert_array_equal(
+                stride_index(lengths, stride, k),
+                loop_stride_index(lengths, stride, k))
 
     def test_cached_tables_are_read_only(self):
-        idx, win = window_index([3, 2], 3), window_tables(5, 3)
-        for table in (idx, win.index, win.outside):
+        # each piece is built once per length and shared; a batch's table
+        # is a new array stacked from them
+        pieces = [autograd._window_outside(3, 3),
+                  autograd._stride_outside(5, 2, 2)]
+        assert autograd._window_outside(3, 3) is pieces[0]
+        for table in pieces:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = table[0, 1]
+        idx = window_index([3, 2], 3)
+        idx[0, 0] = -1
         np.testing.assert_array_equal(window_index([3, 2], 3),
                                       loop_window_index([3, 2], 3))
 
@@ -275,7 +304,59 @@ class TestWindowTables:
             with pytest.raises(DimensionError):
                 window_index(np.array(lengths), 3)
             with pytest.raises(DimensionError):
-                window_tables(lengths[-1], 3)
+                window_tables(lengths, 3)
+            with pytest.raises(DimensionError):
+                stride_index(lengths, 2, 2)
+
+
+def live_graph_nodes():
+    """Tensors still linked to their parents: the op nodes of every graph
+    that has not been freed."""
+    return [t for t in gc.get_objects()
+            if isinstance(t, Tensor) and t._parents]
+
+
+class TestGraphRelease:
+    def test_backward_frees_the_graph(self):
+        # once backward() returns, no op node of its graph is alive, the
+        # root included, and the leaves keep their gradients
+        from taldet.checksuite import build_toy_problem
+        loss_fn, params = build_toy_problem(seed=1, T=4)
+        before = {id(t) for t in live_graph_nodes()}
+
+        def graph():
+            return [t for t in live_graph_nodes() if id(t) not in before]
+
+        loss = loss_fn()
+        assert len(graph()) > 20
+        loss.backward()
+        assert graph() == []
+        assert loss._parents == () and loss.grad is None
+        features = params[0]
+        assert np.abs(features.grad).max() > 0
+
+    def test_second_backward_raises(self):
+        x = Parameter(np.array([1.0, -2.0]), "x")
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
+    def test_backward_into_a_freed_graph_raises(self):
+        # h is shared by two losses; the first backward frees it
+        x = Parameter(np.array([1.0, -2.0]), "x")
+        h = x * x
+        first, second = h.sum(), (h * 3.0).sum()
+        first.backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            second.backward()
+
+    def test_leaf_root_gets_a_gradient_of_one_each_time(self):
+        p = Parameter(np.array(3.0), "p")
+        p.backward()
+        p.backward()
+        assert p.grad == 2.0
 
 
 class TestGradCheck:

@@ -1,6 +1,6 @@
 """`autograd.linear`, `autograd.layer_norm`, `autograd.conv1d`,
-`autograd.prenorm_block` and `heads.total_loss` are single nodes with an
-analytic backward. The compositions of smaller nodes they replaced are kept
+`autograd.depthwise_conv1d`, `autograd.prenorm_block` and
+`heads.total_loss` are single nodes with an analytic backward. The compositions of smaller nodes they replaced are kept
 here as oracles: the fused forward values must match them bit for bit (a
 `linear` over more than two axes within 1e-12, since its weight gradient is
 one 2-D product instead of one per leading index), and every gradient must
@@ -9,12 +9,15 @@ composition's order, so theirs must match bit for bit too, down to the
 checkpoint bytes of a training run. `conv1d`'s column-wise backward of the
 window gather is checked against the `np.add.at` scatter it replaced, its
 fused ReLU against a ReLU node, and its 1-wide kernel, which reads x with no
-gather, against the gather, all bit for bit. `Tensor.backward` walks only
-op nodes; the walk over every node, leaves included, gives the same bits.
+gather, against the gather, all bit for bit. `depthwise_conv1d` matches
+its gather, product and window sum bit for bit over one sequence and
+within 1e-12 over several. `Tensor.backward` walks only op nodes; the walk
+over every node, leaves included, gives the same bits.
 
 Attention has three layouts, each checked against the dense formulation it
 replaced: windowed attention (`autograd.Window`, the temporal layers)
-against attention under the dense band mask (`band_mask`) within 1e-12;
+against attention under the dense band mask (`band_mask`, block-diagonal
+over sequences back to back) within 1e-12;
 the aggregator's packed valid slots (`autograd.Packed`) against its blocks
 over all K + 1 slots under the broadcast column mask, with the same group
 vectors and, in training, the same checkpoint bytes; and the dense
@@ -27,10 +30,10 @@ import math
 import numpy as np
 import pytest
 
-from taldet import autograd, nn, spatial_attention, training
+from taldet import nn, spatial_attention, training
 from taldet.autograd import (Parameter, Tensor, attention, concat, conv1d,
                              depthwise_conv1d, layer_norm, linear,
-                             window_index, window_tables)
+                             stride_index, window_index, window_tables)
 from taldet.checksuite import build_toy_problem
 from taldet.dataio import SyntheticSpec, generate_synthetic, read_features
 from taldet.heads import (FOCAL_ALPHA, FOCAL_GAMMA, GroundTruthSegment,
@@ -40,11 +43,14 @@ from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
 TOL = 1e-12
 
 
-def band_mask(T, window_size):
-    """The dense oracle of `window_tables(T, window_size)`: allowed[i, j]
-    when |i - j| is within the half-window."""
-    idx = np.arange(T)
-    return np.abs(idx[:, None] - idx[None, :]) <= (window_size - 1) // 2
+def band_mask(lengths, window_size):
+    """The dense oracle of `window_tables(lengths, window_size)`:
+    allowed[i, j] when i and j lie in one sequence and |i - j| is within
+    the half-window."""
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    idx = np.arange(len(seq))
+    return ((np.abs(idx[:, None] - idx[None, :]) <= (window_size - 1) // 2)
+            & (seq[:, None] == seq[None, :]))
 
 
 def node(out, *links):
@@ -258,18 +264,44 @@ def test_one_wide_conv1d_matches_gather(relu):
                                         relu=relu), params, c), grad_tol=0.0)
 
 
+def composed_depthwise(x, w, stride, lengths):
+    """depthwise_conv1d as the composition it replaced: a gather of the
+    strided windows whose backward scatters with np.add.at, a broadcast
+    product with the kernel and a sum over the window."""
+    windows = scatter_gather_rows(x, stride_index(lengths, stride,
+                                                  w.shape[0]))
+    return (windows * w).sum(axis=1)
+
+
 @pytest.mark.parametrize("T, k, stride", [(7, 2, 2), (10, 4, 4), (9, 5, 2)])
-def test_depthwise_gather_matches_scatter(monkeypatch, T, k, stride):
+def test_depthwise_gather_matches_scatter(T, k, stride):
     # T not a multiple of the stride: the last window reads the zero row
     rng = np.random.default_rng(T)
     x = Parameter(rng.normal(size=(T, 3)), "x")
     w = Parameter(rng.normal(size=(k, 3)), "w")
     c = rng.normal(size=(-(-T // stride), 3))
-    gather = forward_backward(
-        lambda: depthwise_conv1d(x, w, stride), [x, w], c)
-    monkeypatch.setattr(autograd, "gather_rows", scatter_gather_rows)
-    assert_matches(gather, forward_backward(
-        lambda: depthwise_conv1d(x, w, stride), [x, w], c), grad_tol=0.0)
+    assert_matches(
+        forward_backward(lambda: depthwise_conv1d(x, w, stride, [T]), [x, w],
+                         c),
+        forward_backward(lambda: composed_depthwise(x, w, stride, [T]),
+                         [x, w], c), grad_tol=0.0)
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 3], [4, 5], [1, 1, 2]])
+@pytest.mark.parametrize("k", [2, 3])
+def test_depthwise_over_sequences_matches_composition(lengths, k):
+    """Sequences back to back, each right-padded on its own (odd lengths,
+    1-row ones): the one node against the composition, within 1e-12."""
+    rng = np.random.default_rng(sum(lengths) * k)
+    x = Parameter(rng.normal(size=(sum(lengths), 3)), "x")
+    w = Parameter(rng.normal(size=(k, 3)), "w")
+    c = rng.normal(size=(sum(-(-n // 2) for n in lengths), 3))
+    fused = forward_backward(lambda: depthwise_conv1d(x, w, 2, lengths),
+                             [x, w], c)
+    assert op_nodes(depthwise_conv1d(x, w, 2, lengths)) == 1
+    assert_matches(fused, forward_backward(
+        lambda: composed_depthwise(x, w, 2, lengths), [x, w], c),
+        value_tol=TOL)
 
 
 @pytest.mark.parametrize("shape", [(5, 8), (4, 3, 8)])
@@ -301,7 +333,8 @@ def loss_problem(segments, seed, identical=False):
         offsets[pos] = np.stack([targets.d_start, targets.d_end], -1)[pos]
     logits = Parameter(rng.normal(size=(12, 2)) * 2, "logits")
     offsets = Parameter(offsets, "offsets")
-    return HeadOutput(logits, offsets, step, stride), targets
+    return HeadOutput(logits, offsets, step, stride,
+                      np.zeros(12, dtype=int)), targets
 
 
 SEGMENTS = [(0, 0.0, 0.9), (1, 1.2, 2.0)]
@@ -352,7 +385,7 @@ def block_problem(shape, seed):
         p.data += rng.normal(size=p.shape) * 0.1
     z = Parameter(rng.normal(size=shape), "z")
     if len(shape) == 2:
-        return block, z, window_tables(shape[0], 3)
+        return block, z, window_tables([shape[0]], 3)
     T, n, _ = shape
     valid = rng.random((T, n)) < 0.6
     valid[:, -1] = True
@@ -390,7 +423,7 @@ def test_window_attention_matches_dense_band(T, w):
     q, k, v = (Parameter(rng.normal(size=(T, 8)), n) for n in "qkv")
     block = nn.PreNormBlock(rng, 8, 2)
     c = rng.normal(size=(T, 8))
-    window, band = window_tables(T, w), band_mask(T, w)
+    window, band = window_tables([T], w), band_mask([T], w)
     for f, params in ((lambda a: attention(q, k, v, 2, a), [q, k, v]),
                       (lambda a: block(q, a), [q] + block.parameters())):
         windowed = forward_backward(lambda: f(window), params, c)
@@ -403,6 +436,26 @@ def test_window_attention_matches_dense_band(T, w):
         np.testing.assert_array_equal(graph_free.data, windowed[0])
         for p in params:
             p.requires_grad = True
+
+
+@pytest.mark.parametrize("lengths", [[4, 1, 5], [1, 1], [9, 2, 33]])
+@pytest.mark.parametrize("w", [3, 9])
+def test_packed_window_attention_matches_block_band(lengths, w):
+    """Attention over the Window of sequences back to back, as a node and
+    inside a block, against the same calls under the dense block-diagonal
+    band mask, which allows no key of another sequence: values and every
+    gradient within 1e-12."""
+    rng = np.random.default_rng(sum(lengths) + w)
+    T = sum(lengths)
+    q, k, v = (Parameter(rng.normal(size=(T, 8)), n) for n in "qkv")
+    block = nn.PreNormBlock(rng, 8, 2)
+    c = rng.normal(size=(T, 8))
+    window, band = window_tables(lengths, w), band_mask(lengths, w)
+    for f, params in ((lambda a: attention(q, k, v, 2, a), [q, k, v]),
+                      (lambda a: block(q, a), [q] + block.parameters())):
+        assert_matches(forward_backward(lambda: f(window), params, c),
+                       forward_backward(lambda: f(band), params, c),
+                       value_tol=TOL)
 
 
 def reduce_attention(q, k, v, heads, allowed):
@@ -534,16 +587,18 @@ def toy_fit_bytes(tmp_path, run):
             for name in ("checkpoint.ptck", "loss_log.jsonl")]
 
 
-def test_toy_video_step_graph_has_31_op_nodes(tmp_path):
+def test_toy_batch_graph_has_25_op_nodes(tmp_path):
     # 7 attention blocks, 12 convolutions (11 with the ReLU after them
     # fused in: the 2 mapping ones, the 8 tower layers and the offsets'),
-    # 3 strided down-samplings of 3 nodes (gather, product, sum), the
-    # group-row gather, the heads' concat and the loss; 42 when each ReLU
-    # was a node of its own, 155 when a block was 12 nodes and a
-    # convolution 4
+    # 3 strided down-samplings, the group-row gather, the pyramid's concat
+    # of its levels and the loss, for one video or a batch of two: 31 per
+    # video when a down-sampling was 3 nodes and each video had a graph of
+    # its own, 42 when each ReLU was a node of its own, 155 when a block
+    # was 12 nodes and a convolution 4
     model, samples = toy_model_and_samples(tmp_path)
-    loss = training.video_loss(model, samples[0], training.TrainConfig())
-    assert op_nodes(loss) == 31
+    for batch in (samples[:1], samples[:2]):
+        loss = training.video_loss(model, batch, training.TrainConfig())
+        assert op_nodes(loss) == 25
 
 
 def every_node_backward(root):

@@ -4,22 +4,29 @@ from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, Tensor, grad_check
 from taldet.heads import (DetectionHeads, GroundTruthSegment, HeadOutput,
-                          Targets, assign_targets, focal_values, giou_values,
-                          total_loss)
-from taldet.temporal_pyramid import FeaturePyramid, PyramidLevel
+                          Targets, assign_targets, batch_targets,
+                          focal_values, giou_values, total_loss)
+from taldet.temporal_pyramid import FeaturePyramid
 
 D = 8
 
 
+def pyramid(levels, strides, videos=None):
+    """A FeaturePyramid of one run per level array, with these strides
+    (and videos, default all 0)."""
+    n = len(levels)
+    return FeaturePyramid(
+        Tensor(np.concatenate(levels) if levels else np.zeros((0, D))),
+        np.array([len(lv) for lv in levels], dtype=int),
+        np.array(strides, dtype=int),
+        np.zeros(n, dtype=int) if videos is None else np.array(videos))
+
+
 def make_pyramid(lengths, dim=D, seed=0):
+    """One video's pyramid of levels `lengths` long, strides 1, 2, 4, ..."""
     rng = np.random.default_rng(seed)
-    levels = []
-    stride = 1
-    for T in lengths:
-        levels.append(PyramidLevel(features=Tensor(rng.normal(size=(T, dim))),
-                                   stride=stride))
-        stride *= 2
-    return FeaturePyramid(levels=levels)
+    return pyramid([rng.normal(size=(T, dim)) for T in lengths],
+                   2 ** np.arange(len(lengths)))
 
 
 def anchors(shapes):
@@ -51,6 +58,24 @@ class TestDetectionHeads:
         step, stride = anchors([(6, 1), (3, 2), (2, 4)])
         np.testing.assert_array_equal(out.step, step)
         np.testing.assert_array_equal(out.stride, stride)
+        np.testing.assert_array_equal(out.video, np.zeros(11))
+
+    def test_runs_of_a_batch_carry_their_video(self):
+        # two videos, levels interleaved: level 0 of videos 0 and 1, then
+        # level 1 of both
+        heads = DetectionHeads(np.random.default_rng(0), D, num_classes=2,
+                                num_layers=1)
+        rng = np.random.default_rng(1)
+        out = heads(pyramid([rng.normal(size=(T, D)) for T in (4, 3, 2, 2)],
+                            [1, 1, 2, 2], [0, 1, 0, 1]))
+        step, stride = anchors([(4, 1), (3, 1), (2, 2), (2, 2)])
+        np.testing.assert_array_equal(out.step, step)
+        np.testing.assert_array_equal(out.stride, stride)
+        np.testing.assert_array_equal(out.video, np.repeat([0, 1, 0, 1],
+                                                           [4, 3, 2, 2]))
+        videos = out.video_anchors()
+        np.testing.assert_array_equal(videos[0], [0, 1, 2, 3, 7, 8])
+        np.testing.assert_array_equal(videos[1], [4, 5, 6, 9, 10])
 
     def test_towers_shared_across_levels(self):
         # a level of length 1 and a singleton slice of a longer level see the
@@ -58,10 +83,7 @@ class TestDetectionHeads:
         heads = DetectionHeads(np.random.default_rng(1), D, num_classes=2,
                                 num_layers=4)
         const = np.ones((5, D))
-        pyr = FeaturePyramid(levels=[
-            PyramidLevel(Tensor(const), 1),
-            PyramidLevel(Tensor(const.copy()), 2)])
-        out = heads(pyr)
+        out = heads(pyramid([const, const.copy()], [1, 2]))
         np.testing.assert_array_equal(out.class_logits.data[:5],
                                       out.class_logits.data[5:])
 
@@ -73,9 +95,9 @@ class TestDetectionHeads:
         pyr = make_pyramid([6, 1, 3, 1], seed=4)
         out = heads(pyr)
         lo = 0
-        for level in pyr.levels:
-            alone = heads(FeaturePyramid(levels=[level]))
-            hi = lo + level.features.shape[0]
+        for T, stride in zip(pyr.lengths, pyr.strides):
+            hi = lo + T
+            alone = heads(pyramid([pyr.features.data[lo:hi]], [stride]))
             for got, want in ((out.class_logits, alone.class_logits),
                               (out.offsets, alone.offsets)):
                 assert np.abs(got.data[lo:hi] - want.data).max() <= 1e-12
@@ -94,7 +116,7 @@ class TestDetectionHeads:
         heads = DetectionHeads(np.random.default_rng(2), D, num_classes=2,
                                 num_layers=4)
         with pytest.raises(ValueError):
-            heads(FeaturePyramid(levels=[]))
+            heads(pyramid([], []))
 
 
 class TestAssignTargets:
@@ -159,7 +181,8 @@ def loss_inputs(logits, offsets=None):
     A = logits.shape[0]
     if offsets is None:
         offsets = Tensor(np.ones((A, 2)))
-    return HeadOutput(logits, offsets, np.arange(A), np.ones(A, dtype=int))
+    return HeadOutput(logits, offsets, np.arange(A), np.ones(A, dtype=int),
+                      np.zeros(A, dtype=int))
 
 
 def fixed_targets(class_target, inside, d_start=None, d_end=None):
@@ -266,7 +289,8 @@ class TestTotalLoss:
         step, stride = anchors([(T, 2 ** i) for i, T in enumerate(lengths)])
         return HeadOutput(class_logits=Tensor(rng.normal(size=(A, C))),
                           offsets=Tensor(rng.uniform(0.1, 3.0, size=(A, 2))),
-                          step=step, stride=stride)
+                          step=step, stride=stride,
+                          video=np.zeros(A, dtype=int))
 
     def test_normalized_by_global_positive_count(self):
         gts = [GroundTruthSegment(0, 0.0, 1.0)]
@@ -283,6 +307,41 @@ class TestTotalLoss:
             acc += giou_values(outs.offsets.data[pos], t).sum()
         np.testing.assert_allclose(loss.data, acc / tm.num_positive,
                                    rtol=1e-12)
+
+    def test_batch_loss_is_the_mean_of_its_videos_losses(self):
+        # two videos whose anchors interleave level by level, one with
+        # three positives and one with none: each video normalised by its own
+        # max(T+, 1), then the mean; the gradients likewise
+        gts = [[GroundTruthSegment(0, 0.0, 0.3)], []]
+        shapes = [[(4, 1), (2, 2)], [(3, 1), (2, 2)]]
+        video = np.repeat([0, 1, 0, 1], [4, 3, 2, 2])
+        outs = self._outputs([4, 3, 2, 2], 2, seed=5)
+        outs.video = video
+        logits = Parameter(outs.class_logits.data, "logits")
+        offsets = Parameter(outs.offsets.data, "offsets")
+        outs.class_logits, outs.offsets = logits, offsets
+        parts = [assign_targets(g, *anchors(sh), 0.25, 2)
+                 for g, sh in zip(gts, shapes)]
+        assert [t.num_positive for t in parts] == [3, 0]
+        videos = outs.video_anchors()
+        loss = total_loss(outs, batch_targets(parts, videos))
+        loss.backward()
+        grads = [logits.grad.copy(), offsets.grad.copy()]
+        mean = 0.0
+        for t, a, sh in zip(parts, videos, shapes):
+            sub = HeadOutput(Parameter(logits.data[a], "l"),
+                             Parameter(offsets.data[a], "o"), *anchors(sh),
+                             np.zeros(len(a), dtype=int))
+            part = total_loss(sub, t)
+            part.backward()
+            mean += float(part.data) / 2
+            for g, sub_param in zip(grads, (sub.class_logits, sub.offsets)):
+                # offsets with no positive step get no gradient
+                sg = (np.zeros_like(sub_param.data) if sub_param.grad is None
+                      else sub_param.grad)
+                np.testing.assert_allclose(g[a], sg / 2, rtol=1e-12,
+                                           atol=1e-15)
+        np.testing.assert_allclose(loss.data, mean, rtol=1e-12)
 
     def test_lambda_scales_regression_term(self):
         gts = [GroundTruthSegment(0, 0.0, 1.0)]
@@ -309,8 +368,8 @@ class TestTotalLoss:
         outs = self._outputs([4, 2], 2, seed=3)
         logits = Parameter(outs.class_logits.data, "logits")
         offsets = Parameter(outs.offsets.data, "offsets")
-        loss = total_loss(HeadOutput(logits, offsets, outs.step, outs.stride),
-                          tm)
+        loss = total_loss(HeadOutput(logits, offsets, outs.step, outs.stride,
+                                     outs.video), tm)
         assert loss._parents == (logits, offsets)
 
     def test_gradient_through_heads(self):

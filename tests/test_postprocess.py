@@ -26,7 +26,8 @@ def head_output(levels, strides=(1,)):
         class_logits=Tensor(np.concatenate([lg for lg, _ in levels])),
         offsets=Tensor(np.concatenate([of for _, of in levels])),
         step=np.concatenate([np.arange(T) for T in lengths]),
-        stride=np.repeat(strides, lengths))
+        stride=np.repeat(strides, lengths),
+        video=np.zeros(sum(lengths), dtype=int))
 
 
 class TestActionSegment:

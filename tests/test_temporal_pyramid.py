@@ -32,7 +32,7 @@ class TestWindowedMhsa:
         rng = np.random.default_rng(0)
         attn = MultiHeadSelfAttention(rng, D, 2)
         x = Tensor(rng.normal(size=(5, D)))
-        windowed = attn(x, allowed=window_tables(5, 2 * 5 - 1))
+        windowed = attn(x, allowed=window_tables([5], 2 * 5 - 1))
         full = attn(x, allowed=np.ones((5, 5), dtype=bool))
         np.testing.assert_allclose(windowed.data, full.data, atol=1e-12)
 
@@ -40,7 +40,7 @@ class TestWindowedMhsa:
         rng = np.random.default_rng(1)
         attn = MultiHeadSelfAttention(rng, D, 1)
         x = rng.normal(size=(4, D))
-        out = attn(Tensor(x), allowed=window_tables(4, 1)).data
+        out = attn(Tensor(x), allowed=window_tables([4], 1)).data
         # softmax over one element is 1: output is the per-row V->O path
         v = x @ attn.wv.w.data + attn.wv.b.data
         expected = v @ attn.wo.w.data + attn.wo.b.data
@@ -52,7 +52,7 @@ class TestWindowedMhsa:
         x = Tensor(rng.normal(size=(5, D)))
         idx = np.arange(5)
         band = np.abs(idx[:, None] - idx[None, :]) <= 1
-        out = layer(x)
+        out, _ = layer(x, np.array([5]))
         oracle = layer.block(x, band)
         np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
 
@@ -62,15 +62,15 @@ class TestTemporalLayer:
         rng = np.random.default_rng(3)
         layer = TemporalLayer(rng, small_cfg(), alpha=1)
         x = Tensor(rng.normal(size=(7, D)))
-        out = layer(x)
-        assert out.shape == (7, D)
+        out, lengths = layer(x, np.array([7]))
+        assert out.shape == (7, D) and list(lengths) == [7]
 
     def test_alpha_two_halves_length(self):
         rng = np.random.default_rng(4)
         layer = TemporalLayer(rng, small_cfg(), alpha=2)
         x = Tensor(rng.normal(size=(64, D)))
-        out = layer(x)
-        assert out.shape == (32, D)
+        out, lengths = layer(x, np.array([64]))
+        assert out.shape == (32, D) and list(lengths) == [32]
 
     def test_zero_weights_alpha_one_residual_identity(self):
         rng = np.random.default_rng(5)
@@ -80,7 +80,7 @@ class TestTemporalLayer:
         layer.block.ffn.fc2.w.data[:] = 0.0
         layer.block.ffn.fc2.b.data[:] = 0.0
         x = rng.normal(size=(6, D))
-        out = layer(Tensor(x))
+        out, _ = layer(Tensor(x), np.array([6]))
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
@@ -89,22 +89,25 @@ class TestBuildPyramid:
         cfg = small_cfg(window_size=9, num_standard_layers=2,
                         num_strided_layers=5)
         builder = PyramidBuilder(cfg, np.random.default_rng(6))
-        pyr = builder(Tensor(np.random.default_rng(7).normal(size=(64, D))))
-        assert [lv.features.shape[0] for lv in pyr.levels] == [64, 32, 16, 8, 4, 2]
-        assert [lv.stride for lv in pyr.levels] == [1, 2, 4, 8, 16, 32]
+        pyr = builder(Tensor(np.random.default_rng(7).normal(size=(64, D))),
+                      [64])
+        assert list(pyr.lengths) == [64, 32, 16, 8, 4, 2]
+        assert list(pyr.strides) == [1, 2, 4, 8, 16, 32]
 
     def test_length_one_fixed_point(self):
         cfg = small_cfg(window_size=9, num_standard_layers=2,
                         num_strided_layers=5)
         builder = PyramidBuilder(cfg, np.random.default_rng(8))
-        pyr = builder(Tensor(np.random.default_rng(9).normal(size=(1, D))))
-        assert [lv.features.shape[0] for lv in pyr.levels] == [1] * 6
+        pyr = builder(Tensor(np.random.default_rng(9).normal(size=(1, D))),
+                      [1])
+        assert list(pyr.lengths) == [1] * 6
 
     def test_ceil_recurrence_oracle_t50(self):
         cfg = small_cfg(num_strided_layers=5)
         builder = PyramidBuilder(cfg, np.random.default_rng(10))
-        pyr = builder(Tensor(np.random.default_rng(11).normal(size=(50, D))))
-        assert ([lv.features.shape[0] for lv in pyr.levels]
+        pyr = builder(Tensor(np.random.default_rng(11).normal(size=(50, D))),
+                      [50])
+        assert (list(pyr.lengths)
                 == expected_level_lengths(50, 2, 6) == [50, 25, 13, 7, 4, 2])
 
     @given(st.integers(1, 128))
@@ -112,8 +115,9 @@ class TestBuildPyramid:
     def test_shape_law_property(self, T):
         cfg = small_cfg()
         builder = PyramidBuilder(cfg, np.random.default_rng(12))
-        pyr = builder(Tensor(np.random.default_rng(13).normal(size=(T, D))))
-        assert ([lv.features.shape[0] for lv in pyr.levels]
+        pyr = builder(Tensor(np.random.default_rng(13).normal(size=(T, D))),
+                      [T])
+        assert (list(pyr.lengths)
                 == expected_level_lengths(T, cfg.alpha,
                                           1 + cfg.num_strided_layers))
 
@@ -123,10 +127,10 @@ class TestBuildPyramid:
         layer.block.ffn.fc2.w.data[:] = 0.0
         layer.block.ffn.fc2.b.data[:] = 0.0
         x = rng.normal(size=(9, D))
-        base = layer(Tensor(x))
+        base, _ = layer(Tensor(x), np.array([9]))
         bumped = x.copy()
         bumped[8] += 5.0
-        out = layer(Tensor(bumped))
+        out, _ = layer(Tensor(bumped), np.array([9]))
         # positions farther than (window_size-1)/2 = 1 from the bump unchanged
         np.testing.assert_allclose(out.data[:7], base.data[:7], atol=1e-12)
         assert np.abs(out.data[7:] - base.data[7:]).max() > 1e-6
@@ -139,9 +143,8 @@ class TestBuildPyramid:
         coeffs = [rng.normal(size=(8, D)), rng.normal(size=(4, D))]
 
         def loss():
-            pyr = builder(x)
-            total = (pyr.levels[0].features * coeffs[0]).sum()
-            return total + (pyr.levels[1].features * coeffs[1]).sum()
+            pyr = builder(x, [8])
+            return (pyr.features * np.concatenate(coeffs)).sum()
 
         params = [x] + builder.parameters()
         assert grad_check(loss, params, h=1e-5, max_coords=3) < 1e-4
@@ -149,6 +152,7 @@ class TestBuildPyramid:
     def test_alpha_one_constant_lengths(self):
         cfg = small_cfg(alpha=1, num_strided_layers=3)
         builder = PyramidBuilder(cfg, np.random.default_rng(18))
-        pyr = builder(Tensor(np.random.default_rng(19).normal(size=(12, D))))
-        assert [lv.features.shape[0] for lv in pyr.levels] == [12] * 4
-        assert [lv.stride for lv in pyr.levels] == [1] * 4
+        pyr = builder(Tensor(np.random.default_rng(19).normal(size=(12, D))),
+                      [12])
+        assert list(pyr.lengths) == [12] * 4
+        assert list(pyr.strides) == [1] * 4

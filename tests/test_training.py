@@ -1,13 +1,16 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from taldet import training
+from taldet import autograd, training
 from taldet.autograd import Parameter, Tensor
-from taldet.dataio import (SyntheticSpec, generate_synthetic,
-                           read_annotations, read_checkpoint, read_features)
+from taldet.dataio import (AnnotationRecord, SyntheticSpec,
+                           generate_synthetic, read_checkpoint, read_features)
+from taldet.heads import GroundTruthSegment
 from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
+from taldet.subjects import SubjectBox
 from taldet.training import (Adam, FlatParameters, NumericalAbort,
                              TrainConfig, clip_global_norm, ema_update, fit,
                              load_into_model, lr_schedule, video_loss)
@@ -99,6 +102,24 @@ class TestClipAndEma:
         assert clip_global_norm(flat, 0.0) == 50.0
         np.testing.assert_array_equal(flat.grad, [30.0, 40.0])
 
+    def test_norm_matches_the_per_parameter_sum(self, tmp_path):
+        # one dot product over the buffer against the sum, parameter by
+        # parameter, of each one's squares: a toy model's gradients after a
+        # batch's backward, and gradients of scales 1e-150 to 1e150
+        cfg, samples = tiny_dataset(tmp_path / "d")
+        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+        flat = FlatParameters(model.parameters())
+        video_loss(model, samples, TrainConfig()).backward()
+        rng = np.random.default_rng(5)
+        scaled = flat_with_grads(*(rng.normal(size=n) * 10.0 ** e for n, e in
+                                   [(7, -150), (1, 0), (300, 150), (4, 3)]))
+        for store in (flat, scaled):
+            per_param = math.sqrt(sum(float((p.grad * p.grad).sum())
+                                      for p in store.params))
+            assert per_param > 0
+            norm = clip_global_norm(store, 0.0)
+            assert abs(norm - per_param) <= 1e-12 * per_param
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_norm_leaves_gradients(self, bad):
         # the abort message reports these gradients as they are
@@ -142,11 +163,11 @@ class ReferenceAdam:
 
 
 def reference_clip_global_norm(params, max_norm):
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
+    # the norm of the gradients laid end to end, as the flat buffer holds
+    # them (TestClipAndEma checks it against the per-parameter sum)
+    flat = np.concatenate([np.zeros(p.data.size) if p.grad is None
+                           else p.grad.ravel() for p in params])
+    norm = math.sqrt(float(flat @ flat))
     if math.inf > norm > max_norm > 0:
         scale = max_norm / norm
         for p in params:
@@ -179,9 +200,7 @@ def reference_fit(model, samples, cfg):
             for p in params:
                 p.grad = None
             lr = lr_schedule(step, total, warmup, cfg.lr_init)
-            for i in batch:
-                (video_loss(model, samples[i], cfg)
-                 * (1.0 / len(batch))).backward()
+            video_loss(model, [samples[i] for i in batch], cfg).backward()
             norm = reference_clip_global_norm(params, cfg.grad_clip)
             clipped += norm > cfg.grad_clip
             opt.step(lr)
@@ -344,13 +363,13 @@ class TestFit:
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
         calls = []
 
-        def poisoned(model, sample, cfg):
-            # the second video of the first batch has infinite tokens, so
-            # the first one's gradients are there to report
-            calls.append(sample.record.id)
+        def poisoned(model, batch, cfg):
+            # the second batch has infinite tokens, so the first step's
+            # gradients are there to report
+            calls.append(batch)
             if len(calls) == 2:
-                sample.tokens.data[:] = np.inf
-            return video_loss(model, sample, cfg)
+                batch[0].tokens.data[:] = np.inf
+            return video_loss(model, batch, cfg)
 
         monkeypatch.setattr(training, "video_loss", poisoned)
         with pytest.raises(NumericalAbort) as info:
@@ -408,3 +427,144 @@ class TestFit:
         loss = video_loss(model, samples[0], TrainConfig())
         assert loss.data.shape == ()
         assert math.isfinite(float(loss.data))
+
+
+def packing_problem(seed=3):
+    """The tiny model and a batch of three videos of unequal, odd lengths,
+    one of a single snippet: an action in the first two, background only in
+    the third. Every snippet has 0-2 boxes."""
+    cfg = ModelConfig(feature_dim=8, num_classes=2, K=2, group_layers=1,
+                      group_heads=2, temporal_heads=2, window_size=3,
+                      num_standard_layers=1, num_strided_layers=2,
+                      head_layers=1)
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i, (T, segments) in enumerate([(9, [(1, 0.25, 0.75)]),
+                                       (1, [(0, 0.0, 0.1)]), (5, [])]):
+        boxes = [[SubjectBox(4.0 + j, 4.0, 40.0, 30.0 + j, 0.9)
+                  for j in range(int(rng.integers(3)))] for _ in range(T)]
+        record = AnnotationRecord(f"v{i}", 8.0, 64, 48, 1,
+                                  [GroundTruthSegment(*s) for s in segments],
+                                  boxes)
+        samples.append(prepare_sample(record, rng.normal(size=(T, 3, 4, 8)),
+                                      cfg.K))
+    model = SubjectPriorDetector(cfg, rng)
+    for p in model.parameters():   # biases and LN shifts off zero
+        p.data += rng.normal(size=p.shape) * 0.05
+    return model, samples
+
+
+def loss_and_grads(model, run):
+    """run()'s summed loss and every parameter's gradient after it."""
+    params = model.parameters()
+    for p in params:
+        p.grad = None
+    loss = run()
+    return loss, [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                  for p in params]
+
+
+def live_graph_nodes():
+    """Tensors still linked to their parents: the op nodes of every graph
+    that has not been freed."""
+    return [t for t in gc.get_objects()
+            if isinstance(t, Tensor) and t._parents]
+
+
+class TestPacking:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_batch_graph_matches_per_video_accumulation(self, strict):
+        """One graph over three videos back to back against the per-video
+        graphs fit ran before, each loss scaled by 1/3 and the gradients
+        summed: the loss and every parameter gradient within 1e-10."""
+        model, samples = packing_problem()
+        cfg = TrainConfig(strict_positive_only=strict, lam=2.0)
+
+        def packed():
+            loss = video_loss(model, samples, cfg)
+            loss.backward()
+            return float(loss.data)
+
+        def per_video():
+            total = 0.0
+            for s in samples:
+                loss = video_loss(model, s, cfg) * (1.0 / len(samples))
+                loss.backward()
+                total += float(loss.data)
+            return total
+
+        (loss, grads), (ref, ref_grads) = (loss_and_grads(model, f)
+                                           for f in (packed, per_video))
+        assert abs(loss - ref) <= 1e-10 * abs(ref)
+        # relative to each parameter's largest entry; a gradient that is 0
+        # but for rounding (a key bias, which the softmax ignores) on the
+        # scale of 1e-6 of the model's largest entry
+        floor = 1e-6 * max(np.abs(r).max() for r in ref_grads)
+        for (name, _), g, r in zip(model.named_parameters(), grads,
+                                   ref_grads):
+            scale = max(np.abs(r).max(), floor)
+            assert np.abs(g - r).max() <= 1e-10 * scale, name
+
+    def test_packed_forward_matches_each_video_alone(self):
+        # no layer reads across two videos: each video's anchors carry the
+        # outputs of its forward alone, within 1e-12
+        model, samples = packing_problem(seed=4)
+        for p in model.parameters():
+            p.requires_grad = False
+        outs = model(samples)
+        for s, anchors in zip(samples, outs.video_anchors()):
+            alone = model(s)
+            np.testing.assert_array_equal(outs.step[anchors], alone.step)
+            np.testing.assert_array_equal(outs.stride[anchors], alone.stride)
+            for got, want in ((outs.class_logits, alone.class_logits),
+                              (outs.offsets, alone.offsets)):
+                np.testing.assert_allclose(got.data[anchors], want.data,
+                                           rtol=0, atol=1e-12)
+
+    def test_fit_frees_each_graph_before_the_next_forward(self, tmp_path,
+                                                          monkeypatch):
+        # when a batch's forward starts, no earlier batch's graph is alive
+        cfg, samples = tiny_dataset(tmp_path / "d", num_videos=3)
+        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+        before = {id(t) for t in live_graph_nodes()}
+        live = []
+
+        def spy(model, batch, cfg):
+            live.append(sum(id(t) not in before for t in live_graph_nodes()))
+            return video_loss(model, batch, cfg)
+
+        monkeypatch.setattr(training, "video_loss", spy)
+        fit(model, samples, TrainConfig(epochs=2, warmup_epochs=1,
+                                        batch_size=2))
+        assert live == [0] * 4
+
+    def test_window_tables_built_once_per_length(self, tmp_path):
+        """80 videos of 20-120 snippets (57 distinct lengths), 3 epochs in
+        random pairs: each table piece is built once, at its first use,
+        whichever videos share a batch; the pieces are keyed by one video's
+        length at one level. A cache of 64 tables keyed by a batch's
+        lengths missed most of its calls here."""
+        spec = SyntheticSpec(seed=5, num_videos=80, num_classes=2,
+                             snippets_min=20, snippets_max=120)
+        records = generate_synthetic(spec, tmp_path)
+        cfg = ModelConfig(feature_dim=spec.feature_dim, num_classes=2, K=2,
+                          group_layers=1, group_heads=2, temporal_heads=2,
+                          window_size=5, num_standard_layers=1,
+                          num_strided_layers=2, head_layers=1)
+        samples = [prepare_sample(r, read_features(
+            tmp_path / "features" / f"{r.id}.ptfv"), cfg.K) for r in records]
+        lengths = {r.num_snippets for r in records}
+        assert len(lengths) == 57
+        levels = {T: [T, -(-T // 2), -(-T // 4)] for T in lengths}
+        want_window = ({(n, 3) for lv in levels.values() for n in lv}
+                       | {(n, 5) for lv in levels.values() for n in lv[:2]})
+        want_stride = {(n, 2, 2) for lv in levels.values() for n in lv[:2]}
+        pieces = (autograd._window_outside, autograd._stride_outside)
+        for cache in pieces:
+            cache.cache_clear()
+        fit(SubjectPriorDetector(cfg, np.random.default_rng(0)), samples,
+            TrainConfig(epochs=3, warmup_epochs=1, batch_size=2))
+        for cache, want in zip(pieces, (want_window, want_stride)):
+            info = cache.cache_info()
+            assert info.misses == info.currsize == len(want)
+            assert info.hits > 0
