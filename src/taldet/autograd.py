@@ -1,7 +1,9 @@
 """Dense float64 tensors with reverse-mode gradients.
 
-Everything downstream (attention blocks, convolution towers) is composed
-from the primitives here; the training loss is one node of the same kind in
+The model's graph is built from the nodes here: one `prenorm_block` per
+attention block, one `conv1d` or `depthwise_conv1d` per convolution, the
+structural `concat`, `gather_rows` and `reshape`, and the Tensor operators
+that pooling uses; the training loss is one node of the same kind in
 `heads`. The finite-difference harness at the bottom of the file is the
 single source of truth for gradient correctness.
 Graphs are built explicitly per forward pass, and `Tensor.backward` frees
@@ -73,10 +75,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def _accum(self, g: np.ndarray):
         if self.grad is None:
@@ -187,30 +185,15 @@ class Tensor:
             return Tensor(out_data)
 
         def backward(g):
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.shape).copy())
 
         return Tensor(out_data, True, (self,), backward)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.size if axis is None else self.shape[axis]
+    def mean(self, axis: int, keepdims=False):
+        n = self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    # -- pointwise nonlinearity --------------------------------------------
-
-    def relu(self):
-        out_data = np.maximum(self.data, 0.0)
-        if not self.requires_grad:
-            return Tensor(out_data)
-
-        def backward(g):
-            self._accum(g * (self.data > 0).astype(np.float64))
-
-        return Tensor(out_data, True, (self,), backward)
 
 
 class Parameter(Tensor):
@@ -338,10 +321,9 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 # -- analytic forwards and backwards ------------------------------------------
-# numpy on arrays, shared by the single-op nodes below and the nodes that
-# chain them (conv1d, prenorm_block), so each formula exists once. The
-# backwards add parameter gradients into the Tensors that need them and
-# return the input's gradient.
+# numpy on arrays, shared by the nodes that chain them (conv1d,
+# prenorm_block), so each formula exists once. The backwards add parameter
+# gradients into the Tensors that need them and return the input's gradient.
 
 
 def _linear_forward(x2: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
@@ -411,7 +393,6 @@ def _dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """Attention of q, k, v [..., N, D] under the mask `allowed`: the
     merged-heads output and its backward, which keeps the per-head views of
     q, k, v and the attention weights."""
-    allowed = np.asarray(allowed, dtype=bool)
     if not allowed.any(axis=-1).all():
         raise InvalidMaskError("attention row with no allowed position")
     shape = q.shape
@@ -549,138 +530,61 @@ def _packed_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                       heads: int, allowed):
+                       heads: int, layout: Window | Packed):
     """The merged-heads output and its backward, which maps the output's
-    gradient to q's, k's and v's: windowed when `allowed` is a Window,
-    within each snippet when it is a Packed layout, dense under the mask
-    otherwise."""
-    if isinstance(allowed, Window):
-        return _window_attention(q, k, v, heads, allowed)
-    if isinstance(allowed, Packed):
-        return _packed_attention(q, k, v, heads, allowed)
-    return _dense_attention(q, k, v, heads, allowed)
+    gradient to q's, k's and v's: windowed over a Window, within each
+    snippet over a Packed layout."""
+    if isinstance(layout, Window):
+        return _window_attention(q, k, v, heads, layout)
+    return _packed_attention(q, k, v, heads, layout)
 
 
 # -- composite primitives ----------------------------------------------------
 
-LAYER_NORM_EPS = 1e-5   # the epsilon of every LayerNorm and pre-norm block
+LAYER_NORM_EPS = 1e-5   # the epsilon of both norms of every pre-norm block
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """out[..., j] = sum_i x[..., i] w[i, j] (+ b[j]), as one node.
-
-    The leading axes of x are flattened, so the forward and every gradient
-    are single 2-D products over its rows.
-    """
-    if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear: {x.shape} incompatible with {w.shape}")
-    d_out = w.shape[1]
-    x2 = x.data.reshape(-1, w.shape[0])
-    out_data = _linear_forward(x2, w, b).reshape(x.shape[:-1] + (d_out,))
-    parents = (x, w) if b is None else (x, w, b)
-    if not any(p.requires_grad for p in parents):
-        return Tensor(out_data)
-
-    def backward(g):
-        gx = _linear_backward(g.reshape(-1, d_out), x2, w, b, x.requires_grad)
-        if x.requires_grad:
-            x._accum(gx.reshape(x.shape))
-
-    return Tensor(out_data, True, parents, backward)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              allowed) -> Tensor:
-    """Masked multi-head scaled dot-product attention as one node.
-
-    q, k, v are [..., N, D], each split into `heads` heads of D / heads
-    channels. `allowed` is one of:
-    - a bool mask, whose `[..., i, j]` (broadcastable over the leading axes)
-      lets position i attend to position j;
-    - a `Window` over q, k, v [T, D], which lets each position attend to the
-      keys in its window;
-    - a `Packed` layout over q, k, v [R, D], which lets each row attend to
-      the rows of its own snippet.
-    Positions outside get weight exactly 0. Returns [..., N, D], heads
-    merged.
-    """
-    out_data, attn_backward = _attention_forward(q.data, k.data, v.data,
-                                                 heads, allowed)
-    if not (q.requires_grad or k.requires_grad or v.requires_grad):
-        return Tensor(out_data)
-
-    def backward(g):
-        for t, gt in zip((q, k, v), attn_backward(g)):
-            if t.requires_grad:
-                t._accum(gt)
-
-    return Tensor(out_data, True, (q, k, v), backward)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Standardize the last axis, then scale by gamma and shift by beta, as
-    one node. x is [..., D]; gamma and beta are [D]. Backward keeps only the
-    standardized input and the inverse std."""
-    out_data, xhat, inv = _layer_norm_forward(x.data, gamma.data, beta.data,
-                                              eps)
-    if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
-        return Tensor(out_data)
-
-    def backward(g):
-        gx = _layer_norm_backward(g, gamma, beta, xhat, inv, x.requires_grad)
-        if gx is not None:
-            x._accum(gx)
-
-    return Tensor(out_data, True, (x, gamma, beta), backward)
-
-
-def prenorm_block(z: Tensor, allowed, params, heads: int) -> Tensor:
+def prenorm_block(z: Tensor, layout: Window | Packed, params,
+                  heads: int) -> Tensor:
     """h = z + MHSA(LN1(z)), then h + FFN(LN2(h)), as one node.
 
-    z is [..., N, D] and `allowed` is attention's mask, Window or Packed
-    layout; every other step works row by row. `params` are the 16
-    Parameters in the order LN1 gamma, beta; the q, k, v and output
-    projections, each weight then bias; LN2 gamma, beta; the FFN's two
-    linears, weight then bias. The forward runs the numpy operations of
-    layer_norm, linear, attention and relu in the order the composition of
-    those nodes runs them, and the backward chains their analytic backwards
-    with every gradient summed in the composition's order, so both give the
-    same bits.
+    z is [N, D] rows and `layout` says which rows each row attends to: a
+    Window over T = N rows or a Packed layout of N valid slots; every
+    other step works row by row. `params` are the 16 Parameters in the
+    order LN1 gamma, beta; the q, k, v and output projections, each weight
+    then bias; LN2 gamma, beta; the FFN's two linears, weight then bias.
+    The forward runs the numpy operations of layer norm, linear, attention
+    and ReLU nodes in the order their composition (kept as a test oracle)
+    runs them, and the backward chains their analytic backwards with every
+    gradient summed in the composition's order, so both give the same bits.
     """
     (gamma1, beta1, wq, bq, wk, bk, wv, bv, wo, bo,
      gamma2, beta2, w1, b1, w2, b2) = params
-    shape = z.shape
-    d = shape[-1]
     ln1, xhat1, inv1 = _layer_norm_forward(z.data, gamma1.data, beta1.data,
                                            LAYER_NORM_EPS)
-    ln1 = ln1.reshape(-1, d)
     att, attn_backward = _attention_forward(
-        *(_linear_forward(ln1, w, b).reshape(shape)
-          for w, b in ((wq, bq), (wk, bk), (wv, bv))), heads, allowed)
-    att = att.reshape(-1, d)
-    h = _linear_forward(att, wo, bo).reshape(shape) + z.data
+        *(_linear_forward(ln1, w, b)
+          for w, b in ((wq, bq), (wk, bk), (wv, bv))), heads, layout)
+    h = _linear_forward(att, wo, bo) + z.data
     ln2, xhat2, inv2 = _layer_norm_forward(h, gamma2.data, beta2.data,
                                            LAYER_NORM_EPS)
-    ln2 = ln2.reshape(-1, d)
     pre = _linear_forward(ln2, w1, b1)   # the FFN's pre-activation
-    out_data = _linear_forward(np.maximum(pre, 0.0), w2, b2).reshape(shape) + h
+    out_data = _linear_forward(np.maximum(pre, 0.0), w2, b2) + h
     if not (z.requires_grad or any(p.requires_grad for p in params)):
         return Tensor(out_data)
 
     def backward(g):
-        gpre = _linear_backward(g.reshape(-1, d), np.maximum(pre, 0.0), w2, b2)
+        gpre = _linear_backward(g, np.maximum(pre, 0.0), w2, b2)
         gpre *= pre > 0
-        gln2 = _linear_backward(gpre, ln2, w1, b1).reshape(shape)
+        gln2 = _linear_backward(gpre, ln2, w1, b1)
         gh = g + _layer_norm_backward(gln2, gamma2, beta2, xhat2, inv2, True)
-        gatt = _linear_backward(gh.reshape(-1, d), att, wo, bo)
-        gq, gk, gv = attn_backward(gatt.reshape(shape))
+        gq, gk, gv = attn_backward(_linear_backward(gh, att, wo, bo))
         # (q + k) + v: the order the composition's graph walk adds them in
-        gln1 = (_linear_backward(gq.reshape(-1, d), ln1, wq, bq)
-                + _linear_backward(gk.reshape(-1, d), ln1, wk, bk)
-                + _linear_backward(gv.reshape(-1, d), ln1, wv, bv))
-        gz = _layer_norm_backward(gln1.reshape(shape), gamma1, beta1, xhat1,
-                                  inv1, z.requires_grad)
+        gln1 = (_linear_backward(gq, ln1, wq, bq)
+                + _linear_backward(gk, ln1, wk, bk)
+                + _linear_backward(gv, ln1, wv, bv))
+        gz = _layer_norm_backward(gln1, gamma1, beta1, xhat1, inv1,
+                                  z.requires_grad)
         if z.requires_grad:
             # the residual first, then LN1's, as the composition adds them
             z._accum(gh)

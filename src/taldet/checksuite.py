@@ -1,12 +1,13 @@
-"""Finite-difference verification suite for primitives and the full loss."""
+"""Finite-difference verification suite for the nodes the model's graph is
+built from and for the full loss."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (Parameter, attention, conv1d, depthwise_conv1d,
-                       grad_check, layer_norm, linear, packed_layout,
-                       prenorm_block, window_index, window_tables)
+from .autograd import (Parameter, conv1d, depthwise_conv1d, grad_check,
+                       packed_layout, prenorm_block, window_index,
+                       window_tables)
 from .heads import GroundTruthSegment, HeadOutput, Targets, total_loss
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
 from .subjects import AnnotationRecord, SubjectBox
@@ -17,9 +18,35 @@ def _sum_sq(t):
     return (t * t).sum()
 
 
+def window_rows(rng: np.random.Generator):
+    """T = 1..6 rows, as one sequence or as two, and the Window of 1, 3 or
+    5 over them, wider than a sequence or not."""
+    T, w = int(rng.integers(1, 7)), int(rng.choice([1, 3, 5]))
+    cut = int(rng.integers(T))   # 0: one sequence
+    return T, window_tables([T] if cut == 0 else [cut, T - cut], w)
+
+
+def packed_slots(rng: np.random.Generator):
+    """The row count and Packed layout of 4 snippets of K + 1 = 4 slots,
+    group slot last, in a random order: one with no valid token, one with
+    every slot valid (n = K + 1), one whose valid tokens are not a prefix
+    of its slots, one at random."""
+    valid = np.ones((4, 4), dtype=bool)
+    valid[0, :3] = False
+    valid[2, :3] = [[True, False, True], [False, True, True],
+                    [False, True, False],
+                    [False, False, True]][int(rng.integers(4))]
+    valid[3, :3] = rng.random(3) < 0.5
+    valid = valid[rng.permutation(4)]
+    return int(valid.sum()), packed_layout(valid)
+
+
 def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
                           seed: int = 0) -> dict[str, float]:
-    """Max relative error per primitive over `probes` random probe points."""
+    """Max relative error per node over `probes` random probe points: the
+    pre-norm block under a Window and under a Packed layout, the
+    convolutions and the loss, which between them run every analytic
+    forward and backward."""
     rng = np.random.default_rng(seed)
     results = {}
 
@@ -30,95 +57,19 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
             worst = max(worst, grad_check(f, params, h=h, rng=rng))
         results[name] = worst
 
-    def make_linear():
-        # [3, 4] rows, or [2, 3, 4] as the aggregator's [T, K+1, D] tokens
-        shape = ((3, 4), (2, 3, 4))[int(rng.integers(2))]
-        x = Parameter(rng.normal(size=shape), "x")
-        w = Parameter(rng.normal(size=(4, 2)), "w")
-        b = Parameter(rng.normal(size=2), "b")
-        return lambda: _sum_sq(linear(x, w, b)), [x, w, b]
-
-    def make_attention():
-        # 1, 2 or 4 heads over D = 4, a leading batch axis of 2, and
-        # random masks in which every row allows at least its diagonal
-        heads = int(rng.choice([1, 2, 4]))
-        q, k, v = (Parameter(rng.normal(size=(2, 3, 4)), n) for n in "qkv")
-        allowed = (rng.random((2, 3, 3)) > 0.4) | np.eye(3, dtype=bool)
-        c = rng.normal(size=(2, 3, 4))
-        return (lambda: (attention(q, k, v, heads, allowed) * c).sum(),
-                [q, k, v])
-
-    def make_window_attention():
-        # 1, 2 or 4 heads over D = 4, T = 1..6 rows as one sequence or as
-        # two, and windows of 1, 3 or 5, wider than a sequence or not
-        heads = int(rng.choice([1, 2, 4]))
-        T, w = int(rng.integers(1, 7)), int(rng.choice([1, 3, 5]))
-        cut = int(rng.integers(T))   # 0: one sequence
-        q, k, v = (Parameter(rng.normal(size=(T, 4)), n) for n in "qkv")
-        c = rng.normal(size=(T, 4))
-        window = window_tables([T] if cut == 0 else [cut, T - cut], w)
-        return (lambda: (attention(q, k, v, heads, window) * c).sum(),
-                [q, k, v])
-
-    def packed_slots():
-        # 4 snippets of K + 1 = 4 slots, group slot last, in a random order:
-        # one with no valid token, one with every slot valid (n = K + 1),
-        # one whose valid tokens are not a prefix of its slots, one at random
-        valid = np.ones((4, 4), dtype=bool)
-        valid[0, :3] = False
-        valid[2, :3] = [[True, False, True], [False, True, True],
-                        [False, True, False],
-                        [False, False, True]][int(rng.integers(4))]
-        valid[3, :3] = rng.random(3) < 0.5
-        valid = valid[rng.permutation(4)]
-        return int(valid.sum()), packed_layout(valid)
-
-    def make_packed_attention():
-        # 1, 2 or 4 heads over D = 4, on the valid rows of packed_slots()
-        heads = int(rng.choice([1, 2, 4]))
-        R, packed = packed_slots()
-        q, k, v = (Parameter(rng.normal(size=(R, 4)), n) for n in "qkv")
-        c = rng.normal(size=(R, 4))
-        return (lambda: (attention(q, k, v, heads, packed) * c).sum(),
-                [q, k, v])
-
-    def make_layer_norm():
-        # [2, 6] rows, or [2, 3, 6] as the aggregator's [T, K+1, D] tokens
-        shape = ((2, 6), (2, 3, 6))[int(rng.integers(2))]
-        x = Parameter(rng.normal(size=shape), "x")
-        g = Parameter(rng.normal(size=6), "g")
-        b = Parameter(rng.normal(size=6), "b")
-        c = rng.normal(size=shape)
-        return lambda: (layer_norm(x, g, b, eps=1e-5) * c).sum(), [x, g, b]
-
     def block_params():
         # the 16 Parameters in prenorm_block's order over D = 4 (FFN width 16)
         shapes = ([(4,)] * 2 + [(4, 4), (4,)] * 4 + [(4,)] * 2
                   + [(4, 16), (16,), (16, 4), (4,)])
         return [Parameter(rng.normal(size=s) * 0.5, "p") for s in shapes]
 
-    def make_prenorm_block():
-        # [3, 4] rows, or [2, 3, 4] as full [T, K+1, D] slots; 1 or 2 heads,
-        # random masks that allow at least the diagonal, and block_params()
-        shape = ((3, 4), (2, 3, 4))[int(rng.integers(2))]
+    def block_probe(rows, layout):
+        # block_params() and 1 or 2 heads over `rows` rows of z
         heads = int(rng.choice([1, 2]))
-        z = Parameter(rng.normal(size=shape), "z")
+        z = Parameter(rng.normal(size=(rows, 4)), "z")
         params = block_params()
-        allowed = ((rng.random(shape[:-1] + (3,)) > 0.4)
-                   | np.eye(3, dtype=bool))
-        c = rng.normal(size=shape)
-        return (lambda: (prenorm_block(z, allowed, params, heads) * c).sum(),
-                [z] + params)
-
-    def make_packed_prenorm_block():
-        # block_params() and 1 or 2 heads, on the valid rows of
-        # packed_slots()
-        heads = int(rng.choice([1, 2]))
-        R, packed = packed_slots()
-        z = Parameter(rng.normal(size=(R, 4)), "z")
-        params = block_params()
-        c = rng.normal(size=(R, 4))
-        return (lambda: (prenorm_block(z, packed, params, heads) * c).sum(),
+        c = rng.normal(size=(rows, 4))
+        return (lambda: (prenorm_block(z, layout, params, heads) * c).sum(),
                 [z] + params)
 
     def make_conv():
@@ -148,11 +99,6 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         w = Parameter(rng.normal(size=(int(rng.integers(2, 4)), 4)), "w")
         return lambda: _sum_sq(depthwise_conv1d(x, w, 2, lengths)), [x, w]
 
-    def make_relu():
-        x = Parameter(rng.normal(size=(4, 4)) + 0.1, "x")
-        c = rng.normal(size=(4, 4))
-        return lambda: (x.relu() * c).sum(), [x]
-
     def make_total_loss():
         # 1-3 classes over 6 steps, each step inside an action or not (at
         # random, so some probes have no positive step), both focal modes
@@ -170,18 +116,12 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         lam, strict = float(rng.integers(0, 3)), bool(rng.random() < 0.5)
         return lambda: total_loss(outs, targets, lam, strict), [x, o]
 
-    run("linear", make_linear)
-    run("attention", make_attention)
-    run("layer_norm", make_layer_norm)
-    run("prenorm_block", make_prenorm_block)
+    run("window_prenorm_block", lambda: block_probe(*window_rows(rng)))
+    run("packed_prenorm_block", lambda: block_probe(*packed_slots(rng)))
     run("conv1d", make_conv)
     run("conv1d_relu", make_conv_relu)
     run("depthwise_conv1d", make_depthwise)
-    run("relu", make_relu)
     run("total_loss", make_total_loss)
-    run("window_attention", make_window_attention)
-    run("packed_attention", make_packed_attention)
-    run("packed_prenorm_block", make_packed_prenorm_block)
     return results
 
 

@@ -192,16 +192,15 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    prims = primitive_grad_checks(seed=args.seed)
-    ok = True
-    for name, err in prims.items():
-        status = "ok" if err < 1e-6 else "FAIL"
-        ok &= err < 1e-6
-        print(f"{name:<18} max rel err {err:.3e}  [{status}]")
-    e2e = end_to_end_grad_check(seed=args.seed)
-    status = "ok" if e2e < 1e-4 else "FAIL"
-    ok &= e2e < 1e-4
-    print(f"{'end_to_end_loss':<18} max rel err {e2e:.3e}  [{status}]")
+    rows = [(name, err, 1e-6)
+            for name, err in primitive_grad_checks(seed=args.seed).items()]
+    rows.append(("end_to_end_loss", end_to_end_grad_check(seed=args.seed),
+                 1e-4))
+    width = max(len(name) for name, _, _ in rows)
+    for name, err, bound in rows:
+        print(f"{name:<{width}} max rel err {err:.3e}  "
+              f"[{'ok' if err < bound else 'FAIL'}]")
+    ok = all(err < bound for _, err, bound in rows)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 

@@ -1,7 +1,10 @@
 """Parameter containers and the attention/convolution blocks built on autograd.
 
-The same masked multi-head attention block serves both the subject aggregation
-stack (mask = token validity) and the temporal pyramid (a sliding `Window`).
+The same pre-norm attention block serves both the subject aggregation stack
+(over a `Packed` layout of the valid slots) and the temporal pyramid (over a
+sliding `Window`). `Linear`, `LayerNorm`, `FeedForward` and
+`MultiHeadSelfAttention` only hold a block's Parameters, under the names its
+checkpoint entries carry; the block runs them as one `prenorm_block` node.
 """
 
 from __future__ import annotations
@@ -10,13 +13,14 @@ import math
 
 import numpy as np
 
-from .autograd import (DimensionError, Parameter, Tensor, attention, conv1d,
-                       depthwise_conv1d, layer_norm, linear, prenorm_block)
+from .autograd import (DimensionError, Parameter, conv1d, depthwise_conv1d,
+                       prenorm_block)
 
 
 class Module:
-    """Minimal container: any attribute that is a Parameter, Module, or a
-    list of those is discovered by named_parameters() in insertion order."""
+    """Minimal container: any attribute that is a Parameter, a Module or a
+    list of Modules is discovered by named_parameters() in insertion
+    order."""
 
     def named_parameters(self, prefix: str = ""):
         for name, val in vars(self).items():
@@ -27,10 +31,7 @@ class Module:
                 yield from val.named_parameters(full + ".")
             elif isinstance(val, (list, tuple)):
                 for i, item in enumerate(val):
-                    if isinstance(item, Parameter):
-                        yield f"{full}.{i}", item
-                    elif isinstance(item, Module):
-                        yield from item.named_parameters(f"{full}.{i}.")
+                    yield from item.named_parameters(f"{full}.{i}.")
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -47,34 +48,24 @@ class Linear(Module):
                            name + ".w")
         self.b = Parameter(np.zeros(d_out), name + ".b")
 
-    def __call__(self, x):
-        return linear(x, self.w, self.b)
-
 
 class LayerNorm(Module):
     def __init__(self, dim):
         self.gamma = Parameter(np.ones(dim), "ln.gamma")
         self.beta = Parameter(np.zeros(dim), "ln.beta")
 
-    def __call__(self, x):
-        return layer_norm(x, self.gamma, self.beta)
-
 
 class FeedForward(Module):
-    """linear -> ReLU -> linear."""
+    """linear -> ReLU -> linear, FFN width `hidden`."""
 
     def __init__(self, rng, dim, hidden, name="ffn"):
         self.fc1 = Linear(rng, dim, hidden, name + ".fc1")
         self.fc2 = Linear(rng, hidden, dim, name + ".fc2")
 
-    def __call__(self, x):
-        return self.fc2(self.fc1(x).relu())
-
 
 class MultiHeadSelfAttention(Module):
-    """Masked multi-head self-attention over axis -2 of z [..., N, D]: four
-    linears around `autograd.attention`, which reads the mask or Window
-    `allowed`."""
+    """Multi-head self-attention's q, k, v and output projections and its
+    head count."""
 
     def __init__(self, rng, dim, num_heads, name="attn"):
         if dim % num_heads != 0:
@@ -85,14 +76,11 @@ class MultiHeadSelfAttention(Module):
         self.wv = Linear(rng, dim, dim, name + ".v")
         self.wo = Linear(rng, dim, dim, name + ".o")
 
-    def __call__(self, z: Tensor, allowed: np.ndarray) -> Tensor:
-        return self.wo(attention(self.wq(z), self.wk(z), self.wv(z),
-                                 self.num_heads, allowed))
-
 
 class PreNormBlock(Module):
     """z -> z + MHSA(LN(z)); then h -> h + FFN(LN(h)), FFN width 4 * dim, as
-    one `autograd.prenorm_block` node over the modules' Parameters."""
+    one `autograd.prenorm_block` node over the modules' Parameters; `layout`
+    is the rows' `Window` or `Packed` layout."""
 
     def __init__(self, rng, dim, num_heads, name="block"):
         self.ln1 = LayerNorm(dim)
@@ -100,10 +88,10 @@ class PreNormBlock(Module):
         self.ln2 = LayerNorm(dim)
         self.ffn = FeedForward(rng, dim, 4 * dim, name + ".ffn")
 
-    def __call__(self, z, allowed):
+    def __call__(self, z, layout):
         attn, ffn = self.attn, self.ffn
         return prenorm_block(
-            z, allowed,
+            z, layout,
             (self.ln1.gamma, self.ln1.beta, attn.wq.w, attn.wq.b, attn.wk.w,
              attn.wk.b, attn.wv.w, attn.wv.b, attn.wo.w, attn.wo.b,
              self.ln2.gamma, self.ln2.beta, ffn.fc1.w, ffn.fc1.b, ffn.fc2.w,

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import attention, layer_norm, linear, relu
 from taldet import autograd
 from taldet.autograd import (DimensionError, InvalidMaskError, Parameter,
-                             ProbeError, Tensor, attention, conv1d,
-                             depthwise_conv1d, grad_check, layer_norm, linear,
-                             stride_index, window_index, window_tables)
+                             ProbeError, Tensor, conv1d, depthwise_conv1d,
+                             grad_check, stride_index, window_index,
+                             window_tables)
+from taldet.checksuite import _sum_sq, packed_slots, window_rows
 
 
 def pointwise(x, f, df):
@@ -359,6 +361,51 @@ class TestGraphRelease:
         assert p.grad == 2.0
 
 
+def make_linear(rng):
+    # [3, 4] rows, or [2, 3, 4] as the aggregator's [T, K+1, D] tokens
+    shape = ((3, 4), (2, 3, 4))[int(rng.integers(2))]
+    x = Parameter(rng.normal(size=shape), "x")
+    w = Parameter(rng.normal(size=(4, 2)), "w")
+    b = Parameter(rng.normal(size=2), "b")
+    return lambda: _sum_sq(linear(x, w, b)), [x, w, b]
+
+
+def attention_probe(rng, rows, layout):
+    """1, 2 or 4 heads over q, k, v [*rows, 4] under `layout`."""
+    heads, shape = int(rng.choice([1, 2, 4])), np.append(rows, 4)
+    q, k, v = (Parameter(rng.normal(size=shape), n) for n in "qkv")
+    c = rng.normal(size=shape)
+    return lambda: (attention(q, k, v, heads, layout) * c).sum(), [q, k, v]
+
+
+def make_attention(rng):
+    # a leading batch axis of 2, and random masks in which every row
+    # allows at least its diagonal
+    mask = (rng.random((2, 3, 3)) > 0.4) | np.eye(3, dtype=bool)
+    return attention_probe(rng, (2, 3), mask)
+
+
+def make_layer_norm(rng):
+    # [2, 6] rows, or [2, 3, 6] as the aggregator's [T, K+1, D] tokens
+    shape = ((2, 6), (2, 3, 6))[int(rng.integers(2))]
+    x, c = Parameter(rng.normal(size=shape), "x"), rng.normal(size=shape)
+    g, b = (Parameter(rng.normal(size=6), n) for n in "gb")
+    return lambda: (layer_norm(x, g, b, eps=1e-5) * c).sum(), [x, g, b]
+
+
+def make_relu(rng):
+    x = Parameter(rng.normal(size=(4, 4)) + 0.1, "x")
+    c = rng.normal(size=(4, 4))
+    return lambda: (relu(x) * c).sum(), [x]
+
+
+ORACLE_PROBES = {
+    "linear": make_linear, "attention": make_attention,
+    "window_attention": lambda rng: attention_probe(rng, *window_rows(rng)),
+    "packed_attention": lambda rng: attention_probe(rng, *packed_slots(rng)),
+    "layer_norm": make_layer_norm, "relu": make_relu}
+
+
 class TestGradCheck:
     def test_linear_sum(self):
         rng = np.random.default_rng(6)
@@ -382,6 +429,14 @@ class TestGradCheck:
         from taldet.checksuite import primitive_grad_checks
         for name, err in primitive_grad_checks(probes=20).items():
             assert err < 1e-6, name
+
+    @pytest.mark.parametrize("node", ORACLE_PROBES)
+    def test_oracle_node_gradients(self, node):
+        """The test-side nodes under criterion 1's bound, 20 probes each."""
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            f, params = ORACLE_PROBES[node](rng)
+            assert grad_check(f, params, h=1e-5, rng=rng) < 1e-6
 
     @np.errstate(invalid="ignore", divide="ignore")
     def test_nan_gradient_fails(self):

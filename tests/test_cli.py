@@ -1,12 +1,15 @@
+import inspect
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from taldet import cli
+from taldet import autograd, cli, nn
+from taldet.checksuite import end_to_end_grad_check, primitive_grad_checks
 from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         SETTING_TYPES, _coerce, build_parser, gather_settings,
                         main, parse_config_file)
@@ -638,8 +641,50 @@ class TestGradcheckCommand:
     def test_passes_and_prints_per_primitive(self, capsys):
         rc = main(["gradcheck", "--seed", "0"])
         assert rc == EXIT_OK
-        out = capsys.readouterr().out
-        for name in ("linear", "attention", "layer_norm", "conv1d",
-                     "total_loss", "end_to_end_loss"):
-            assert name in out
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "window_prenorm_block", "packed_prenorm_block", "conv1d",
+            "conv1d_relu", "depthwise_conv1d", "total_loss",
+            "end_to_end_loss"]
+        # the error column starts at the same offset on every row
+        assert len({line.index(" max rel err ") for line in lines}) == 1
+        assert not any("FAIL" in line for line in lines)
+
+
+def code_key(code):
+    return Path(code.co_filename).name, code.co_firstlineno, code.co_name
+
+
+def test_every_engine_function_runs_in_production(tmp_path):
+    """synth, train, infer and eval at a tiny size, then criterion 1's
+    gradient checks, run every function, method and closure of autograd.py
+    and nn.py but `_freed`, a freed graph's error path: code that only the
+    tests call belongs in tests/oracles.py."""
+    engine, stack = set(), [compile(Path(m.__file__).read_text(), m.__file__,
+                                    "exec") for m in (autograd, nn)]
+    while stack:
+        code = stack.pop()
+        stack += [c for c in code.co_consts if inspect.iscode(c)]
+        if code.co_flags & inspect.CO_OPTIMIZED:   # not a module or class body
+            engine.add(code_key(code))
+    for f in vars(autograd).values():   # build the cached tables afresh
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    data, run, cfg = tmp_path / "data", tmp_path / "run", tmp_path / "cfg"
+    cfg.write_text(small_config(epochs=1, warmup_epochs=0))
+    ran, common = set(), ["--data", str(data), "--out", str(run)]
+    sys.setprofile(lambda frame, event, _: event == "call"
+                   and ran.add(code_key(frame.f_code)))
+    try:
+        assert main(["synth", "--out", str(data), "--videos", "2"]) == EXIT_OK
+        for argv in (["train", "--config", str(cfg)],
+                     ["infer", "--config", str(cfg), "--checkpoint",
+                      str(run / "checkpoint.ptck")],
+                     ["eval", "--detections", str(run / "detections.jsonl")]):
+            assert main(argv + common) == EXIT_OK
+        primitive_grad_checks(probes=1)
+        end_to_end_grad_check()
+    finally:
+        sys.setprofile(None)
+    missing = sorted(engine - ran)
+    assert [name for *_, name in missing] == ["_freed"], missing

@@ -1,28 +1,22 @@
-"""`autograd.linear`, `autograd.layer_norm`, `autograd.conv1d`,
-`autograd.depthwise_conv1d`, `autograd.prenorm_block` and
-`heads.total_loss` are single nodes with an analytic backward. The compositions of smaller nodes they replaced are kept
-here as oracles: the fused forward values must match them bit for bit (a
-`linear` over more than two axes within 1e-12, since its weight gradient is
-one 2-D product instead of one per leading index), and every gradient must
-agree within 1e-12; `conv1d` and `prenorm_block` sum every gradient in their
-composition's order, so theirs must match bit for bit too, down to the
-checkpoint bytes of a training run. `conv1d`'s column-wise backward of the
-window gather is checked against the `np.add.at` scatter it replaced, its
-fused ReLU against a ReLU node, and its 1-wide kernel, which reads x with no
-gather, against the gather, all bit for bit. `depthwise_conv1d` matches
-its gather, product and window sum bit for bit over one sequence and
-within 1e-12 over several. `Tensor.backward` walks only op nodes; the walk
-over every node, leaves included, gives the same bits.
+"""The model's fused nodes (`conv1d`, `depthwise_conv1d`, `prenorm_block`,
+`heads.total_loss`) against the compositions in `oracles.py`, and the
+oracle `linear` and `layer_norm` nodes against their own compositions.
+Forward values match bit for bit (a `linear` over more than two axes within
+1e-12) and every gradient within 1e-12; `conv1d` and `prenorm_block` sum
+their gradients in their composition's order, so theirs match bit for bit,
+down to a training run's checkpoint bytes. `conv1d`'s gather backward,
+fused ReLU and gather-free 1-wide kernel, and `depthwise_conv1d` over one
+sequence, match the scatter, ReLU node and gather they replaced bit for
+bit (`depthwise_conv1d` over several within 1e-12). `Tensor.backward`
+walks only op nodes, with the bits of a walk over every node.
 
-Attention has three layouts, each checked against the dense formulation it
-replaced: windowed attention (`autograd.Window`, the temporal layers)
-against attention under the dense band mask (`band_mask`, block-diagonal
-over sequences back to back) within 1e-12;
-the aggregator's packed valid slots (`autograd.Packed`) against its blocks
-over all K + 1 slots under the broadcast column mask, with the same group
-vectors and, in training, the same checkpoint bytes; and the dense
-key-slot-wise softmax against numpy's reduce over the key axis, bit for bit
-for up to 7 keys."""
+Each attention layout is checked against the dense formulation it
+replaced: a `Window` against the dense band mask (`band_mask`) within
+1e-12, and the aggregator's `Packed` valid slots against its blocks'
+composition over all K + 1 slots under the column mask, with the same
+group vectors and, in training, the same checkpoint bytes. The dense
+slot-wise softmax that a Packed layout runs matches numpy's reduce over
+the keys bit for bit for up to 7 keys."""
 
 import functools
 import math
@@ -30,146 +24,21 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import (attention, band_mask, composed_block, composed_conv1d,
+                     composed_depthwise, composed_layer_norm, composed_linear,
+                     composed_total_loss, index, layer_norm, linear)
 from taldet import nn, spatial_attention, training
-from taldet.autograd import (Parameter, Tensor, attention, concat, conv1d,
-                             depthwise_conv1d, layer_norm, linear,
-                             stride_index, window_index, window_tables)
+from taldet.autograd import (Parameter, Tensor, concat, conv1d,
+                             depthwise_conv1d, packed_layout, window_index,
+                             window_tables)
 from taldet.checksuite import build_toy_problem
 from taldet.dataio import SyntheticSpec, generate_synthetic, read_features
-from taldet.heads import (FOCAL_ALPHA, FOCAL_GAMMA, GroundTruthSegment,
-                          HeadOutput, assign_targets, total_loss)
+from taldet.heads import (GroundTruthSegment, HeadOutput, assign_targets,
+                          total_loss)
 from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
 
 TOL = 1e-12
-
-
-def band_mask(lengths, window_size):
-    """The dense oracle of `window_tables(lengths, window_size)`:
-    allowed[i, j] when i and j lie in one sequence and |i - j| is within
-    the half-window."""
-    seq = np.repeat(np.arange(len(lengths)), lengths)
-    idx = np.arange(len(seq))
-    return ((np.abs(idx[:, None] - idx[None, :]) <= (window_size - 1) // 2)
-            & (seq[:, None] == seq[None, :]))
-
-
-def node(out, *links):
-    """A node holding `out` whose backward passes g * slope to the parent of
-    each (parent, slope) link; every slope has the shape of `out`."""
-    def backward(g):
-        for parent, slope in links:
-            parent._accum(g * slope)
-
-    return Tensor(out, True, tuple(p for p, _ in links), backward)
-
-
-def index(x, key):
-    """x.data[key] as a node whose backward scatters with np.add.at."""
-    def backward(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, key, g)
-        x._accum(full)
-
-    return Tensor(x.data[key], True, (x,), backward)
-
-
-def power(x, p):
-    return node(x.data ** p, (x, p * x.data ** (p - 1)))
-
-
-def sigmoid(x):
-    out = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-    return node(out, (x, out * (1.0 - out)))
-
-
-def softplus(x):
-    return node(np.logaddexp(0.0, x.data),
-                (x, 0.5 * (1.0 + np.tanh(0.5 * x.data))))
-
-
-def minimum(a, b):
-    """min(a, b) for a Tensor a and a constant array b."""
-    return node(np.minimum(a.data, b), (a, a.data <= b))
-
-
-def maximum(a, b):
-    return node(np.maximum(a.data, b), (a, a.data >= b))
-
-
-def divide(a, b):
-    return node(a.data / b.data, (a, 1.0 / b.data),
-                (b, -a.data / (b.data * b.data)))
-
-
-def composed_linear(x, w, b=None):
-    out = x @ w
-    return out if b is None else out + b
-
-
-def scatter_gather_rows(x, idx):
-    """x[idx] along axis 0, the index len(x) reading zeros, whose backward
-    scatters with np.add.at."""
-    n = x.shape[0]
-    xz = np.concatenate([x.data, np.zeros((1,) + x.shape[1:])])
-
-    def backward(g):
-        full = np.zeros_like(xz)
-        np.add.at(full, idx, g)
-        x._accum(full[:n])
-
-    return Tensor(xz[idx], True, (x,), backward)
-
-
-def composed_conv1d(x, w, b=None, index=None, relu=False, dense=linear):
-    """conv1d as a window gather, a reshape of the windows and of the
-    kernel, `dense` over them and, with `relu`, a ReLU node."""
-    A, d_in = x.shape
-    k, _, d_out = w.shape
-    idx = window_index([A], k) if index is None else index
-    windows = scatter_gather_rows(x, idx).reshape(A, k * d_in)
-    out = dense(windows, w.reshape(k * d_in, d_out), b)
-    return out.relu() if relu else out
-
-
-def composed_block(block, z, allowed):
-    """PreNormBlock as the composition of its modules' nodes."""
-    h = block.attn(block.ln1(z), allowed) + z
-    return block.ffn(block.ln2(h)) + h
-
-
-def composed_layer_norm(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x + mu * -1.0   # a Tensor has no subtraction; the bits are x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = power(var + eps, -0.5)
-    return xc * inv * gamma + beta
-
-
-def composed_total_loss(outs, targets, lam=1.0, strict_positive_only=False):
-    logits = outs.class_logits
-    T, C = logits.shape
-    y = np.zeros((T, C))
-    fg = targets.class_target < C
-    y[np.arange(T)[fg], targets.class_target[fg]] = 1.0
-    p = sigmoid(logits)
-    # -log p = softplus(-x); -log(1-p) = softplus(x)
-    pos_term = (power(p * -1.0 + 1.0, FOCAL_GAMMA) * FOCAL_ALPHA
-                * softplus(logits * -1.0))
-    neg_term = power(p, FOCAL_GAMMA) * (1.0 - FOCAL_ALPHA) * softplus(logits)
-    per_entry = pos_term * y + neg_term * (1.0 - y)
-    row_mask = (targets.inside if strict_positive_only
-                else np.ones(T, dtype=bool))
-    loss = (per_entry * row_mask.astype(np.float64)[:, None]).sum()
-    if targets.inside.any():
-        pos = targets.inside.nonzero()[0]
-        pred = index(outs.offsets, pos)
-        ps, pe = index(pred, (..., 0)), index(pred, (..., 1))
-        ts, te = targets.d_start[pos], targets.d_end[pos]
-        inter = minimum(ps, ts) + minimum(pe, te)
-        enclose = maximum(ps, ts) + maximum(pe, te)
-        giou = divide(inter, enclose) * -1.0 + 1.0
-        loss = loss + giou.sum() * lam
-    return loss * (1.0 / max(targets.num_positive, 1))
 
 
 def forward_backward(f, params, weights=None):
@@ -262,15 +131,6 @@ def test_one_wide_conv1d_matches_gather(relu):
         forward_backward(lambda: conv1d(x, w, b, relu=relu), params, c),
         forward_backward(lambda: conv1d(x, w, b, window_index([7], 1),
                                         relu=relu), params, c), grad_tol=0.0)
-
-
-def composed_depthwise(x, w, stride, lengths):
-    """depthwise_conv1d as the composition it replaced: a gather of the
-    strided windows whose backward scatters with np.add.at, a broadcast
-    product with the kernel and a sum over the window."""
-    windows = scatter_gather_rows(x, stride_index(lengths, stride,
-                                                  w.shape[0]))
-    return (windows * w).sum(axis=1)
 
 
 @pytest.mark.parametrize("T, k, stride", [(7, 2, 2), (10, 4, 4), (9, 5, 2)])
@@ -376,28 +236,30 @@ def op_nodes(root):
 
 
 def block_problem(shape, seed):
-    """A PreNormBlock over D = 8 with 2 heads, its input z and a mask: the
-    Window of 3 over [T, D] rows, or, over [T, K+1, D] tokens, every
-    token's column allowed or not at random, the group slot always."""
+    """A PreNormBlock over D = 8 with 2 heads, its input rows z and their
+    layout: for shape [T, D], the Window of 3 over T rows; for [T, K+1, D]
+    tokens, the Packed layout of the valid slots, each token valid or not
+    at random and the group slot always, with one row of z per valid
+    slot."""
     rng = np.random.default_rng(seed)
     block = nn.PreNormBlock(rng, 8, 2)
     for p in block.parameters():   # biases and LN shifts off zero
         p.data += rng.normal(size=p.shape) * 0.1
-    z = Parameter(rng.normal(size=shape), "z")
     if len(shape) == 2:
-        return block, z, window_tables([shape[0]], 3)
-    T, n, _ = shape
-    valid = rng.random((T, n)) < 0.6
+        return (block, Parameter(rng.normal(size=shape), "z"),
+                window_tables([shape[0]], 3))
+    valid = rng.random(shape[:2]) < 0.6
     valid[:, -1] = True
     assert not valid.all()
-    return block, z, np.broadcast_to(valid[:, None, :], (T, n, n))
+    return (block, Parameter(rng.normal(size=(valid.sum(), shape[2])), "z"),
+            packed_layout(valid))
 
 
 @pytest.mark.parametrize("shape", [(7, 8), (4, 5, 8)], ids=["band", "tokens"])
 def test_prenorm_block_matches_composition(shape):
     block, z, allowed = block_problem(shape, seed=len(shape))
     params = [z] + block.parameters()
-    c = np.random.default_rng(0).normal(size=shape)
+    c = np.random.default_rng(0).normal(size=z.shape)
     fused = forward_backward(lambda: block(z, allowed), params, c)
     assert_matches(fused, forward_backward(
         lambda: composed_block(block, z, allowed), params, c), grad_tol=0.0)
@@ -413,22 +275,31 @@ def test_one_block_call_adds_one_op_node():
     assert op_nodes(block(z, allowed)) == 1
 
 
+def band_calls(q, k, v, block):
+    """(call over a Window, its oracle under the band mask, Parameters) for
+    the attention node and for the block against its composition."""
+    return ((lambda a: attention(q, k, v, 2, a),
+             lambda a: attention(q, k, v, 2, a), [q, k, v]),
+            (lambda a: block(q, a), lambda a: composed_block(block, q, a),
+             [q] + block.parameters()))
+
+
 @pytest.mark.parametrize("w", [1, 3, 9])
 @pytest.mark.parametrize("T", [1, 2, 4, 5, 9, 33, 256])
 def test_window_attention_matches_dense_band(T, w):
     """Attention over the Window, as a node of its own and inside a block,
-    against the same calls under the dense band mask: values and every
-    gradient within 1e-12; without a graph, the graph's values."""
+    against the attention node and the block's composition under the dense
+    band mask: values and every gradient within 1e-12; without a graph,
+    the graph's values."""
     rng = np.random.default_rng(T * 10 + w)
     q, k, v = (Parameter(rng.normal(size=(T, 8)), n) for n in "qkv")
     block = nn.PreNormBlock(rng, 8, 2)
     c = rng.normal(size=(T, 8))
     window, band = window_tables([T], w), band_mask([T], w)
-    for f, params in ((lambda a: attention(q, k, v, 2, a), [q, k, v]),
-                      (lambda a: block(q, a), [q] + block.parameters())):
+    for f, oracle, params in band_calls(q, k, v, block):
         windowed = forward_backward(lambda: f(window), params, c)
-        assert_matches(windowed, forward_backward(lambda: f(band), params, c),
-                       value_tol=TOL)
+        assert_matches(windowed, forward_backward(lambda: oracle(band),
+                                                  params, c), value_tol=TOL)
         for p in params:
             p.requires_grad = False
         graph_free = f(window)
@@ -442,7 +313,7 @@ def test_window_attention_matches_dense_band(T, w):
 @pytest.mark.parametrize("w", [3, 9])
 def test_packed_window_attention_matches_block_band(lengths, w):
     """Attention over the Window of sequences back to back, as a node and
-    inside a block, against the same calls under the dense block-diagonal
+    inside a block, against their oracles under the dense block-diagonal
     band mask, which allows no key of another sequence: values and every
     gradient within 1e-12."""
     rng = np.random.default_rng(sum(lengths) + w)
@@ -451,10 +322,9 @@ def test_packed_window_attention_matches_block_band(lengths, w):
     block = nn.PreNormBlock(rng, 8, 2)
     c = rng.normal(size=(T, 8))
     window, band = window_tables(lengths, w), band_mask(lengths, w)
-    for f, params in ((lambda a: attention(q, k, v, 2, a), [q, k, v]),
-                      (lambda a: block(q, a), [q] + block.parameters())):
+    for f, oracle, params in band_calls(q, k, v, block):
         assert_matches(forward_backward(lambda: f(window), params, c),
-                       forward_backward(lambda: f(band), params, c),
+                       forward_backward(lambda: oracle(band), params, c),
                        value_tol=TOL)
 
 
@@ -504,9 +374,9 @@ def test_slot_wise_softmax_matches_numpy_reduce(n):
 
 
 def full_slot_aggregate(agg, tokens_with_group, valid_tokens):
-    """GroupAggregator's body before it packed the valid slots: every block
-    over all K + 1 slots of every snippet under the broadcast column mask,
-    then an index node that picks the group slot."""
+    """GroupAggregator's body before it packed the valid slots: every
+    block's composition over all K + 1 slots of every snippet under the
+    broadcast column mask, then an index node that picks the group slot."""
     valid = np.concatenate(
         [valid_tokens, np.ones(valid_tokens.shape[:-1] + (1,), dtype=bool)],
         axis=-1)
@@ -514,7 +384,7 @@ def full_slot_aggregate(agg, tokens_with_group, valid_tokens):
     allowed = np.broadcast_to(valid[..., None, :], valid.shape[:-1] + (n, n))
     z = tokens_with_group
     for block in agg.blocks:
-        z = block(z, allowed)
+        z = composed_block(block, z, allowed)
     return index(z, (..., -1, slice(None)))
 
 
@@ -684,19 +554,18 @@ def test_whole_model_matches_composition(monkeypatch):
     loss_fn, params = build_toy_problem(seed=3, T=5)
     fused = forward_backward(loss_fn, params)
     monkeypatch.setattr(nn.PreNormBlock, "__call__", composed_block)
-    monkeypatch.setattr(nn, "layer_norm", composed_layer_norm)
+    monkeypatch.setattr(oracles, "layer_norm", composed_layer_norm)
     monkeypatch.setattr(training, "total_loss", composed_total_loss)
     assert_matches(fused, forward_backward(loss_fn, params))
 
 
 def test_whole_model_matches_linear_composition(monkeypatch):
     """The toy end-to-end problem with every dense layer and convolution
-    built on the two-node linear; the aggregator's linears run over
-    [T, K+1, D], so the loss agrees within 1e-12."""
+    built on the two-node linear: the loss agrees within 1e-12."""
     loss_fn, params = build_toy_problem(seed=4, T=5)
     fused = forward_backward(loss_fn, params)
     monkeypatch.setattr(nn.PreNormBlock, "__call__", composed_block)
-    monkeypatch.setattr(nn, "linear", composed_linear)
+    monkeypatch.setattr(oracles, "linear", composed_linear)
     monkeypatch.setattr(nn, "conv1d", functools.partial(
         composed_conv1d, dense=composed_linear))
     assert_matches(fused, forward_backward(loss_fn, params), value_tol=TOL)

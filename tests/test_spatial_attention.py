@@ -1,85 +1,80 @@
 import numpy as np
 
-from taldet.autograd import Parameter, Tensor, concat, grad_check
+from oracles import composed_block, layer_norm
+from taldet.autograd import (Parameter, Tensor, concat, grad_check,
+                             packed_layout)
 from taldet.model import ModelConfig
-from taldet.nn import MultiHeadSelfAttention, PreNormBlock
+from taldet.nn import PreNormBlock
 from taldet.spatial_attention import GroupAggregator
 
 D = 8
 
 
-def make_attn(seed=0, heads=1):
-    return MultiHeadSelfAttention(np.random.default_rng(seed), D, heads)
+def attention_block(seed=0, heads=1):
+    """A PreNormBlock whose FFN adds exactly 0: block(z, layout) is
+    z + MHSA(LN1(z)) (fc2's bias starts at 0)."""
+    block = PreNormBlock(np.random.default_rng(seed), D, heads)
+    block.ffn.fc2.w.data[:] = 0.0
+    return block
 
 
-def np_softmax(x, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def column_mask(valid):
-    """allowed[i, j] = valid[j]: every slot attends to the valid slots."""
-    return np.broadcast_to(valid, (len(valid), len(valid)))
-
-
-def dense_attention_oracle(attn, z, valid):
-    """Single-head reference: explicit score matrix with column masking."""
-    q = z @ attn.wq.w.data + attn.wq.b.data
-    k = z @ attn.wk.w.data + attn.wk.b.data
-    v = z @ attn.wv.w.data + attn.wv.b.data
+def dense_attention_oracle(block, z, valid):
+    """Single-head reference of z + MHSA(LN1(z)): an explicit score matrix
+    with column masking."""
+    attn = block.attn
+    x = layer_norm(Tensor(z), block.ln1.gamma, block.ln1.beta).data
+    q, k, v = (x @ p.w.data + p.b.data for p in (attn.wq, attn.wk, attn.wv))
     scores = q @ k.T / np.sqrt(D // attn.num_heads)
     scores[:, ~valid] = -np.inf
-    out = np_softmax(scores) @ v
-    return out @ attn.wo.w.data + attn.wo.b.data
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True) @ v
+    return z + out @ attn.wo.w.data + attn.wo.b.data
+
+
+def one_snippet(valid):
+    return packed_layout(np.array([valid]))
 
 
 class TestMhsa:
+    """A block's attention over the valid slots of a Packed layout, as the
+    aggregator runs it."""
+
     def test_single_group_token_attends_itself(self):
-        attn = make_attn()
-        z = Tensor(np.random.default_rng(1).normal(size=(1, D)))
-        out = attn(z, column_mask(np.array([True])))
-        v = z.data @ attn.wv.w.data + attn.wv.b.data
-        expected = v @ attn.wo.w.data + attn.wo.b.data
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        block = attention_block()
+        z = np.random.default_rng(1).normal(size=(1, D))
+        out = block(Tensor(z), one_snippet([True]))
+        np.testing.assert_allclose(
+            out.data, dense_attention_oracle(block, z, np.array([True])),
+            atol=1e-12)
 
     def test_all_tokens_invalid_group_self_only(self):
-        attn = make_attn()
+        # snippet 0 holds its group row only; snippet 1's rows, whatever
+        # they hold, do not reach it
+        block = attention_block()
         rng = np.random.default_rng(2)
-        g = rng.normal(size=(1, D))
-        valid = np.array([False, False, False, True])
-        z1 = np.concatenate([np.zeros((3, D)), g])
-        z2 = np.concatenate([rng.normal(size=(3, D)), g])
-        out1 = attn(Tensor(z1), column_mask(valid)).data
-        out2 = attn(Tensor(z2), column_mask(valid)).data
-        np.testing.assert_array_equal(out1[-1], out2[-1])
+        layout = packed_layout(np.array([[False, False, False, True],
+                                         [True, False, True, True]]))
+        z1 = rng.normal(size=(4, D))
+        z2 = np.concatenate([z1[:1], rng.normal(size=(3, D)) * 1e6])
+        out1 = block(Tensor(z1), layout).data
+        out2 = block(Tensor(z2), layout).data
+        np.testing.assert_array_equal(out1[0], out2[0])
 
     def test_matches_dense_oracle(self):
-        attn = make_attn(seed=3)
+        block = attention_block(seed=3)
         z = np.random.default_rng(4).normal(size=(4, D))
         valid = np.array([True, True, True, True])
-        out = attn(Tensor(z), column_mask(valid)).data
-        np.testing.assert_allclose(out, dense_attention_oracle(attn, z, valid),
+        out = block(Tensor(z), one_snippet(valid)).data
+        np.testing.assert_allclose(out, dense_attention_oracle(block, z, valid),
                                    atol=1e-12)
 
     def test_masked_columns_get_zero_weight(self):
-        attn = make_attn(seed=5)
+        block = attention_block(seed=5)
         z = np.random.default_rng(6).normal(size=(4, D))
         valid = np.array([True, False, True, True])
-        out = attn(Tensor(z), column_mask(valid)).data
-        np.testing.assert_allclose(out, dense_attention_oracle(attn, z, valid),
-                                   atol=1e-12)
-
-    def test_unbatched_matches_batch_of_one(self):
-        attn = make_attn(seed=13, heads=2)
-        z = np.random.default_rng(14).normal(size=(5, D))
-        allowed = np.ones((5, 5), dtype=bool)
-        allowed[:, 1] = False
-        allowed[3, 4] = False
-        single = attn(Tensor(z), allowed).data
-        for mask in (allowed, allowed[None]):
-            batched = attn(Tensor(z[None]), mask).data
-            assert batched.shape == (1, 5, D)
-            assert np.abs(batched[0] - single).max() <= 1e-12
+        out = block(Tensor(z[valid]), one_snippet(valid)).data
+        np.testing.assert_allclose(
+            out, dense_attention_oracle(block, z, valid)[valid], atol=1e-12)
 
 
 class TestLayer:
@@ -91,29 +86,30 @@ class TestLayer:
         block.ffn.fc2.w.data[:] = 0.0
         block.ffn.fc2.b.data[:] = 0.0
         z = rng.normal(size=(5, D))
-        out = block(Tensor(z), allowed=np.ones((5, 5), dtype=bool))
+        out = block(Tensor(z), one_snippet([True] * 5))
         np.testing.assert_allclose(out.data, z, atol=1e-12)
 
     def test_single_token_composes_attention_and_ffn(self):
         rng = np.random.default_rng(8)
         block = PreNormBlock(rng, D, 2)
         z = Tensor(rng.normal(size=(1, D)))
-        h = block.attn(block.ln1(z), np.ones((1, 1), dtype=bool)) + z
-        expected = (block.ffn(block.ln2(h)) + h).data
-        out = block(z, allowed=np.ones((1, 1), dtype=bool))
+        expected = composed_block(block, z, np.ones((1, 1), dtype=bool)).data
+        out = block(z, one_snippet([True]))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_valid_rows_ignore_garbage_in_invalid_rows(self):
+        # the rows of snippet 1 are outside every row of snippet 0: huge
+        # values there leave snippet 0's rows unchanged bit for bit
         rng = np.random.default_rng(9)
         block = PreNormBlock(rng, D, 2)
-        valid = np.array([True, False, True, False])
-        z = rng.normal(size=(4, D))
-        z[~valid] = 0.0
-        base = block(Tensor(z), allowed=column_mask(valid)).data
+        layout = packed_layout(np.array([[True, False, True, False],
+                                         [True, True, False, True]]))
+        z = rng.normal(size=(5, D))
+        base = block(Tensor(z), layout).data
         garbage = z.copy()
-        garbage[~valid] = rng.normal(size=(2, D)) * 1e6
-        out = block(Tensor(garbage), allowed=column_mask(valid)).data
-        np.testing.assert_array_equal(out[valid], base[valid])
+        garbage[2:] = rng.normal(size=(3, D)) * 1e6
+        out = block(Tensor(garbage), layout).data
+        np.testing.assert_array_equal(out[:2], base[:2])
 
 
 def build_aggregator(num_layers=2, seed=0):
@@ -162,10 +158,11 @@ class TestAggregateGroup:
         out = run_group(agg, tokens, valid, g0)
 
         for t in range(2):
+            # the snippet's valid tokens and its group row, alone
             slots = np.append(valid[t], True)
-            z = Tensor(np.concatenate([tokens[t], g0[t][None]]))
+            z = Tensor(np.concatenate([tokens[t][valid[t]], g0[t][None]]))
             for block in agg.blocks:
-                z = block(z, allowed=column_mask(slots))
+                z = block(z, one_snippet(slots))
             np.testing.assert_allclose(out[t], z.data[-1], atol=1e-12)
 
     def test_permutation_invariance(self):

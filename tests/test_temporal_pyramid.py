@@ -1,9 +1,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracles import band_mask, composed_block
 from taldet.autograd import Parameter, Tensor, grad_check, window_tables
 from taldet.model import ModelConfig
-from taldet.nn import MultiHeadSelfAttention
+from taldet.nn import PreNormBlock
 from taldet.temporal_pyramid import PyramidBuilder, TemporalLayer
 
 D = 8
@@ -26,34 +27,31 @@ def small_cfg(**kw):
 
 
 class TestWindowedMhsa:
-    """Attention over window tables, as TemporalLayer applies it."""
+    """A block over window tables, as TemporalLayer applies it, against the
+    oracle composition under the dense band mask."""
 
     def test_window_covering_everything_equals_full_attention(self):
         rng = np.random.default_rng(0)
-        attn = MultiHeadSelfAttention(rng, D, 2)
+        block = PreNormBlock(rng, D, 2)
         x = Tensor(rng.normal(size=(5, D)))
-        windowed = attn(x, allowed=window_tables([5], 2 * 5 - 1))
-        full = attn(x, allowed=np.ones((5, 5), dtype=bool))
+        windowed = block(x, window_tables([5], 2 * 5 - 1))
+        full = composed_block(block, x, np.ones((5, 5), dtype=bool))
         np.testing.assert_allclose(windowed.data, full.data, atol=1e-12)
 
     def test_window_one_is_self_only(self):
         rng = np.random.default_rng(1)
-        attn = MultiHeadSelfAttention(rng, D, 1)
-        x = rng.normal(size=(4, D))
-        out = attn(Tensor(x), allowed=window_tables([4], 1)).data
-        # softmax over one element is 1: output is the per-row V->O path
-        v = x @ attn.wv.w.data + attn.wv.b.data
-        expected = v @ attn.wo.w.data + attn.wo.b.data
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        block = PreNormBlock(rng, D, 1)
+        x = Tensor(rng.normal(size=(4, D)))
+        out = block(x, window_tables([4], 1)).data
+        self_only = composed_block(block, x, np.eye(4, dtype=bool))
+        np.testing.assert_allclose(out, self_only.data, atol=1e-12)
 
     def test_matches_banded_mask_oracle(self):
         rng = np.random.default_rng(2)
         layer = TemporalLayer(rng, small_cfg(window_size=3), alpha=1)
         x = Tensor(rng.normal(size=(5, D)))
-        idx = np.arange(5)
-        band = np.abs(idx[:, None] - idx[None, :]) <= 1
         out, _ = layer(x, np.array([5]))
-        oracle = layer.block(x, band)
+        oracle = composed_block(layer.block, x, band_mask([5], 3))
         np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
 
 
