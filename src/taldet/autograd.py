@@ -388,18 +388,25 @@ def _fold(ufunc, a: np.ndarray) -> np.ndarray:
     return out[..., None]
 
 
+def _merge_heads(t: np.ndarray) -> np.ndarray:
+    """[..., H, N, d] per-head rows as [..., N, H * d]."""
+    t = t.swapaxes(-2, -3)
+    return t.reshape(t.shape[:-2] + (-1,))
+
+
 def _dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                      heads: int, allowed):
-    """Attention of q, k, v [..., N, D] under the mask `allowed`: the
-    merged-heads output and its backward, which keeps the per-head views of
-    q, k, v and the attention weights."""
+    """Attention of queries q [..., M, D] over keys and values k, v
+    [..., N, D] under the mask `allowed`: the merged-heads output and its
+    backward, which keeps the per-head views of q, k, v and the attention
+    weights."""
     if not allowed.any(axis=-1).all():
         raise InvalidMaskError("attention row with no allowed position")
-    shape = q.shape
-    split = shape[:-1] + (heads, shape[-1] // heads)
-    scale = 1.0 / math.sqrt(split[-1])
+    d = q.shape[-1] // heads
+    scale = 1.0 / math.sqrt(d)
     # [..., N, H, d] -> [..., H, N, d]; the same swap merges the heads again
-    qh, kh, vh = (t.reshape(split).swapaxes(-2, -3) for t in (q, k, v))
+    qh, kh, vh = (t.reshape(t.shape[:-1] + (heads, d)).swapaxes(-2, -3)
+                  for t in (q, k, v))
     s = (qh @ kh.swapaxes(-1, -2)) * scale
     # -inf once, broadcast over the heads axis, so exp gives exact zeros
     np.copyto(s, -np.inf, where=~allowed[..., None, :, :])
@@ -407,16 +414,16 @@ def _dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     p = e / _fold(np.add, e)
 
     def backward(g):
-        # the gradients in C order as g's shape: k's merged heads are
-        # otherwise a strided view, whose sums round differently
-        gh = g.reshape(g.shape[:-1] + (heads, split[-1])).swapaxes(-2, -3)
+        # the gradients in C order: k's merged heads are otherwise a
+        # strided view, whose sums round differently
+        gh = g.reshape(g.shape[:-1] + (heads, d)).swapaxes(-2, -3)
         gp = gh @ vh.swapaxes(-1, -2)
         gs = p * (gp - _fold(np.add, gp * p)) * scale
         gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        return [np.ascontiguousarray(gt.swapaxes(-2, -3).reshape(g.shape))
+        return [np.ascontiguousarray(_merge_heads(gt))
                 for gt in (gs @ kh, gk, p.swapaxes(-1, -2) @ gh)]
 
-    return (p @ vh).swapaxes(-2, -3).reshape(shape), backward
+    return _merge_heads(p @ vh), backward
 
 
 class Window(NamedTuple):
@@ -487,6 +494,10 @@ class Packed(NamedTuple):
     index: np.ndarray   # int [R]
     mask: np.ndarray    # bool [T, 1, n]
 
+    def last_rows(self) -> np.ndarray:
+        """int [T]: the row of each snippet's last valid slot."""
+        return np.cumsum(self.mask[:, 0].sum(axis=1)) - 1
+
 
 def packed_layout(valid: np.ndarray) -> Packed:
     """The Packed layout of the true slots of valid [T, N]; attention over
@@ -500,17 +511,21 @@ def packed_layout(valid: np.ndarray) -> Packed:
 
 
 def _packed_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                      heads: int, packed: Packed):
+                      heads: int, packed: Packed, last: bool = False):
     """Attention of q, k, v [R, D] among the rows of each snippet: the rows
     go to their slots of a zero [T, n, D] layout, dense attention runs there
     under the slot mask, and the R rows are read back; the backward moves
     the gradients the same way. The empty slots come after a snippet's rows,
     so every softmax max and sum adds the same numbers in the same order
-    as over the snippet's full slots with the empty ones masked."""
+    as over the snippet's full slots with the empty ones masked. With
+    `last`, q [T, D] holds one query per snippet, for its last row, as a
+    [T, 1, D] layout under the same mask."""
     T, _, n = packed.mask.shape
-    if q.ndim != 2 or q.shape[0] != len(packed.index):
-        raise DimensionError(f"packed attention: {q.shape} rows for a "
-                             f"layout of {len(packed.index)}")
+    R = len(packed.index)
+    if q.ndim != 2 or q.shape[0] != (T if last else R) or k.shape[0] != R:
+        raise DimensionError(f"packed attention: {q.shape} queries and "
+                             f"{k.shape} keys for a layout of {R} rows of "
+                             f"{T} snippets")
 
     def unpack(x):
         out = np.zeros((T * n, x.shape[1]))
@@ -520,23 +535,28 @@ def _packed_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     def pack(x):
         return x.reshape(T * n, -1)[packed.index]
 
-    out, dense_backward = _dense_attention(unpack(q), unpack(k), unpack(v),
-                                           heads, packed.mask)
+    # with `last`, the queries and their gradient are [T, 1, D]
+    out, dense_backward = _dense_attention(
+        q[:, None] if last else unpack(q), unpack(k), unpack(v), heads,
+        packed.mask)
 
     def backward(g):
-        return [pack(gt) for gt in dense_backward(unpack(g))]
+        gq, gk, gv = dense_backward(g[:, None] if last else unpack(g))
+        return [gq[:, 0] if last else pack(gq), pack(gk), pack(gv)]
 
-    return pack(out), backward
+    return out[:, 0] if last else pack(out), backward
 
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                       heads: int, layout: Window | Packed):
+                       heads: int, layout: Window | Packed,
+                       last: bool = False):
     """The merged-heads output and its backward, which maps the output's
     gradient to q's, k's and v's: windowed over a Window, within each
-    snippet over a Packed layout."""
+    snippet over a Packed layout (with `last`, for each snippet's last row
+    only)."""
     if isinstance(layout, Window):
         return _window_attention(q, k, v, heads, layout)
-    return _packed_attention(q, k, v, heads, layout)
+    return _packed_attention(q, k, v, heads, layout, last)
 
 
 # -- composite primitives ----------------------------------------------------
@@ -544,8 +564,8 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 LAYER_NORM_EPS = 1e-5   # the epsilon of both norms of every pre-norm block
 
 
-def prenorm_block(z: Tensor, layout: Window | Packed, params,
-                  heads: int) -> Tensor:
+def prenorm_block(z: Tensor, layout: Window | Packed, params, heads: int,
+                  last: bool = False) -> Tensor:
     """h = z + MHSA(LN1(z)), then h + FFN(LN2(h)), as one node.
 
     z is [N, D] rows and `layout` says which rows each row attends to: a
@@ -553,41 +573,60 @@ def prenorm_block(z: Tensor, layout: Window | Packed, params,
     other step works row by row. `params` are the 16 Parameters in the
     order LN1 gamma, beta; the q, k, v and output projections, each weight
     then bias; LN2 gamma, beta; the FFN's two linears, weight then bias.
+
+    With `last` (a Packed layout of T snippets), the node computes only
+    each snippet's last row and returns [T, D]: LN1, K and V cover all N
+    rows, as every query reads them, while Q, the attention (one query per
+    snippet), the output projection, the residual, LN2 and the FFN cover
+    the T last rows. The aggregator reads nothing else of its last block.
+
     The forward runs the numpy operations of layer norm, linear, attention
     and ReLU nodes in the order their composition (kept as a test oracle)
     runs them, and the backward chains their analytic backwards with every
     gradient summed in the composition's order, so both give the same bits.
+    (The `last` variant agrees with the full node's last rows within
+    1e-12: its products over fewer rows round differently.)
+    For its backward the node keeps each norm's standardised input `xhat`
+    and inverse std, the attention's per-head q, k, v and weights, the
+    attention output and the FFN's activation; it rebuilds each norm's
+    output as `xhat * gamma + beta`, the forward's own operations, rather
+    than keep it, and takes the ReLU's mask from the activation.
     """
     (gamma1, beta1, wq, bq, wk, bk, wv, bv, wo, bo,
      gamma2, beta2, w1, b1, w2, b2) = params
     ln1, xhat1, inv1 = _layer_norm_forward(z.data, gamma1.data, beta1.data,
                                            LAYER_NORM_EPS)
+    rows = layout.last_rows() if last else slice(None)
     att, attn_backward = _attention_forward(
-        *(_linear_forward(ln1, w, b)
-          for w, b in ((wq, bq), (wk, bk), (wv, bv))), heads, layout)
-    h = _linear_forward(att, wo, bo) + z.data
+        _linear_forward(ln1[rows], wq, bq), _linear_forward(ln1, wk, bk),
+        _linear_forward(ln1, wv, bv), heads, layout, last)
+    h = _linear_forward(att, wo, bo) + z.data[rows]
     ln2, xhat2, inv2 = _layer_norm_forward(h, gamma2.data, beta2.data,
                                            LAYER_NORM_EPS)
-    pre = _linear_forward(ln2, w1, b1)   # the FFN's pre-activation
-    out_data = _linear_forward(np.maximum(pre, 0.0), w2, b2) + h
+    act = np.maximum(_linear_forward(ln2, w1, b1), 0.0)   # the FFN's ReLU
+    out_data = _linear_forward(act, w2, b2) + h
     if not (z.requires_grad or any(p.requires_grad for p in params)):
         return Tensor(out_data)
 
     def backward(g):
-        gpre = _linear_backward(g, np.maximum(pre, 0.0), w2, b2)
-        gpre *= pre > 0
-        gln2 = _linear_backward(gpre, ln2, w1, b1)
+        gact = _linear_backward(g, act, w2, b2)
+        gact *= act > 0
+        gln2 = _linear_backward(gact, xhat2 * gamma2.data + beta2.data,
+                                w1, b1)
         gh = g + _layer_norm_backward(gln2, gamma2, beta2, xhat2, inv2, True)
         gq, gk, gv = attn_backward(_linear_backward(gh, att, wo, bo))
+        ln1 = xhat1 * gamma1.data + beta1.data
+        gq = _linear_backward(gq, ln1[rows], wq, bq)
+        if last:   # the queries' rows of ln1's gradient, zero elsewhere
+            gq = _scatter_rows(gq, rows, len(ln1))
         # (q + k) + v: the order the composition's graph walk adds them in
-        gln1 = (_linear_backward(gq, ln1, wq, bq)
-                + _linear_backward(gk, ln1, wk, bk)
+        gln1 = (gq + _linear_backward(gk, ln1, wk, bk)
                 + _linear_backward(gv, ln1, wv, bv))
         gz = _layer_norm_backward(gln1, gamma1, beta1, xhat1, inv1,
                                   z.requires_grad)
         if z.requires_grad:
             # the residual first, then LN1's, as the composition adds them
-            z._accum(gh)
+            z._accum(_scatter_rows(gh, rows, len(ln1)) if last else gh)
             z._accum(gz)
 
     return Tensor(out_data, True, (z,) + tuple(params), backward)

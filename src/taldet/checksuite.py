@@ -44,9 +44,9 @@ def packed_slots(rng: np.random.Generator):
 def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
                           seed: int = 0) -> dict[str, float]:
     """Max relative error per node over `probes` random probe points: the
-    pre-norm block under a Window and under a Packed layout, the
-    convolutions and the loss, which between them run every analytic
-    forward and backward."""
+    pre-norm block under a Window, under a Packed layout and over each
+    snippet's last row of one, the convolutions and the loss, which between
+    them run every analytic forward and backward."""
     rng = np.random.default_rng(seed)
     results = {}
 
@@ -63,14 +63,15 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
                   + [(4, 16), (16,), (16, 4), (4,)])
         return [Parameter(rng.normal(size=s) * 0.5, "p") for s in shapes]
 
-    def block_probe(rows, layout):
-        # block_params() and 1 or 2 heads over `rows` rows of z
+    def block_probe(rows, layout, last=False):
+        # block_params() and 1 or 2 heads over `rows` rows of z; with
+        # `last`, the block's output for each snippet's last row
         heads = int(rng.choice([1, 2]))
         z = Parameter(rng.normal(size=(rows, 4)), "z")
         params = block_params()
-        c = rng.normal(size=(rows, 4))
-        return (lambda: (prenorm_block(z, layout, params, heads) * c).sum(),
-                [z] + params)
+        c = rng.normal(size=(len(layout.mask) if last else rows, 4))
+        return (lambda: (prenorm_block(z, layout, params, heads, last)
+                         * c).sum(), [z] + params)
 
     def make_conv():
         x = Parameter(rng.normal(size=(6, 3)), "x")
@@ -118,6 +119,8 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
 
     run("window_prenorm_block", lambda: block_probe(*window_rows(rng)))
     run("packed_prenorm_block", lambda: block_probe(*packed_slots(rng)))
+    run("last_rows_prenorm_block",
+        lambda: block_probe(*packed_slots(rng), last=True))
     run("conv1d", make_conv)
     run("conv1d_relu", make_conv_relu)
     run("depthwise_conv1d", make_depthwise)

@@ -96,26 +96,33 @@ def config_from(cls, settings: dict):
 
 
 def load_dataset(data_dir):
+    """The records of a data directory and the path of each one's feature
+    file; the grids are read one at a time by build_model_and_samples."""
     data_dir = Path(data_dir)
-    records = read_annotations(data_dir / "annotations.jsonl")
-    feats = {r.id: read_features(data_dir / "features" / f"{r.id}.ptfv")
-             for r in records}
-    return records, feats
+    path = data_dir / "annotations.jsonl"
+    records = read_annotations(path)
+    if not records:
+        raise ValidationError(f"{path}: no records")
+    return records, [data_dir / "features" / f"{r.id}.ptfv" for r in records]
 
 
-def build_model_and_samples(records, feats, settings):
+def build_model_and_samples(records, paths, settings):
     """The model (D from the settings, else from the first feature file;
     classes from the settings, else from the annotations) and one pooled
-    sample per record. Every record's features must have the model's D."""
-    D = next(iter(feats.values())).shape[-1]
+    sample per record. Each record's grid is read, checked against the
+    model's D and classes, pooled and let go before the next is read, so
+    one grid at most is alive at a time."""
     from_data = {
-        "feature_dim": D,
         "num_classes": 1 + max((s.class_id for r in records
                                 for s in r.segments), default=0),
     }
-    model_cfg = config_from(ModelConfig, from_data | settings)
-    for r in records:
-        d = feats[r.id].shape[-1]
+    model_cfg, samples = None, []
+    for r, path in zip(records, paths):
+        feats = read_features(path)
+        d = feats.shape[-1]
+        if model_cfg is None:
+            model_cfg = config_from(ModelConfig, from_data
+                                    | {"feature_dim": d} | settings)
         if d != model_cfg.feature_dim:
             raise ValidationError(f"record {r.id}: its features have D = {d} "
                                   f"but feature_dim = {model_cfg.feature_dim}")
@@ -124,10 +131,10 @@ def build_model_and_samples(records, feats, settings):
                 raise ValidationError(
                     f"record {r.id}: class id {s.class_id} >= num_classes = "
                     f"{model_cfg.num_classes}")
+        samples.append(prepare_sample(r, feats, model_cfg.K))
+        del feats   # before the next grid is read
     rng = np.random.default_rng(settings.get("seed", TrainConfig.seed))
-    model = SubjectPriorDetector(model_cfg, rng)
-    return model, [prepare_sample(r, feats[r.id], model_cfg.K)
-                   for r in records]
+    return SubjectPriorDetector(model_cfg, rng), samples
 
 
 def cmd_synth(args):
@@ -142,8 +149,8 @@ def cmd_train(args):
     settings = gather_settings(args)
     # train and infer read one config, so each command checks all of it
     train_cfg, _ = (config_from(c, settings) for c in (TrainConfig, InferConfig))
-    records, feats = load_dataset(args.data)
-    model, samples = build_model_and_samples(records, feats, settings)
+    records, paths = load_dataset(args.data)
+    model, samples = build_model_and_samples(records, paths, settings)
     result = fit(model, samples, train_cfg, out_dir=args.out)
     print(f"final loss {result.loss_log[-1]['mean_loss']:.6f}; "
           f"checkpoint at {result.checkpoint_path}")
@@ -153,8 +160,8 @@ def cmd_train(args):
 def cmd_infer(args):
     settings = gather_settings(args)
     _, cfg = (config_from(c, settings) for c in (TrainConfig, InferConfig))
-    records, feats = load_dataset(args.data)
-    model, samples = build_model_and_samples(records, feats, settings)
+    records, paths = load_dataset(args.data)
+    model, samples = build_model_and_samples(records, paths, settings)
     entries = read_checkpoint(args.checkpoint)
     try:
         load_into_model(model, entries, use_ema=args.ema)

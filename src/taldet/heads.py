@@ -178,10 +178,12 @@ def giou_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
-               strict_positive_only: bool = False) -> Tensor:
+               strict_positive_only: bool = False,
+               videos: list[np.ndarray] | None = None) -> Tensor:
     """The mean over a batch's B videos of each video's (focal + lam * GIoU)
     / max(T+, 1), one node over the class logits and the offsets: anchor
-    a's terms weigh 1 / (max(T+ of its video, 1) * B).
+    a's terms weigh 1 / (max(T+ of its video, 1) * B). `videos` is
+    `outs.video_anchors()`, computed here if not given.
 
     The focal loss sums over every (step, class) entry; with
     strict_positive_only, only steps inside an action contribute, otherwise
@@ -199,7 +201,8 @@ def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
     tgt = np.stack([targets.d_start[pos], targets.d_end[pos]], axis=-1)
     giou = np.zeros(len(y))
     giou[pos] = giou_values(pred, tgt)
-    videos = outs.video_anchors()
+    if videos is None:
+        videos = outs.video_anchors()
     weight = np.empty(len(y))   # of each anchor's terms
     loss = 0.0
     for anchors in videos:

@@ -80,7 +80,8 @@ class MultiHeadSelfAttention(Module):
 class PreNormBlock(Module):
     """z -> z + MHSA(LN(z)); then h -> h + FFN(LN(h)), FFN width 4 * dim, as
     one `autograd.prenorm_block` node over the modules' Parameters; `layout`
-    is the rows' `Window` or `Packed` layout."""
+    is the rows' `Window` or `Packed` layout. `last_rows` computes only
+    each snippet's last row of a Packed layout."""
 
     def __init__(self, rng, dim, num_heads, name="block"):
         self.ln1 = LayerNorm(dim)
@@ -89,14 +90,21 @@ class PreNormBlock(Module):
         self.ffn = FeedForward(rng, dim, 4 * dim, name + ".ffn")
 
     def __call__(self, z, layout):
+        return prenorm_block(z, layout, self.node_params(),
+                             self.attn.num_heads)
+
+    def last_rows(self, z, packed):
+        """The block's output rows of each snippet's last slot, [T, D]."""
+        return prenorm_block(z, packed, self.node_params(),
+                             self.attn.num_heads, last=True)
+
+    def node_params(self):
+        """The 16 Parameters in `prenorm_block`'s order."""
         attn, ffn = self.attn, self.ffn
-        return prenorm_block(
-            z, layout,
-            (self.ln1.gamma, self.ln1.beta, attn.wq.w, attn.wq.b, attn.wk.w,
-             attn.wk.b, attn.wv.w, attn.wv.b, attn.wo.w, attn.wo.b,
-             self.ln2.gamma, self.ln2.beta, ffn.fc1.w, ffn.fc1.b, ffn.fc2.w,
-             ffn.fc2.b),
-            attn.num_heads)
+        return (self.ln1.gamma, self.ln1.beta, attn.wq.w, attn.wq.b,
+                attn.wk.w, attn.wk.b, attn.wv.w, attn.wv.b, attn.wo.w,
+                attn.wo.b, self.ln2.gamma, self.ln2.beta, ffn.fc1.w,
+                ffn.fc1.b, ffn.fc2.w, ffn.fc2.b)
 
 
 class ConvLayer(Module):

@@ -3,10 +3,14 @@
 The K pooled subject vectors plus one group slot (initialized with the global
 spatial average) pass through L1 pre-norm attention blocks, in which every
 slot attends to the valid slots of its snippet. Only the valid slots are
-computed: their rows are gathered once, packed back to back with each
-snippet's group slot last, every block runs on those rows, and the group
-rows are read at the end. An invalid slot's row is never read, so whatever
-it holds, NaN included, never reaches the group token or a gradient.
+computed: their rows are gathered once and packed back to back with each
+snippet's group slot last, and every block but the last runs on all those
+rows. Only the group rows of the last block are read, so it computes just
+those: its keys and values still cover every row, while its queries, output
+projection, second norm and FFN cover one row per snippet, and it returns
+the group vectors itself. An invalid slot's row is never read, so whatever
+it holds, NaN included, never reaches the group token or a gradient. With
+no block (L1 = 0) the group vectors are the global averages.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ if TYPE_CHECKING:
 
 
 class GroupAggregator(Module):
-    """L1 stacked pre-norm attention blocks over the valid slots; reads the
-    group slot of the final Z."""
+    """L1 stacked pre-norm attention blocks over the valid slots, the last
+    computing the group slots only."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.blocks = [
@@ -43,7 +47,8 @@ class GroupAggregator(Module):
         d = tokens_with_group.shape[-1]
         z = gather_rows(tokens_with_group.reshape(-1, d),
                         np.flatnonzero(valid))
-        for block in self.blocks:
+        if not self.blocks:
+            return gather_rows(z, packed.last_rows())
+        for block in self.blocks[:-1]:
             z = block(z, packed)
-        # each snippet's group slot is its last row
-        return gather_rows(z, np.cumsum(valid.sum(axis=1)) - 1)
+        return self.blocks[-1].last_rows(z, packed)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autograd import Tensor, concat, window_index, window_tables
+from .autograd import Tensor, Window, concat, window_index, window_tables
 from .nn import ConvLayer, DepthwiseDownsample, Module, PreNormBlock
 
 if TYPE_CHECKING:
@@ -43,11 +43,10 @@ class TemporalLayer(Module):
         self.down = DepthwiseDownsample(rng, cfg.feature_dim, alpha, name + ".down")
         self.window_size = cfg.window_size
 
-    def __call__(self, x: Tensor, lengths: np.ndarray):
-        """x [sum(lengths), D], videos `lengths` long back to back; returns
-        the output and its videos' lengths. No window reads across two
-        videos."""
-        window = window_tables(lengths, self.window_size)
+    def __call__(self, x: Tensor, lengths: np.ndarray, window: Window):
+        """x [sum(lengths), D], videos `lengths` long back to back, and
+        their `window_tables(lengths, window_size)`; returns the output and
+        its videos' lengths. No window reads across two videos."""
         return self.down(self.block(x, window), lengths)
 
 
@@ -70,11 +69,17 @@ class PyramidBuilder(Module):
         lengths = np.asarray(lengths, dtype=int)
         index = window_index(lengths, 3)
         x = self.map2(self.map1(g_seq, index, relu=True), index, relu=True)
+        # one Window per level: the standard layers and the first strided
+        # one attend at level 0, each later strided layer at the level the
+        # one before it made
+        window = window_tables(lengths, self.cfg.window_size)
         for layer in self.standard:
-            x, lengths = layer(x, lengths)
+            x, lengths = layer(x, lengths, window)
         levels, runs = [x], [lengths]
-        for layer in self.strided:
-            x, lengths = layer(x, lengths)
+        for i, layer in enumerate(self.strided):
+            if i:
+                window = window_tables(lengths, self.cfg.window_size)
+            x, lengths = layer(x, lengths, window)
             levels.append(x)
             runs.append(lengths)
         B = len(lengths)

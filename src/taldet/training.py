@@ -84,31 +84,53 @@ class FlatParameters:
         return [a.reshape(p.data.shape) for a, p in zip(parts, self.params)]
 
 
+# elements an optimizer pass works on at a time: its scratch buffers stay
+# this size, small enough to stay in cache, and add little to the resident
+# memory the next step's graph is built on
+CHUNK = 1 << 15
+
+
+def _chunks(n: int) -> list[slice]:
+    """Slices of at most CHUNK elements covering range(n)."""
+    return [slice(lo, lo + CHUNK) for lo in range(0, n, CHUNK)]
+
+
 class Adam:
-    """Adam with bias correction, in place on the weight buffer `data`; the
-    step works in place so that few model-sized temporaries are alive."""
+    """Adam with bias correction, in place on the weight buffer `data`. The
+    step runs chunk by chunk in two `scratch` buffers of at most CHUNK
+    elements, allocated once, so that it allocates no array."""
 
     def __init__(self, data: np.ndarray, grad: np.ndarray, weight_decay=0.0):
         self.data, self.grad = data, grad
         self.weight_decay = weight_decay
         self.m = np.zeros_like(data)
         self.v = np.zeros_like(data)
+        n = min(CHUNK, data.size)
+        self.scratch = (np.empty(n), np.empty(n))
         self.t = 0
 
     def step(self, lr: float):
         self.t += 1
-        g = self.grad
-        if self.weight_decay:
-            g = g + self.weight_decay * self.data
-        self.m *= BETA1
-        self.m += (1 - BETA1) * g
-        self.v *= BETA2
-        self.v += (1 - BETA2) * g * g
-        denom = np.sqrt(self.v / (1 - BETA2 ** self.t)) + EPS
-        update = self.m / (1 - BETA1 ** self.t)
-        update *= lr
-        update /= denom
-        self.data -= update
+        c1, c2 = 1 - BETA1 ** self.t, 1 - BETA2 ** self.t
+        for part in _chunks(self.data.size):
+            data, g, m, v = (x[part] for x in (self.data, self.grad, self.m,
+                                                self.v))
+            a, b = (x[:data.size] for x in self.scratch)
+            if self.weight_decay:   # g + weight_decay * data
+                g = np.add(g, np.multiply(self.weight_decay, data, out=a),
+                           out=a)
+            m *= BETA1
+            m += np.multiply(1 - BETA1, g, out=b)
+            v *= BETA2
+            np.multiply(1 - BETA2, g, out=b)
+            v += np.multiply(b, g, out=b)
+            # update = m / c1 * lr / (sqrt(v / c2) + EPS)
+            denom = np.sqrt(np.divide(v, c2, out=b), out=b)
+            denom += EPS
+            update = np.divide(m, c1, out=a)
+            update *= lr
+            update /= denom
+            data -= update
 
 
 def clip_global_norm(flat: FlatParameters, max_norm: float) -> float:
@@ -121,9 +143,14 @@ def clip_global_norm(flat: FlatParameters, max_norm: float) -> float:
     return norm
 
 
-def ema_update(ema: np.ndarray, data: np.ndarray, decay: float) -> None:
-    ema *= decay
-    ema += (1 - decay) * data
+def ema_update(ema: np.ndarray, data: np.ndarray, decay: float,
+               scratch: np.ndarray) -> None:
+    """ema = decay * ema + (1 - decay) * data, in place, chunk by chunk
+    through `scratch`, a buffer of min(CHUNK, ema.size) elements."""
+    for part in _chunks(ema.size):
+        e = ema[part]
+        e *= decay
+        e += np.multiply(1 - decay, data[part], out=scratch[:e.size])
 
 
 @dataclass
@@ -144,7 +171,8 @@ def video_loss(model: SubjectPriorDetector, batch, cfg: TrainConfig):
                               model.cfg.num_classes)
                for s, a in zip(samples, anchors)]
     return total_loss(outs, batch_targets(targets, anchors), lam=cfg.lam,
-                      strict_positive_only=cfg.strict_positive_only)
+                      strict_positive_only=cfg.strict_positive_only,
+                      videos=anchors)
 
 
 def numerical_abort(what: str, step: int, lr: float,
@@ -199,7 +227,7 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
                 raise numerical_abort(f"non-finite gradient norm {norm}",
                                       step, lr, model)
             opt.step(lr)
-            ema_update(ema, flat.data, cfg.ema_decay)
+            ema_update(ema, flat.data, cfg.ema_decay, opt.scratch[0])
             epoch_losses.append(float(loss.data))
             step += 1
         result.loss_log.append({

@@ -177,7 +177,10 @@ def composed_layer_norm(x, gamma, beta, eps=1e-5):
     return xc * inv * gamma + beta
 
 
-def composed_total_loss(outs, targets, lam=1.0, strict_positive_only=False):
+def composed_total_loss(outs, targets, lam=1.0, strict_positive_only=False,
+                        videos=None):
+    """total_loss of a batch of one video (whose anchors are all of them)
+    from smaller nodes."""
     logits = outs.class_logits
     T, C = logits.shape
     y = np.zeros((T, C))

@@ -105,6 +105,33 @@ def test_traced_infer_and_eval_record_post_processing(tmp_path):
         assert t.counts[key] > 0, key
 
 
+def test_reading_and_pooling_stay_in_set_up(tmp_path):
+    # the benchmark counts the time of the set-up spans as setup_s and the
+    # rest as work_s: every grid read and every pooling must run inside one
+    data = tmp_path / "data"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K = 2\ngroup_layers = 1\ngroup_heads = 2\n"
+                   "temporal_heads = 2\nwindow_size = 3\n"
+                   "num_standard_layers = 1\nnum_strided_layers = 2\n"
+                   "epochs = 1\nwarmup_epochs = 0\n")
+    assert cli.main(["synth", "--out", str(data), "--videos", "2"]) == 0
+    t = tracer.Tracer()
+    with t.installed(tracer.layer_targets()):
+        assert cli.main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 0
+    setup = {"setup.load_dataset", "setup.build_model"}
+
+    def in_setup(parent):
+        while parent is not None and t.spans[parent][0] not in setup:
+            parent = t.spans[parent][3]
+        return parent is not None
+
+    inner = [(name, parent) for name, _, _, parent, _ in t.spans
+             if name in ("dataio.read_features", "model.prepare_sample")]
+    assert len(inner) == 4
+    assert all(in_setup(parent) for _, parent in inner), inner
+
+
 def test_workloads_prepare_their_inputs(tmp_path):
     # the benchmark writes its inputs with taldet's writers and records,
     # then checks infer's output by reading them back

@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
 from taldet.dataio import (read_annotations, read_checkpoint,
                            read_detections, read_features, write_checkpoint,
                            write_features)
-from taldet.model import ModelConfig
+from taldet.model import ModelConfig, SubjectPriorDetector
 from taldet.postprocess import decode, soft_nms
 from taldet.training import FitResult, TrainConfig
 
@@ -123,6 +124,44 @@ class TestPipeline:
     def test_missing_dataset_is_validation_error(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_empty_dataset_exits_2_naming_it(self, tmp_path, capsys,
+                                             command):
+        (tmp_path / "annotations.jsonl").write_text("")
+        extra = ["--checkpoint", "x"] if command == "infer" else []
+        rc = main([command, "--data", str(tmp_path)] + extra)
+        assert rc == EXIT_VALIDATION
+        assert "annotations.jsonl: no records" in capsys.readouterr().err
+
+    def test_no_feature_grid_outlives_its_pooling(self, dataset,
+                                                  monkeypatch):
+        """Every array read_features returned is gone when fit starts, and
+        when infer's first forward runs: each grid is let go once pooled."""
+        tmp, data, cfg = dataset
+        run, grids, alive = tmp / "run", [], []
+
+        def read(path):
+            grid = read_features(path)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        def check_grids(fn):
+            def spy(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in grids))
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(cli, "read_features", read)
+        monkeypatch.setattr(cli, "fit", check_grids(cli.fit))
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(run)]) == EXIT_OK
+        monkeypatch.setattr(SubjectPriorDetector, "__call__",
+                            check_grids(SubjectPriorDetector.__call__))
+        assert main(["infer", "--data", str(data), "--config", str(cfg),
+                     "--checkpoint", str(run / "checkpoint.ptck"),
+                     "--out", str(run)]) == EXIT_OK
+        assert len(grids) == 4 and alive == [0, 0, 0]
 
     def test_corrupt_annotations_is_validation_error(self, dataset):
         _, data, cfg = dataset
@@ -643,9 +682,9 @@ class TestGradcheckCommand:
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == [
-            "window_prenorm_block", "packed_prenorm_block", "conv1d",
-            "conv1d_relu", "depthwise_conv1d", "total_loss",
-            "end_to_end_loss"]
+            "window_prenorm_block", "packed_prenorm_block",
+            "last_rows_prenorm_block", "conv1d", "conv1d_relu",
+            "depthwise_conv1d", "total_loss", "end_to_end_loss"]
         # the error column starts at the same offset on every row
         assert len({line.index(" max rel err ") for line in lines}) == 1
         assert not any("FAIL" in line for line in lines)

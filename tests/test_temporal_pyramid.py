@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles import band_mask, composed_block
+from taldet import temporal_pyramid
 from taldet.autograd import Parameter, Tensor, grad_check, window_tables
 from taldet.model import ModelConfig
 from taldet.nn import PreNormBlock
@@ -16,6 +17,11 @@ def expected_level_lengths(T: int, alpha: int, num_levels: int) -> list[int]:
     for _ in range(num_levels - 1):
         out.append(-(-out[-1] // alpha))
     return out
+
+
+def run_layer(layer, x, T):
+    """A TemporalLayer over one video of T rows, with its Window."""
+    return layer(x, np.array([T]), window_tables([T], layer.window_size))
 
 
 def small_cfg(**kw):
@@ -50,7 +56,7 @@ class TestWindowedMhsa:
         rng = np.random.default_rng(2)
         layer = TemporalLayer(rng, small_cfg(window_size=3), alpha=1)
         x = Tensor(rng.normal(size=(5, D)))
-        out, _ = layer(x, np.array([5]))
+        out, _ = run_layer(layer, x, 5)
         oracle = composed_block(layer.block, x, band_mask([5], 3))
         np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
 
@@ -60,14 +66,14 @@ class TestTemporalLayer:
         rng = np.random.default_rng(3)
         layer = TemporalLayer(rng, small_cfg(), alpha=1)
         x = Tensor(rng.normal(size=(7, D)))
-        out, lengths = layer(x, np.array([7]))
+        out, lengths = run_layer(layer, x, 7)
         assert out.shape == (7, D) and list(lengths) == [7]
 
     def test_alpha_two_halves_length(self):
         rng = np.random.default_rng(4)
         layer = TemporalLayer(rng, small_cfg(), alpha=2)
         x = Tensor(rng.normal(size=(64, D)))
-        out, lengths = layer(x, np.array([64]))
+        out, lengths = run_layer(layer, x, 64)
         assert out.shape == (32, D) and list(lengths) == [32]
 
     def test_zero_weights_alpha_one_residual_identity(self):
@@ -78,11 +84,28 @@ class TestTemporalLayer:
         layer.block.ffn.fc2.w.data[:] = 0.0
         layer.block.ffn.fc2.b.data[:] = 0.0
         x = rng.normal(size=(6, D))
-        out, _ = layer(Tensor(x), np.array([6]))
+        out, _ = run_layer(layer, Tensor(x), 6)
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
 
 class TestBuildPyramid:
+    def test_one_window_per_level(self, monkeypatch):
+        # two standard layers and three strided ones attend at three
+        # levels: level 0 (both standard layers and strided.0), 1 and 2
+        built = []
+
+        def spy(lengths, w):
+            built.append(list(lengths))
+            return window_tables(lengths, w)
+
+        monkeypatch.setattr(temporal_pyramid, "window_tables", spy)
+        cfg = small_cfg(window_size=5, num_standard_layers=2,
+                        num_strided_layers=3)
+        builder = PyramidBuilder(cfg, np.random.default_rng(6))
+        builder(Tensor(np.random.default_rng(7).normal(size=(13, D))),
+                [9, 4])
+        assert built == [[9, 4], [5, 2], [3, 1]]
+
     def test_default_lengths_from_64(self):
         cfg = small_cfg(window_size=9, num_standard_layers=2,
                         num_strided_layers=5)
@@ -125,10 +148,10 @@ class TestBuildPyramid:
         layer.block.ffn.fc2.w.data[:] = 0.0
         layer.block.ffn.fc2.b.data[:] = 0.0
         x = rng.normal(size=(9, D))
-        base, _ = layer(Tensor(x), np.array([9]))
+        base, _ = run_layer(layer, Tensor(x), 9)
         bumped = x.copy()
         bumped[8] += 5.0
-        out, _ = layer(Tensor(bumped), np.array([9]))
+        out, _ = run_layer(layer, Tensor(bumped), 9)
         # positions farther than (window_size-1)/2 = 1 from the bump unchanged
         np.testing.assert_allclose(out.data[:7], base.data[:7], atol=1e-12)
         assert np.abs(out.data[7:] - base.data[7:]).max() > 1e-6

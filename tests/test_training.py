@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,11 +129,65 @@ class TestClipAndEma:
         np.testing.assert_array_equal(flat.grad, [bad, 4.0])
 
     def test_ema_recurrence(self):
-        e = np.array([0.0])
-        ema_update(e, np.array([1.0]), 0.9)
+        e, scratch = np.array([0.0]), np.empty(1)
+        ema_update(e, np.array([1.0]), 0.9, scratch)
         np.testing.assert_allclose(e, [0.1])
-        ema_update(e, np.array([1.0]), 0.9)
+        ema_update(e, np.array([1.0]), 0.9, scratch)
         np.testing.assert_allclose(e, [0.19])
+
+
+def allocating_adam_step(opt, lr):
+    """Adam.step as model-sized temporaries, before it worked in its two
+    scratch buffers: the oracle its in-place step must match bit for
+    bit."""
+    opt.t += 1
+    g = opt.grad
+    if opt.weight_decay:
+        g = g + opt.weight_decay * opt.data
+    opt.m *= 0.9
+    opt.m += (1 - 0.9) * g
+    opt.v *= 0.999
+    opt.v += (1 - 0.999) * g * g
+    denom = np.sqrt(opt.v / (1 - 0.999 ** opt.t)) + 1e-8
+    update = opt.m / (1 - 0.9 ** opt.t)
+    update *= lr
+    update /= denom
+    opt.data -= update
+
+
+def allocating_ema_update(ema, data, decay):
+    ema *= decay
+    ema += (1 - decay) * data
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_in_place_updates_match_allocating_oracle(weight_decay):
+    """100 steps of Adam and the EMA over three chunks, with gradients of
+    scales 1e-6 to 1e3 and learning rates along a warm-up and cosine
+    schedule, give the oracle's weights, moments and EMA bit for bit, and
+    allocate no array of a chunk's size."""
+    rng = np.random.default_rng(int(weight_decay * 100))
+    n = 2 * training.CHUNK + 123
+    data = rng.normal(size=n)
+    ref_data, grad, ref_grad = data.copy(), np.zeros(n), np.zeros(n)
+    opt, ref = Adam(data, grad, weight_decay), Adam(ref_data, ref_grad,
+                                                    weight_decay)
+    ema, ref_ema = data.copy(), data.copy()
+    for step in range(100):
+        grad[:] = ref_grad[:] = rng.normal(size=n) * 10.0 ** rng.uniform(
+            -6, 3, size=n)
+        lr = lr_schedule(step, 100, 10, 1e-2)
+        tracemalloc.start()
+        opt.step(lr)
+        ema_update(ema, data, 0.99, opt.scratch[0])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < training.CHUNK * 8
+        allocating_adam_step(ref, lr)
+        allocating_ema_update(ref_ema, ref_data, 0.99)
+        for a, b in ((data, ref_data), (opt.m, ref.m), (opt.v, ref.v),
+                     (ema, ref_ema)):
+            assert a.tobytes() == b.tobytes(), step
 
 
 # The per-parameter Adam, clipping and EMA that the flat store replaced: the
@@ -238,9 +293,9 @@ class TestFlatParameters:
                          ema_decay=0.9, seed=4)
         emas = []
 
-        def spy(ema, data, decay):
+        def spy(ema, data, decay, scratch):
             emas.append(ema)
-            ema_update(ema, data, decay)
+            ema_update(ema, data, decay, scratch)
 
         monkeypatch.setattr(training, "ema_update", spy)
         model = SubjectPriorDetector(cfg, np.random.default_rng(0))
