@@ -71,7 +71,7 @@ def read_features(path) -> np.ndarray:
     if len(raw) != expected:
         raise FormatError(
             f"{path}: expected {expected} bytes, found {len(raw)}")
-    arr = np.frombuffer(raw[24:], dtype="<f4").reshape(T, H, W, D)
+    arr = np.frombuffer(raw, dtype="<f4", offset=24).reshape(T, H, W, D)
     if not np.isfinite(arr).all():
         raise FormatError(f"{path}: non-finite payload")
     return arr.astype(np.float64)

@@ -13,6 +13,7 @@ projections read their input rows directly, with no window gather.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +57,10 @@ class HeadOutput:
     stride: np.ndarray         # int [A], snippets per step at its level
     video: np.ndarray          # int [A], its video's place in the batch
 
+    @cached_property
     def video_anchors(self) -> list[np.ndarray]:
-        """The anchors of each video of the batch, in anchor order."""
+        """The anchors of each video of the batch, in anchor order; computed
+        once, for the targets and the loss of a step alike."""
         order = np.argsort(self.video, kind="stable")
         return np.split(order, np.cumsum(np.bincount(self.video))[:-1])
 
@@ -178,12 +181,10 @@ def giou_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
-               strict_positive_only: bool = False,
-               videos: list[np.ndarray] | None = None) -> Tensor:
+               strict_positive_only: bool = False) -> Tensor:
     """The mean over a batch's B videos of each video's (focal + lam * GIoU)
     / max(T+, 1), one node over the class logits and the offsets: anchor
-    a's terms weigh 1 / (max(T+ of its video, 1) * B). `videos` is
-    `outs.video_anchors()`, computed here if not given.
+    a's terms weigh 1 / (max(T+ of its video, 1) * B).
 
     The focal loss sums over every (step, class) entry; with
     strict_positive_only, only steps inside an action contribute, otherwise
@@ -201,8 +202,7 @@ def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
     tgt = np.stack([targets.d_start[pos], targets.d_end[pos]], axis=-1)
     giou = np.zeros(len(y))
     giou[pos] = giou_values(pred, tgt)
-    if videos is None:
-        videos = outs.video_anchors()
+    videos = outs.video_anchors
     weight = np.empty(len(y))   # of each anchor's terms
     loss = 0.0
     for anchors in videos:

@@ -12,6 +12,7 @@ can mask them out.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,16 @@ class AnnotationRecord:
 SAMPLES = 2  # RoIAlign samples per bin along each axis
 
 
+@functools.cache
+def _sample_offsets(bins: int) -> np.ndarray:
+    """[bins * SAMPLES] positions of the samples along an axis of unit-wide
+    bins, bin b's at b + (s + 0.5) / SAMPLES; read-only, as it is shared."""
+    u = (np.arange(bins)[:, None]
+         + (np.arange(SAMPLES) + 0.5) / SAMPLES).reshape(-1)
+    u.flags.writeable = False
+    return u
+
+
 def _mean_axis_weights(lo, hi, scale, bins, n):
     """[boxes, n] mean bilinear weight of each of the n cells over the
     bins * SAMPLES regular sample positions along one axis of each box.
@@ -127,9 +138,7 @@ def _mean_axis_weights(lo, hi, scale, bins, n):
     c = 0.5 * (lo + hi)
     thin = hi - lo < 1e-9
     lo, hi = np.where(thin, c - 0.5, lo), np.where(thin, c + 0.5, hi)
-    u = (np.arange(bins)[:, None]
-         + (np.arange(SAMPLES) + 0.5) / SAMPLES).reshape(-1)
-    pos = lo[:, None] + ((hi - lo) / bins)[:, None] * u
+    pos = lo[:, None] + ((hi - lo) / bins)[:, None] * _sample_offsets(bins)
     p = np.clip(pos - 0.5, 0.0, n - 1.0)
     left = np.minimum(np.floor(p).astype(int), n - 2)
     frac = (p - left)[..., None]

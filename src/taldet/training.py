@@ -165,14 +165,13 @@ def video_loss(model: SubjectPriorDetector, batch, cfg: TrainConfig):
     own anchors, and one loss node over them all."""
     samples = [batch] if isinstance(batch, VideoSample) else list(batch)
     outs = model(samples)
-    anchors = outs.video_anchors()
+    anchors = outs.video_anchors
     targets = [assign_targets(s.record.segments, outs.step[a], outs.stride[a],
                               s.record.seconds_per_snippet,
                               model.cfg.num_classes)
                for s, a in zip(samples, anchors)]
     return total_loss(outs, batch_targets(targets, anchors), lam=cfg.lam,
-                      strict_positive_only=cfg.strict_positive_only,
-                      videos=anchors)
+                      strict_positive_only=cfg.strict_positive_only)
 
 
 def numerical_abort(what: str, step: int, lr: float,
@@ -200,6 +199,7 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
     flat = FlatParameters(model.parameters())
     opt = Adam(flat.data, flat.grad, weight_decay=cfg.weight_decay)
     ema = flat.data.copy()
+    ema_scratch = np.empty(min(CHUNK, ema.size))
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = math.ceil(len(samples) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -227,7 +227,7 @@ def fit(model: SubjectPriorDetector, samples: list[VideoSample],
                 raise numerical_abort(f"non-finite gradient norm {norm}",
                                       step, lr, model)
             opt.step(lr)
-            ema_update(ema, flat.data, cfg.ema_decay, opt.scratch[0])
+            ema_update(ema, flat.data, cfg.ema_decay, ema_scratch)
             epoch_losses.append(float(loss.data))
             step += 1
         result.loss_log.append({

@@ -2,8 +2,9 @@
 the single-op nodes the model's fused nodes replaced, built on autograd's
 shared analytic forwards and backwards; `attention` also takes a dense
 bool mask (`band_mask` is a Window's). The `composed_*` functions rebuild
-a pre-norm block, a convolution, a layer norm, a dense layer and the loss
-from smaller nodes, summing gradients in the fused nodes' order."""
+a pre-norm block (over every row, or over each snippet's last row), a
+convolution, a layer norm, a dense layer and the loss from smaller nodes,
+summing gradients in the fused nodes' order."""
 
 import numpy as np
 
@@ -51,14 +52,17 @@ def layer_norm(x, gamma, beta, eps=autograd.LAYER_NORM_EPS):
         g, gamma, beta, xhat, inv, True)])
 
 
-def attention(q, k, v, heads, allowed):
+def attention(q, k, v, heads, allowed, last=False):
     """Multi-head attention of q, k, v [..., N, D] as one node, under the
     dense bool mask `allowed` [..., N, N] or over the [N, D] rows of a
-    Window or a Packed layout."""
-    attend = (autograd._attention_forward
-              if isinstance(allowed, (Window, Packed))
-              else autograd._dense_attention)
-    out, attn_backward = attend(q.data, k.data, v.data, heads, allowed)
+    Window or a Packed layout; with `last`, q [T, D] holds the queries of
+    each snippet's last row of a Packed layout."""
+    if isinstance(allowed, (Window, Packed)):
+        out, attn_backward = autograd._attention_forward(
+            q.data, k.data, v.data, heads, allowed, last)
+    else:
+        out, attn_backward = autograd._dense_attention(q.data, k.data, v.data,
+                                                       heads, allowed)
     return op(out, (q, k, v), attn_backward)
 
 
@@ -169,6 +173,22 @@ def composed_block(block, z, allowed):
                   ffn.fc2.b) + h
 
 
+def composed_last_rows(block, z, packed):
+    """PreNormBlock.last_rows as the same composition: LN1, K and V over
+    every row of z, an index of each snippet's last row before the Q
+    projection and the residual, and the rest over those T rows."""
+    attn, ffn = block.attn, block.ffn
+    rows = packed.last_rows()
+    x = layer_norm(z, block.ln1.gamma, block.ln1.beta)
+    q = linear(index(x, rows), attn.wq.w, attn.wq.b)
+    k, v = (linear(x, p.w, p.b) for p in (attn.wk, attn.wv))
+    h = linear(attention(q, k, v, attn.num_heads, packed, last=True),
+               attn.wo.w, attn.wo.b) + index(z, rows)
+    x = layer_norm(h, block.ln2.gamma, block.ln2.beta)
+    return linear(relu(linear(x, ffn.fc1.w, ffn.fc1.b)), ffn.fc2.w,
+                  ffn.fc2.b) + h
+
+
 def composed_layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x + mu * -1.0   # a Tensor has no subtraction; the bits are x - mu
@@ -177,8 +197,7 @@ def composed_layer_norm(x, gamma, beta, eps=1e-5):
     return xc * inv * gamma + beta
 
 
-def composed_total_loss(outs, targets, lam=1.0, strict_positive_only=False,
-                        videos=None):
+def composed_total_loss(outs, targets, lam=1.0, strict_positive_only=False):
     """total_loss of a batch of one video (whose anchors are all of them)
     from smaller nodes."""
     logits = outs.class_logits

@@ -73,7 +73,7 @@ class TestDetectionHeads:
         np.testing.assert_array_equal(out.stride, stride)
         np.testing.assert_array_equal(out.video, np.repeat([0, 1, 0, 1],
                                                            [4, 3, 2, 2]))
-        videos = out.video_anchors()
+        videos = out.video_anchors
         np.testing.assert_array_equal(videos[0], [0, 1, 2, 3, 7, 8])
         np.testing.assert_array_equal(videos[1], [4, 5, 6, 9, 10])
 
@@ -323,7 +323,7 @@ class TestTotalLoss:
         parts = [assign_targets(g, *anchors(sh), 0.25, 2)
                  for g, sh in zip(gts, shapes)]
         assert [t.num_positive for t in parts] == [3, 0]
-        videos = outs.video_anchors()
+        videos = outs.video_anchors
         loss = total_loss(outs, batch_targets(parts, videos))
         loss.backward()
         grads = [logits.grad.copy(), offsets.grad.copy()]

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taldet import autograd, training
+from taldet import autograd, heads, training
 from taldet.autograd import Parameter, Tensor
 from taldet.dataio import (AnnotationRecord, SyntheticSpec,
                            generate_synthetic, read_checkpoint, read_features)
@@ -173,13 +174,14 @@ def test_in_place_updates_match_allocating_oracle(weight_decay):
     opt, ref = Adam(data, grad, weight_decay), Adam(ref_data, ref_grad,
                                                     weight_decay)
     ema, ref_ema = data.copy(), data.copy()
+    scratch = np.empty(training.CHUNK)
     for step in range(100):
         grad[:] = ref_grad[:] = rng.normal(size=n) * 10.0 ** rng.uniform(
             -6, 3, size=n)
         lr = lr_schedule(step, 100, 10, 1e-2)
         tracemalloc.start()
         opt.step(lr)
-        ema_update(ema, data, 0.99, opt.scratch[0])
+        ema_update(ema, data, 0.99, scratch)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < training.CHUNK * 8
@@ -560,6 +562,22 @@ class TestPacking:
             scale = max(np.abs(r).max(), floor)
             assert np.abs(g - r).max() <= 1e-10 * scale, name
 
+    def test_a_step_splits_its_anchors_once(self, monkeypatch):
+        # the targets and the loss read one split of the batch's anchors
+        model, samples = packing_problem()
+        calls = []
+        split = heads.HeadOutput.video_anchors.func
+
+        def counting(outs):
+            calls.append(outs)
+            return split(outs)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(heads.HeadOutput, "video_anchors")
+        monkeypatch.setattr(heads.HeadOutput, "video_anchors", prop)
+        training.video_loss(model, samples, TrainConfig())
+        assert len(calls) == 1
+
     def test_packed_forward_matches_each_video_alone(self):
         # no layer reads across two videos: each video's anchors carry the
         # outputs of its forward alone, within 1e-12
@@ -567,7 +585,7 @@ class TestPacking:
         for p in model.parameters():
             p.requires_grad = False
         outs = model(samples)
-        for s, anchors in zip(samples, outs.video_anchors()):
+        for s, anchors in zip(samples, outs.video_anchors):
             alone = model(s)
             np.testing.assert_array_equal(outs.step[anchors], alone.step)
             np.testing.assert_array_equal(outs.stride[anchors], alone.stride)
