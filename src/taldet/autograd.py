@@ -4,8 +4,10 @@ The model's graph is built from the nodes here: one `prenorm_block` per
 attention block, one `conv1d` or `depthwise_conv1d` per convolution, the
 structural `concat`, `gather_rows` and `reshape`, and the Tensor operators
 that pooling uses; the training loss is one node of the same kind in
-`heads`. The finite-difference harness at the bottom of the file is the
-single source of truth for gradient correctness.
+`heads`. A `checkpoint` node runs the subject aggregator's blocks piece by
+piece when its rows fill more than one chunk. The finite-difference
+harness at the bottom of the file is the single source of truth for
+gradient correctness.
 Graphs are built explicitly per forward pass, and `Tensor.backward` frees
 each one as it runs; there is no global tape.
 Tensors do not check finiteness: non-finite values are caught where numbers
@@ -89,6 +91,11 @@ class Tensor:
         raises."""
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar tensor")
+        self._backprop(np.ones_like(self.data))
+
+    def _backprop(self, grad: np.ndarray):
+        """The sweep of `backward` from a root of any shape whose gradient
+        is `grad`."""
         topo, seen = [], set()
         stack = [(self, False)]
         while stack:
@@ -105,8 +112,8 @@ class Tensor:
             for p in node._parents:
                 if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
-        self._accum(np.ones_like(self.data))
-        if self._backward is None:   # a leaf root: its gradient is 1
+        self._accum(grad)
+        if self._backward is None:   # a leaf root: its gradient is `grad`
             return
         while topo:
             node = topo.pop()
@@ -637,7 +644,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
     """Same-padded stride-1 convolution over axis 0 of x[A, D_in] with kernel
     w[k, D_in, D_out], k odd, as one node: a window gather, then one 2-D
     product against the kernel's [k * D_in, D_out] view; with `relu`, the
-    ReLU that follows it too, whose backward masks by the pre-activation.
+    ReLU that follows it too, applied in place, whose backward masks by the
+    output.
 
     x may hold several sequences back to back: `index` is then their
     `window_index(lengths, k)` (default: one sequence of A rows), which
@@ -662,15 +670,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
             raise DimensionError(f"conv1d: window index {idx.shape} for "
                                  f"{A} rows and kernel {k}")
         windows = _with_zero_row(x.data)[idx].reshape(A, k * d_in)
-    pre = _linear_forward(windows, w, b)
-    out_data = np.maximum(pre, 0.0) if relu else pre
+    out_data = _linear_forward(windows, w, b)
+    if relu:   # in place: the backward keeps the output only
+        np.maximum(out_data, 0.0, out=out_data)
     parents = (x, w) if b is None else (x, w, b)
     if not any(p.requires_grad for p in parents):
         return Tensor(out_data)
 
     def backward(g):
-        if relu:
-            g = g * (pre > 0)
+        if relu:   # out > 0 exactly where the pre-activation is
+            g = g * (out_data > 0)
         gwin = _linear_backward(g, windows, w, b, x.requires_grad)
         if x.requires_grad:
             x._accum(gwin if idx is None else
@@ -704,6 +713,51 @@ def depthwise_conv1d(x: Tensor, w: Tensor, stride: int,
             x._accum(_scatter_rows(g * w.data, idx, A))
 
     return Tensor(out_data, True, (x, w), backward)
+
+
+def checkpoint(fn, x: Tensor, cuts, params) -> Tensor:
+    """fn over each piece of x's rows between consecutive `cuts`, the
+    pieces' outputs back to back, as one node that keeps the graph of one
+    piece only: gradient checkpointing, after Chen et al., "Training Deep
+    Nets with Sublinear Memory Cost", arXiv 1604.06174.
+
+    fn(piece, i) builds piece i's output from `piece`, a leaf holding its
+    rows of x, and from the Parameters `params`, and must give the same
+    values each time it runs; no output row may read another piece's rows.
+    The forward builds and drops the graph of every piece but the last and
+    keeps their output values; it keeps the last piece's graph. The
+    backward first runs that graph's backward, which frees it, then
+    rebuilds each other piece's graph in turn and runs its backward, so
+    one piece's graph at a time is alive. Without a gradient to carry, fn
+    runs once per piece and no node is built.
+    """
+    spans = list(zip(cuts[:-1], cuts[1:]))
+
+    def run(i):
+        lo, hi = spans[i]
+        piece = Tensor(x.data[lo:hi], x.requires_grad)
+        return piece, fn(piece, i)
+
+    last = len(spans) - 1
+    outs = [run(i)[1].data for i in range(last)]
+    kept = run(last)
+    out_data = np.concatenate(outs + [kept[1].data])
+    parents = (x,) + tuple(params)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(out_data)
+    bounds = np.cumsum([0] + [len(o) for o in outs] + [len(kept[1].data)])
+
+    def backward(g):
+        gx = np.zeros_like(x.data) if x.requires_grad else None
+        for i in [last] + list(range(last)):
+            piece, out = kept if i == last else run(i)
+            out._backprop(g[bounds[i]:bounds[i + 1]])
+            if gx is not None:
+                gx[spans[i][0]:spans[i][1]] = piece.grad
+        if gx is not None:
+            x._accum(gx)
+
+    return Tensor(out_data, True, parents, backward)
 
 
 # -- gradient checking -------------------------------------------------------

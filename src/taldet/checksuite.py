@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (Parameter, conv1d, depthwise_conv1d, grad_check,
-                       packed_layout, prenorm_block, window_index,
-                       window_tables)
+from .autograd import (Parameter, checkpoint, conv1d, depthwise_conv1d,
+                       grad_check, packed_layout, prenorm_block,
+                       window_index, window_tables)
 from .heads import GroundTruthSegment, HeadOutput, Targets, total_loss
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
 from .subjects import AnnotationRecord, SubjectBox
@@ -27,26 +27,32 @@ def window_rows(rng: np.random.Generator):
 
 
 def packed_slots(rng: np.random.Generator):
-    """The row count and Packed layout of 4 snippets of K + 1 = 4 slots,
-    group slot last, in a random order: one with no valid token, one with
-    every slot valid (n = K + 1), one whose valid tokens are not a prefix
-    of its slots, one at random."""
+    """The row count and Packed layout of slot_mask's snippets."""
+    valid = slot_mask(rng)
+    return int(valid.sum()), packed_layout(valid)
+
+
+def slot_mask(rng: np.random.Generator) -> np.ndarray:
+    """bool [4, 4]: the valid slots of 4 snippets of K + 1 = 4 slots, group
+    slot last, in a random order: one with no valid token, one with every
+    slot valid (n = K + 1), one whose valid tokens are not a prefix of its
+    slots, one at random."""
     valid = np.ones((4, 4), dtype=bool)
     valid[0, :3] = False
     valid[2, :3] = [[True, False, True], [False, True, True],
                     [False, True, False],
                     [False, False, True]][int(rng.integers(4))]
     valid[3, :3] = rng.random(3) < 0.5
-    valid = valid[rng.permutation(4)]
-    return int(valid.sum()), packed_layout(valid)
+    return valid[rng.permutation(4)]
 
 
 def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
                           seed: int = 0) -> dict[str, float]:
     """Max relative error per node over `probes` random probe points: the
     pre-norm block under a Window, under a Packed layout and over each
-    snippet's last row of one, the convolutions and the loss, which between
-    them run every analytic forward and backward."""
+    snippet's last row of one, the convolutions, the loss, which between
+    them run every analytic forward and backward, and the last-row block
+    checkpointed over pieces of its snippets, whose backward recomputes."""
     rng = np.random.default_rng(seed)
     results = {}
 
@@ -117,6 +123,26 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         lam, strict = float(rng.integers(0, 3)), bool(rng.random() < 0.5)
         return lambda: total_loss(outs, targets, lam, strict), [x, o]
 
+    def make_checkpoint():
+        # the group-row block over slot_mask's snippets, as one checkpoint
+        # node over 2-4 pieces of whole snippets cut at random
+        valid = slot_mask(rng)
+        cuts = np.sort(rng.choice(np.arange(1, 4), int(rng.integers(1, 4)),
+                                  replace=False))
+        snippets = np.concatenate([[0], cuts, [4]])
+        rows = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])[snippets]
+        heads = int(rng.choice([1, 2]))
+        z = Parameter(rng.normal(size=(rows[-1], 4)), "z")
+        params = block_params()
+        c = rng.normal(size=(4, 4))
+
+        def piece(zc, i):
+            layout = packed_layout(valid[snippets[i]:snippets[i + 1]])
+            return prenorm_block(zc, layout, params, heads, last=True)
+
+        return (lambda: (checkpoint(piece, z, rows, params) * c).sum(),
+                [z] + params)
+
     run("window_prenorm_block", lambda: block_probe(*window_rows(rng)))
     run("packed_prenorm_block", lambda: block_probe(*packed_slots(rng)))
     run("last_rows_prenorm_block",
@@ -125,6 +151,7 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
     run("conv1d_relu", make_conv_relu)
     run("depthwise_conv1d", make_depthwise)
     run("total_loss", make_total_loss)
+    run("checkpoint", make_checkpoint)
     return results
 
 

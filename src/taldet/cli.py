@@ -1,4 +1,5 @@
-"""Command-line entry points: synth / train / eval / infer / gradcheck.
+"""Command-line entry points: synth / train / eval / infer / gradcheck /
+profile.
 
 Config files are plain `key = value` lines. The keys are the fields of
 ModelConfig, TrainConfig and InferConfig; an unknown or repeated key, a
@@ -27,6 +28,7 @@ from .dataio import (FormatError, SyntheticSpec, ValidationError,
 from .metrics import THUMOS_GRID, evaluate
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
 from .postprocess import InferConfig, decode, soft_nms
+from .profile import profile
 from .training import (NumericalAbort, TrainConfig, fit, load_into_model)
 
 EXIT_OK = 0
@@ -211,6 +213,22 @@ def cmd_gradcheck(args):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def cmd_profile(args):
+    # the synthetic action spans snippets 2 to T - 2 at the shortest
+    if args.snippets < 5 or args.batch < 1:
+        raise ValidationError("profile needs --snippets >= 5 and --batch >= 1")
+    result = profile(args.snippets, args.feature_dim, args.batch)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    step = result["train_step"]
+    print(f"forward {result['forward']['seconds']:.3f} s, "
+          f"{result['forward']['peak_mb']:.1f} MB; train step "
+          f"{step['loss_seconds']:.3f} + {step['backward_seconds']:.3f} s, "
+          f"{step['peak_mb']:.1f} MB; written to {out}")
+    return EXIT_OK
+
+
 def _add_common(p):
     """--config, --out, and one flag per setting; a flag's raw string goes
     through the same checks as a config-file value."""
@@ -257,6 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
+
+    p = add("profile", help="time and trace the memory of one training "
+                            "step on synthetic videos")
+    p.add_argument("--snippets", type=int, required=True)
+    p.add_argument("--feature-dim", type=int, required=True)
+    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_profile)
     return ap
 
 

@@ -411,14 +411,19 @@ class SyntheticSpec:
         return json.dumps(vars(self) | {}, sort_keys=True)
 
 
-def generate_synthetic(spec: SyntheticSpec, out_dir) -> list[AnnotationRecord]:
-    """Write a deterministic dataset where subject-box cells carry a clean
-    class signal while background cells carry a randomly chosen class-shaped
-    distractor, so subject pooling is informative and global pooling is
-    confounded. Layout: <out>/annotations.jsonl, <out>/features/<id>.ptfv.
+def synthetic_videos(spec: SyntheticSpec):
+    """Yield each video of the deterministic dataset `spec` describes, in
+    order, as its record and its feature grid [T, G, G, D]. Subject-box
+    cells carry a clean class signal, while background cells cancel them,
+    so every snippet's global spatial average is one scene vector: subject
+    pooling is informative and global pooling is confounded.
+
+    A box that would cover a snippet's last background cell is drawn but
+    not placed, so the cancelling never runs out of cells and no snippet's
+    average carries its class. Its draws are still made, so the rest of the
+    stream is unchanged. No box is dropped when the boxes cannot cover the
+    grid, as 1-3 boxes of 2 x 2 cells cannot cover the default 4 x 4 one.
     """
-    out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     G, D, C = spec.grid, spec.feature_dim, spec.num_classes
     cell_px = spec.frame_size / G
@@ -430,7 +435,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> list[AnnotationRecord]:
     scene = rng.normal(size=D)
     scene *= 1.0 / np.linalg.norm(scene)
 
-    records = []
     for v in range(spec.num_videos):
         T = int(rng.integers(spec.snippets_min, spec.snippets_max + 1))
         # 1-2 non-overlapping segments in snippet units
@@ -457,12 +461,17 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> list[AnnotationRecord]:
             for _ in range(n_boxes):
                 r0 = int(rng.integers(0, G - 1))
                 c0 = int(rng.integers(0, G - 1))
-                covered[r0:r0 + 2, c0:c0 + 2] = True
+                confidence = round(float(rng.uniform(0.5, 1.0)), 4)
+                box = np.zeros((G, G), dtype=bool)
+                box[r0:r0 + 2, c0:c0 + 2] = True
+                if (covered | box).all():
+                    continue
+                covered |= box
                 feats[t, r0:r0 + 2, c0:c0 + 2] = content
                 snippet_boxes.append(SubjectBox(
                     c0 * cell_px, r0 * cell_px,
                     (c0 + 2) * cell_px, (r0 + 2) * cell_px,
-                    confidence=round(float(rng.uniform(0.5, 1.0)), 4)))
+                    confidence=confidence))
             # background exactly cancels the subjects' contribution, so the
             # global spatial average is the same scene vector in every
             # snippet: only subject-region pooling carries the action signal
@@ -472,15 +481,26 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> list[AnnotationRecord]:
             feats[t][~covered] += spec.noise * rng.normal(size=(n_bg, D))
             boxes.append(snippet_boxes)
 
-        vid = f"synth_{v:03d}"
-        write_features(out / "features" / f"{vid}.ptfv", feats)
-        record = AnnotationRecord(vid, spec.fps, spec.frame_size,
+        record = AnnotationRecord(f"synth_{v:03d}", spec.fps, spec.frame_size,
                                   spec.frame_size, spec.snippet_stride, [],
                                   boxes)
         unit = record.seconds_per_snippet
         # replace() checks the segments against the record again
-        records.append(dataclasses.replace(record, segments=[
-            GroundTruthSegment(c, s * unit, e * unit) for s, e, c in spans]))
+        yield dataclasses.replace(record, segments=[
+            GroundTruthSegment(c, s * unit, e * unit)
+            for s, e, c in spans]), feats
+
+
+def generate_synthetic(spec: SyntheticSpec, out_dir) -> list[AnnotationRecord]:
+    """Write `synthetic_videos(spec)` as a data directory:
+    <out>/annotations.jsonl, <out>/features/<id>.ptfv and <out>/spec.json.
+    """
+    out = Path(out_dir)
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    records = []
+    for record, feats in synthetic_videos(spec):
+        write_features(out / "features" / f"{record.id}.ptfv", feats)
+        records.append(record)
     write_annotations(out / "annotations.jsonl", records)
     (out / "spec.json").write_text(spec.to_json() + "\n")
     return records

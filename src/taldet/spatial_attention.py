@@ -11,6 +11,14 @@ projection, second norm and FFN cover one row per snippet, and it returns
 the group vectors itself. An invalid slot's row is never read, so whatever
 it holds, NaN included, never reaches the group token or a gradient. With
 no block (L1 = 0) the group vectors are the global averages.
+
+No row reads another snippet's rows, so the blocks run over chunks of whole
+snippets, each of at most CHUNK_ROWS packed rows, as one `checkpoint` node:
+a training step keeps the graph of the last chunk alive, and its backward
+rebuilds the others one at a time. The chunks are filled from the last, so
+the kept chunk is a full one and the first holds the rest: the graph kept
+alive is bounded by CHUNK_ROWS, and no fewer rows could be rebuilt within
+that bound. Rows that fit in one chunk run as one plain graph.
 """
 
 from __future__ import annotations
@@ -19,11 +27,29 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autograd import Tensor, gather_rows, packed_layout
+from .autograd import Packed, Tensor, checkpoint, gather_rows, packed_layout
 from .nn import Module, PreNormBlock
 
 if TYPE_CHECKING:
     from .model import ModelConfig
+
+# the most packed rows a chunk holds: the aggregator graph a training step
+# keeps alive grows with it, and the rows outside the last chunk cost a
+# second forward in the backward (the trade-off is measured in the README)
+CHUNK_ROWS = 700
+
+
+def snippet_chunks(counts: np.ndarray, max_rows: int) -> np.ndarray:
+    """int [n + 1]: cuts into snippets of `counts` rows each, taken in
+    order, as chunks filled from the last: each holds the most whole
+    snippets that fit in `max_rows` rows, and at least one, so the first
+    chunk holds what is left."""
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    cuts = [len(counts)]
+    while cuts[-1] > 0:
+        first = int(np.searchsorted(starts, starts[cuts[-1]] - max_rows))
+        cuts.append(min(first, cuts[-1] - 1))
+    return np.array(cuts[::-1])
 
 
 class GroupAggregator(Module):
@@ -49,6 +75,25 @@ class GroupAggregator(Module):
                         np.flatnonzero(valid))
         if not self.blocks:
             return gather_rows(z, packed.last_rows())
+        counts = valid.sum(axis=1)
+        cuts = snippet_chunks(counts, CHUNK_ROWS)
+        if len(cuts) == 2:
+            return self.group_rows(z, packed)
+        rows = np.concatenate([[0], np.cumsum(counts)])[cuts]
+        n = packed.mask.shape[-1]
+
+        def chunk(piece, i):
+            # the chunk's part of the batch's layout, n slots wide: its
+            # attention products have the one-chunk run's shapes and bits
+            return self.group_rows(piece, Packed(
+                packed.index[rows[i]:rows[i + 1]] - cuts[i] * n,
+                packed.mask[cuts[i]:cuts[i + 1]]))
+
+        return checkpoint(chunk, z, rows, self.parameters())
+
+    def group_rows(self, z: Tensor, packed: Packed) -> Tensor:
+        """The blocks over the rows z of snippets in the layout `packed`:
+        their group vectors [t, D]."""
         for block in self.blocks[:-1]:
             z = block(z, packed)
         return self.blocks[-1].last_rows(z, packed)

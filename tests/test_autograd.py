@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import attention, layer_norm, linear, relu
 from taldet import autograd, nn
 from taldet.autograd import (DimensionError, InvalidMaskError, Parameter,
-                             ProbeError, Tensor, conv1d, depthwise_conv1d,
-                             grad_check, packed_layout, stride_index,
-                             window_index, window_tables)
-from taldet.checksuite import _sum_sq, packed_slots, window_rows
+                             ProbeError, Tensor, checkpoint, conv1d,
+                             depthwise_conv1d, grad_check, packed_layout,
+                             stride_index, window_index, window_tables)
+from taldet.checksuite import _sum_sq, packed_slots, slot_mask, window_rows
 
 
 def pointwise(x, f, df):
@@ -419,6 +419,77 @@ def test_block_node_keeps_no_norm_output(layout):
         assert not any(np.array_equal(a, n) for n in norms)
     # whole buffers only: a view's bytes are its base's
     assert kept <= sum(a.nbytes for a in held if a.base is None) + 16384
+
+
+@pytest.mark.parametrize("kernel, index", [(3, True), (1, False)])
+def test_relu_conv_keeps_only_its_output(kernel, index):
+    """With the ReLU fused in, the backward keeps no [A, D_out] array but
+    the output itself: the mask comes from it, not from a kept
+    pre-activation."""
+    rng = np.random.default_rng(0)
+    x = Parameter(rng.normal(size=(12, 4)), "x")
+    w = Parameter(rng.normal(size=(kernel, 4, 5)), "w")
+    b = Parameter(rng.normal(size=5), "b")
+    out = conv1d(x, w, b, window_index([7, 5], kernel) if index else None,
+                 relu=True)
+    held = [a for a in held_arrays(out._backward) if a.shape == out.shape]
+    assert held and all(a is out.data for a in held)
+
+
+class TestCheckpoint:
+    """checkpoint over pieces of rows against the pieces' plain graphs."""
+
+    def problem(self, seed, x_grad):
+        # the group-row block over slot_mask's 4 snippets cut into 3 pieces
+        rng = np.random.default_rng(seed)
+        valid = slot_mask(rng)
+        snippets = np.array([0, 1, 3, 4])
+        rows = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])[snippets]
+        block = nn.PreNormBlock(rng, 4, 2)
+        x = (Parameter if x_grad else Tensor)(rng.normal(size=(rows[-1], 4)))
+        calls = []
+
+        def fn(piece, i):
+            calls.append(i)
+            layout = packed_layout(valid[snippets[i]:snippets[i + 1]])
+            return block.last_rows(piece, layout)
+
+        return x, rows, block.parameters(), fn, calls, rng.normal(size=(4, 4))
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_matches_plain_graphs(self, x_grad):
+        """Against fn over row gathers of x, concatenated: the values bit
+        for bit and every gradient within 1e-12. The forward runs each
+        piece once; the backward runs the kept last piece's graph, then
+        rebuilds pieces 0 and 1 in order."""
+        x, rows, params, fn, calls, c = self.problem(0, x_grad)
+        leaves = [x] + params if x_grad else params
+
+        def grads(run):
+            for p in leaves:
+                p.grad = None
+            out = run()
+            (out * c).sum().backward()
+            return [out.data] + [p.grad.copy() for p in leaves]
+
+        want = grads(lambda: autograd.concat(
+            [fn(autograd.gather_rows(x, np.arange(lo, hi)), i)
+             for i, (lo, hi) in enumerate(zip(rows[:-1], rows[1:]))]))
+        calls.clear()
+        got = grads(lambda: checkpoint(fn, x, rows, params))
+        assert calls == [0, 1, 2, 0, 1]
+        np.testing.assert_array_equal(got[0], want[0])
+        for g, ref in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+
+    def test_without_a_gradient_builds_no_node(self):
+        x, rows, params, fn, calls, _ = self.problem(1, False)
+        with_graph = checkpoint(fn, x, rows, params).data
+        for p in params:
+            p.requires_grad = False
+        out = checkpoint(fn, x, rows, params)
+        assert out._parents == () and not out.requires_grad
+        np.testing.assert_array_equal(out.data, with_graph)
 
 
 def make_linear(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -676,6 +677,44 @@ class TestFlags:
             parser.parse_args(argv)
 
 
+class TestProfileCommand:
+    def test_writes_the_fixed_schema(self, tmp_path, capsys):
+        out = tmp_path / "prof" / "profile.json"
+        assert main(["profile", "--snippets", "6", "--feature-dim", "8",
+                     "--batch", "2", "--out", str(out)]) == EXIT_OK
+        assert "train step" in capsys.readouterr().out
+        result = json.loads(out.read_text())
+        assert list(result) == ["stamp", "config", "forward", "train_step"]
+        assert list(result["stamp"]) == ["cpus", "python", "numpy", "blas",
+                                         "blas_threads"]
+        config = result["config"]
+        assert list(config) == ["snippets", "feature_dim", "batch", "seed",
+                                "classes", "boxes_per_snippet", "grid",
+                                "model", "train"]
+        assert (config["snippets"], config["feature_dim"],
+                config["batch"]) == (6, 8, 2)
+        assert config["model"] == dataclasses.asdict(
+            ModelConfig(feature_dim=8, num_classes=20))
+        assert config["train"] == dataclasses.asdict(TrainConfig())
+        assert list(result["forward"]) == ["seconds", "peak_mb"]
+        step = result["train_step"]
+        assert list(step) == ["loss_seconds", "backward_seconds", "peak_mb",
+                              "op_nodes"]
+        assert all(v > 0 for v in [*result["forward"].values(),
+                                   *step.values()])
+        assert isinstance(step["op_nodes"], int)
+        # no checkpoint or other file
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "prof", "profile.json"]
+
+    @pytest.mark.parametrize("argv", [["--snippets", "4"],
+                                      ["--snippets", "6", "--batch", "0"]])
+    def test_too_small_exits_2(self, tmp_path, capsys, argv):
+        assert main(["profile", "--feature-dim", "8", "--out",
+                     str(tmp_path / "p.json")] + argv) == EXIT_VALIDATION
+        assert "--snippets >= 5 and --batch >= 1" in capsys.readouterr().err
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_per_primitive(self, capsys):
         rc = main(["gradcheck", "--seed", "0"])
@@ -684,7 +723,8 @@ class TestGradcheckCommand:
         assert [line.split()[0] for line in lines] == [
             "window_prenorm_block", "packed_prenorm_block",
             "last_rows_prenorm_block", "conv1d", "conv1d_relu",
-            "depthwise_conv1d", "total_loss", "end_to_end_loss"]
+            "depthwise_conv1d", "total_loss", "checkpoint",
+            "end_to_end_loss"]
         # the error column starts at the same offset on every row
         assert len({line.index(" max rel err ") for line in lines}) == 1
         assert not any("FAIL" in line for line in lines)

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,32 @@ class TestSyntheticGenerator:
         for m in means:
             # float32 storage rounds the exact cancellation
             assert np.abs(m - ref[None, :]).max() < 1e-5
+
+    def test_boxes_never_cover_the_grid(self, tmp_path):
+        """Eight boxes a snippet can cover the 4 x 4 grid. The box that
+        would take a snippet's last background cell is dropped, so the
+        generator divides by no zero (no RuntimeWarning), every feature is
+        finite and every snippet's average is still the scene vector."""
+        spec = SyntheticSpec(seed=2, num_videos=2, snippets_min=30,
+                             snippets_max=30, subjects_min=8, subjects_max=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs = generate_synthetic(spec, tmp_path)
+        means = []
+        for r in recs:
+            feats = read_features(tmp_path / "features" / f"{r.id}.ptfv")
+            assert np.isfinite(feats).all()
+            means.append(feats.mean(axis=(1, 2)))
+            cell = spec.frame_size // spec.grid
+            snippets = np.cumsum(r.boxes.counts)[:-1]
+            for boxes in np.split(r.boxes.rows, snippets):
+                covered = np.zeros((spec.grid, spec.grid), dtype=bool)
+                for x1, y1, x2, y2, _ in boxes.astype(int) // cell:
+                    covered[y1:y2, x1:x2] = True
+                assert not covered.all()
+        assert (np.concatenate([r.boxes.counts for r in recs]) < 8).any()
+        means = np.concatenate(means)
+        assert np.abs(means - means[0]).max() < 1e-5
 
     def test_subject_cells_carry_class_signal(self, tmp_path):
         spec = SyntheticSpec(seed=6, num_videos=1, num_classes=2,

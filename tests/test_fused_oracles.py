@@ -43,6 +43,7 @@ from taldet.dataio import (SyntheticSpec, generate_synthetic,
 from taldet.heads import (GroundTruthSegment, HeadOutput, assign_targets,
                           total_loss)
 from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
+from taldet.profile import op_nodes
 
 TOL = 1e-12
 
@@ -226,19 +227,6 @@ def test_identical_segments_add_exactly_zero_giou():
     outs, targets = loss_problem(SEGMENTS, seed=0, identical=True)
     assert (total_loss(outs, targets, lam=1.0).data
             == total_loss(outs, targets, lam=0.0).data)
-
-
-def op_nodes(root):
-    """Nodes reachable from `root`, itself included, that an op made."""
-    seen, stack, ops = {id(root)}, [root], 0
-    while stack:
-        node = stack.pop()
-        ops += bool(node._parents)
-        for p in node._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return ops
 
 
 def block_problem(shape, seed):

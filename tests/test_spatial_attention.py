@@ -1,11 +1,12 @@
 import numpy as np
+from hypothesis import given, strategies as st
 
 from oracles import composed_block, layer_norm
 from taldet.autograd import (Parameter, Tensor, concat, grad_check,
                              packed_layout)
 from taldet.model import ModelConfig
 from taldet.nn import PreNormBlock
-from taldet.spatial_attention import GroupAggregator
+from taldet.spatial_attention import GroupAggregator, snippet_chunks
 
 D = 8
 
@@ -233,3 +234,30 @@ class TestAggregateGroup:
             single = run_group(agg, tokens[t:t + 1], valid[t:t + 1],
                                g0[t:t + 1])
             np.testing.assert_allclose(batched[t], single[0], atol=1e-12)
+
+
+class TestSnippetChunks:
+    def test_chunks_are_filled_from_the_last(self):
+        counts = np.array([3, 1, 2, 3, 1, 1])
+        np.testing.assert_array_equal(snippet_chunks(counts, 4),
+                                      [0, 1, 3, 4, 6])
+        np.testing.assert_array_equal(snippet_chunks(counts, 5),
+                                      [0, 1, 3, 6])
+        np.testing.assert_array_equal(snippet_chunks(counts, 11), [0, 6])
+
+    def test_a_snippet_over_the_limit_is_a_chunk_of_its_own(self):
+        np.testing.assert_array_equal(snippet_chunks(np.array([2, 5, 1]), 1),
+                                      [0, 1, 2, 3])
+
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=60),
+           st.integers(1, 40))
+    def test_chunks_cover_the_snippets_within_the_limit(self, counts,
+                                                        max_rows):
+        counts = np.array(counts)
+        cuts = snippet_chunks(counts, max_rows)
+        assert cuts[0] == 0 and cuts[-1] == len(counts)
+        assert (np.diff(cuts) > 0).all()
+        rows = np.add.reduceat(counts, cuts[:-1])
+        assert ((rows <= max_rows) | (np.diff(cuts) == 1)).all()
+        # each chunk but the first is full: its next snippet would not fit
+        assert (rows[1:] + counts[cuts[1:-1] - 1] > max_rows).all()

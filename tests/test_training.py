@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taldet import autograd, heads, training
+from taldet import autograd, heads, nn, spatial_attention, training
 from taldet.autograd import Parameter, Tensor
 from taldet.dataio import (AnnotationRecord, SyntheticSpec,
                            generate_synthetic, read_checkpoint, read_features)
@@ -641,3 +641,142 @@ class TestPacking:
             info = cache.cache_info()
             assert info.misses == info.currsize == len(want)
             assert info.hits > 0
+
+
+def chunk_problem(seed=7):
+    """A model of three aggregator blocks and a batch of three videos of 8,
+    1 and 7 snippets, each snippet with 0-3 boxes (1-4 packed rows)."""
+    cfg = ModelConfig(feature_dim=8, num_classes=2, K=3, group_layers=3,
+                      group_heads=2, temporal_heads=2, window_size=3,
+                      num_standard_layers=1, num_strided_layers=2,
+                      head_layers=1)
+    rng = np.random.default_rng(seed)
+    samples = []
+    for i, (T, segments) in enumerate([(8, [(1, 0.25, 0.75)]),
+                                       (1, [(0, 0.0, 0.1)]),
+                                       (7, [(0, 0.2, 0.6)])]):
+        boxes = [[SubjectBox(4.0 + j, 4.0, 40.0, 30.0 + j, 0.9)
+                  for j in range(int(rng.integers(4)))] for _ in range(T)]
+        record = AnnotationRecord(f"v{i}", 8.0, 64, 48, 1,
+                                  [GroundTruthSegment(*s) for s in segments],
+                                  boxes)
+        samples.append(prepare_sample(record, rng.normal(size=(T, 3, 4, 8)),
+                                      cfg.K))
+    model = SubjectPriorDetector(cfg, rng)
+    for p in model.parameters():   # biases and LN shifts off zero
+        p.data += rng.normal(size=p.shape) * 0.05
+    return model, samples
+
+
+def reachable(root):
+    """ids of what root reaches through parent links and through what
+    each backward closure holds: its cells, tuples and lists."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            stack.extend(obj._parents)
+            stack.append(obj._backward)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return seen
+
+
+def recording(monkeypatch, owner, name, into, before=None,
+              keep=lambda args: True):
+    """owner.name appending each result of the calls `keep` picks by their
+    arguments to `into`, with the value of before(), if given, taken when
+    the call starts."""
+    f = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        state = before() if before else None
+        out = f(*args, **kwargs)
+        if keep(args):
+            into.append((out, state) if before else out)
+        return out
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def limit_cutting_at(counts, cut):
+    """The largest CHUNK_ROWS, and its cuts, that cuts snippets of `counts`
+    rows at `cut` into chunks of two snippets or more. (A chunk of one
+    snippet makes the last block's query projection a one-row product,
+    which numpy hands to gemv, whose sums round differently from gemm's.)"""
+    for limit in range(int(counts.sum()) - 1, 0, -1):
+        cuts = spatial_attention.snippet_chunks(counts, limit)
+        if cut in cuts and np.diff(cuts).min() >= 2:
+            return limit, cuts
+    raise AssertionError(f"no chunk size cuts at {cut}")
+
+
+class TestChunks:
+    """The aggregator over chunks of snippets (CHUNK_ROWS set so that a cut
+    falls inside a video, or before or after the one-snippet video)
+    against the same batch as one chunk (CHUNK_ROWS raised)."""
+
+    @pytest.mark.parametrize("cut", [4, 8, 9], ids=[
+        "inside-a-video", "before-the-one-snippet-video",
+        "after-the-one-snippet-video"])
+    def test_chunked_step_matches_one_chunk(self, monkeypatch, cut):
+        """The loss and every gradient within 1e-12 and the group vectors
+        bit for bit; each chunk the backward rebuilds gives the forward's
+        rows bit for bit; after video_loss the loss reaches the block
+        nodes of the last chunk only, and when the backward rebuilds a
+        chunk every block node it ran before has been freed."""
+        model, samples = chunk_problem()
+        counts = np.concatenate([s.valid.sum(axis=1) + 1 for s in samples])
+        limit, cuts = limit_cutting_at(counts, cut)
+        n, L = len(cuts) - 1, len(model.aggregator.blocks)
+        aggregated, rows, blocks = [], [], []
+        recording(monkeypatch, spatial_attention.GroupAggregator, "__call__",
+                  aggregated)
+        recording(monkeypatch, spatial_attention.GroupAggregator,
+                  "group_rows", rows,
+                  before=lambda: [b._parents == () for b in blocks])
+        recording(monkeypatch, nn, "prenorm_block", blocks,
+                  keep=lambda args: isinstance(args[1], autograd.Packed))
+        cfg = TrainConfig()
+
+        def step():
+            loss = video_loss(model, samples, cfg)
+            loss.backward()
+            return float(loss.data)
+
+        monkeypatch.setattr(spatial_attention, "CHUNK_ROWS", 10 ** 9)
+        want, want_grads = loss_and_grads(model, step)
+        one_chunk = aggregated.pop().data
+        rows.clear()
+        blocks.clear()
+        monkeypatch.setattr(spatial_attention, "CHUNK_ROWS", limit)
+
+        def chunked():
+            loss = video_loss(model, samples, cfg)
+            reached = reachable(loss)
+            assert len(blocks) == n * L
+            assert all(id(b) in reached for b in blocks[-L:])
+            assert not any(id(b) in reached for b in blocks[:-L])
+            loss.backward()
+            return float(loss.data)
+
+        got, grads = loss_and_grads(model, chunked)
+        np.testing.assert_array_equal(aggregated.pop().data, one_chunk)
+        assert abs(got - want) <= 1e-12
+        for (name, _), g, ref in zip(model.named_parameters(), grads,
+                                     want_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        assert len(rows) == 2 * n - 1 and len(blocks) == (2 * n - 1) * L
+        for i in range(n - 1):
+            (again, freed), (first, _) = rows[n + i], rows[i]
+            np.testing.assert_array_equal(again.data, first.data)
+            # the kept last chunk's nodes and those of every chunk rebuilt
+            # before this one
+            done = list(range((n - 1) * L, (n + i) * L))
+            assert all(freed[j] for j in done)
