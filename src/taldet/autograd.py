@@ -198,10 +198,6 @@ class Tensor:
 
         return Tensor(out_data, True, (self,), backward)
 
-    def mean(self, axis: int, keepdims=False):
-        n = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
 
 class Parameter(Tensor):
     """A named, trainable tensor; `.grad` holds the accumulated gradient."""
@@ -577,9 +573,10 @@ def prenorm_block(z: Tensor, layout: Window | Packed, params, heads: int,
 
     z is [N, D] rows and `layout` says which rows each row attends to: a
     Window over T = N rows or a Packed layout of N valid slots; every
-    other step works row by row. `params` are the 16 Parameters in the
+    other step works row by row. `params` are the 15 Parameters in the
     order LN1 gamma, beta; the q, k, v and output projections, each weight
-    then bias; LN2 gamma, beta; the FFN's two linears, weight then bias.
+    then bias, but the key projection has no bias; LN2 gamma, beta; the
+    FFN's two linears, weight then bias.
 
     With `last` (a Packed layout of T snippets), the node computes only
     each snippet's last row and returns [T, D]: LN1, K and V cover all N
@@ -599,13 +596,13 @@ def prenorm_block(z: Tensor, layout: Window | Packed, params, heads: int,
     output as `xhat * gamma + beta`, the forward's own operations, rather
     than keep it, and takes the ReLU's mask from the activation.
     """
-    (gamma1, beta1, wq, bq, wk, bk, wv, bv, wo, bo,
+    (gamma1, beta1, wq, bq, wk, wv, bv, wo, bo,
      gamma2, beta2, w1, b1, w2, b2) = params
     ln1, xhat1, inv1 = _layer_norm_forward(z.data, gamma1.data, beta1.data,
                                            LAYER_NORM_EPS)
     rows = layout.last_rows() if last else slice(None)
     att, attn_backward = _attention_forward(
-        _linear_forward(ln1[rows], wq, bq), _linear_forward(ln1, wk, bk),
+        _linear_forward(ln1[rows], wq, bq), _linear_forward(ln1, wk, None),
         _linear_forward(ln1, wv, bv), heads, layout, last)
     h = _linear_forward(att, wo, bo) + z.data[rows]
     ln2, xhat2, inv2 = _layer_norm_forward(h, gamma2.data, beta2.data,
@@ -627,7 +624,7 @@ def prenorm_block(z: Tensor, layout: Window | Packed, params, heads: int,
         if last:   # the queries' rows of ln1's gradient, zero elsewhere
             gq = _scatter_rows(gq, rows, len(ln1))
         # (q + k) + v: the order the composition's graph walk adds them in
-        gln1 = (gq + _linear_backward(gk, ln1, wk, bk)
+        gln1 = (gq + _linear_backward(gk, ln1, wk, None)
                 + _linear_backward(gv, ln1, wv, bv))
         gz = _layer_norm_backward(gln1, gamma1, beta1, xhat1, inv1,
                                   z.requires_grad)

@@ -399,13 +399,17 @@ class SyntheticSpec:
     snippet_stride: int = 4
 
     def __post_init__(self):
-        for key, ok, rule in (("num_videos", self.num_videos >= 1, ">= 1"),
-                              ("num_classes", self.num_classes >= 1, ">= 1"),
-                              ("seed", self.seed >= 0, ">= 0"),
-                              ("noise", 0 <= self.noise < math.inf,
-                               "finite and >= 0")):
-            if not ok:
-                raise ValueError(f"{key} must be {rule}")
+        # a video's fallback action spans snippets 2 to T - 2, and a box
+        # covers 2 x 2 cells
+        for key, low in (("num_videos", 1), ("num_classes", 1), ("seed", 0),
+                         ("snippets_min", 5),
+                         ("snippets_max", self.snippets_min), ("grid", 2),
+                         ("subjects_min", 0),
+                         ("subjects_max", self.subjects_min)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and >= 0")
 
     def to_json(self) -> str:
         return json.dumps(vars(self) | {}, sort_keys=True)

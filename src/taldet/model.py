@@ -1,5 +1,5 @@
 """End-to-end network: subject tokens -> group token -> temporal pyramid ->
-detection heads, plus a global-average-pooling ablation path.
+detection heads.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class ModelConfig:
     num_strided_layers: int = 5
     alpha: int = 2
     head_layers: int = 4
-    use_subject_tokens: bool = True
 
     def __post_init__(self):
         for key in ("feature_dim", "num_classes", "group_heads",
@@ -54,13 +53,13 @@ class ModelConfig:
 
 @dataclass
 class VideoSample:
-    """A video's record and its precomputed inputs: pooled subject tokens
-    and global averages, both Tensors that carry gradients to the features
-    only when the features are a Tensor."""
+    """A video's record and its precomputed inputs: each snippet's K pooled
+    subject tokens and, last, its group token, the global spatial average,
+    a Tensor that carries gradients to the features only when the features
+    are a Tensor; the group slot is always valid."""
     record: AnnotationRecord
-    tokens: Tensor        # [T, K, D]
-    valid: np.ndarray     # bool [T, K]
-    global_avg: Tensor    # [T, D]
+    tokens: Tensor        # [T, K+1, D]
+    valid: np.ndarray     # bool [T, K+1]
 
 
 def prepare_sample(record: AnnotationRecord, features, K: int) -> VideoSample:
@@ -72,10 +71,11 @@ def prepare_sample(record: AnnotationRecord, features, K: int) -> VideoSample:
         raise ValueError(f"record {record.id}: {record.num_snippets} box "
                          f"lists but {T} feature snippets")
     mats, valid = pool_matrices(record, (H, W), K)
-    flat = features.reshape(T, H * W, D)
-    tokens = Tensor(mats) @ flat
-    gavg = Tensor._lift(flat.mean(axis=1))
-    return VideoSample(record, tokens, valid, gavg)
+    # the group slot, last and always valid, pools the average over the grid
+    mats = np.concatenate([mats, np.full((T, 1, H * W), 1 / (H * W))], 1)
+    valid = np.concatenate([valid, np.ones((T, 1), dtype=bool)], 1)
+    tokens = Tensor(mats) @ features.reshape(T, H * W, D)
+    return VideoSample(record, tokens, valid)
 
 
 class SubjectPriorDetector(Module):
@@ -87,14 +87,10 @@ class SubjectPriorDetector(Module):
                                     cfg.head_layers)
 
     def snippet_representation(self, samples: list[VideoSample]) -> Tensor:
-        """[sum T, D]: the videos' aggregated group tokens back to back, or
-        their plain global averages when the subject route is disabled."""
-        g0 = concat([s.global_avg for s in samples])
-        if not self.cfg.use_subject_tokens:
-            return g0
-        z0 = concat([concat([s.tokens for s in samples]),
-                     g0.reshape(g0.shape[0], 1, -1)], axis=1)
-        return self.aggregator(z0, np.concatenate([s.valid for s in samples]))
+        """[sum T, D]: the videos' aggregated group tokens back to back;
+        with no aggregator block (group_layers = 0), their global averages."""
+        return self.aggregator(concat([s.tokens for s in samples]),
+                               np.concatenate([s.valid for s in samples]))
 
     def forward(self, batch) -> HeadOutput:
         """The heads' output over a batch of videos (a VideoSample alone is

@@ -43,10 +43,12 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int):
 
 
 class Linear(Module):
-    def __init__(self, rng, d_in, d_out, name=""):
+    """x @ w + b; with `bias` false, x @ w and `b` is None."""
+
+    def __init__(self, rng, d_in, d_out, name="", bias=True):
         self.w = Parameter(uniform_init(rng, (d_in, d_out), d_in, d_out),
                            name + ".w")
-        self.b = Parameter(np.zeros(d_out), name + ".b")
+        self.b = Parameter(np.zeros(d_out), name + ".b") if bias else None
 
 
 class LayerNorm(Module):
@@ -65,14 +67,15 @@ class FeedForward(Module):
 
 class MultiHeadSelfAttention(Module):
     """Multi-head self-attention's q, k, v and output projections and its
-    head count."""
+    head count. The key projection has no bias: it would add q . b_k to
+    every score of a query, which the softmax cancels."""
 
     def __init__(self, rng, dim, num_heads, name="attn"):
         if dim % num_heads != 0:
             raise DimensionError("embed dim must be divisible by num_heads")
         self.num_heads = num_heads
         self.wq = Linear(rng, dim, dim, name + ".q")
-        self.wk = Linear(rng, dim, dim, name + ".k")
+        self.wk = Linear(rng, dim, dim, name + ".k", bias=False)
         self.wv = Linear(rng, dim, dim, name + ".v")
         self.wo = Linear(rng, dim, dim, name + ".o")
 
@@ -99,12 +102,12 @@ class PreNormBlock(Module):
                              self.attn.num_heads, last=True)
 
     def node_params(self):
-        """The 16 Parameters in `prenorm_block`'s order."""
+        """The 15 Parameters in `prenorm_block`'s order."""
         attn, ffn = self.attn, self.ffn
         return (self.ln1.gamma, self.ln1.beta, attn.wq.w, attn.wq.b,
-                attn.wk.w, attn.wk.b, attn.wv.w, attn.wv.b, attn.wo.w,
-                attn.wo.b, self.ln2.gamma, self.ln2.beta, ffn.fc1.w,
-                ffn.fc1.b, ffn.fc2.w, ffn.fc2.b)
+                attn.wk.w, attn.wv.w, attn.wv.b, attn.wo.w, attn.wo.b,
+                self.ln2.gamma, self.ln2.beta, ffn.fc1.w, ffn.fc1.b,
+                ffn.fc2.w, ffn.fc2.b)
 
 
 class ConvLayer(Module):
@@ -121,7 +124,7 @@ class ConvLayer(Module):
 
 
 class DepthwiseDownsample(Module):
-    """Learned strided depth-wise convolution, kernel size == stride."""
+    """Learned strided depth-wise convolution, kernel size == stride > 1."""
 
     def __init__(self, rng, dim, stride, name="down"):
         self.stride = stride
@@ -133,7 +136,5 @@ class DepthwiseDownsample(Module):
         """x [sum(lengths), D], sequences `lengths` long back to back: the
         down-sampled sequences, each right-padded on its own, and their
         lengths ceil(lengths / stride)."""
-        if self.stride == 1:
-            return x, lengths
         return (depthwise_conv1d(x, self.w, self.stride, lengths),
                 -(-lengths // self.stride))

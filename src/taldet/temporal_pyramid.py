@@ -35,19 +35,22 @@ class FeaturePyramid:
 
 
 class TemporalLayer(Module):
-    """Pre-norm windowed attention block plus optional strided down-sampling."""
+    """Pre-norm windowed attention block, then strided down-sampling when
+    its stride alpha is above 1 (else `down` is None)."""
 
     def __init__(self, rng, cfg: ModelConfig, alpha: int, name="temporal"):
         self.block = PreNormBlock(rng, cfg.feature_dim, cfg.temporal_heads,
                                   name=name)
-        self.down = DepthwiseDownsample(rng, cfg.feature_dim, alpha, name + ".down")
+        self.down = None if alpha == 1 else DepthwiseDownsample(
+            rng, cfg.feature_dim, alpha, name + ".down")
         self.window_size = cfg.window_size
 
     def __call__(self, x: Tensor, lengths: np.ndarray, window: Window):
         """x [sum(lengths), D], videos `lengths` long back to back, and
         their `window_tables(lengths, window_size)`; returns the output and
         its videos' lengths. No window reads across two videos."""
-        return self.down(self.block(x, window), lengths)
+        x = self.block(x, window)
+        return (x, lengths) if self.down is None else self.down(x, lengths)
 
 
 class PyramidBuilder(Module):

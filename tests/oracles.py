@@ -190,9 +190,10 @@ def composed_last_rows(block, z, packed):
 
 
 def composed_layer_norm(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
+    scale = 1.0 / x.shape[-1]   # a mean as the fused layer norm takes it
+    mu = x.sum(axis=-1, keepdims=True) * scale
     xc = x + mu * -1.0   # a Tensor has no subtraction; the bits are x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) * scale
     inv = power(var + eps, -0.5)
     return xc * inv * gamma + beta
 

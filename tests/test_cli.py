@@ -99,9 +99,10 @@ class TestPipeline:
         assert "average_map" in report[-1]
 
     def test_global_average_ablation_leg(self, dataset):
-        # the README's ablation recipe, leg without subject tokens
+        # the README's ablation recipe, leg without aggregator blocks: each
+        # snippet's group token is its global average
         tmp, data, cfg = dataset
-        cfg.write_text(small_config(use_subject_tokens="false"))
+        cfg.write_text(small_config(group_layers=0))
         run = tmp / "global"
         assert main(["train", "--data", str(data), "--config", str(cfg),
                      "--out", str(run)]) == EXIT_OK
@@ -393,6 +394,29 @@ class TestPipeline:
                 in capsys.readouterr().err)
         assert not (tmp / "dets").exists()
 
+    @pytest.mark.parametrize("name, shape", [
+        ("aggregator.blocks.0.attn.wk.b", (16,)),
+        ("pyramid.standard.0.down.w", (1, 16))], ids=["key-bias", "down"])
+    def test_checkpoint_of_the_old_layout_exits_2_naming_it(
+            self, dataset, capsys, name, shape):
+        # a key bias or a stride-1 down-sampling weight, live and EMA, as
+        # checkpoints held them before the model dropped both
+        tmp, data, cfg = dataset
+        run = tmp / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg),
+                     "--out", str(run)]) == EXIT_OK
+        ckpt = run / "checkpoint.ptck"
+        entries = read_checkpoint(ckpt)
+        assert name not in dict(entries)
+        entries += [(name, np.zeros(shape)), ("ema/" + name, np.zeros(shape))]
+        write_checkpoint(ckpt, entries)
+        rc = main(["infer", "--data", str(data), "--config", str(cfg),
+                   "--checkpoint", str(ckpt), "--out", str(tmp / "dets")])
+        assert rc == EXIT_VALIDATION
+        assert (f"{ckpt}: checkpoint entry {name} is not a parameter of the "
+                f"model" in capsys.readouterr().err)
+        assert not (tmp / "dets").exists()
+
     @pytest.mark.parametrize("command", ["train", "infer"])
     def test_feature_dim_differing_between_files_exits_2_naming_it(
             self, dataset, capsys, command):
@@ -433,7 +457,7 @@ class TestSettings:
 
     def test_wrong_type_exits_2(self, dataset):
         tmp, data, cfg = dataset
-        cfg.write_text(small_config(use_subject_tokens=1))
+        cfg.write_text(small_config(strict_positive_only=1))
         rc = main(["train", "--data", str(data), "--config", str(cfg),
                    "--out", str(tmp / "run")])
         assert rc == EXIT_VALIDATION
@@ -710,9 +734,13 @@ class TestProfileCommand:
     @pytest.mark.parametrize("argv", [["--snippets", "4"],
                                       ["--snippets", "6", "--batch", "0"]])
     def test_too_small_exits_2(self, tmp_path, capsys, argv):
+        # the synthetic videos' spec refuses them before any work, naming
+        # its field: num_videos for the batch, snippets_min for the length
         assert main(["profile", "--feature-dim", "8", "--out",
                      str(tmp_path / "p.json")] + argv) == EXIT_VALIDATION
-        assert "--snippets >= 5 and --batch >= 1" in capsys.readouterr().err
+        assert ("num_videos must be >= 1" if "--batch" in argv
+                else "snippets_min must be >= 5") in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestGradcheckCommand:

@@ -363,10 +363,25 @@ class TestSyntheticGenerator:
     @pytest.mark.parametrize("bad, message", [
         ({"num_videos": 0}, "num_videos"), ({"num_classes": 0}, "num_classes"),
         ({"seed": -1}, "seed"), ({"noise": math.nan}, "noise"),
-        ({"noise": -0.1}, "noise"), ({"noise": math.inf}, "noise")])
+        ({"noise": -0.1}, "noise"), ({"noise": math.inf}, "noise"),
+        ({"snippets_min": 4, "snippets_max": 4}, "snippets_min must be >= 5"),
+        ({"snippets_min": 9, "snippets_max": 8}, "snippets_max"),
+        ({"grid": 1}, "grid must be >= 2"),
+        ({"subjects_min": -1}, "subjects_min must be >= 0"),
+        ({"subjects_min": 3, "subjects_max": 1}, "subjects_max")])
     def test_spec_checks_its_ranges(self, bad, message):
         with pytest.raises(ValueError, match=message):
             SyntheticSpec(**{"seed": 0} | bad)
+
+    def test_spec_at_its_bounds_generates(self, tmp_path):
+        # 5 snippets, 0-2 boxes drawn for each, and a 2 x 2 grid that any
+        # box would cover, so none is placed
+        spec = SyntheticSpec(seed=0, num_videos=2, snippets_min=5,
+                             snippets_max=5, grid=2, subjects_min=0,
+                             subjects_max=2)
+        records = generate_synthetic(spec, tmp_path)
+        assert [r.num_snippets for r in records] == [5, 5]
+        assert all(r.boxes.counts.sum() == 0 for r in records)
 
     def test_deterministic_given_seed(self, tmp_path):
         spec = SyntheticSpec(seed=5, num_videos=2, snippets_min=8,

@@ -43,7 +43,7 @@ CONFIG = {"seed": "0", "K": "2", "group_layers": "1", "group_heads": "2",
           "temporal_heads": "2", "window_size": "3",
           "num_standard_layers": "1", "num_strided_layers": "2",
           "epochs": "3", "warmup_epochs": "1", "lr_init": "0.001",
-          "batch_size": "2", "sigma": "0.5", "use_subject_tokens": "true"}
+          "batch_size": "2", "sigma": "0.5", "strict_positive_only": "false"}
 # settings whose value is invalid at 0, and at any negative value
 ZERO_INVALID = {"feature_dim", "num_classes", "K", "group_heads",
                 "temporal_heads", "window_size", "alpha", "epochs",

@@ -24,7 +24,8 @@ def dense_attention_oracle(block, z, valid):
     with column masking."""
     attn = block.attn
     x = layer_norm(Tensor(z), block.ln1.gamma, block.ln1.beta).data
-    q, k, v = (x @ p.w.data + p.b.data for p in (attn.wq, attn.wk, attn.wv))
+    q, v = (x @ p.w.data + p.b.data for p in (attn.wq, attn.wv))
+    k = x @ attn.wk.w.data   # the key projection has no bias
     scores = q @ k.T / np.sqrt(D // attn.num_heads)
     scores[:, ~valid] = -np.inf
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -119,11 +120,17 @@ def build_aggregator(num_layers=2, seed=0):
     return GroupAggregator(cfg, np.random.default_rng(seed))
 
 
+def with_group(valid):
+    """valid [B, K] with the group slot's column, always valid, appended."""
+    return np.concatenate([valid, np.ones((len(valid), 1), dtype=bool)],
+                          axis=1)
+
+
 def run_group_tensor(agg, tokens, valid, g0):
     """The group vectors of a batch as a Tensor: tokens [B, K, D], valid
-    [B, K], g0 [B, D]."""
+    [B, K], g0 [B, D], the group slot last."""
     z0 = concat([Tensor(tokens), Tensor(g0[:, None, :])], axis=1)
-    return agg(z0, valid)
+    return agg(z0, with_group(valid))
 
 
 def run_group(agg, tokens, valid, g0):
@@ -216,7 +223,7 @@ class TestAggregateGroup:
 
         def loss():
             z0 = concat([tokens, g0.reshape(2, 1, D)], axis=1)
-            return (agg(z0, valid) * coeff).sum()
+            return (agg(z0, with_group(valid)) * coeff).sum()
 
         params = [tokens, g0] + agg.parameters()
         assert grad_check(loss, params, h=1e-5, max_coords=4) < 1e-4

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, grad_check
 from taldet.dataio import SyntheticSpec, generate_synthetic, read_annotations
-from taldet.model import prepare_sample
+from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
 from taldet.subjects import (AnnotationRecord, Boxes, SubjectBox,
                              _mean_axis_weights, pool_matrices)
 
@@ -323,21 +323,23 @@ class TestRoiAlign:
 
 
 class TestExtractTokens:
-    """Token pooling through prepare_sample."""
+    """Token pooling through prepare_sample: K subject slots, then the
+    group slot, always valid."""
 
     def test_zero_boxes(self):
         f = np.random.default_rng(4).normal(size=(4, 4, 4, 3))
         sample = prepare_sample(video(every_snippet([])), f, K=4)
-        assert not sample.valid.any()
-        np.testing.assert_array_equal(sample.tokens.data, 0.0)
+        assert sample.valid.tolist() == [[False] * 4 + [True]] * 4
+        np.testing.assert_array_equal(sample.tokens.data[:, :-1], 0.0)
 
     def test_one_box_constant_field(self):
         f = np.full((4, 4, 4, 3), 1.25)
         sample = prepare_sample(
             video(every_snippet([SubjectBox(0, 0, 30, 30)])), f, K=3)
-        assert sample.valid.tolist() == [[True, False, False]] * 4
-        np.testing.assert_allclose(sample.tokens.data[:, 0], 1.25, atol=1e-12)
-        np.testing.assert_array_equal(sample.tokens.data[:, 1:], 0.0)
+        assert sample.valid.tolist() == [[True, False, False, True]] * 4
+        np.testing.assert_allclose(sample.tokens.data[:, [0, -1]], 1.25,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(sample.tokens.data[:, 1:-1], 0.0)
 
     def test_tokens_match_mean_pool_oracle(self):
         rng = np.random.default_rng(5)
@@ -370,7 +372,8 @@ class TestExtractTokens:
         boxes = [random_boxes(rng, int(n)) for n in counts]
         sample = prepare_sample(video(boxes), rng.normal(size=(4, 4, 4, 3)),
                                 K=5)
-        expected = np.arange(5)[None, :] < np.minimum(counts, 5)[:, None]
+        expected = np.arange(6)[None, :] < np.minimum(counts, 5)[:, None]
+        expected[:, -1] = True
         np.testing.assert_array_equal(sample.valid, expected)
         assert np.all(sample.tokens.data[~sample.valid] == 0.0)
 
@@ -378,13 +381,11 @@ class TestExtractTokens:
         rng = np.random.default_rng(6)
         f = Parameter(rng.normal(size=(4, 4, 4, 3)), "f")
         boxes = [random_boxes(rng, 2) for _ in range(4)]
-        coeff = rng.normal(size=(4, 4, 3))
-        g_coeff = rng.normal(size=(4, 3))
+        coeff = rng.normal(size=(4, 5, 3))
 
         def loss():
             sample = prepare_sample(video(boxes), f, K=4)
-            return ((sample.tokens * coeff).sum()
-                    + (sample.global_avg * g_coeff).sum())
+            return (sample.tokens * coeff).sum()
 
         assert grad_check(loss, [f], h=1e-5, max_coords=16) < 1e-6
 
@@ -393,5 +394,21 @@ def test_global_average():
     rng = np.random.default_rng(7)
     f = rng.normal(size=(4, 4, 4, 3))
     sample = prepare_sample(video(every_snippet([])), f, K=2)
-    np.testing.assert_allclose(sample.global_avg.data, f.mean(axis=(1, 2)),
+    np.testing.assert_allclose(sample.tokens.data[:, -1], f.mean(axis=(1, 2)),
                                atol=1e-12)
+
+
+def test_no_aggregator_block_gives_the_global_average():
+    """With group_layers = 0, the global-pooling ablation, the snippet
+    representation of a batch is each snippet's feature average."""
+    rng = np.random.default_rng(8)
+    model = SubjectPriorDetector(ModelConfig(
+        feature_dim=3, num_classes=1, group_heads=1, temporal_heads=1,
+        group_layers=0), rng)
+    feats = [rng.normal(size=(T, 4, 4, 3)) for T in (4, 6)]
+    samples = [prepare_sample(video([random_boxes(rng, 2)
+                                     for _ in range(len(f))]), f, K=3)
+               for f in feats]
+    np.testing.assert_allclose(
+        model.snippet_representation(samples).data,
+        np.concatenate([f.mean(axis=(1, 2)) for f in feats]), atol=1e-12)

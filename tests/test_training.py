@@ -9,7 +9,8 @@ import pytest
 from taldet import autograd, heads, nn, spatial_attention, training
 from taldet.autograd import Parameter, Tensor
 from taldet.dataio import (AnnotationRecord, SyntheticSpec,
-                           generate_synthetic, read_checkpoint, read_features)
+                           generate_synthetic, read_checkpoint, read_features,
+                           synthetic_videos)
 from taldet.heads import GroundTruthSegment
 from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
 from taldet.subjects import SubjectBox
@@ -731,7 +732,7 @@ class TestChunks:
         nodes of the last chunk only, and when the backward rebuilds a
         chunk every block node it ran before has been freed."""
         model, samples = chunk_problem()
-        counts = np.concatenate([s.valid.sum(axis=1) + 1 for s in samples])
+        counts = np.concatenate([s.valid.sum(axis=1) for s in samples])
         limit, cuts = limit_cutting_at(counts, cut)
         n, L = len(cuts) - 1, len(model.aggregator.blocks)
         aggregated, rows, blocks = [], [], []
@@ -780,3 +781,25 @@ class TestChunks:
             # before this one
             done = list(range((n - 1) * L, (n + i) * L))
             assert all(freed[j] for j in done)
+
+
+@pytest.mark.parametrize("cfg, count", [
+    (ModelConfig(feature_dim=16, num_classes=2, K=3, group_layers=2,
+                 group_heads=4, temporal_heads=4, num_standard_layers=2,
+                 num_strided_layers=3), 132),
+    (ModelConfig(feature_dim=16, num_classes=2), 254)],
+    ids=["toy", "default"])
+def test_every_parameter_is_trained(cfg, count):
+    """One video_loss and backward on two synthetic videos, for the
+    criterion-6 model and the default one: every named parameter's largest
+    |gradient| exceeds 1e-10 times the largest of all, so the model holds
+    no weight that cannot change its loss."""
+    samples = [prepare_sample(record, feats, cfg.K) for record, feats
+               in synthetic_videos(SyntheticSpec(seed=3, num_videos=2))]
+    model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+    video_loss(model, samples, TrainConfig()).backward()
+    largest = {name: 0.0 if p.grad is None else float(np.abs(p.grad).max())
+               for name, p in model.named_parameters()}
+    assert len(largest) == count
+    floor = 1e-10 * max(largest.values())
+    assert [name for name, g in largest.items() if not g > floor] == []
