@@ -29,7 +29,7 @@ class DimensionError(ValueError):
 
 
 class InvalidMaskError(ValueError):
-    """An attention row had no allowed position."""
+    """A query had no key to attend to."""
 
 
 class ProbeError(RuntimeError):
@@ -186,14 +186,13 @@ class Tensor:
 
     # -- reductions --------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self):
+        """The sum of every entry, as a 0-d Tensor."""
+        out_data = self.data.sum()
         if not self.requires_grad:
             return Tensor(out_data)
 
         def backward(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.shape).copy())
 
         return Tensor(out_data, True, (self,), backward)
@@ -398,33 +397,26 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
 
 
 def _dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                     heads: int, allowed):
-    """Attention of queries q [..., M, D] over keys and values k, v
-    [..., N, D] under the mask `allowed`: the merged-heads output and its
-    backward, which keeps the per-head views of q, k, v and the attention
-    weights."""
-    if not allowed.any(axis=-1).all():
-        raise InvalidMaskError("attention row with no allowed position")
+                     heads: int):
+    """Attention of queries q [..., M, D] over every one of the keys and
+    values k, v [..., N, D]: the merged-heads output and its backward,
+    which keeps the per-head views of q, k, v and the attention weights."""
     d = q.shape[-1] // heads
     scale = 1.0 / math.sqrt(d)
     # [..., N, H, d] -> [..., H, N, d]; the same swap merges the heads again
     qh, kh, vh = (t.reshape(t.shape[:-1] + (heads, d)).swapaxes(-2, -3)
                   for t in (q, k, v))
     s = (qh @ kh.swapaxes(-1, -2)) * scale
-    # -inf once, broadcast over the heads axis, so exp gives exact zeros
-    np.copyto(s, -np.inf, where=~allowed[..., None, :, :])
     e = np.exp(s - _fold(np.maximum, s))
     p = e / _fold(np.add, e)
 
     def backward(g):
-        # the gradients in C order: k's merged heads are otherwise a
-        # strided view, whose sums round differently
         gh = g.reshape(g.shape[:-1] + (heads, d)).swapaxes(-2, -3)
         gp = gh @ vh.swapaxes(-1, -2)
         gs = p * (gp - _fold(np.add, gp * p)) * scale
         gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        return [np.ascontiguousarray(_merge_heads(gt))
-                for gt in (gs @ kh, gk, p.swapaxes(-1, -2) @ gh)]
+        return [_merge_heads(gt) for gt in (gs @ kh, gk,
+                                            p.swapaxes(-1, -2) @ gh)]
 
     return _merge_heads(p @ vh), backward
 
@@ -490,64 +482,73 @@ def _window_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 
 class Packed(NamedTuple):
-    """The layout of the valid slots of T snippets, packed back to back as
-    R rows in slot order: attention lays them out [T, n, D] again, n the
-    largest valid count, row r at flat slot `index[r]` of [T * n], with
-    `mask[t, 0, j]` true where slot j of snippet t holds a row."""
-    index: np.ndarray   # int [R]
-    mask: np.ndarray    # bool [T, 1, n]
+    """The layout of the rows of T snippets, R rows back to back, each
+    snippet's rows together, in runs of snippets with as many rows each:
+    run b holds the rows `rows[b]:rows[b + 1]` of the snippets
+    `snippets[b]:snippets[b + 1]`, so its rows are the view [t, c, D] of
+    t snippets of c rows. The aggregator sorts its snippets by their row
+    count, which makes one run per count."""
+    rows: np.ndarray       # int [B + 1]
+    snippets: np.ndarray   # int [B + 1]
+
+    def runs(self):
+        """Each run's slices of the rows and of the snippets."""
+        for r0, r1, s0, s1 in zip(self.rows[:-1], self.rows[1:],
+                                  self.snippets[:-1], self.snippets[1:]):
+            yield slice(r0, r1), slice(s0, s1)
 
     def last_rows(self) -> np.ndarray:
-        """int [T]: the row of each snippet's last valid slot."""
-        return np.cumsum(self.mask[:, 0].sum(axis=1)) - 1
+        """int [T]: the last row of each snippet."""
+        counts = np.diff(self.rows) // np.diff(self.snippets)
+        return np.cumsum(np.repeat(counts, np.diff(self.snippets))) - 1
 
 
 def packed_layout(valid: np.ndarray) -> Packed:
-    """The Packed layout of the true slots of valid [T, N]; attention over
-    it raises InvalidMaskError for a snippet with none."""
+    """The Packed layout of the true slots of valid [T, N], each snippet's
+    rows in slot order, snippet after snippet; a snippet with none raises
+    InvalidMaskError."""
     counts = valid.sum(axis=1)
-    n = int(counts.max())
-    snippet = np.flatnonzero(valid) // valid.shape[1]
-    slot = np.cumsum(valid, axis=1)[valid] - 1
-    mask = np.arange(n) < counts[:, None]
-    return Packed(snippet * n + slot, mask[:, None])
+    if not counts.all():
+        raise InvalidMaskError("a snippet with no valid slot to attend to")
+    snippets = np.append(np.flatnonzero(np.diff(counts, prepend=0)),
+                         len(counts))
+    return Packed(np.concatenate([[0], np.cumsum(counts)])[snippets],
+                  snippets)
 
 
 def _packed_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                       heads: int, packed: Packed, last: bool = False):
-    """Attention of q, k, v [R, D] among the rows of each snippet: the rows
-    go to their slots of a zero [T, n, D] layout, dense attention runs there
-    under the slot mask, and the R rows are read back; the backward moves
-    the gradients the same way. The empty slots come after a snippet's rows,
-    so every softmax max and sum adds the same numbers in the same order
-    as over the snippet's full slots with the empty ones masked. With
-    `last`, q [T, D] holds one query per snippet, for its last row, as a
-    [T, 1, D] layout under the same mask."""
-    T, _, n = packed.mask.shape
-    R = len(packed.index)
+    """Attention of q, k, v [R, D] among the rows of each snippet: over
+    each run of snippets of c rows, dense attention on the views [t, c, D]
+    of its rows, with no padding and no mask. With `last`, q [T, D] holds
+    one query per snippet, for its last row, the view [t, 1, D] per run."""
+    R, T = packed.rows[-1], packed.snippets[-1]
     if q.ndim != 2 or q.shape[0] != (T if last else R) or k.shape[0] != R:
         raise DimensionError(f"packed attention: {q.shape} queries and "
                              f"{k.shape} keys for a layout of {R} rows of "
                              f"{T} snippets")
-
-    def unpack(x):
-        out = np.zeros((T * n, x.shape[1]))
-        out[packed.index] = x
-        return out.reshape(T, n, x.shape[1])
-
-    def pack(x):
-        return x.reshape(T * n, -1)[packed.index]
-
-    # with `last`, the queries and their gradient are [T, 1, D]
-    out, dense_backward = _dense_attention(
-        q[:, None] if last else unpack(q), unpack(k), unpack(v), heads,
-        packed.mask)
+    D = q.shape[1]
+    out = np.empty(q.shape)
+    runs = []
+    for rows, snippets in packed.runs():
+        t = snippets.stop - snippets.start
+        # the run's slices of q, k and v; [t, -1, D] views of C-ordered rows
+        slices = (snippets if last else rows, rows, rows)
+        run_out, run_backward = _dense_attention(
+            *(x[s].reshape(t, -1, D) for x, s in zip((q, k, v), slices)),
+            heads)
+        out[slices[0]].reshape(run_out.shape)[...] = run_out
+        runs.append((t, slices, run_backward))
 
     def backward(g):
-        gq, gk, gv = dense_backward(g[:, None] if last else unpack(g))
-        return [gq[:, 0] if last else pack(gq), pack(gk), pack(gv)]
+        grads = [np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)]
+        for t, slices, run_backward in runs:
+            run_grads = run_backward(g[slices[0]].reshape(t, -1, D))
+            for grad, s, run_grad in zip(grads, slices, run_grads):
+                grad[s].reshape(run_grad.shape)[...] = run_grad
+        return grads
 
-    return out[:, 0] if last else pack(out), backward
+    return out, backward
 
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,

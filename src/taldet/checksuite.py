@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import (Parameter, checkpoint, conv1d, depthwise_conv1d,
+from .autograd import (LAYER_NORM_EPS, Parameter, Tensor, _layer_norm_forward,
+                       _linear_forward, checkpoint, conv1d, depthwise_conv1d,
                        grad_check, packed_layout, prenorm_block,
                        window_index, window_tables)
 from .heads import GroundTruthSegment, HeadOutput, Targets, total_loss
@@ -34,16 +35,30 @@ def packed_slots(rng: np.random.Generator):
 
 def slot_mask(rng: np.random.Generator) -> np.ndarray:
     """bool [4, 4]: the valid slots of 4 snippets of K + 1 = 4 slots, group
-    slot last, in a random order: one with no valid token, one with every
-    slot valid (n = K + 1), one whose valid tokens are not a prefix of its
-    slots, one at random."""
+    slot last, sorted by their valid count as the aggregator orders them:
+    one with no valid token, one with every slot valid, one whose valid
+    tokens are not a prefix of its slots, one at random, which shares its
+    count with another snippet half the time."""
     valid = np.ones((4, 4), dtype=bool)
     valid[0, :3] = False
     valid[2, :3] = [[True, False, True], [False, True, True],
                     [False, True, False],
                     [False, False, True]][int(rng.integers(4))]
     valid[3, :3] = rng.random(3) < 0.5
-    return valid[rng.permutation(4)]
+    return valid[np.argsort(valid.sum(axis=1), kind="stable")]
+
+
+def ffn_preactivation(z, layout, params, heads: int,
+                      last: bool = False) -> np.ndarray:
+    """The FFN pre-activation inside prenorm_block(z, layout, params,
+    heads, last): with its second FFN linear zeroed the block returns h,
+    the FFN's input, exactly."""
+    gamma2, beta2, w1, b1 = params[9:13]
+    zeros = [Tensor(np.zeros(p.shape)) for p in params[13:]]
+    h = prenorm_block(Tensor(z.data), layout, list(params[:13]) + zeros,
+                      heads, last).data
+    ln2 = _layer_norm_forward(h, gamma2.data, beta2.data, LAYER_NORM_EPS)[0]
+    return _linear_forward(ln2, w1, b1)
 
 
 def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
@@ -64,21 +79,28 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
         results[name] = worst
 
     def block_params():
-        # the 15 Parameters in prenorm_block's order over D = 4 (FFN width
-        # 16); the array drawn in a key bias's place is dropped, which keeps
-        # seed 0's probes off the FFN's ReLU kinks, where +-h differences fail
-        shapes = ([(4,)] * 2 + [(4, 4), (4,)] * 4 + [(4,)] * 2
-                  + [(4, 16), (16,), (16, 4), (4,)])
-        drawn = [Parameter(rng.normal(size=s) * 0.5, "p") for s in shapes]
-        return drawn[:5] + drawn[6:]
+        # the 15 Parameters in prenorm_block's order over D = 4 (FFN width 16)
+        shapes = ([(4,)] * 2 + [(4, 4), (4,), (4, 4)] + [(4, 4), (4,)] * 2
+                  + [(4,)] * 2 + [(4, 16), (16,), (16, 4), (4,)])
+        return [Parameter(rng.normal(size=s) * 0.5, "p") for s in shapes]
+
+    def block_point(rows, layout, last=False):
+        # 1 or 2 heads, z [rows, 4] and block_params(), drawn again while an
+        # FFN pre-activation lies within 100 h of the ReLU's kink, where the
+        # +-h differences would straddle it
+        while True:
+            heads = int(rng.choice([1, 2]))
+            z = Parameter(rng.normal(size=(rows, 4)), "z")
+            params = block_params()
+            pre = ffn_preactivation(z, layout, params, heads, last)
+            if np.abs(pre).min() > 100 * h:
+                return heads, z, params
 
     def block_probe(rows, layout, last=False):
-        # block_params() and 1 or 2 heads over `rows` rows of z; with
-        # `last`, the block's output for each snippet's last row
-        heads = int(rng.choice([1, 2]))
-        z = Parameter(rng.normal(size=(rows, 4)), "z")
-        params = block_params()
-        c = rng.normal(size=(len(layout.mask) if last else rows, 4))
+        # the block over `rows` rows of z; with `last`, its output for each
+        # snippet's last row
+        heads, z, params = block_point(rows, layout, last)
+        c = rng.normal(size=(layout.snippets[-1] if last else rows, 4))
         return (lambda: (prenorm_block(z, layout, params, heads, last)
                          * c).sum(), [z] + params)
 
@@ -128,15 +150,15 @@ def primitive_grad_checks(probes: int = 20, h: float = 1e-5,
 
     def make_checkpoint():
         # the group-row block over slot_mask's snippets, as one checkpoint
-        # node over 2-4 pieces of whole snippets cut at random
+        # node over 2-4 pieces of whole snippets cut at random, inside a run
+        # of equal counts or not
         valid = slot_mask(rng)
         cuts = np.sort(rng.choice(np.arange(1, 4), int(rng.integers(1, 4)),
                                   replace=False))
         snippets = np.concatenate([[0], cuts, [4]])
         rows = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])[snippets]
-        heads = int(rng.choice([1, 2]))
-        z = Parameter(rng.normal(size=(rows[-1], 4)), "z")
-        params = block_params()
+        heads, z, params = block_point(rows[-1], packed_layout(valid),
+                                       last=True)
         c = rng.normal(size=(4, 4))
 
         def piece(zc, i):

@@ -2,7 +2,9 @@
 graph-free forward at a chosen video length, feature width and batch.
 
 The videos are synthetic and built in memory from a fixed seed: T snippets
-each, 1-8 boxes per snippet on the 4 x 4 grid and 20 classes. The model and
+each, 1-8 boxes per snippet on the 4 x 4 grid and 20 classes. The config
+reports the aggregator's layout they make: its packed rows R and how many
+snippets hold each valid count. The model and
 the loss are the default `ModelConfig` and `TrainConfig`. Each pass runs
 once under tracemalloc, so its peak counts the arrays it allocates (not
 the model or the pooled inputs it starts from), and its seconds include
@@ -67,6 +69,10 @@ def profile(snippets: int, feature_dim: int, batch: int) -> dict:
     train_cfg = TrainConfig()
     samples = [prepare_sample(record, feats, model_cfg.K)
                for record, feats in synthetic_videos(spec)]
+    # the aggregator's layout: its packed rows, and its snippets by valid
+    # count (the group slot included), 1 to K + 1
+    counts = np.concatenate([s.valid.sum(axis=1) for s in samples])
+    by_count = np.bincount(counts, minlength=model_cfg.K + 2)[1:]
     model = SubjectPriorDetector(model_cfg,
                                  np.random.default_rng(train_cfg.seed))
 
@@ -97,6 +103,9 @@ def profile(snippets: int, feature_dim: int, batch: int) -> dict:
         "config": {"snippets": snippets, "feature_dim": feature_dim,
                    "batch": batch, "seed": SEED, "classes": NUM_CLASSES,
                    "boxes_per_snippet": list(SUBJECTS), "grid": spec.grid,
+                   "packed_rows": int(counts.sum()),
+                   "snippets_by_valid_count": {
+                       str(c): int(n) for c, n in enumerate(by_count, 1)},
                    "model": dataclasses.asdict(model_cfg),
                    "train": dataclasses.asdict(train_cfg)},
         "forward": {"seconds": forward_s, "peak_mb": forward_mb},

@@ -1,25 +1,29 @@
-"""Group-token aggregation over subject tokens via stacked masked attention.
+"""Group-token aggregation over subject tokens via stacked attention.
 
 The K pooled subject vectors plus one group slot, last and always valid
 (initialized with the global spatial average), pass through L1 pre-norm
 attention blocks, in which every slot attends to the valid slots of its
-snippet. Only the valid slots are computed: their rows are gathered once and
-packed back to back with each snippet's group slot last, and every block but
-the last runs on all those rows. Only the group rows of the last block are
-read, so it computes just those: its keys and values still cover every row,
-while its queries, output projection, second norm and FFN cover one row per
-snippet, and it returns the group vectors itself. An invalid slot's row is
-never read, so whatever it holds, NaN included, never reaches the group token
-or a gradient. With no block (L1 = 0) the group vectors are the global
-averages.
+snippet. Only the valid slots are computed. The snippets are sorted by
+their valid count (a stable sort) and their valid rows gathered once, each
+snippet's group slot last, so the snippets of each count make one run of
+rows, and attention over a run is dense attention over its view
+[t, c, D]: no padding, mask or scatter. Every block but the last runs on
+all those rows. Only the group rows of the last block are read, so it
+computes just those: its keys and values still cover every row, while its
+queries, output projection, second norm and FFN cover one row per snippet,
+and it returns the group vectors itself, which one gather puts back in
+snippet order. An invalid slot's row is never read, so whatever it holds,
+NaN included, never reaches the group token or a gradient. With no block
+(L1 = 0) the group vectors are the global averages.
 
 No row reads another snippet's rows, so the blocks run over chunks of whole
-snippets, each of at most CHUNK_ROWS packed rows, as one `checkpoint` node:
-a training step keeps the graph of the last chunk alive, and its backward
-rebuilds the others one at a time. The chunks are filled from the last, so
-the kept chunk is a full one and the first holds the rest: the graph kept
-alive is bounded by CHUNK_ROWS, and no fewer rows could be rebuilt within
-that bound. Rows that fit in one chunk run as one plain graph.
+snippets, in their sorted order, each of at most CHUNK_ROWS packed rows, as
+one `checkpoint` node: a training step keeps the graph of the last chunk
+alive, and its backward rebuilds the others one at a time. The chunks are
+filled from the last, so the kept chunk is a full one and the first holds
+the rest: the graph kept alive is bounded by CHUNK_ROWS, and no fewer rows
+could be rebuilt within that bound. A cut may fall inside a run. Rows that
+fit in one chunk run as one plain graph.
 """
 
 from __future__ import annotations
@@ -67,26 +71,26 @@ class GroupAggregator(Module):
     def __call__(self, tokens: Tensor, valid: np.ndarray) -> Tensor:
         """tokens: [T, K+1, D] and their validity bool [T, K+1], the group
         slot last and valid; returns the aggregated group vectors [T, D]."""
-        packed = packed_layout(valid)
-        z = gather_rows(tokens.reshape(-1, tokens.shape[-1]),
-                        np.flatnonzero(valid))
+        T, N, D = tokens.shape
+        flat = tokens.reshape(-1, D)
         if not self.blocks:
-            return gather_rows(z, packed.last_rows())
+            return gather_rows(flat, np.arange(T) * N + N - 1)
         counts = valid.sum(axis=1)
+        order = np.argsort(counts, kind="stable")
+        valid, counts = valid[order], counts[order]
+        z = gather_rows(flat, (order[:, None] * N + np.arange(N))[valid])
         cuts = snippet_chunks(counts, CHUNK_ROWS)
         if len(cuts) == 2:
-            return self.group_rows(z, packed)
-        rows = np.concatenate([[0], np.cumsum(counts)])[cuts]
-        n = packed.mask.shape[-1]
-
-        def chunk(piece, i):
-            # the chunk's part of the batch's layout, n slots wide: its
-            # attention products have the one-chunk run's shapes and bits
-            return self.group_rows(piece, Packed(
-                packed.index[rows[i]:rows[i + 1]] - cuts[i] * n,
-                packed.mask[cuts[i]:cuts[i + 1]]))
-
-        return checkpoint(chunk, z, rows, self.parameters())
+            out = self.group_rows(z, packed_layout(valid))
+        else:
+            layouts = [packed_layout(valid[a:b])
+                       for a, b in zip(cuts[:-1], cuts[1:])]
+            rows = np.concatenate([[0], np.cumsum(counts)])[cuts]
+            out = checkpoint(lambda piece, i: self.group_rows(piece,
+                                                              layouts[i]),
+                             z, rows, self.parameters())
+        # the group vectors back in snippet order
+        return gather_rows(out, np.argsort(order))
 
     def group_rows(self, z: Tensor, packed: Packed) -> Tensor:
         """The blocks over the rows z of snippets in the layout `packed`:

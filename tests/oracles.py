@@ -1,16 +1,22 @@
 """Test-side oracles. `linear`, `layer_norm`, `attention` and `relu` are
 the single-op nodes the model's fused nodes replaced, built on autograd's
 shared analytic forwards and backwards; `attention` also takes a dense
-bool mask (`band_mask` is a Window's). The `composed_*` functions rebuild
-a pre-norm block (over every row, or over each snippet's last row), a
-convolution, a layer norm, a dense layer and the loss from smaller nodes,
-summing gradients in the fused nodes' order."""
+bool mask (`band_mask` is a Window's) and a `Padded` Packed layout, both
+run by `masked_attention`, the slow reference of the model's attention.
+The `composed_*` functions rebuild a pre-norm block (over every row, or
+over each snippet's last row), a convolution, a layer norm, a dense layer
+and the loss from smaller nodes, summing gradients in the fused nodes'
+order."""
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from taldet import autograd
-from taldet.autograd import (DimensionError, Packed, Tensor, Window, concat,
-                             stride_index, window_index)
+from taldet.autograd import (DimensionError, InvalidMaskError, Packed,
+                             Tensor, Window, concat, stride_index,
+                             window_index)
 from taldet.heads import FOCAL_ALPHA, FOCAL_GAMMA
 
 
@@ -52,17 +58,90 @@ def layer_norm(x, gamma, beta, eps=autograd.LAYER_NORM_EPS):
         g, gamma, beta, xhat, inv, True)])
 
 
+def masked_attention(q, k, v, heads, allowed):
+    """Attention of queries q [..., M, D] over keys and values k, v
+    [..., N, D] under the bool mask `allowed` [..., M, N], in numpy: the
+    merged-heads output and its backward. A masked score is -inf, so its
+    weight is exactly 0; the softmax takes its max and sum one key slot at
+    a time, as the model's attention does."""
+    if not allowed.any(axis=-1).all():
+        raise InvalidMaskError("attention row with no allowed position")
+    d = q.shape[-1] // heads
+    scale = 1.0 / math.sqrt(d)
+    qh, kh, vh = (t.reshape(t.shape[:-1] + (heads, d)).swapaxes(-2, -3)
+                  for t in (q, k, v))
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
+    np.copyto(s, -np.inf, where=~allowed[..., None, :, :])
+    e = np.exp(s - autograd._fold(np.maximum, s))
+    p = e / autograd._fold(np.add, e)
+
+    def backward(g):
+        # the gradients in C order: k's merged heads are otherwise a
+        # strided view, whose sums round differently
+        gh = g.reshape(g.shape[:-1] + (heads, d)).swapaxes(-2, -3)
+        gp = gh @ vh.swapaxes(-1, -2)
+        gs = p * (gp - autograd._fold(np.add, gp * p)) * scale
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return [np.ascontiguousarray(autograd._merge_heads(gt))
+                for gt in (gs @ kh, gk, p.swapaxes(-1, -2) @ gh)]
+
+    return autograd._merge_heads(p @ vh), backward
+
+
+class Padded(NamedTuple):
+    """A Packed layout run as the aggregator ran it before its runs: the
+    rows laid out [T, n, D] with zeros, n the largest row count, each
+    snippet's rows first and its empty slots masked."""
+    packed: Packed
+
+    def last_rows(self):
+        return self.packed.last_rows()
+
+
+def padded_attention(q, k, v, heads, packed, last=False):
+    """masked_attention over the [T, n, D] layout of a Packed layout's rows
+    and its slot mask, read back to the rows; with `last`, q [T, D] holds
+    one query per snippet, a [T, 1, D] layout under the same mask."""
+    snippets = np.diff(packed.snippets)
+    counts = np.repeat(np.diff(packed.rows) // snippets, snippets)
+    T, n = len(counts), int(counts.max())
+    mask = np.arange(n) < counts[:, None]
+    slots = np.flatnonzero(mask)
+
+    def unpack(x):
+        out = np.zeros((T * n, x.shape[1]))
+        out[slots] = x
+        return out.reshape(T, n, x.shape[1])
+
+    def pack(x):
+        return x.reshape(T * n, -1)[slots]
+
+    out, dense_backward = masked_attention(
+        q[:, None] if last else unpack(q), unpack(k), unpack(v), heads,
+        mask[:, None])
+
+    def backward(g):
+        gq, gk, gv = dense_backward(g[:, None] if last else unpack(g))
+        return [gq[:, 0] if last else pack(gq), pack(gk), pack(gv)]
+
+    return out[:, 0] if last else pack(out), backward
+
+
 def attention(q, k, v, heads, allowed, last=False):
     """Multi-head attention of q, k, v [..., N, D] as one node, under the
-    dense bool mask `allowed` [..., N, N] or over the [N, D] rows of a
-    Window or a Packed layout; with `last`, q [T, D] holds the queries of
-    each snippet's last row of a Packed layout."""
-    if isinstance(allowed, (Window, Packed)):
+    dense bool mask `allowed` [..., N, N], over the [N, D] rows of a
+    Window or a Packed layout as the model runs them, or of a Padded one;
+    with `last`, q [T, D] holds the queries of each snippet's last row of
+    a Packed layout."""
+    if isinstance(allowed, Padded):
+        out, attn_backward = padded_attention(q.data, k.data, v.data, heads,
+                                              allowed.packed, last)
+    elif isinstance(allowed, (Window, Packed)):
         out, attn_backward = autograd._attention_forward(
             q.data, k.data, v.data, heads, allowed, last)
     else:
-        out, attn_backward = autograd._dense_attention(q.data, k.data, v.data,
-                                                       heads, allowed)
+        out, attn_backward = masked_attention(q.data, k.data, v.data, heads,
+                                              allowed)
     return op(out, (q, k, v), attn_backward)
 
 
@@ -98,6 +177,13 @@ def index(x, key):
         x._accum(full)
 
     return Tensor(x.data[key], True, (x,), backward)
+
+
+def sum_axis(x, axis, keepdims=False):
+    """x summed over `axis` as one node."""
+    return op(x.data.sum(axis=axis, keepdims=keepdims), (x,), lambda g: [
+        np.broadcast_to(g if keepdims else np.expand_dims(g, axis),
+                        x.shape)])
 
 
 def power(x, p):
@@ -156,7 +242,7 @@ def composed_depthwise(x, w, stride, lengths):
     product with the kernel and a sum over the window."""
     windows = scatter_gather_rows(x, stride_index(lengths, stride,
                                                   w.shape[0]))
-    return (windows * w).sum(axis=1)
+    return sum_axis(windows * w, 1)
 
 
 def composed_block(block, z, allowed):
@@ -191,9 +277,9 @@ def composed_last_rows(block, z, packed):
 
 def composed_layer_norm(x, gamma, beta, eps=1e-5):
     scale = 1.0 / x.shape[-1]   # a mean as the fused layer norm takes it
-    mu = x.sum(axis=-1, keepdims=True) * scale
+    mu = sum_axis(x, -1, keepdims=True) * scale
     xc = x + mu * -1.0   # a Tensor has no subtraction; the bits are x - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) * scale
+    var = sum_axis(xc * xc, -1, keepdims=True) * scale
     inv = power(var + eps, -0.5)
     return xc * inv * gamma + beta
 

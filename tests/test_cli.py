@@ -714,9 +714,16 @@ class TestProfileCommand:
         config = result["config"]
         assert list(config) == ["snippets", "feature_dim", "batch", "seed",
                                 "classes", "boxes_per_snippet", "grid",
+                                "packed_rows", "snippets_by_valid_count",
                                 "model", "train"]
         assert (config["snippets"], config["feature_dim"],
                 config["batch"]) == (6, 8, 2)
+        # 12 snippets by valid count 1 to K + 1 = 7, and their rows
+        by_count = config["snippets_by_valid_count"]
+        assert list(by_count) == [str(c) for c in range(1, 8)]
+        assert sum(by_count.values()) == 12
+        assert config["packed_rows"] == sum(int(c) * n
+                                            for c, n in by_count.items())
         assert config["model"] == dataclasses.asdict(
             ModelConfig(feature_dim=8, num_classes=20))
         assert config["train"] == dataclasses.asdict(TrainConfig())

@@ -13,14 +13,18 @@ walks only op nodes, with the bits of a walk over every node.
 
 Each attention layout is checked against the dense formulation it replaced:
 a `Window` against the dense band mask (`band_mask`) within 1e-12, and the
-aggregator's `Packed` valid slots against its blocks' composition over all
-K + 1 slots under the column mask: with every block over all the packed
-rows, the same group vectors and, in training, the same checkpoint bytes.
-The aggregator's last block, which computes the group rows only, matches
-the full block followed by the group-row gather within 1e-12 (its products
-run over fewer rows and round differently); in training it gives the same
-checkpoint bytes. The dense slot-wise softmax that a Packed layout runs
-matches numpy's reduce over the keys bit for bit for up to 7 keys."""
+aggregator's `Packed` layout, whose runs of snippets with equal valid
+counts each attend as one dense [t, c, D] view, against the masked dense
+attention over the padded [T, n, D] layout (`oracles.Padded`): the same
+bits over every row, as a node and inside a block, and within 1e-12 for
+the group-row block; the aggregator's blocks also match their composition
+over all K + 1 slots under the column mask: with every block over all the
+packed rows, the same group vectors and, in training, the same checkpoint
+bytes. The aggregator's last block, which computes the group rows only,
+matches the full block followed by the group-row gather within 1e-12 (its
+products run over fewer rows and round differently); in training it gives
+the same checkpoint bytes. The slot-wise softmax of a run matches numpy's
+reduce over the keys bit for bit for up to 7 keys."""
 
 import functools
 import math
@@ -29,8 +33,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (attention, band_mask, composed_block, composed_conv1d,
-                     composed_depthwise, composed_last_rows,
+from oracles import (Padded, attention, band_mask, composed_block,
+                     composed_conv1d, composed_depthwise, composed_last_rows,
                      composed_layer_norm, composed_linear,
                      composed_total_loss, index, layer_norm, linear)
 from taldet import nn, spatial_attention, training
@@ -368,21 +372,72 @@ def reduce_attention(q, k, v, heads, allowed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12])
 def test_slot_wise_softmax_matches_numpy_reduce(n):
-    """The aggregator's attention ([T, K+1, D] tokens, 8 heads, invalid
-    token columns) takes its row max and sums one key slot at a time: the
-    same bits as numpy's reduce for up to 7 keys, which numpy adds left to
-    right too, and within 1e-15 beyond."""
+    """A run of 16 snippets of n rows (8 heads, D = 32), as the aggregator
+    attends over it: its row max and sums are taken one key slot at a
+    time, the same bits as numpy's reduce for up to 7 keys, which numpy
+    adds left to right too, and within 1e-15 beyond."""
     rng = np.random.default_rng(n)
-    q, k, v = (Parameter(rng.normal(size=(16, n, 32)), m) for m in "qkv")
-    valid = rng.random((16, n)) < 0.6
-    valid[:, -1] = True
-    allowed = np.broadcast_to(valid[:, None, :], (16, n, n))
-    c = rng.normal(size=(16, n, 32))
+    q, k, v = (Parameter(rng.normal(size=(16 * n, 32)), m) for m in "qkv")
+    packed = packed_layout(np.ones((16, n), dtype=bool))
+    c = rng.normal(size=(16 * n, 32))
     tol = 0.0 if n <= 7 else 1e-15
     assert_matches(
-        forward_backward(lambda: attention(q, k, v, 8, allowed), [q, k, v], c),
-        forward_backward(lambda: reduce_attention(q, k, v, 8, allowed),
-                         [q, k, v], c), value_tol=tol, grad_tol=tol)
+        forward_backward(lambda: attention(q, k, v, 8, packed), [q, k, v],
+                         c),
+        forward_backward(lambda: reduce_attention(
+            *(t.reshape(16, n, 32) for t in (q, k, v)), 8,
+            np.ones((16, n, n), dtype=bool)).reshape(16 * n, 32),
+            [q, k, v], c), value_tol=tol, grad_tol=tol)
+
+
+def run_problem(seed, sort):
+    """A PreNormBlock over D = 8 with 2 heads and the valid slots [T, 7] of
+    2-4 snippets of each valid count 1 to K + 1 = 7, the group slot last
+    and the tokens' valid slots at random: sorted by count, as the
+    aggregator lays them out, or in a random order."""
+    rng = np.random.default_rng(seed)
+    block = nn.PreNormBlock(rng, 8, 2)
+    for p in block.parameters():   # biases and LN shifts off zero
+        p.data += rng.normal(size=p.shape) * 0.1
+    counts = np.repeat(np.arange(1, 8), rng.integers(2, 5, size=7))
+    if not sort:
+        counts = rng.permutation(counts)
+    ranks = rng.random((len(counts), 6)).argsort(axis=1).argsort(axis=1)
+    valid = np.concatenate([ranks < counts[:, None] - 1,
+                            np.ones((len(counts), 1), dtype=bool)], axis=1)
+    return block, valid, rng
+
+
+@pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted"])
+def test_runs_match_padded_mask(sort):
+    """Attention over each run of snippets with equal valid counts (1 to
+    K + 1 = 7), as a node and inside a block, against the masked dense
+    attention over the padded [T, n, D] layout: the value and every
+    gradient bit for bit. With one query per snippet, as a node and as
+    the group-row block: within 1e-12."""
+    block, valid, rng = run_problem(seed=int(sort), sort=sort)
+    packed = packed_layout(valid)
+    T, R = valid.shape[0], int(valid.sum())
+    assert sort == (len(packed.rows) == 8)   # one run per count
+    q, k, v, z = (Parameter(rng.normal(size=(R, 8)), n) for n in "qkvz")
+    qT = Parameter(rng.normal(size=(T, 8)), "qT")
+    params = [z] + block.parameters()
+    c, cT = rng.normal(size=(R, 8)), rng.normal(size=(T, 8))
+    assert_matches(*(forward_backward(
+        lambda: attention(q, k, v, 2, lay), [q, k, v], c)
+        for lay in (packed, Padded(packed))), grad_tol=0.0)
+    assert_matches(
+        forward_backward(lambda: block(z, packed), params, c),
+        forward_backward(lambda: composed_block(block, z, Padded(packed)),
+                         params, c), grad_tol=0.0)
+    assert_matches(*(forward_backward(
+        lambda: attention(qT, k, v, 2, lay, last=True), [qT, k, v], cT)
+        for lay in (packed, Padded(packed))), value_tol=TOL)
+    assert_matches(
+        forward_backward(lambda: block.last_rows(z, packed), params, cT),
+        forward_backward(lambda: composed_last_rows(block, z,
+                                                    Padded(packed)),
+                         params, cT), value_tol=TOL)
 
 
 def full_slot_aggregate(agg, tokens, valid):
@@ -409,13 +464,13 @@ def gathered_last_block(agg, tokens, valid):
     return gather_rows(z, packed.last_rows())
 
 
-def aggregator_problem(K, heads, layers, seed):
-    """A GroupAggregator over D = 16 and the Parameters of its input, 9
-    snippets of K tokens and a group slot (`valid` [9, K + 1], the group
+def aggregator_problem(K, heads, layers, seed, T=9):
+    """A GroupAggregator over D = 16 and the Parameters of its input, T
+    snippets of K tokens and a group slot (`valid` [T, K + 1], the group
     column true): snippet 0 with no valid token, snippet 1 with every token
     valid, the others at random; and weights for its output."""
     rng = np.random.default_rng(seed)
-    T, D = 9, 16
+    D = 16
     agg = spatial_attention.GroupAggregator(
         ModelConfig(feature_dim=D, num_classes=1, K=K, group_heads=heads,
                     group_layers=layers), rng)
@@ -475,6 +530,41 @@ def test_last_block_matches_gathered_full_block(layers):
                    run(gathered_last_block), value_tol=TOL)
 
 
+def padded_aggregate(agg, tokens, valid):
+    """GroupAggregator's body before it sorted its snippets into runs: the
+    valid rows in snippet order as one chunk, each block's composition over
+    their Padded layout, the last over the group rows alone."""
+    layout = Padded(packed_layout(valid))
+    z = gather_rows(tokens.reshape(-1, tokens.shape[-1]),
+                    np.flatnonzero(valid))
+    for block in agg.blocks[:-1]:
+        z = composed_block(block, z, layout)
+    return composed_last_rows(agg.blocks[-1], z, layout)
+
+
+def test_chunks_cut_inside_a_run_match_padded(monkeypatch):
+    """The aggregator over 40 snippets sorted into runs and cut into
+    chunks (CHUNK_ROWS lowered) of which two meet inside a run, against
+    the padded layout of the snippets in their own order as one chunk:
+    the group vectors and every gradient within 1e-12."""
+    agg, valid, tokens, g0, c = aggregator_problem(6, 4, 2, seed=5, T=40)
+    counts = np.sort(valid.sum(axis=1), kind="stable")
+    limit = 60
+    cuts = spatial_attention.snippet_chunks(counts, limit)
+    assert len(cuts) > 2
+    assert (counts[cuts[1:-1] - 1] == counts[cuts[1:-1]]).any()
+    monkeypatch.setattr(spatial_attention, "CHUNK_ROWS", limit)
+    params = [tokens, g0] + agg.parameters()
+
+    def run(aggregate):
+        return forward_backward(
+            lambda: aggregate(agg, concat([tokens, g0], axis=1), valid),
+            params, c)
+
+    assert_matches(run(spatial_attention.GroupAggregator.__call__),
+                   run(padded_aggregate), value_tol=TOL)
+
+
 def test_fit_on_packed_slots_matches_full_slots(monkeypatch, tmp_path):
     """Two epochs of the criterion-6 training. With every aggregator block
     over all the packed rows and a gather of the group rows, and with the
@@ -519,19 +609,21 @@ def toy_fit_bytes(tmp_path, run):
             for name in ("checkpoint.ptck", "loss_log.jsonl")]
 
 
-def test_toy_batch_graph_has_24_op_nodes(tmp_path):
+def test_toy_batch_graph_has_25_op_nodes(tmp_path):
     # 7 attention blocks, the last aggregator block giving the group rows
-    # itself, 12 convolutions (11 with the ReLU after them fused in: the 2
-    # mapping ones, the 8 tower layers and the offsets'), 3 strided
-    # down-samplings, the pyramid's concat of its levels and the loss, for
-    # one video or a batch of two: 25 with a group-row gather after the
-    # last block, 31 per video when a down-sampling was 3 nodes and each
-    # video had a graph of its own, 42 when each ReLU was a node of its
-    # own, 155 when a block was 12 nodes and a convolution 4
+    # itself, the gather that puts them back in snippet order from the
+    # aggregator's runs, 12 convolutions (11 with the ReLU after them fused
+    # in: the 2 mapping ones, the 8 tower layers and the offsets'), 3
+    # strided down-samplings, the pyramid's concat of its levels and the
+    # loss, for one video or a batch of two: 24 when the aggregator ran in
+    # snippet order (25 with a group-row gather after its last block), 31
+    # per video when a down-sampling was 3 nodes and each video had a
+    # graph of its own, 42 when each ReLU was a node of its own, 155 when
+    # a block was 12 nodes and a convolution 4
     model, samples = toy_model_and_samples(tmp_path)
     for batch in (samples[:1], samples[:2]):
         loss = training.video_loss(model, batch, training.TrainConfig())
-        assert op_nodes(loss) == 24
+        assert op_nodes(loss) == 25
 
 
 def every_node_backward(root):

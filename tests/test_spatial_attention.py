@@ -1,10 +1,13 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+import pytest
 from oracles import composed_block, layer_norm
-from taldet.autograd import (Parameter, Tensor, concat, grad_check,
-                             packed_layout)
-from taldet.model import ModelConfig
+from taldet import spatial_attention
+from taldet.autograd import (InvalidMaskError, Parameter, Tensor, concat,
+                             grad_check, packed_layout)
+from taldet.dataio import SyntheticSpec, synthetic_videos
+from taldet.model import ModelConfig, SubjectPriorDetector, prepare_sample
 from taldet.nn import PreNormBlock
 from taldet.spatial_attention import GroupAggregator, snippet_chunks
 
@@ -77,6 +80,26 @@ class TestMhsa:
         out = block(Tensor(z[valid]), one_snippet(valid)).data
         np.testing.assert_allclose(
             out, dense_attention_oracle(block, z, valid)[valid], atol=1e-12)
+
+
+class TestPackedLayout:
+    def test_runs_of_equal_counts(self):
+        # counts 2, 2, 1, 3, 3, 3: three runs, each snippet's rows together
+        valid = np.array([[True, False, True], [False, True, True],
+                          [False, False, True], [True, True, True],
+                          [True, True, True], [True, True, True]])
+        packed = packed_layout(valid)
+        np.testing.assert_array_equal(packed.rows, [0, 4, 5, 14])
+        np.testing.assert_array_equal(packed.snippets, [0, 2, 3, 6])
+        assert list(packed.runs()) == [(slice(0, 4), slice(0, 2)),
+                                       (slice(4, 5), slice(2, 3)),
+                                       (slice(5, 14), slice(3, 6))]
+        np.testing.assert_array_equal(packed.last_rows(),
+                                      [1, 3, 4, 7, 10, 13])
+
+    def test_a_snippet_with_no_valid_slot_raises(self):
+        with pytest.raises(InvalidMaskError):
+            packed_layout(np.array([[True, True], [False, False]]))
 
 
 class TestLayer:
@@ -268,3 +291,46 @@ class TestSnippetChunks:
         assert ((rows <= max_rows) | (np.diff(cuts) == 1)).all()
         # each chunk but the first is full: its next snippet would not fit
         assert (rows[1:] + counts[cuts[1:-1] - 1] > max_rows).all()
+
+
+class TestSnippetOrder:
+    """The aggregator sorts its snippets by valid count: the group vectors
+    do not depend on the order the snippets or the videos come in."""
+
+    def test_permuting_snippets_permutes_group_vectors(self):
+        agg = build_aggregator(seed=13)
+        rng = np.random.default_rng(14)
+        T, K = 30, 6
+        tokens = rng.normal(size=(T, K, D))
+        valid = rng.random((T, K)) < rng.random((T, 1))
+        tokens[~valid] = 0.0
+        g0 = rng.normal(size=(T, D))
+        out = run_group(agg, tokens, valid, g0)
+        for _ in range(5):
+            perm = rng.permutation(T)
+            np.testing.assert_allclose(
+                run_group(agg, tokens[perm], valid[perm], g0[perm]),
+                out[perm], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk_rows", [700, 40])
+    def test_permuting_videos_permutes_group_vectors(self, monkeypatch,
+                                                     chunk_rows):
+        """Three synthetic videos in every order, as one chunk and cut
+        into chunks of at most 40 rows: each video's group vectors within
+        1e-12."""
+        monkeypatch.setattr(spatial_attention, "CHUNK_ROWS", chunk_rows)
+        cfg = ModelConfig(feature_dim=16, num_classes=2, group_layers=2)
+        samples = [prepare_sample(record, feats, cfg.K) for record, feats
+                   in synthetic_videos(SyntheticSpec(seed=4, num_videos=3))]
+        model = SubjectPriorDetector(cfg, np.random.default_rng(0))
+
+        def per_video(order):
+            batch = [samples[i] for i in order]
+            out = model.snippet_representation(batch).data
+            cuts = np.cumsum([len(s.valid) for s in batch])[:-1]
+            return dict(zip(order, np.split(out, cuts)))
+
+        want = per_video([0, 1, 2])
+        for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
+            for i, got in per_video(order).items():
+                np.testing.assert_allclose(got, want[i], rtol=0, atol=1e-12)
