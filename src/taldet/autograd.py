@@ -350,15 +350,17 @@ def _linear_backward(g2: np.ndarray, x2: np.ndarray, w: Tensor,
 
 def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                         eps: float):
-    """(xhat * gamma + beta, xhat, inv) with xhat = (x - mean) * inv over the
-    last axis and inv the inverse std."""
+    """(xhat * gamma + beta, xhat, mean, inv) with xhat = (x - mean) * inv
+    over the last axis and inv the inverse std; `(x - mean) * inv` rebuilds
+    xhat with the same bits."""
     if x.shape[-1] == 0:
         raise DimensionError("layer_norm over empty last axis")
     n = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    mean = x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    xc = x - mean
     inv = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + eps) ** -0.5
     xhat = xc * inv
-    return xhat * gamma + beta, xhat, inv
+    return xhat * gamma + beta, xhat, mean, inv
 
 
 def _layer_norm_backward(g: np.ndarray, gamma: Tensor, beta: Tensor,
@@ -591,23 +593,25 @@ def prenorm_block(z: Tensor, layout: Window | Packed, params, heads: int,
     gradient summed in the composition's order, so both give the same bits.
     (The `last` variant agrees with the full node's last rows within
     1e-12: its products over fewer rows round differently.)
-    For its backward the node keeps each norm's standardised input `xhat`
-    and inverse std, the attention's per-head q, k, v and weights, the
-    attention output and the FFN's activation; it rebuilds each norm's
-    output as `xhat * gamma + beta`, the forward's own operations, rather
-    than keep it, and takes the ReLU's mask from the activation.
+    For its backward the node keeps LN1's row means and inverse std, LN2's
+    standardised input `xhat` and inverse std, the attention's per-head q,
+    k, v and weights, the attention output and the FFN's activation. It
+    keeps nothing it can rebuild from z with the forward's own operations:
+    the backward rebuilds LN1's `xhat` as `(z - mean) * inv` and each
+    norm's output as `xhat * gamma + beta`, and takes the ReLU's mask from
+    the activation.
     """
     (gamma1, beta1, wq, bq, wk, wv, bv, wo, bo,
      gamma2, beta2, w1, b1, w2, b2) = params
-    ln1, xhat1, inv1 = _layer_norm_forward(z.data, gamma1.data, beta1.data,
-                                           LAYER_NORM_EPS)
+    ln1, _, mean1, inv1 = _layer_norm_forward(z.data, gamma1.data,
+                                              beta1.data, LAYER_NORM_EPS)
     rows = layout.last_rows() if last else slice(None)
     att, attn_backward = _attention_forward(
         _linear_forward(ln1[rows], wq, bq), _linear_forward(ln1, wk, None),
         _linear_forward(ln1, wv, bv), heads, layout, last)
     h = _linear_forward(att, wo, bo) + z.data[rows]
-    ln2, xhat2, inv2 = _layer_norm_forward(h, gamma2.data, beta2.data,
-                                           LAYER_NORM_EPS)
+    ln2, xhat2, _, inv2 = _layer_norm_forward(h, gamma2.data, beta2.data,
+                                              LAYER_NORM_EPS)
     act = np.maximum(_linear_forward(ln2, w1, b1), 0.0)   # the FFN's ReLU
     out_data = _linear_forward(act, w2, b2) + h
     if not (z.requires_grad or any(p.requires_grad for p in params)):
@@ -620,6 +624,7 @@ def prenorm_block(z: Tensor, layout: Window | Packed, params, heads: int,
                                 w1, b1)
         gh = g + _layer_norm_backward(gln2, gamma2, beta2, xhat2, inv2, True)
         gq, gk, gv = attn_backward(_linear_backward(gh, att, wo, bo))
+        xhat1 = (z.data - mean1) * inv1
         ln1 = xhat1 * gamma1.data + beta1.data
         gq = _linear_backward(gq, ln1[rows], wq, bq)
         if last:   # the queries' rows of ln1's gradient, zero elsewhere
@@ -649,6 +654,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
     `window_index(lengths, k)` (default: one sequence of A rows), which
     zero-pads each on its own, so no window reads across a boundary. A
     1-wide kernel without an index reads x itself, with no gather.
+    The node keeps no windows: they are three times x for a 3-wide kernel,
+    and the backward gathers them again from x for the kernel's gradient.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise DimensionError("conv1d expects x[A,Din], w[k,Din,Dout]")
@@ -661,14 +668,19 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if k % 2 == 0:
         raise DimensionError("conv1d: same padding requires odd kernel")
     if k == 1 and index is None:
-        idx, windows = None, x.data
+        idx = None
     else:
         idx = window_index([A], k) if index is None else index
         if idx.shape != (A, k):
             raise DimensionError(f"conv1d: window index {idx.shape} for "
                                  f"{A} rows and kernel {k}")
-        windows = _with_zero_row(x.data)[idx].reshape(A, k * d_in)
-    out_data = _linear_forward(windows, w, b)
+
+    def windows():
+        """[A, k * D_in]: the rows each output reads."""
+        return (x.data if idx is None else
+                _with_zero_row(x.data)[idx].reshape(A, k * d_in))
+
+    out_data = _linear_forward(windows(), w, b)
     if relu:   # in place: the backward keeps the output only
         np.maximum(out_data, 0.0, out=out_data)
     parents = (x, w) if b is None else (x, w, b)
@@ -678,7 +690,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
     def backward(g):
         if relu:   # out > 0 exactly where the pre-activation is
             g = g * (out_data > 0)
-        gwin = _linear_backward(g, windows, w, b, x.requires_grad)
+        gwin = _linear_backward(g, windows(), w, b, x.requires_grad)
         if x.requires_grad:
             x._accum(gwin if idx is None else
                      _scatter_rows(gwin.reshape(A, k, d_in), idx, A))
@@ -692,21 +704,22 @@ def depthwise_conv1d(x: Tensor, w: Tensor, stride: int,
     long that x [A, D] holds back to back, with kernel w [k, D], as one node:
     output t of a sequence reads its rows t * stride + j, and each sequence
     is right-padded with zeros on its own, so a sequence of T rows gives
-    ceil(T / stride) outputs. Returns [sum ceil(T / stride), D]."""
+    ceil(T / stride) outputs. Returns [sum ceil(T / stride), D]. The node
+    keeps no [n, k, D] windows: the backward gathers them again from x for
+    the kernel's gradient."""
     A, k = x.shape[0], w.shape[0]
     if sum(lengths) != A:
         raise DimensionError(f"depthwise_conv1d: lengths {list(lengths)} "
                              f"for {A} rows")
     idx = stride_index(lengths, stride, k)
-    windows = _with_zero_row(x.data)[idx]   # [n, k, D]
-    out_data = (windows * w.data).sum(axis=1)
+    out_data = (_with_zero_row(x.data)[idx] * w.data).sum(axis=1)
     if not (x.requires_grad or w.requires_grad):
         return Tensor(out_data)
 
     def backward(g):
         g = g[:, None]
         if w.requires_grad:
-            w._accum((g * windows).sum(axis=0))
+            w._accum((g * _with_zero_row(x.data)[idx]).sum(axis=0))
         if x.requires_grad:
             x._accum(_scatter_rows(g * w.data, idx, A))
 

@@ -222,7 +222,8 @@ def cmd_profile(args):
     print(f"forward {result['forward']['seconds']:.3f} s, "
           f"{result['forward']['peak_mb']:.1f} MB; train step "
           f"{step['loss_seconds']:.3f} + {step['backward_seconds']:.3f} s, "
-          f"{step['peak_mb']:.1f} MB; written to {out}")
+          f"{step['peak_mb']:.1f} MB ({step['graph_mb']:.1f} MB of graph); "
+          f"written to {out}")
     return EXIT_OK
 
 

@@ -8,7 +8,10 @@ snippets hold each valid count. The model and
 the loss are the default `ModelConfig` and `TrainConfig`. Each pass runs
 once under tracemalloc, so its peak counts the arrays it allocates (not
 the model or the pooled inputs it starts from), and its seconds include
-tracemalloc's cost. Nothing is trained and no checkpoint is written.
+tracemalloc's cost. The step's `graph_mb` is what its forward leaves
+allocated when the loss returns, before the backward: the arrays the graph
+keeps for the backward, besides the loss. Nothing is trained and no
+checkpoint is written.
 """
 
 from __future__ import annotations
@@ -87,12 +90,13 @@ def profile(snippets: int, feature_dim: int, batch: int) -> dict:
         start = time.perf_counter()
         loss = video_loss(model, samples, train_cfg)
         loss_s = time.perf_counter() - start
+        graph_mb = tracemalloc.get_traced_memory()[0] / MB
         nodes = op_nodes(loss)
         start = time.perf_counter()
         loss.backward()
-        return loss_s, time.perf_counter() - start, nodes
+        return loss_s, time.perf_counter() - start, graph_mb, nodes
 
-    (loss_s, backward_s, nodes), _, step_mb = traced(step)
+    (loss_s, backward_s, graph_mb, nodes), _, step_mb = traced(step)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "stamp": {"cpus": os.cpu_count(),
@@ -110,5 +114,6 @@ def profile(snippets: int, feature_dim: int, batch: int) -> dict:
                    "train": dataclasses.asdict(train_cfg)},
         "forward": {"seconds": forward_s, "peak_mb": forward_mb},
         "train_step": {"loss_seconds": loss_s, "backward_seconds": backward_s,
-                       "peak_mb": step_mb, "op_nodes": nodes},
+                       "peak_mb": step_mb, "graph_mb": graph_mb,
+                       "op_nodes": nodes},
     }

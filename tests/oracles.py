@@ -52,8 +52,8 @@ def linear(x, w, b=None):
 def layer_norm(x, gamma, beta, eps=autograd.LAYER_NORM_EPS):
     """The last axis of x standardised, scaled by gamma and shifted by
     beta, as one node that keeps the standardised input and inverse std."""
-    out, xhat, inv = autograd._layer_norm_forward(x.data, gamma.data,
-                                                  beta.data, eps)
+    out, xhat, _, inv = autograd._layer_norm_forward(x.data, gamma.data,
+                                                     beta.data, eps)
     return op(out, (x, gamma, beta), lambda g: [autograd._layer_norm_backward(
         g, gamma, beta, xhat, inv, True)])
 

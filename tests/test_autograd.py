@@ -385,11 +385,14 @@ def held_arrays(fn):
 # heads, before each norm's output was rebuilt in the backward (tracemalloc,
 # Python 3.11, numpy 2.4): 1734875 bytes over a Window of 9 and 1652202
 # over a Packed layout of 128 snippets of 4 rows; about 1472500 and 1389900
-# after, some 2 * R * D * 8 = 262144 bytes less.
+# after, some 2 * R * D * 8 = 262144 bytes less; 1345515 and 1262520 since
+# LN1's standardised input is rebuilt from z and its row means, R * (D - 1)
+# * 8 = 126976 bytes less.
 @pytest.mark.parametrize("layout", ["window", "packed"])
 def test_block_node_keeps_no_norm_output(layout):
-    """No array the node's backward holds is LN1's or LN2's [R, D] output,
-    and besides its output the node retains no more than those arrays."""
+    """No array the node's backward holds is LN1's or LN2's [R, D] output
+    or LN1's standardised input, and besides its output the node retains
+    no more than those arrays."""
     R, D, heads = 512, 32, 4
     rng = np.random.default_rng(0)
     block = nn.PreNormBlock(rng, D, heads)
@@ -414,7 +417,11 @@ def test_block_node_keeps_no_norm_output(layout):
     x = layer_norm(z, block.ln1.gamma, block.ln1.beta)
     q, k, v = (linear(x, p.w, p.b) for p in (attn.wq, attn.wk, attn.wv))
     h = linear(attention(q, k, v, heads, tables), attn.wo.w, attn.wo.b) + z
-    norms = (x.data, layer_norm(h, block.ln2.gamma, block.ln2.beta).data)
+    xhat1 = autograd._layer_norm_forward(
+        z.data, block.ln1.gamma.data, block.ln1.beta.data,
+        autograd.LAYER_NORM_EPS)[1]
+    norms = (x.data, layer_norm(h, block.ln2.gamma, block.ln2.beta).data,
+             xhat1)
     assert any(a.shape == (R, D) for a in held)
     for a in held:
         assert not any(np.array_equal(a, n) for n in norms)
@@ -433,8 +440,25 @@ def test_relu_conv_keeps_only_its_output(kernel, index):
     b = Parameter(rng.normal(size=5), "b")
     out = conv1d(x, w, b, window_index([7, 5], kernel) if index else None,
                  relu=True)
-    held = [a for a in held_arrays(out._backward) if a.shape == out.shape]
-    assert held and all(a is out.data for a in held)
+    held = held_arrays(out._backward)
+    outs = [a for a in held if a.shape == out.shape]
+    assert outs and all(a is out.data for a in outs)
+    # nor the windows [A, k * D_in], which the backward gathers again
+    assert not any(a.shape == (12, kernel * 4) or a.nbytes == 12 * kernel * 32
+                   for a in held)
+
+
+def test_depthwise_conv_keeps_no_windows():
+    """The backward holds no array of the windows' [n, k, D] shape or
+    bytes: it gathers them again from x."""
+    rng = np.random.default_rng(0)
+    x = Parameter(rng.normal(size=(12, 4)), "x")
+    w = Parameter(rng.normal(size=(3, 4)), "w")
+    out = depthwise_conv1d(x, w, 2, [7, 5])
+    n = len(out.data)
+    held = held_arrays(out._backward)
+    assert not any(a.shape == (n, 3, 4) or a.nbytes == n * 3 * 4 * 8
+                   for a in held)
 
 
 class TestCheckpoint:

@@ -730,9 +730,11 @@ class TestProfileCommand:
         assert list(result["forward"]) == ["seconds", "peak_mb"]
         step = result["train_step"]
         assert list(step) == ["loss_seconds", "backward_seconds", "peak_mb",
-                              "op_nodes"]
+                              "graph_mb", "op_nodes"]
         assert all(v > 0 for v in [*result["forward"].values(),
                                    *step.values()])
+        # the graph the forward keeps is alive at the step's peak
+        assert step["graph_mb"] <= step["peak_mb"]
         assert isinstance(step["op_nodes"], int)
         # no checkpoint or other file
         assert sorted(p.name for p in tmp_path.rglob("*")) == [
