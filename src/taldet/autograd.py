@@ -4,8 +4,8 @@ The model's graph is built from the nodes here: one `prenorm_block` per
 attention block, one `conv1d` or `depthwise_conv1d` per convolution, the
 structural `concat`, `gather_rows` and `reshape`, and the Tensor operators
 that pooling uses; the training loss is one node of the same kind in
-`heads`. A `checkpoint` node runs the subject aggregator's blocks piece by
-piece when its rows fill more than one chunk. The finite-difference
+`heads`. A `checkpoint` node runs the subject aggregator's blocks chunk by
+chunk and keeps the graph of the last chunk only. The finite-difference
 harness at the bottom of the file is the single source of truth for
 gradient correctness.
 Graphs are built explicitly per forward pass, and `Tensor.backward` frees
@@ -93,9 +93,10 @@ class Tensor:
             raise DimensionError("backward() requires a scalar tensor")
         self._backprop(np.ones_like(self.data))
 
-    def _backprop(self, grad: np.ndarray):
-        """The sweep of `backward` from a root of any shape whose gradient
-        is `grad`."""
+    def _op_nodes(self) -> list:
+        """self and the op nodes (those with a backward) it reaches through op
+        nodes, each after those among its parents, by a depth-first walk;
+        leaves get their gradients from their consumers' _accum."""
         topo, seen = [], set()
         stack = [(self, False)]
         while stack:
@@ -107,14 +108,18 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            # leaves (no _backward) get their gradients from their
-            # consumers' _accum: the walk visits op nodes only
             for p in node._parents:
                 if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
+        return topo
+
+    def _backprop(self, grad: np.ndarray):
+        """The sweep of `backward` from a root of any shape whose gradient
+        is `grad`."""
         self._accum(grad)
         if self._backward is None:   # a leaf root: its gradient is `grad`
             return
+        topo = self._op_nodes()
         while topo:
             node = topo.pop()
             if node.grad is not None:

@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .checksuite import end_to_end_grad_check, primitive_grad_checks
-from .dataio import (FormatError, SyntheticSpec, ValidationError,
-                     generate_synthetic, parse_scalar, read_annotations,
-                     read_checkpoint, read_detections, read_features,
-                     write_detections)
+from .dataio import (SyntheticSpec, ValidationError, generate_synthetic,
+                     parse_scalar, read_annotations, read_checkpoint,
+                     read_detections, read_features, write_detections)
 from .metrics import THUMOS_GRID, evaluate
 from .model import ModelConfig, SubjectPriorDetector, prepare_sample
 from .postprocess import InferConfig, decode, soft_nms
@@ -140,8 +139,8 @@ def build_model_and_samples(records, paths, settings):
 
 
 def cmd_synth(args):
-    spec = SyntheticSpec(seed=args.seed, num_videos=args.videos,
-                         num_classes=args.classes, noise=args.noise)
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in
+                            dataclasses.fields(SyntheticSpec) if f.name in args})
     generate_synthetic(spec, args.out)
     print(f"wrote {spec.num_videos} videos to {args.out}")
     return EXIT_OK
@@ -243,12 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: a prefix such as --lr would be a hidden second name
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = add("synth", help="generate a synthetic dataset")
+    p = add("synth", help="generate a synthetic dataset",
+            argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--videos", type=int, default=8)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--videos", type=int, dest="num_videos", metavar="N")
+    p.add_argument("--classes", type=int, dest="num_classes", metavar="C")
+    p.add_argument("--noise", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = add("train", help="train on a dataset directory")
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FormatError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:   # ValidationError and FormatError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalAbort as e:

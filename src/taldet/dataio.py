@@ -384,7 +384,7 @@ def read_checkpoint(path) -> list[tuple[str, np.ndarray]]:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    seed: int
+    seed: int = 0
     num_videos: int = 8
     num_classes: int = 2
     snippets_min: int = 28

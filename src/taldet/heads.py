@@ -12,8 +12,7 @@ projections read their input rows directly, with no window gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,13 +56,6 @@ class HeadOutput:
     stride: np.ndarray         # int [A], snippets per step at its level
     video: np.ndarray          # int [A], its video's place in the batch
 
-    @cached_property
-    def video_anchors(self) -> list[np.ndarray]:
-        """The anchors of each video of the batch, in anchor order; computed
-        once, for the targets and the loss of a step alike."""
-        order = np.argsort(self.video, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(self.video))[:-1])
-
 
 class DetectionHeads(Module):
     def __init__(self, rng, dim: int, num_classes: int, num_layers: int):
@@ -94,37 +86,33 @@ class DetectionHeads(Module):
             video=np.repeat(pyr.videos, pyr.lengths))
 
 
-def assign_targets(gts: list[GroundTruthSegment], step: np.ndarray,
-                   stride: np.ndarray, seconds_per_snippet: float,
-                   num_classes: int) -> Targets:
-    """Targets for anchors at `step` of levels with `stride` ([A] each).
+def assign_targets(outs: HeadOutput, records, num_classes: int) -> Targets:
+    """Targets for the anchors of a batch's head output `outs`, from the
+    list `records` of each video's `segments` and `seconds_per_snippet`.
 
-    A step inside several segments takes the one with minimal duration
-    (ties: earlier start, then input order).
+    Anchor a of video v = outs.video[a] sits at time step * unit, with unit
+    = stride * seconds_per_snippet of v, and its offsets are in units. An
+    anchor inside several segments of its video takes the one with minimal
+    duration (ties: earlier start, then input order).
     """
-    unit = stride * seconds_per_snippet
-    times = step * unit
+    spacing = np.array([r.seconds_per_snippet for r in records])
+    unit = outs.stride * spacing[outs.video]
+    times = outs.step * unit
     A = len(times)
     cls = np.full(A, num_classes, dtype=int)
     ds = np.zeros(A)
     de = np.zeros(A)
     inside = np.zeros(A, dtype=bool)
-    for g in sorted(gts, key=lambda g: (g.end - g.start, g.start)):
-        hit = (~inside) & (times >= g.start) & (times <= g.end)
+    segments = [(v, g) for v, r in enumerate(records) for g in r.segments]
+    for v, g in sorted(segments, key=lambda s: (s[1].end - s[1].start,
+                                                 s[1].start)):
+        hit = ((~inside) & (outs.video == v) & (times >= g.start)
+               & (times <= g.end))
         cls[hit] = g.class_id
         ds[hit] = (times[hit] - g.start) / unit[hit]
         de[hit] = (g.end - times[hit]) / unit[hit]
         inside |= hit
     return Targets(cls, ds, de, inside)
-
-
-def batch_targets(parts: list[Targets],
-                  anchors: list[np.ndarray]) -> Targets:
-    """One Targets over a batch's anchors, from each video's Targets over
-    its own `anchors`."""
-    order = np.argsort(np.concatenate(anchors))
-    return Targets(*(np.concatenate([getattr(t, f.name) for t in parts])[order]
-                     for f in fields(Targets)))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -202,17 +190,17 @@ def total_loss(outs: HeadOutput, targets: Targets, lam: float = 1.0,
     tgt = np.stack([targets.d_start[pos], targets.d_end[pos]], axis=-1)
     giou = np.zeros(len(y))
     giou[pos] = giou_values(pred, tgt)
-    videos = outs.video_anchors
+    B = outs.video.max() + 1
     weight = np.empty(len(y))   # of each anchor's terms
     loss = 0.0
-    for anchors in videos:
-        vpos = anchors[targets.inside[anchors]]
-        vloss = focal[anchors].sum()
-        if vpos.size:
+    for mine in outs.video == np.arange(B)[:, None]:   # a video's anchors
+        vpos = mine & targets.inside
+        vloss = focal[mine].sum()
+        if vpos.any():
             vloss = vloss + giou[vpos].sum() * lam
-        scale = 1.0 / max(vpos.size, 1)
-        weight[anchors] = scale * (1.0 / len(videos))
-        loss += vloss * scale * (1.0 / len(videos))
+        scale = 1.0 / max(vpos.sum(), 1)
+        weight[mine] = scale * (1.0 / B)
+        loss += vloss * scale * (1.0 / B)
     if not (logits.requires_grad or offsets.requires_grad):
         return Tensor(loss)
 

@@ -36,14 +36,8 @@ MB = 2.0 ** 20
 
 
 def op_nodes(root) -> int:
-    """The op nodes (those with a backward) root reaches by its parents."""
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for p in stack.pop()._parents:
-            if p._backward is not None and id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return len(seen)
+    """The op nodes (those with a backward) root's backward sweeps."""
+    return len(root._op_nodes())
 
 
 def traced(run):

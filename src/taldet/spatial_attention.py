@@ -23,7 +23,7 @@ alive, and its backward rebuilds the others one at a time. The chunks are
 filled from the last, so the kept chunk is a full one and the first holds
 the rest: the graph kept alive is bounded by CHUNK_ROWS, and no fewer rows
 could be rebuilt within that bound. A cut may fall inside a run. Rows that
-fit in one chunk run as one plain graph.
+fit in one chunk are one chunk, whose graph the step keeps.
 """
 
 from __future__ import annotations
@@ -80,15 +80,11 @@ class GroupAggregator(Module):
         valid, counts = valid[order], counts[order]
         z = gather_rows(flat, (order[:, None] * N + np.arange(N))[valid])
         cuts = snippet_chunks(counts, CHUNK_ROWS)
-        if len(cuts) == 2:
-            out = self.group_rows(z, packed_layout(valid))
-        else:
-            layouts = [packed_layout(valid[a:b])
-                       for a, b in zip(cuts[:-1], cuts[1:])]
-            rows = np.concatenate([[0], np.cumsum(counts)])[cuts]
-            out = checkpoint(lambda piece, i: self.group_rows(piece,
-                                                              layouts[i]),
-                             z, rows, self.parameters())
+        layouts = [packed_layout(valid[a:b])
+                   for a, b in zip(cuts[:-1], cuts[1:])]
+        rows = np.concatenate([[0], np.cumsum(counts)])[cuts]
+        out = checkpoint(lambda piece, i: self.group_rows(piece, layouts[i]),
+                         z, rows, self.parameters())
         # the group vectors back in snippet order
         return gather_rows(out, np.argsort(order))
 

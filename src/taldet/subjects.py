@@ -6,8 +6,8 @@ float [n, 5] array of every box of every snippet, snippet after snippet,
 and the int [T] count of each snippet's boxes. Boxes arrive in keyframe
 pixel coordinates; features are an H x W x D grid per snippet. The top-K
 boxes of each snippet by frame-area ratio each become one pooled token; the
-remaining slots are zero vectors flagged invalid so downstream attention
-can mask them out.
+remaining slots are zero vectors flagged invalid, which the aggregator never
+reads.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import numpy as np
 
 from .autograd import Parameter
 from .dataio import write_checkpoint
-from .heads import assign_targets, batch_targets, total_loss
+from .heads import assign_targets, total_loss
 from .model import SubjectPriorDetector, VideoSample
 
 
@@ -161,16 +161,13 @@ class FitResult:
 
 def video_loss(model: SubjectPriorDetector, batch, cfg: TrainConfig):
     """The loss of a batch of videos (a VideoSample alone is a batch of one):
-    one forward over the videos back to back, each video's targets on its
-    own anchors, and one loss node over them all."""
+    one forward over the videos back to back, the targets of all their
+    anchors, and one loss node over them all."""
     samples = [batch] if isinstance(batch, VideoSample) else list(batch)
     outs = model(samples)
-    anchors = outs.video_anchors
-    targets = [assign_targets(s.record.segments, outs.step[a], outs.stride[a],
-                              s.record.seconds_per_snippet,
-                              model.cfg.num_classes)
-               for s, a in zip(samples, anchors)]
-    return total_loss(outs, batch_targets(targets, anchors), lam=cfg.lam,
+    targets = assign_targets(outs, [s.record for s in samples],
+                             model.cfg.num_classes)
+    return total_loss(outs, targets, lam=cfg.lam,
                       strict_positive_only=cfg.strict_positive_only)
 
 

@@ -10,14 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taldet import autograd, cli, nn
+from taldet import (autograd, cli, heads, model, nn, spatial_attention,
+                    temporal_pyramid)
 from taldet.checksuite import end_to_end_grad_check, primitive_grad_checks
 from taldet.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         SETTING_TYPES, _coerce, build_parser, gather_settings,
                         main, parse_config_file)
-from taldet.dataio import (read_annotations, read_checkpoint,
-                           read_detections, read_features, write_checkpoint,
-                           write_features)
+from taldet.dataio import (SyntheticSpec, read_annotations,
+                           read_checkpoint, read_detections, read_features,
+                           write_checkpoint, write_features)
 from taldet.model import ModelConfig, SubjectPriorDetector
 from taldet.postprocess import decode, soft_nms
 from taldet.training import FitResult, TrainConfig
@@ -286,6 +287,18 @@ class TestPipeline:
         assert rc == EXIT_VALIDATION
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flags, given", [
+        ([], {}),
+        (["--noise", "0.5", "--classes", "3", "--seed", "4", "--videos", "2"],
+         {"noise": 0.5, "num_classes": 3, "seed": 4, "num_videos": 2})],
+        ids=["no-flag", "every-flag"])
+    def test_synth_writes_the_spec_of_the_flags_given(self, tmp_path, flags,
+                                                      given):
+        # a flag not given takes SyntheticSpec's default, seed 0 included
+        assert main(["synth", "--out", str(tmp_path / "d")] + flags) == EXIT_OK
+        assert ((tmp_path / "d" / "spec.json").read_text()
+                == SyntheticSpec(**{"seed": 0} | given).to_json() + "\n")
 
     def test_infer_forward_builds_no_graph(self, dataset, monkeypatch):
         tmp, data, cfg = dataset
@@ -773,11 +786,14 @@ def code_key(code):
 
 def test_every_engine_function_runs_in_production(tmp_path):
     """synth, train, infer and eval at a tiny size, then criterion 1's
-    gradient checks, run every function, method and closure of autograd.py
-    and nn.py but `_freed`, a freed graph's error path: code that only the
-    tests call belongs in tests/oracles.py."""
+    gradient checks, run every function, method and closure of autograd.py,
+    nn.py and the model's modules but `_freed`, a freed graph's error path,
+    and `Targets.num_positive`, which only the benchmark's tracer and the
+    tests read: code that only the tests call belongs in tests/oracles.py."""
     engine, stack = set(), [compile(Path(m.__file__).read_text(), m.__file__,
-                                    "exec") for m in (autograd, nn)]
+                                    "exec")
+                            for m in (autograd, nn, model, spatial_attention,
+                                      temporal_pyramid, heads)]
     while stack:
         code = stack.pop()
         stack += [c for c in code.co_consts if inspect.iscode(c)]
@@ -803,4 +819,5 @@ def test_every_engine_function_runs_in_production(tmp_path):
     finally:
         sys.setprofile(None)
     missing = sorted(engine - ran)
-    assert [name for *_, name in missing] == ["_freed"], missing
+    assert [name for *_, name in missing] == ["_freed", "num_positive"], \
+        missing

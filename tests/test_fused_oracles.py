@@ -28,6 +28,7 @@ reduce over the keys bit for bit for up to 7 keys."""
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,16 +197,18 @@ def loss_problem(segments, seed, identical=False):
     rng = np.random.default_rng(seed)
     step = np.concatenate([np.arange(8), np.arange(4)])
     stride = np.repeat([1, 2], [8, 4])
-    gts = [GroundTruthSegment(*s) for s in segments]
-    targets = assign_targets(gts, step, stride, 0.25, 2)
-    offsets = rng.uniform(0.1, 3.0, size=(12, 2))
+    record = SimpleNamespace(segments=[GroundTruthSegment(*s)
+                                       for s in segments],
+                             seconds_per_snippet=0.25)
+    offsets = Parameter(rng.uniform(0.1, 3.0, size=(12, 2)), "offsets")
+    logits = Parameter(rng.normal(size=(12, 2)) * 2, "logits")
+    outs = HeadOutput(logits, offsets, step, stride, np.zeros(12, dtype=int))
+    targets = assign_targets(outs, [record], 2)
     if identical:
         pos = targets.inside
-        offsets[pos] = np.stack([targets.d_start, targets.d_end], -1)[pos]
-    logits = Parameter(rng.normal(size=(12, 2)) * 2, "logits")
-    offsets = Parameter(offsets, "offsets")
-    return HeadOutput(logits, offsets, step, stride,
-                      np.zeros(12, dtype=int)), targets
+        offsets.data[pos] = np.stack([targets.d_start, targets.d_end],
+                                     -1)[pos]
+    return outs, targets
 
 
 SEGMENTS = [(0, 0.0, 0.9), (1, 1.2, 2.0)]
@@ -609,21 +612,23 @@ def toy_fit_bytes(tmp_path, run):
             for name in ("checkpoint.ptck", "loss_log.jsonl")]
 
 
-def test_toy_batch_graph_has_25_op_nodes(tmp_path):
-    # 7 attention blocks, the last aggregator block giving the group rows
-    # itself, the gather that puts them back in snippet order from the
-    # aggregator's runs, 12 convolutions (11 with the ReLU after them fused
-    # in: the 2 mapping ones, the 8 tower layers and the offsets'), 3
-    # strided down-samplings, the pyramid's concat of its levels and the
-    # loss, for one video or a batch of two: 24 when the aggregator ran in
-    # snippet order (25 with a group-row gather after its last block), 31
-    # per video when a down-sampling was 3 nodes and each video had a
-    # graph of its own, 42 when each ReLU was a node of its own, 155 when
-    # a block was 12 nodes and a convolution 4
+def test_toy_batch_graph_has_24_op_nodes(tmp_path):
+    # one checkpoint node over the aggregator's 2 blocks (the last giving
+    # the group rows itself), the gather that puts the group rows back in
+    # snippet order from the aggregator's runs, 5 temporal attention
+    # blocks, 12 convolutions (11 with the ReLU after them fused in: the 2
+    # mapping ones, the 8 tower layers and the offsets'), 3 strided
+    # down-samplings, the pyramid's concat of its levels and the loss, for
+    # one video or a batch of two: 25 when rows that fit in one chunk ran
+    # as a plain graph of the 2 block nodes, 24 before that when the
+    # aggregator ran in snippet order with no gather back, 31 per video
+    # when a down-sampling was 3 nodes and each video had a graph of its
+    # own, 42 when each ReLU was a node of its own, 155 when a block was
+    # 12 nodes and a convolution 4
     model, samples = toy_model_and_samples(tmp_path)
     for batch in (samples[:1], samples[:2]):
         loss = training.video_loss(model, batch, training.TrainConfig())
-        assert op_nodes(loss) == 25
+        assert op_nodes(loss) == 24
 
 
 def every_node_backward(root):

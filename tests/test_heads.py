@@ -1,11 +1,15 @@
+import itertools
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taldet.autograd import Parameter, Tensor, grad_check
 from taldet.heads import (DetectionHeads, GroundTruthSegment, HeadOutput,
-                          Targets, assign_targets, batch_targets,
-                          focal_values, giou_values, total_loss)
+                          Targets, assign_targets, focal_values, giou_values,
+                          total_loss)
 from taldet.temporal_pyramid import FeaturePyramid
 
 D = 8
@@ -34,6 +38,40 @@ def anchors(shapes):
     step = np.concatenate([np.arange(T) for T, _ in shapes])
     stride = np.concatenate([np.full(T, s) for T, s in shapes])
     return step, stride
+
+
+def batch_anchors(shapes):
+    """The (step, stride, video) anchor arrays of a batch whose video v has
+    the levels shapes[v] = [(T_l, stride_l), ...], packed as the pyramid
+    packs them: level after level and, within a level, video after
+    video."""
+    runs = [(T, s, v) for level in zip(*shapes)
+            for v, (T, s) in enumerate(level)]
+    step, stride = anchors([(T, s) for T, s, _ in runs])
+    return step, stride, np.repeat([v for *_, v in runs],
+                                   [T for T, *_ in runs])
+
+
+def record(segments, seconds_per_snippet=0.25):
+    """What assign_targets reads of a video's record."""
+    return SimpleNamespace(segments=segments,
+                           seconds_per_snippet=seconds_per_snippet)
+
+
+def anchor_output(step, stride, video=None):
+    """A HeadOutput over these anchors (video default all 0), with zero
+    logits and offsets: assign_targets reads its anchors only."""
+    A = len(step)
+    return HeadOutput(Tensor(np.zeros((A, 1))), Tensor(np.zeros((A, 2))),
+                      step, stride,
+                      np.zeros(A, dtype=int) if video is None else video)
+
+
+def video_targets(gts, shapes, num_classes, unit=0.25):
+    """assign_targets over one video of levels `shapes`, whose stride-1
+    step lasts `unit` seconds."""
+    return assign_targets(anchor_output(*anchors(shapes)),
+                          [record(gts, unit)], num_classes)
 
 
 def graph_nodes(*roots):
@@ -73,9 +111,6 @@ class TestDetectionHeads:
         np.testing.assert_array_equal(out.stride, stride)
         np.testing.assert_array_equal(out.video, np.repeat([0, 1, 0, 1],
                                                            [4, 3, 2, 2]))
-        videos = out.video_anchors
-        np.testing.assert_array_equal(videos[0], [0, 1, 2, 3, 7, 8])
-        np.testing.assert_array_equal(videos[1], [4, 5, 6, 9, 10])
 
     def test_towers_shared_across_levels(self):
         # a level of length 1 and a singleton slice of a longer level see the
@@ -125,8 +160,7 @@ class TestAssignTargets:
 
     def test_single_segment_single_level(self):
         gts = [GroundTruthSegment(1, 0.5, 1.5)]
-        tm = assign_targets(gts, *anchors([(8, 1)]), self.UNIT,
-                            num_classes=3)
+        tm = video_targets(gts, [(8, 1)], 3, self.UNIT)
         lv = tm
         # steps at times 0, .25, .5, ..., 1.75; inside are t=2..6
         np.testing.assert_array_equal(lv.inside,
@@ -140,7 +174,7 @@ class TestAssignTargets:
     def test_minimal_duration_wins_overlap(self):
         long = GroundTruthSegment(0, 0.0, 2.0)
         short = GroundTruthSegment(1, 0.4, 0.6)
-        tm = assign_targets([long, short], *anchors([(9, 1)]), self.UNIT, 2)
+        tm = video_targets([long, short], [(9, 1)], 2, self.UNIT)
         lv = tm
         assert lv.class_target[2] == 1  # t=0.5 falls in both; shorter wins
         assert lv.class_target[1] == 0
@@ -149,14 +183,14 @@ class TestAssignTargets:
     def test_tie_earlier_start_wins(self):
         a = GroundTruthSegment(0, 0.0, 1.0)
         b = GroundTruthSegment(1, 0.25, 1.25)
-        tm = assign_targets([b, a], *anchors([(6, 1)]), self.UNIT, 2)
+        tm = video_targets([b, a], [(6, 1)], 2, self.UNIT)
         lv = tm
         # equal durations: segment starting earlier claims the shared steps
         assert list(lv.class_target[1:5]) == [0, 0, 0, 0]
 
     def test_coarser_level_scales_offsets(self):
         gts = [GroundTruthSegment(0, 0.0, 2.0)]
-        tm = assign_targets(gts, *anchors([(8, 1), (4, 2)]), self.UNIT, 1)
+        tm = video_targets(gts, [(8, 1), (4, 2)], 1, self.UNIT)
         coarse = slice(8, 12)
         # level-1 unit is 0.5s; t=1 (0.5s) has d_start=1, d_end=3
         assert tm.inside[coarse].all()
@@ -165,10 +199,63 @@ class TestAssignTargets:
         assert tm.num_positive == tm.inside[:8].sum() + 4
 
     def test_no_segments_all_background(self):
-        tm = assign_targets([], *anchors([(5, 1)]), self.UNIT, 2)
+        tm = video_targets([], [(5, 1)], 2, self.UNIT)
         lv = tm
         assert not lv.inside.any()
         assert (lv.class_target == 2).all()
+
+    # three videos of three levels each, at 4 / 15, 0.25 and 0.3 s per
+    # snippet: video 0 holds a segment nested in another and two that tie
+    # on duration and start; video 1 holds none; video 2 holds segments
+    # that cover the times of video 0's and video 1's anchors too
+    BATCH_SHAPES = [[(9, 1), (5, 2), (3, 4)], [(6, 1), (3, 2), (2, 4)],
+                    [(8, 1), (4, 2), (2, 4)]]
+    BATCH_RECORDS = [
+        record([GroundTruthSegment(0, 0.0, 2.0),
+                GroundTruthSegment(1, 0.5, 1.3),
+                GroundTruthSegment(2, 0.8, 1.6),
+                GroundTruthSegment(0, 0.8, 1.6)], 4 / 15),
+        record([], 0.25),
+        record([GroundTruthSegment(1, 0.25, 1.0),
+                GroundTruthSegment(2, 1.0, 1.75),
+                GroundTruthSegment(0, 0.0, 4.0)], 0.3)]
+
+    def targets_in_order(self, order):
+        """The targets of the batch of BATCH_SHAPES' videos in `order`, and
+        its video of each anchor."""
+        step, stride, video = batch_anchors(
+            [self.BATCH_SHAPES[v] for v in order])
+        return assign_targets(anchor_output(step, stride, video),
+                              [self.BATCH_RECORDS[v] for v in order],
+                              3), video
+
+    def test_batch_matches_each_video_alone(self):
+        """Each video's anchors in the batch get, bit for bit, the targets
+        of the video alone: a segment hits the anchors of its own video
+        only, at that video's seconds per snippet."""
+        targets, video = self.targets_in_order([0, 1, 2])
+        assert [targets.inside[video == v].sum() for v in range(3)] == [
+            14, 0, 14]
+        for v, (shapes, r) in enumerate(zip(self.BATCH_SHAPES,
+                                            self.BATCH_RECORDS)):
+            alone = video_targets(r.segments, shapes, 3,
+                                  r.seconds_per_snippet)
+            for f in fields(Targets):
+                np.testing.assert_array_equal(
+                    getattr(targets, f.name)[video == v],
+                    getattr(alone, f.name), err_msg=f"{v} {f.name}")
+
+    @pytest.mark.parametrize("order",
+                             list(itertools.permutations(range(3)))[1:],
+                             ids=lambda order: "".join(map(str, order)))
+    def test_permuting_the_videos_permutes_their_targets(self, order):
+        want, video = self.targets_in_order([0, 1, 2])
+        got, moved = self.targets_in_order(order)
+        for place, v in enumerate(order):
+            for f in fields(Targets):
+                np.testing.assert_array_equal(
+                    getattr(got, f.name)[moved == place],
+                    getattr(want, f.name)[video == v])
 
 
 def one_hot(class_target, C):
@@ -294,7 +381,7 @@ class TestTotalLoss:
 
     def test_normalized_by_global_positive_count(self):
         gts = [GroundTruthSegment(0, 0.0, 1.0)]
-        tm = assign_targets(gts, *anchors([(8, 1), (4, 2)]), 0.25, 1)
+        tm = video_targets(gts, [(8, 1), (4, 2)], 1)
         outs = self._outputs([8, 4], 1)
         loss = total_loss(outs, tm, lam=1.0)
         # recompute with the pieces summed by hand, level by level
@@ -314,17 +401,15 @@ class TestTotalLoss:
         # max(T+, 1), then the mean; the gradients likewise
         gts = [[GroundTruthSegment(0, 0.0, 0.3)], []]
         shapes = [[(4, 1), (2, 2)], [(3, 1), (2, 2)]]
-        video = np.repeat([0, 1, 0, 1], [4, 3, 2, 2])
         outs = self._outputs([4, 3, 2, 2], 2, seed=5)
-        outs.video = video
+        outs.step, outs.stride, outs.video = batch_anchors(shapes)
         logits = Parameter(outs.class_logits.data, "logits")
         offsets = Parameter(outs.offsets.data, "offsets")
         outs.class_logits, outs.offsets = logits, offsets
-        parts = [assign_targets(g, *anchors(sh), 0.25, 2)
-                 for g, sh in zip(gts, shapes)]
+        parts = [video_targets(g, sh, 2) for g, sh in zip(gts, shapes)]
         assert [t.num_positive for t in parts] == [3, 0]
-        videos = outs.video_anchors
-        loss = total_loss(outs, batch_targets(parts, videos))
+        videos = [np.flatnonzero(outs.video == v) for v in range(2)]
+        loss = total_loss(outs, assign_targets(outs, [record(g) for g in gts], 2))
         loss.backward()
         grads = [logits.grad.copy(), offsets.grad.copy()]
         mean = 0.0
@@ -345,7 +430,7 @@ class TestTotalLoss:
 
     def test_lambda_scales_regression_term(self):
         gts = [GroundTruthSegment(0, 0.0, 1.0)]
-        tm = assign_targets(gts, *anchors([(8, 1)]), 0.25, 1)
+        tm = video_targets(gts, [(8, 1)], 1)
         outs = self._outputs([8], 1, seed=1)
         l0 = total_loss(outs, tm, lam=0.0).data
         l1 = total_loss(outs, tm, lam=1.0).data
@@ -353,7 +438,7 @@ class TestTotalLoss:
         np.testing.assert_allclose(l2 - l1, l1 - l0, rtol=1e-9)
 
     def test_background_only_video(self):
-        tm = assign_targets([], *anchors([(6, 1)]), 0.25, 2)
+        tm = video_targets([], [(6, 1)], 2)
         outs = self._outputs([6], 2, seed=2)
         loss = total_loss(outs, tm)
         # normalizer clamps at 1; only focal background terms remain
@@ -364,7 +449,7 @@ class TestTotalLoss:
     @pytest.mark.parametrize("segments", [[], [(1, 0.0, 0.8)]])
     def test_one_node_over_logits_and_offsets(self, segments):
         gts = [GroundTruthSegment(*s) for s in segments]
-        tm = assign_targets(gts, *anchors([(4, 1), (2, 2)]), 0.25, 2)
+        tm = video_targets(gts, [(4, 1), (2, 2)], 2)
         outs = self._outputs([4, 2], 2, seed=3)
         logits = Parameter(outs.class_logits.data, "logits")
         offsets = Parameter(outs.offsets.data, "offsets")
@@ -377,7 +462,7 @@ class TestTotalLoss:
         heads = DetectionHeads(rng, D, num_classes=2, num_layers=1)
         pyr = make_pyramid([4, 2], seed=8)
         gts = [GroundTruthSegment(1, 0.0, 0.8)]
-        tm = assign_targets(gts, *anchors([(4, 1), (2, 2)]), 0.25, 2)
+        tm = video_targets(gts, [(4, 1), (2, 2)], 2)
 
         def loss():
             return total_loss(heads(pyr), tm)

@@ -1,4 +1,3 @@
-import functools
 import gc
 import math
 import tracemalloc
@@ -6,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taldet import autograd, heads, nn, spatial_attention, training
+from taldet import autograd, nn, spatial_attention, training
 from taldet.autograd import Parameter, Tensor
 from taldet.dataio import (AnnotationRecord, SyntheticSpec,
                            generate_synthetic, read_checkpoint, read_features,
@@ -563,22 +562,6 @@ class TestPacking:
             scale = max(np.abs(r).max(), floor)
             assert np.abs(g - r).max() <= 1e-10 * scale, name
 
-    def test_a_step_splits_its_anchors_once(self, monkeypatch):
-        # the targets and the loss read one split of the batch's anchors
-        model, samples = packing_problem()
-        calls = []
-        split = heads.HeadOutput.video_anchors.func
-
-        def counting(outs):
-            calls.append(outs)
-            return split(outs)
-
-        prop = functools.cached_property(counting)
-        prop.__set_name__(heads.HeadOutput, "video_anchors")
-        monkeypatch.setattr(heads.HeadOutput, "video_anchors", prop)
-        training.video_loss(model, samples, TrainConfig())
-        assert len(calls) == 1
-
     def test_packed_forward_matches_each_video_alone(self):
         # no layer reads across two videos: each video's anchors carry the
         # outputs of its forward alone, within 1e-12
@@ -586,7 +569,8 @@ class TestPacking:
         for p in model.parameters():
             p.requires_grad = False
         outs = model(samples)
-        for s, anchors in zip(samples, outs.video_anchors):
+        for v, s in enumerate(samples):
+            anchors = outs.video == v
             alone = model(s)
             np.testing.assert_array_equal(outs.step[anchors], alone.step)
             np.testing.assert_array_equal(outs.stride[anchors], alone.stride)
